@@ -4,8 +4,9 @@
 Two calibrations live in the defaults and this script re-derives both:
 
 1. Comb shape: the cascaded-modulator comb generator has a phase-modulation
-   depth knob; the default (1.45 rad) comes from a small grid search for the
-   flattest 24-tone comb.  Section A prints that grid.
+   depth knob; the default (18.2 rad, with a 1.6 rad intensity stage) comes
+   from a small grid search for the flattest 24-tone comb.  Section A prints
+   that grid.
 
 2. Noise budget: channel-1 SNR near 20 dB, a 1.9 dB channel-1..10 decline,
    and a ~3 dB single-channel-mute improvement are set jointly by the PAM4

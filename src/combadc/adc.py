@@ -20,6 +20,10 @@ from .waveform import SampledWaveform, apply_fir, fir_lowpass
 
 __all__ = ["AdcConfig", "SubbandCapture", "adc_capture", "capture_to_csv", "capture_from_csv"]
 
+# the analog input must arrive at least this many times faster than the
+# converter samples for the band-limited interpolation to stay accurate
+MIN_OVERSAMPLING = 4.0
+
 
 @dataclass
 class AdcConfig:
@@ -132,17 +136,19 @@ def adc_capture(
     """Digitize an oversampled analog sub-band waveform.
 
     Pipeline: AC-couple, anti-alias filter (both at the input rate),
-    interpolate at the jittered sampling instants, clip, quantize.
+    interpolate at the jittered sampling instants, clip, quantize. The
+    capture holds one sample per converter period of the record, so its
+    length does not depend on how far above 4x the input is oversampled.
     """
-    if x.rate < 4.0 * cfg.rate:
+    if x.rate < MIN_OVERSAMPLING * cfg.rate:
         raise SignalError(
             f"analog input at {x.rate:g} Sa/s is not oversampled enough for "
             f"a {cfg.rate:g} Sa/s converter (need 4x)"
         )
     ratio = x.rate / cfg.rate
-    n_out = int(np.floor((x.n - 1) / ratio)) + 1
-    if n_out < 1:
-        raise SignalError("input shorter than one output sample")
+    # every sampling instant inside the record, whatever the input rate;
+    # an instant past the last input sample reads that sample
+    n_out = int(np.ceil(x.n / ratio - 1e-9))
 
     y = x.samples
     if cfg.ac_couple_hz is not None:

@@ -122,13 +122,12 @@ def main(argv: list[str] | None = None) -> int:
         cfg = _load_scenario(args)
         if args.command == "validate":
             sweep = cfg.sweep
-            n_pts = int((sweep.stop - sweep.start) / sweep.step + 1e-9) + 1
             print(
                 f"ok: {cfg.combs.n_tones} tone pairs,"
                 f" {len(cfg.scm.active_set())} of {cfg.scm.n_channels}"
                 f" channels active,"
                 f" sweep {sweep.start / 1e9:.2f}-{sweep.stop / 1e9:.2f} GHz"
-                f" in {n_pts} points"
+                f" in {sweep.n_points} points"
             )
             return 0
         if args.command == "sweep-sine":

@@ -7,6 +7,14 @@ comb tone carries the same modulation, sub-band n can be simulated
 directly from the modulator field factor mu(t) on an electrical-rate grid;
 no THz-wide optical field is ever synthesized.
 
+The beat is computed as a digital down-converter. One forward FFT of mu
+gives both the analytic signal (negative bins dropped, positive bins
+doubled) and, shifted by n * delta_f, the complex baseband of the
+sub-band; only the bins around it are kept and transformed back on a
+shorter record. Detector noise, the photodiode filter and the
+transimpedance stage then run at that reduced rate. The noise sources are
+specified as densities, so the physics does not depend on the rate.
+
 Phase bookkeeping: the seed laser's phase enters both beat terms
 identically and cancels in the difference, so it never appears in the
 differential phase track at all. What remains is the RF-synthesizer walk
@@ -19,8 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import signal as sps
 from scipy.constants import elementary_charge
+from scipy.fft import next_fast_len
 
 from .errors import ConfigError, SignalError
 from .seeding import derive_rng
@@ -347,6 +355,21 @@ def _differential_phase(
     return theta
 
 
+def _band_select(spectrum: np.ndarray, k0: int, n_out: int) -> np.ndarray:
+    """``n_out`` bins of a one-sided spectrum around bin ``k0``, FFT-ordered.
+
+    Bin ``k0`` lands on DC. Output bins whose source lies below DC or past
+    the end of ``spectrum`` stay zero, which is what drops the negative
+    frequencies of an analytic signal.
+    """
+    centred = np.zeros(n_out, dtype=np.complex128)
+    first = k0 - n_out // 2  # source bin of centred[0]
+    src = spectrum[max(first, 0) : first + n_out]
+    start = max(-first, 0)
+    centred[start : start + src.size] = src
+    return np.fft.ifftshift(centred)
+
+
 def subband_beat(
     mu: SampledWaveform,
     n: int,
@@ -354,6 +377,7 @@ def subband_beat(
     link: LinkConfig,
     seed: int,
     *,
+    out_rate: float | None = None,
     thermal: bool = True,
     shot: bool = True,
     osnr_beat: bool = True,
@@ -362,7 +386,7 @@ def subband_beat(
     cmrr_leak: bool = True,
     tia_saturation: bool = True,
 ) -> SampledWaveform:
-    """Balanced photocurrent of sub-band n, at the rate of ``mu``.
+    """Balanced photocurrent of sub-band n, at ``out_rate`` or above.
 
     The heterodyne term mixes the analytic modulation down by n * delta_f
     with the differential phase track applied; balanced-detection leakage
@@ -370,6 +394,15 @@ def subband_beat(
     amplified-spontaneous-emission beat noise enter as white currents.
     Everything then passes the photodiode band limit and the soft
     transimpedance saturation.
+
+    The down-conversion is exact band selection in the frequency domain:
+    the output keeps the spectrum within half its rate of the sub-band
+    centre and covers the same time span as ``mu``. ``out_rate=None``
+    keeps the rate of ``mu``. Otherwise the output length is the smallest
+    fast FFT length at or above ``out_rate`` times the duration, so the
+    realized rate (the returned waveform's ``rate``) can sit slightly
+    above ``out_rate``. A downshift that is not a whole number of FFT bins
+    is split into a bin shift and a residual mix at the output rate.
     """
     if not 1 <= n <= combs.n_pairs:
         raise SignalError(
@@ -381,6 +414,18 @@ def subband_beat(
             f"modulation grid at {rate:g} Sa/s cannot represent the "
             f"{n * combs.delta_f:g} Hz downshift for sub-band {n}"
         )
+    n_in = mu.n
+    if out_rate is None:
+        n_out = n_in
+    elif 0.0 < out_rate <= rate:
+        n_out = min(n_in, next_fast_len(int(np.ceil(n_in * out_rate / rate - 1e-6))))
+    else:
+        raise SignalError(
+            f"output rate {out_rate!r} Sa/s must be positive and at most the "
+            f"modulation rate {rate:g} Sa/s"
+        )
+    rate_out = rate * n_out / n_in
+    scale = n_out / n_in  # inverse FFT normalizes by n_out, the forward by n_in
 
     p_ch = dbm_to_watts(link.sig_power_per_ch_dbm)
     p_lo = dbm_to_watts(link.lo_power_per_tone_dbm)
@@ -394,42 +439,51 @@ def subband_beat(
         * combs.lo.tone_amps[n - 1]
     )
 
-    mu_a = sps.hilbert(mu.samples)
+    # analytic-signal weights: DC and Nyquist once, positive bins twice
+    spectrum = np.fft.rfft(mu.samples)
+    spectrum[1:] *= 2.0
+    if n_in % 2 == 0:
+        spectrum[-1] *= 0.5
+    shift = n * combs.delta_f * n_in / rate  # downshift in bins
+    k0 = int(round(shift))
+    z = np.fft.ifft(_band_select(spectrum, k0, n_out)) * scale
+
     theta = _differential_phase(
         n,
         combs,
-        mu.n,
-        rate,
+        n_out,
+        rate_out,
         seed,
         drive_phase_noise=drive_phase_noise,
         phase_drift=phase_drift,
     )
-    t = time_vector(mu.n, rate)
-    lo_mix = np.exp(1j * (theta - 2.0 * np.pi * n * combs.delta_f * t))
-    i = gain * np.real(mu_a * lo_mix)
+    residual = (shift - k0) * rate / n_in  # Hz, under half a bin
+    theta = theta - 2.0 * np.pi * residual * time_vector(n_out, rate_out)
+    i = gain * np.real(z * np.exp(1j * theta))
 
     if cmrr_leak and np.isfinite(link.cmrr_db):
         kappa = db_to_amplitude_ratio(-link.cmrr_db)
-        i = i + kappa * r * p_ch * np.square(mu.samples)
+        leak = np.fft.rfft(np.square(mu.samples))[: n_out // 2 + 1]
+        i = i + kappa * r * p_ch * np.fft.irfft(leak, n_out) * scale
 
     if thermal and link.thermal_noise_density > 0:
         i = i + white_noise(
-            mu.n, rate, link.thermal_noise_density, derive_rng(seed, "thermal")
+            n_out, rate_out, link.thermal_noise_density, derive_rng(seed, "thermal")
         )
     if shot:
         dens = np.sqrt(4.0 * elementary_charge * r * (p_lo + p_ch))
-        i = i + white_noise(mu.n, rate, dens, derive_rng(seed, "shot"))
+        i = i + white_noise(n_out, rate_out, dens, derive_rng(seed, "shot"))
     if osnr_beat and np.isfinite(link.osnr_db):
         s_ase = p_ch * 10.0 ** (-link.osnr_db / 10.0) / _OSNR_REF_BW
         dens = 2.0 * r * np.sqrt(p_lo * s_ase)
-        i = i + white_noise(mu.n, rate, dens, derive_rng(seed, "osnr"))
+        i = i + white_noise(n_out, rate_out, dens, derive_rng(seed, "osnr"))
 
-    i = apply_fir(i, fir_lowpass(link.pd_bandwidth, rate))
+    i = apply_fir(i, fir_lowpass(link.pd_bandwidth, rate_out))
 
     if tia_saturation:
         sat = 2.0 * r * np.sqrt(p_lo * dbm_to_watts(link.tia_sat_dbm))
         i = sat * np.tanh(i / sat)
-    return SampledWaveform(i, rate)
+    return SampledWaveform(i, rate_out)
 
 
 @dataclass

@@ -4,7 +4,8 @@ Every run decomposes into independent tasks (one per sweep frequency or
 per channel). Task seeds derive from (master_seed, task kind, index)
 alone, so outputs are byte-identical however the tasks are scheduled;
 ``--jobs`` only changes wall time. A failed task is recorded in the
-manifest with its reason and the run carries on.
+manifest with its reason and the run carries on, whether the task raised
+one of the package's own errors or anything else.
 
 The manifest written next to the CSVs doubles as a config file: all
 bookkeeping lives in comment lines, the config snapshot is the payload,
@@ -18,12 +19,13 @@ import dataclasses
 import hashlib
 import os
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adc import SubbandCapture, adc_capture
+from .adc import MIN_OVERSAMPLING, SubbandCapture, adc_capture
 from .comb import ScenarioCombs, mzm_field, subband_beat
 from .demod import demod_pam4
 from .errors import CombAdcError, ConfigError
@@ -177,6 +179,7 @@ def _capture_subband(
         combs,
         cfg.link,
         beat_seed,
+        out_rate=MIN_OVERSAMPLING * cfg.adc.rate,
         thermal=imp.thermal,
         shot=imp.shot,
         osnr_beat=imp.osnr_beat,
@@ -237,7 +240,7 @@ def _sweep_point(args: tuple[ScenarioConfig, int, float]) -> _SweepResult:
         return _SweepResult(
             index, f_request / 1e9, row, label, seeds[0], time.perf_counter() - t0
         )
-    except CombAdcError as exc:
+    except Exception as exc:
         return _SweepResult(
             index,
             f_request / 1e9,
@@ -245,8 +248,25 @@ def _sweep_point(args: tuple[ScenarioConfig, int, float]) -> _SweepResult:
             label,
             seeds[0],
             time.perf_counter() - t0,
-            error=str(exc),
+            error=_failure_detail(exc),
         )
+
+
+def _failure_detail(exc: Exception) -> str:
+    """Non-empty one-line manifest reason for a failed task.
+
+    Errors from outside the package are not expected, so their reason
+    also names their type and the line that raised them; their message
+    alone (numpy's "Singular matrix") rarely says enough.
+    """
+    text = " ".join(str(exc).split())
+    if isinstance(exc, CombAdcError) and text:
+        return text
+    frame = traceback.extract_tb(exc.__traceback__)[-1]
+    where = f"[{os.path.basename(frame.filename)}:{frame.lineno}]"
+    if text:
+        return f"{type(exc).__name__}: {text} {where}"
+    return f"{type(exc).__name__} {where}"
 
 
 def _run_tasks(worker, arg_list, jobs: int):
@@ -263,8 +283,7 @@ def run_sweep(cfg: ScenarioConfig, out_dir: str, jobs: int = 1) -> RunManifest:
         raise ConfigError("source: config selects the channelized source, not sine")
     os.makedirs(out_dir, exist_ok=True)
 
-    n_points = int((cfg.sweep.stop - cfg.sweep.start) / cfg.sweep.step + 1e-9) + 1
-    freqs = [cfg.sweep.start + i * cfg.sweep.step for i in range(n_points)]
+    freqs = cfg.sweep.frequencies()
     results = _run_tasks(_sweep_point, [(cfg, i, fr) for i, fr in enumerate(freqs)], jobs)
 
     manifest = RunManifest(subcommand="sweep-sine", config_text=dump_config(cfg))
@@ -376,7 +395,7 @@ def _scm_channel(
             seeds[0],
             time.perf_counter() - t0,
         )
-    except CombAdcError as exc:
+    except Exception as exc:
         return _ScmResult(
             index,
             channel,
@@ -385,7 +404,7 @@ def _scm_channel(
             label,
             seeds[0],
             time.perf_counter() - t0,
-            error=str(exc),
+            error=_failure_detail(exc),
         )
 
 

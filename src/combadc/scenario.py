@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adc import AdcConfig
+from .adc import MIN_OVERSAMPLING, AdcConfig
 from .comb import (
     LinkConfig,
     ScenarioCombs,
@@ -63,6 +63,14 @@ class SweepSection:
     # off-grid frequencies measured through a 4-term window
     snap: bool = True
     duration: float = 70e-6
+
+    @property
+    def n_points(self) -> int:
+        """Number of requested frequencies, start and stop included."""
+        return int((self.stop - self.start) / self.step + 1e-9) + 1
+
+    def frequencies(self) -> list[float]:
+        return [self.start + i * self.step for i in range(self.n_points)]
 
 
 @dataclass
@@ -190,6 +198,13 @@ def _p_float_or_off(tok: str):
     return _number(tok)
 
 
+def _p_db_or_inf(tok: str):
+    # an infinite ratio is how a link term is switched off
+    if tok.strip().lower() in ("inf", "off"):
+        return float("inf")
+    return _number(tok)
+
+
 def _p_float_or_auto(tok: str):
     if tok.strip().lower() == "auto":
         return "auto"
@@ -270,10 +285,10 @@ _KEYS: dict[str, tuple[str, str, object]] = {
     "link.drive_scale": ("link", "drive_scale", _p_float),
     "link.sig_power_per_ch_dbm": ("link", "sig_power_per_ch_dbm", _p_float),
     "link.lo_power_per_tone_dbm": ("link", "lo_power_per_tone_dbm", _p_float),
-    "link.osnr_db": ("link", "osnr_db", _p_float),
+    "link.osnr_db": ("link", "osnr_db", _p_db_or_inf),
     "link.pd_bandwidth": ("link", "pd_bandwidth", _p_float),
     "link.tia_sat_dbm": ("link", "tia_sat_dbm", _p_float),
-    "link.cmrr_db": ("link", "cmrr_db", _p_float),
+    "link.cmrr_db": ("link", "cmrr_db", _p_db_or_inf),
     "link.responsivity": ("link", "responsivity", _p_float),
     "link.thermal_noise_density": ("link", "thermal_noise_density", _p_float),
     "link.sine_backoff_db": ("link", "sine_backoff_db", _p_float),
@@ -404,8 +419,17 @@ def build_demod(cfg: ScenarioConfig, channel: int) -> DemodConfig:
     )
 
 
+# a sweep beyond this many points is a typo in sweep.step, not a plan
+_MAX_SWEEP_POINTS = 10_000
+
+
 def validate_scenario(cfg: ScenarioConfig) -> ScenarioCombs:
     """Cross-section consistency checks; returns the validated comb pair."""
+    _rule(
+        "seed-range",
+        0 <= cfg.run.master_seed < 2**32,
+        f"run.master_seed = {cfg.run.master_seed} not in 0..2**32-1",
+    )
     _rule("bits-range", 1 <= cfg.adc.bits <= 24, f"adc.bits = {cfg.adc.bits} not in 1..24")
     _rule("bits-range", 1 <= cfg.dac.bits <= 16, f"dac.bits = {cfg.dac.bits} not in 1..16")
 
@@ -450,7 +474,7 @@ def validate_scenario(cfg: ScenarioConfig) -> ScenarioCombs:
     )
     _rule(
         "rate-consistency",
-        cfg.dac.rate >= 4.0 * cfg.adc.rate,
+        cfg.dac.rate >= MIN_OVERSAMPLING * cfg.adc.rate,
         "dac.rate must be at least 4x adc.rate for clean band-limited sampling",
     )
     _rule(
@@ -463,6 +487,11 @@ def validate_scenario(cfg: ScenarioConfig) -> ScenarioCombs:
         0 < cfg.sweep.start <= cfg.sweep.stop and cfg.sweep.step > 0,
         f"need 0 < start <= stop and step > 0, got "
         f"{cfg.sweep.start:.3g}/{cfg.sweep.stop:.3g}/{cfg.sweep.step:.3g}",
+    )
+    _rule(
+        "sweep-grid",
+        cfg.sweep.n_points <= _MAX_SWEEP_POINTS,
+        f"{cfg.sweep.n_points:.3g} sweep points, at most {_MAX_SWEEP_POINTS} allowed",
     )
     _rule(
         "sweep-grid",

@@ -12,9 +12,12 @@ Conventions the rest of the package depends on:
   calibration-free. The default window is rectangular because test tones
   are placed on the bin grid (coherent sampling); Blackman-Harris 4-term
   is available for off-grid work.
-* FIR application is zero-phase: odd-length symmetric taps applied with
-  ``fftconvolve`` in ``same`` mode, so filtered waveforms stay aligned
-  with their time axis and timing recovery reduces to a known delay of 0.
+* FIR application is zero-phase: odd-length symmetric taps applied by
+  overlap-add convolution (``oaconvolve``) in ``same`` mode, so filtered
+  waveforms stay aligned with their time axis and timing recovery reduces
+  to a known delay of 0. Overlap-add transforms blocks a few times the
+  filter length instead of the whole record, which is what keeps long
+  captures cheap.
 * Rate conversion only accepts ratios that reduce to small integer
   fractions; anything else is a configuration mistake, not something to
   approximate silently.
@@ -283,7 +286,7 @@ def apply_fir(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
     """Filter with group-delay compensation (odd-length linear-phase taps)."""
     if taps.size % 2 != 1:
         raise SignalError("zero-phase application needs an odd tap count")
-    return sps.fftconvolve(np.asarray(x, dtype=np.float64), taps, mode="same")
+    return sps.oaconvolve(np.asarray(x, dtype=np.float64), taps, mode="same")
 
 
 def spectral_tilt_taps(

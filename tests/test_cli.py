@@ -87,3 +87,10 @@ def test_seed_flag_changes_artifacts(tmp_path):
 
     assert digest(a) == digest(c)
     assert digest(a) != digest(b)
+
+
+def test_validate_rejects_runaway_sweep_grid(tmp_path, capsys):
+    path = tmp_path / "tiny_step.cfg"
+    path.write_text("sweep.step = 1e-30ghz\n")
+    assert main(["validate", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("config error: sweep-grid")

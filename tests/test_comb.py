@@ -289,3 +289,127 @@ def test_beat_determinism():
     c = subband_beat(mu, 5, combs, link, seed=43)
     assert np.array_equal(a.samples, b.samples)
     assert not np.array_equal(a.samples, c.samples)
+
+
+# ------------------------------------------------- band-select down-conversion
+
+
+def _link_gain(link, combs, n):
+    return (
+        2.0
+        * link.responsivity
+        * np.sqrt(
+            dbm_to_watts(link.sig_power_per_ch_dbm)
+            * dbm_to_watts(link.lo_power_per_tone_dbm)
+        )
+        * combs.signal.tone_amps[n - 1]
+        * combs.lo.tone_amps[n - 1]
+    )
+
+
+def _tone_fit(x, rate, freqs, body=2048):
+    """Least-squares amplitudes of cosines at known frequencies, edges cut."""
+    t = time_vector(x.size, rate)[body:-body]
+    cols = []
+    for f in freqs:
+        cols += [np.cos(2 * np.pi * f * t), np.sin(2 * np.pi * f * t)]
+    coef, *_ = np.linalg.lstsq(np.array(cols).T, x[body:-body], rcond=None)
+    return np.hypot(coef[0::2], coef[1::2])
+
+
+@pytest.mark.parametrize("n_samples", [65536, 65537])
+@pytest.mark.parametrize("n", [1, 4, 10])
+def test_beat_matches_hilbert_mix_oracle(n_samples, n, rng):
+    # full rate, impairments off: the frequency-domain down-conversion is
+    # the analytic signal mixed down by n * delta_f and low-passed; 65537
+    # samples put the downshift off the FFT bin grid
+    from scipy import signal as sps
+
+    from combadc.waveform import apply_fir, fir_lowpass
+
+    combs = make_combs(tilt_db=2.0)
+    link = quiet_link()
+    rate = 32e9
+    mu = SampledWaveform(0.05 * rng.standard_normal(n_samples), rate)
+    out = subband_beat(mu, n, combs, link, seed=3, **_ALL_OFF)
+    t = time_vector(n_samples, rate)
+    lo = np.exp(-2j * np.pi * n * combs.delta_f * t)
+    mixed = _link_gain(link, combs, n) * np.real(sps.hilbert(mu.samples) * lo)
+    want = apply_fir(mixed, fir_lowpass(link.pd_bandwidth, rate))
+    assert out.rate == rate and out.n == n_samples
+    assert np.max(np.abs(out.samples - want)) <= 1e-9 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("out_rate", [None, 9.6e9])
+def test_beat_subband_one_mirror_rejected(out_rate):
+    # 0.7 GHz seen by pair 1 lands at 0.3 GHz; a leaky Hilbert transform
+    # would also put its -0.7 GHz image at 1.7 GHz. The photodiode band is
+    # widened so the filter cannot hide that image.
+    combs = make_combs()
+    link = quiet_link(pd_bandwidth=3e9)
+    n_in = 64000  # 0.5 MHz bins at 32 GSa/s and at 9.6 GSa/s
+    mu = _mu_tone(0.7e9, n=n_in)
+    out = subband_beat(mu, 1, combs, link, 3, out_rate=out_rate, **_ALL_OFF)
+    want_rate = 32e9 if out_rate is None else out_rate
+    assert out.rate == want_rate
+    body = out.samples[1000:-1000]
+    spec = np.abs(np.fft.rfft(body * np.blackman(body.size)))
+    freqs = np.fft.rfftfreq(body.size, 1.0 / out.rate)
+
+    def level(f):
+        return np.max(spec[np.abs(freqs - f) < 3e6])
+
+    assert freqs[np.argmax(spec)] == pytest.approx(0.3e9, abs=3e6)
+    assert 20 * np.log10(level(1.7e9) / level(0.3e9)) < -60.0
+
+
+@pytest.mark.parametrize(
+    "n, n_samples", [(1, 65536), (10, 65536), (1, 65537), (10, 65537)]
+)
+def test_beat_decimated_matches_full_rate_in_band(n, n_samples):
+    # the same tones through the full-rate and the 9.6 GSa/s output: folded
+    # tones in the photodiode passband (below 0.8 * 1.2 GHz) keep their
+    # level within 0.01 dB; on the filter skirt up to 1.2 GHz the filter
+    # designed on the coarser grid may differ by up to 0.1 dB
+    combs = make_combs()
+    link = quiet_link()
+    rate = 32e9
+    offsets = np.array([0.2e9, -0.45e9, 0.7e9, 1.1e9])
+    t = time_vector(n_samples, rate)
+    mu = SampledWaveform(
+        sum(0.02 * np.cos(2 * np.pi * (n * 1e9 + df) * t) for df in offsets), rate
+    )
+    flags = dict(_ALL_OFF)
+    flags["cmrr_leak"] = False
+    full = subband_beat(mu, n, combs, link, 3, **flags)
+    dec = subband_beat(mu, n, combs, link, 3, out_rate=9.6e9, **flags)
+    assert 9.6e9 <= dec.rate < 9.7e9
+    assert dec.n / dec.rate == pytest.approx(full.n / full.rate, rel=1e-12)
+    folded = np.abs(offsets)
+    a_full = _tone_fit(full.samples, full.rate, folded, body=4096)
+    a_dec = _tone_fit(dec.samples, dec.rate, folded, body=1300)
+    err_db = np.abs(20 * np.log10(a_dec / a_full))
+    assert np.all(err_db[folded < 0.96e9] < 0.01)
+    assert np.all(err_db < 0.1)
+
+
+def test_beat_thermal_noise_variance_at_output_rate():
+    # thermal noise is a density: drawn at the output rate and filtered
+    # there, its variance follows density^2 * rate_out / 2 * sum(h^2)
+    from combadc.waveform import fir_lowpass
+
+    combs = make_combs()
+    link = quiet_link(thermal_noise_density=4.4e-11, tia_sat_dbm=100.0)
+    flags = dict(_ALL_OFF)
+    flags["thermal"] = True
+    mu = SampledWaveform(np.zeros(1_600_000), 32e9)
+    out = subband_beat(mu, 1, combs, link, 9, out_rate=9.6e9, **flags)
+    assert out.rate == 9.6e9 and out.n == 480_000
+    taps = fir_lowpass(link.pd_bandwidth, out.rate)
+    want = link.thermal_noise_density**2 * out.rate / 2.0 * np.sum(taps**2)
+    assert np.var(out.samples) == pytest.approx(want, rel=0.03)
+
+
+def test_beat_rejects_output_rate_above_input():
+    with pytest.raises(SignalError):
+        subband_beat(_mu_tone(1e9), 1, make_combs(), quiet_link(), 1, out_rate=64e9)

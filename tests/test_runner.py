@@ -179,3 +179,49 @@ def test_spectrum_failure_still_writes_manifest(tmp_path, monkeypatch):
     with pytest.raises(CombAdcError, match="forced failure"):
         run_spectrum(load_config(""), str(tmp_path), channel=5)
     assert "status=failed" in _read(tmp_path / "manifest.txt")
+
+
+def test_unexpected_sweep_error_is_recorded_not_fatal(tmp_path, monkeypatch):
+    import numpy as np
+
+    import combadc.runner as runner_mod
+
+    real = runner_mod.sine_metrics
+
+    def singular(cap, f_folded, **kwargs):
+        if cap.subband_index == 4:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return real(cap, f_folded, **kwargs)
+
+    monkeypatch.setattr(runner_mod, "sine_metrics", singular)
+    man = run_sweep(load_config(FAST_SWEEP), str(tmp_path), jobs=1)
+    assert [t.status for t in man.tasks] == ["ok", "failed", "ok"]
+    detail = man.tasks[1].detail
+    assert detail.startswith("LinAlgError: Singular matrix [test_runner.py:")
+    lines = _read(tmp_path / "sweep.csv").splitlines()
+    assert [ln.split(",")[0] for ln in lines[1:]] == ["3.0000", "5.0000"]
+    text = _read(tmp_path / "manifest.txt")
+    assert "status=failed detail=LinAlgError: Singular matrix" in text
+    # the manifest still parses as the config it ran
+    assert load_config(text) == load_config(FAST_SWEEP)
+
+
+def test_unexpected_channel_error_is_recorded_not_fatal(tmp_path, monkeypatch):
+    import combadc.runner as runner_mod
+
+    real = runner_mod.demod_pam4
+
+    def broken(cap, dcfg, tx):
+        if dcfg.channel_index == 3:
+            raise ZeroDivisionError()
+        return real(cap, dcfg, tx)
+
+    monkeypatch.setattr(runner_mod, "demod_pam4", broken)
+    man = run_scm(load_config(""), str(tmp_path), jobs=1, channels=[1, 3])
+    assert {t.label: t.status for t in man.tasks} == {
+        "channel=1": "ok",
+        "channel=3": "failed",
+    }
+    assert man.tasks[1].detail.startswith("ZeroDivisionError [test_runner.py:")
+    lines = _read(tmp_path / "scm_snr.csv").splitlines()
+    assert [ln.split(",")[0] for ln in lines[1:]] == ["1"]

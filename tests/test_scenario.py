@@ -1,8 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from combadc.errors import ConfigError
 from combadc.scenario import (
+    ImpairmentFlags,
     build_combs,
     build_demod,
     dump_config,
@@ -180,3 +185,121 @@ def test_impairment_flags_all_off():
         getattr(flags, f)
         for f in ("thermal", "shot", "jitter", "dac_quantization", "adc_quantization")
     )
+
+
+# ------------------------------------------------------- re-runnable manifests
+
+
+def test_link_terms_switch_off_with_inf_or_off():
+    cfg = load_config("link.osnr_db = inf\nlink.cmrr_db = off\n")
+    assert cfg.link.osnr_db == np.inf and cfg.link.cmrr_db == np.inf
+    text = dump_config(cfg)
+    assert "link.osnr_db = inf" in text and "link.cmrr_db = inf" in text
+    assert load_config(text) == cfg
+
+
+_FINITE = dict(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _configs(draw):
+    """Valid configs over the defaults, reaching every None/auto/inf spelling."""
+    base = load_config("")
+    run = dataclasses.replace(
+        base.run,
+        master_seed=draw(st.integers(0, 2**32 - 1)),
+        source=draw(st.sampled_from(["auto", "sweep", "scm"])),
+        parallel_bank=draw(st.booleans()),
+        electrical_rolloff_db=draw(st.floats(0.0, 6.0, **_FINITE)),
+    )
+    sweep = dataclasses.replace(
+        base.sweep,
+        step=draw(st.floats(0.05e9, 2.5e9, **_FINITE)),
+        snap=draw(st.booleans()),
+    )
+    scm = dataclasses.replace(
+        base.scm,
+        active_channels=draw(
+            st.one_of(st.none(), st.sets(st.integers(1, 10), min_size=1))
+        ),
+    )
+    dac = dataclasses.replace(
+        base.dac,
+        lpf_cutoff=draw(st.one_of(st.none(), st.floats(10.5e9, 15e9, **_FINITE))),
+        residual_noise_db=draw(
+            st.one_of(st.none(), st.floats(-60.0, -20.0, **_FINITE))
+        ),
+    )
+    link = dataclasses.replace(
+        base.link,
+        osnr_db=draw(st.one_of(st.just(np.inf), st.floats(20.0, 80.0, **_FINITE))),
+        cmrr_db=draw(st.one_of(st.just(np.inf), st.floats(10.0, 60.0, **_FINITE))),
+        sine_backoff_db=draw(st.floats(0.0, 30.0, **_FINITE)),
+    )
+    adc = dataclasses.replace(
+        base.adc,
+        full_scale=draw(
+            st.one_of(st.just("auto"), st.floats(1e-6, 1.0, **_FINITE))
+        ),
+        jitter_rms=draw(st.floats(0.0, 1e-12, **_FINITE)),
+        aa_cutoff=draw(st.one_of(st.none(), st.floats(0.5e9, 1.2e9, **_FINITE))),
+        ac_couple_hz=draw(st.one_of(st.none(), st.floats(1e3, 50e6, **_FINITE))),
+    )
+    flags = {f.name: draw(st.booleans()) for f in dataclasses.fields(ImpairmentFlags)}
+    metrics = dataclasses.replace(
+        base.metrics,
+        window=draw(st.sampled_from(["auto", "rectangular", "blackman-harris-4term"])),
+        include_notch_band=draw(st.booleans()),
+    )
+    return dataclasses.replace(
+        base,
+        run=run,
+        sweep=sweep,
+        scm=scm,
+        dac=dac,
+        link=link,
+        adc=adc,
+        impairments=ImpairmentFlags(**flags),
+        metrics=metrics,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(_configs())
+def test_dump_then_load_is_identity(cfg):
+    assert load_config(dump_config(cfg)) == cfg
+
+
+# ----------------------------------------------------------------- seed rule
+
+
+@pytest.mark.parametrize("seed", ["-3", "4294967296", "4294967297"])
+def test_master_seed_outside_32_bits_is_rejected(seed):
+    # derive_seed_sequence keeps 32 bits; a wider seed would silently
+    # alias a narrower one (1 and 2**32 + 1 give the same streams)
+    with pytest.raises(ConfigError, match="seed-range"):
+        load_config(f"run.master_seed = {seed}")
+
+
+def test_master_seed_range_edges_accepted():
+    assert load_config("run.master_seed = 0").run.master_seed == 0
+    assert load_config("run.master_seed = 4294967295").run.master_seed == 2**32 - 1
+
+
+# ------------------------------------------------------------ sweep grid size
+
+
+def test_sweep_point_count_is_bounded():
+    # the grid is only counted, never built: 1e-30 GHz steps would be
+    # about 1e31 frequencies
+    with pytest.raises(ConfigError, match="sweep-grid"):
+        load_config("sweep.step = 1e-30ghz")
+    with pytest.raises(ConfigError, match="sweep-grid"):
+        load_config("sweep.step = 1mhz")  # 10,001 points
+    assert load_config("sweep.step = 1.25mhz").sweep.n_points == 8001
+
+
+def test_sweep_grid_is_shared():
+    sweep = load_config("sweep.step = 2.5ghz").sweep
+    assert sweep.n_points == 5
+    assert sweep.frequencies() == [0.5e9, 3.0e9, 5.5e9, 8.0e9, 10.5e9]

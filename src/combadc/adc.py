@@ -15,6 +15,7 @@ import numpy as np
 from scipy import signal as sps
 
 from .errors import SignalError
+from .frontend import dequantize_midrise, quantize_midrise
 from .seeding import derive_rng
 from .waveform import SampledWaveform, apply_fir, fir_lowpass
 
@@ -88,8 +89,7 @@ class SubbandCapture:
         """Sample values in input units (dequantized if quantized)."""
         if self.codes is None:
             return self.analog
-        step = self.full_scale_used / 2 ** (self.cfg.bits - 1)
-        return (self.codes.astype(np.float64) + 0.5) * step
+        return dequantize_midrise(self.codes, self.cfg.bits, self.full_scale_used)
 
     def to_waveform(self) -> SampledWaveform:
         return SampledWaveform(self.values(), self.cfg.rate)
@@ -170,11 +170,8 @@ def adc_capture(
         fs = float(cfg.full_scale)
 
     if quantize:
-        step = fs / 2 ** (cfg.bits - 1)
-        codes = np.floor(sampled / step)
-        codes = np.clip(codes, -(2 ** (cfg.bits - 1)), 2 ** (cfg.bits - 1) - 1)
         return SubbandCapture(
-            codes=codes.astype(np.int64),
+            codes=quantize_midrise(sampled, cfg.bits, fs, clip=True),
             cfg=cfg,
             subband_index=n,
             seed=seed,

@@ -63,12 +63,17 @@ class ScmConfig:
     # full scale; chosen by calibration (sets how hard the converter and
     # its clipping are exercised)
     drive_rms: float = 0.48
-    # None means all channels transmit; otherwise 1-based indices
+    # None means all channels transmit; otherwise 1-based indices, kept
+    # sorted and free of repeats so equal plans compare and dump equal
     active_channels: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if self.n_channels < 1:
             raise SignalError("need at least one channel")
+        if self.active_channels is not None:
+            self.active_channels = tuple(sorted(set(self.active_channels)))
+            if not self.active_channels:
+                raise SignalError("active channel list is empty")
         if self.baud * (1.0 + self.rolloff) > self.channel_spacing:
             raise SignalError(
                 "channel grid too dense: baud*(1+rolloff) exceeds channel spacing"
@@ -134,7 +139,7 @@ def gen_pam4_symbols(count: int, seed, levels: int = 4) -> np.ndarray:
 
 
 def _shaped_baseband(
-    symbols: np.ndarray, sps: int, rolloff: float, n_out: int
+    symbols: np.ndarray, sps: int, taps: np.ndarray, n_out: int
 ) -> np.ndarray:
     """RRC-shape a symbol sequence onto a dense sample grid.
 
@@ -144,8 +149,6 @@ def _shaped_baseband(
     train = np.zeros(n_out)
     idx = np.arange(symbols.size) * sps
     train[idx] = symbols
-    taps = rrc_taps(rolloff, sps, 16)
-    # scale so the matched receive filter sees unit symbol amplitude
     return apply_fir(train, taps)
 
 
@@ -171,6 +174,9 @@ def scm_waveform(
     n = int(round(cfg.duration * rate))
     n_sym = cfg.symbols_per_burst
     t = time_vector(n, rate)
+    # scaled so the matched receive filter sees unit symbol amplitude
+    taps = rrc_taps(cfg.rolloff, sps, 16)
+    offset_lo = np.exp(2j * np.pi * cfg.baseband_offset * t)
 
     total = np.zeros(n)
     for k in cfg.active_set():
@@ -181,9 +187,8 @@ def scm_waveform(
             raise SignalError(
                 f"channel {k}: expected {n_sym} symbols, got {sym.size}"
             )
-        p = _shaped_baseband(sym, sps, cfg.rolloff, n)
-        p_a = analytic(SampledWaveform(p, rate)).samples
-        offset_bb = np.real(p_a * np.exp(2j * np.pi * cfg.baseband_offset * t))
+        p = SampledWaveform(_shaped_baseband(sym, sps, taps, n), rate)
+        offset_bb = np.real(analytic(p).samples * offset_lo)
         total += offset_bb * np.cos(2.0 * np.pi * k * cfg.channel_spacing * t)
     return SampledWaveform(total, rate)
 

@@ -3,9 +3,11 @@
 Every run decomposes into independent tasks (one per sweep frequency or
 per channel). Task seeds derive from (master_seed, task kind, index)
 alone, so outputs are byte-identical however the tasks are scheduled;
-``--jobs`` only changes wall time. A failed task is recorded in the
-manifest with its reason and the run carries on, whether the task raised
-one of the package's own errors or anything else.
+``--jobs`` only changes wall time. A channelized run builds its transmit
+burst once and hands it to every channel task, as the physical system
+sends one burst to all sub-band detectors. A failed task is recorded in
+the manifest with its reason and the run carries on, whether the task
+raised one of the package's own errors or anything else.
 
 The manifest written next to the CSVs doubles as a config file: all
 bookkeeping lives in comment lines, the config snapshot is the payload,
@@ -331,7 +333,7 @@ def _scm_symbols(cfg: ScenarioConfig) -> dict[int, np.ndarray]:
     }
 
 
-def _scm_mu(cfg: ScenarioConfig) -> SampledWaveform:
+def _scm_mu(cfg: ScenarioConfig, symbols: dict[int, np.ndarray]) -> SampledWaveform:
     """Transmit-side field factor for the burst, channel-independent.
 
     The drive level is calibrated once against the full channel plan;
@@ -339,7 +341,6 @@ def _scm_mu(cfg: ScenarioConfig) -> SampledWaveform:
     re-normalizing, the way a transmitter with fixed per-channel gain
     behaves.
     """
-    symbols = _scm_symbols(cfg)
     full_plan = dataclasses.replace(cfg.scm, active_channels=None)
     reference = scm_waveform(full_plan, symbols, cfg.dac.rate)
     level = cfg.scm.drive_rms * cfg.dac.full_scale / rms(reference.samples)
@@ -364,21 +365,31 @@ class _ScmResult:
     error: str = ""
 
 
-def _scm_channel(
-    args: tuple[ScenarioConfig, int, int, np.ndarray | None, str],
+def _scm_failure(
+    cfg: ScenarioConfig, index: int, channel: int, elapsed_s: float, exc: Exception
 ) -> _ScmResult:
-    cfg, index, channel, mu_samples, out_dir = args
+    seed = _task_seeds(cfg.run.master_seed, "scm", channel, 2)[0]
+    return _ScmResult(
+        index,
+        channel,
+        None,
+        None,
+        f"channel={channel}",
+        seed,
+        elapsed_s,
+        error=_failure_detail(exc),
+    )
+
+
+def _scm_channel(
+    args: tuple[ScenarioConfig, int, int, SampledWaveform, np.ndarray, str],
+) -> _ScmResult:
+    cfg, index, channel, mu, tx, out_dir = args
     t0 = time.perf_counter()
     seeds = _task_seeds(cfg.run.master_seed, "scm", channel, 2)
-    label = f"channel={channel}"
     try:
         combs = build_combs(cfg)
-        if mu_samples is None:
-            mu = _scm_mu(cfg)
-        else:
-            mu = SampledWaveform(mu_samples, cfg.dac.rate)
         cap = _capture_subband(mu, channel, cfg, combs, seeds[0], seeds[1])
-        tx = _scm_symbols(cfg)[channel]
         report = demod_pam4(cap, build_demod(cfg, channel), tx)
 
         wave = cap.to_waveform()
@@ -391,21 +402,29 @@ def _scm_channel(
             channel,
             report.snr_db,
             name,
-            label,
+            f"channel={channel}",
             seeds[0],
             time.perf_counter() - t0,
         )
     except Exception as exc:
-        return _ScmResult(
-            index,
-            channel,
-            None,
-            None,
-            label,
-            seeds[0],
-            time.perf_counter() - t0,
-            error=_failure_detail(exc),
-        )
+        return _scm_failure(cfg, index, channel, time.perf_counter() - t0, exc)
+
+
+def _scm_results(
+    cfg: ScenarioConfig, channels: list[int], out_dir: str, jobs: int
+) -> list[_ScmResult]:
+    """Demodulate ``channels`` of one transmit burst, built once per run.
+
+    Every channel task gets the same field factor and its own symbols; if
+    the burst itself cannot be built, each channel records that failure.
+    """
+    try:
+        symbols = _scm_symbols(cfg)
+        mu = _scm_mu(cfg, symbols)
+    except Exception as exc:
+        return [_scm_failure(cfg, i, ch, 0.0, exc) for i, ch in enumerate(channels)]
+    args = [(cfg, i, ch, mu, symbols[ch], out_dir) for i, ch in enumerate(channels)]
+    return _run_tasks(_scm_channel, args, jobs)
 
 
 def run_scm(
@@ -433,12 +452,7 @@ def run_scm(
         if missing:
             raise ConfigError(f"channel-set: channel {missing[0]} is not active")
         channels = sorted(set(channels))
-    # bank mode reuses one transmit simulation for all sub-bands; the
-    # per-channel mode recomputes it (identical by seeding) like a
-    # retuned single-converter measurement would
-    shared = _scm_mu(cfg).samples if cfg.run.parallel_bank else None
-    args = [(cfg, i, ch, shared, out_dir) for i, ch in enumerate(channels)]
-    results = _run_tasks(_scm_channel, args, jobs)
+    results = _scm_results(cfg, channels, out_dir, jobs)
 
     manifest = RunManifest(subcommand="run-scm", config_text=dump_config(cfg))
     csv_path = os.path.join(out_dir, "scm_snr.csv")
@@ -475,7 +489,7 @@ def run_spectrum(cfg: ScenarioConfig, out_dir: str, channel: int) -> RunManifest
         raise ConfigError(f"channel-set: channel {channel} is not active")
     os.makedirs(out_dir, exist_ok=True)
 
-    result = _scm_channel((cfg, 0, channel, None, out_dir))
+    (result,) = _scm_results(cfg, [channel], out_dir, jobs=1)
     manifest = RunManifest(subcommand="spectrum", config_text=dump_config(cfg))
     manifest.tasks.append(
         TaskRecord(

@@ -48,8 +48,6 @@ class RunSection:
     master_seed: int = 12345
     # which source a run may consume; "auto" allows either subcommand
     source: str = "auto"
-    # simulate all sub-bands from one burst instead of per-channel reruns
-    parallel_bank: bool = False
     # analog-chain tilt, linear in dB across 0.1-10 GHz
     electrical_rolloff_db: float = 3.0
 
@@ -221,7 +219,7 @@ def _p_channels(tok: str):
         raise ValueError(f"expected 'all' or a comma list of channels, got {tok!r}")
     if not chans:
         raise ValueError("channel list is empty")
-    return chans
+    return tuple(sorted(chans))
 
 
 def _p_choice(*options: str):
@@ -239,8 +237,6 @@ def _fmt(value) -> str:
         return "off"
     if isinstance(value, bool):
         return "on" if value else "off"
-    if isinstance(value, (set, frozenset)):
-        return ",".join(str(c) for c in sorted(value))
     if isinstance(value, float):
         return repr(value)
     return str(value)
@@ -250,7 +246,6 @@ def _fmt(value) -> str:
 _KEYS: dict[str, tuple[str, str, object]] = {
     "run.master_seed": ("run", "master_seed", _p_int),
     "run.source": ("run", "source", _p_choice("auto", "sweep", "scm")),
-    "run.parallel_bank": ("run", "parallel_bank", _p_bool),
     "run.electrical_rolloff_db": ("run", "electrical_rolloff_db", _p_float),
     "sweep.start": ("sweep", "start", _p_float),
     "sweep.stop": ("sweep", "stop", _p_float),
@@ -362,8 +357,8 @@ def dump_config(cfg: ScenarioConfig) -> str:
                 lines.append("")
             last_section = section
         value = getattr(getattr(cfg, section), attr)
-        if parse is _p_channels and value is None:
-            text = "all"
+        if parse is _p_channels:
+            text = "all" if value is None else ",".join(str(c) for c in value)
         else:
             text = _fmt(value)
         lines.append(f"{key} = {text}")

@@ -225,3 +225,73 @@ def test_unexpected_channel_error_is_recorded_not_fatal(tmp_path, monkeypatch):
     assert man.tasks[1].detail.startswith("ZeroDivisionError [test_runner.py:")
     lines = _read(tmp_path / "scm_snr.csv").splitlines()
     assert [ln.split(",")[0] for ln in lines[1:]] == ["1"]
+
+
+# ------------------------------------------------------------- burst sharing
+
+SHORT_BURST = "scm.duration = 0.512us\n"
+
+
+def _count_bursts(monkeypatch):
+    import combadc.runner as runner_mod
+
+    calls = []
+    real = runner_mod.scm_waveform
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].active_set())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(runner_mod, "scm_waveform", counted)
+    return calls
+
+
+def test_burst_is_built_once_per_run(tmp_path, monkeypatch):
+    calls = _count_bursts(monkeypatch)
+    cfg = load_config(SHORT_BURST)
+    run_scm(cfg, str(tmp_path / "full"), jobs=1, channels=[1, 2, 3])
+    assert len(calls) == 1
+
+    # every channel still sees the full burst, so a narrowed run writes
+    # the same row for the channel it keeps
+    run_scm(cfg, str(tmp_path / "narrow"), jobs=1, channels=[2])
+    assert len(calls) == 2
+    full = _read(tmp_path / "full/scm_snr.csv").splitlines()
+    narrow = _read(tmp_path / "narrow/scm_snr.csv").splitlines()
+    assert narrow == [full[0], full[2]] and full[2].startswith("2,")
+    assert _read(tmp_path / "full/spectrum_ch2.csv") == _read(
+        tmp_path / "narrow/spectrum_ch2.csv"
+    )
+
+
+def test_all_channels_listed_is_the_full_plan(tmp_path, monkeypatch):
+    calls = _count_bursts(monkeypatch)
+    listed = load_config(SHORT_BURST + "scm.active_channels = 10,9,8,7,6,5,4,3,2,1")
+    run_scm(listed, str(tmp_path / "listed"), jobs=1, channels=[4])
+    assert calls == [tuple(range(1, 11))]
+    run_scm(load_config(SHORT_BURST), str(tmp_path / "all"), jobs=1, channels=[4])
+    assert _read(tmp_path / "listed/scm_snr.csv") == _read(tmp_path / "all/scm_snr.csv")
+
+    # a muted plan also builds the full-plan reference for the drive level
+    calls.clear()
+    run_scm(load_config(SHORT_BURST + "scm.active_channels = 4"), str(tmp_path / "m"))
+    assert calls == [tuple(range(1, 11)), (4,)]
+
+
+def test_burst_failure_fails_every_channel_task(tmp_path, monkeypatch):
+    import combadc.runner as runner_mod
+
+    def broken(*args, **kwargs):
+        raise MemoryError("burst too large")
+
+    monkeypatch.setattr(runner_mod, "scm_waveform", broken)
+    man = run_scm(load_config(SHORT_BURST), str(tmp_path), jobs=1, channels=[1, 3])
+    assert [(t.label, t.status) for t in man.tasks] == [
+        ("channel=1", "failed"),
+        ("channel=3", "failed"),
+    ]
+    assert all(t.detail.startswith("MemoryError: burst too large [") for t in man.tasks)
+    assert _read(tmp_path / "scm_snr.csv") == "channel,snr_db\n"
+    with pytest.raises(CombAdcError, match="burst too large"):
+        run_spectrum(load_config(SHORT_BURST), str(tmp_path / "sp"), channel=2)
+    assert "status=failed" in _read(tmp_path / "sp/manifest.txt")

@@ -72,7 +72,7 @@ def test_bool_and_off_values():
     assert cfg.sweep.snap is False
     assert cfg.dac.lpf_cutoff is None
     assert cfg.adc.full_scale == "auto"
-    assert cfg.scm.active_channels == {1, 5, 10}
+    assert cfg.scm.active_channels == (1, 5, 10)
 
 
 @pytest.mark.parametrize(
@@ -149,6 +149,28 @@ def test_dump_spells_all_channels():
     assert "combs.source = flat" in text
 
 
+def test_active_channels_are_a_sorted_tuple():
+    base = load_config("")
+    cfg = dataclasses.replace(
+        base, scm=dataclasses.replace(base.scm, active_channels=(3, 1, 3))
+    )
+    assert cfg.scm.active_channels == (1, 3)
+    text = dump_config(cfg)
+    assert "scm.active_channels = 1,3" in text
+    assert load_config(text) == cfg
+    assert load_config("scm.active_channels = 3,1,3").scm.active_channels == (1, 3)
+
+
+def test_listing_every_channel_is_the_full_plan():
+    listed = load_config("scm.active_channels = 10,9,8,7,6,5,4,3,2,1").scm
+    assert listed.active_set() == load_config("").scm.active_set()
+    # an empty list is not "all": the API cannot build a plan with no channel
+    empty = load_config("")
+    empty.scm.active_channels = ()
+    with pytest.raises(ConfigError, match="scm-invariants"):
+        validate_scenario(empty)
+
+
 def test_build_combs_flat_vs_cascade():
     flat = build_combs(load_config(""))
     assert flat.n_pairs == 24
@@ -209,7 +231,6 @@ def _configs(draw):
         base.run,
         master_seed=draw(st.integers(0, 2**32 - 1)),
         source=draw(st.sampled_from(["auto", "sweep", "scm"])),
-        parallel_bank=draw(st.booleans()),
         electrical_rolloff_db=draw(st.floats(0.0, 6.0, **_FINITE)),
     )
     sweep = dataclasses.replace(

@@ -22,7 +22,6 @@ from .comb import (
     comb_from_cascade,
     flat_comb,
     mzm_field,
-    seed_coherence_check,
     subband_beat,
     validate_scaling,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "comb_from_cascade",
     "flat_comb",
     "mzm_field",
-    "seed_coherence_check",
     "subband_beat",
     "validate_scaling",
     "DemodConfig",

@@ -19,7 +19,7 @@ from .frontend import dequantize_midrise, quantize_midrise
 from .seeding import derive_rng
 from .waveform import SampledWaveform, apply_fir, fir_lowpass
 
-__all__ = ["AdcConfig", "SubbandCapture", "adc_capture", "capture_to_csv", "capture_from_csv"]
+__all__ = ["AdcConfig", "SubbandCapture", "adc_capture"]
 
 # the analog input must arrive at least this many times faster than the
 # converter samples for the band-limited interpolation to stay accurate
@@ -186,55 +186,4 @@ def adc_capture(
         duration=n_out / cfg.rate,
         full_scale_used=fs,
         analog=np.clip(sampled, -fs, fs),
-    )
-
-
-def capture_to_csv(cap: SubbandCapture, path) -> None:
-    """Serialize a quantized capture; integer codes round-trip exactly."""
-    if cap.codes is None:
-        raise SignalError("only quantized captures serialize to CSV")
-    with open(path, "w") as fh:
-        fh.write(f"# bits = {cap.cfg.bits}\n")
-        fh.write(f"# rate_hz = {cap.cfg.rate!r}\n")
-        fh.write(f"# full_scale = {cap.full_scale_used!r}\n")
-        fh.write(f"# subband_index = {cap.subband_index}\n")
-        fh.write(f"# seed = {cap.seed}\n")
-        fh.write(f"# duration_s = {cap.duration!r}\n")
-        fh.write(f"# jitter_rms_s = {cap.cfg.jitter_rms!r}\n")
-        fh.write("index,code\n")
-        for i, c in enumerate(cap.codes):
-            fh.write(f"{i},{c}\n")
-
-
-def capture_from_csv(path) -> SubbandCapture:
-    meta: dict[str, str] = {}
-    codes: list[int] = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line == "index,code":
-                continue
-            if line.startswith("#"):
-                key, _, val = line[1:].partition("=")
-                meta[key.strip()] = val.strip()
-                continue
-            _, _, code = line.partition(",")
-            codes.append(int(code))
-    # front-end stages (AC coupling, anti-alias) already ran before the
-    # codes were stored, so the reconstructed config carries none
-    cfg = AdcConfig(
-        bits=int(meta["bits"]),
-        rate=float(meta["rate_hz"]),
-        full_scale=float(meta["full_scale"]),
-        jitter_rms=float(meta.get("jitter_rms_s", "0.0")),
-        aa_cutoff=None,
-        ac_couple_hz=None,
-    )
-    return SubbandCapture(
-        codes=np.asarray(codes, dtype=np.int64),
-        cfg=cfg,
-        subband_index=int(meta["subband_index"]),
-        seed=int(meta["seed"]),
-        duration=float(meta["duration_s"]),
-        full_scale_used=float(meta["full_scale"]),
     )

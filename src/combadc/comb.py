@@ -24,7 +24,7 @@ drift.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.constants import elementary_charge
@@ -54,9 +54,6 @@ __all__ = [
     "ScalingReport",
     "mzm_field",
     "subband_beat",
-    "seed_coherence_check",
-    "PhaseTrack",
-    "comb_to_csv",
 ]
 
 # reference bandwidth for optical SNR figures
@@ -114,20 +111,16 @@ class ScenarioCombs:
 
     signal: CombSpec
     lo: CombSpec
+    # Hz; the seed laser is shared, so its phase cancels in every beat and
+    # no output depends on this (the tests pin that invariance)
     seed_linewidth: float = 5e3
     differential_phase_drift: float = 0.0  # rad/s, slow thermal path drift
-    mutually_coherent: bool = True
 
     def __post_init__(self):
         if self.lo.spacing <= self.signal.spacing:
             raise ConfigError(
                 "LO comb must be spaced wider than the signal comb "
                 "(delta_f would not be positive)"
-            )
-        if not self.mutually_coherent:
-            raise ConfigError(
-                "this model only covers the shared-seed architecture; "
-                "mutually_coherent must stay true"
             )
         if self.seed_linewidth < 0:
             raise ConfigError("seed linewidth must be non-negative")
@@ -145,8 +138,7 @@ class ScenarioCombs:
 class LinkConfig:
     """Optical/electrical parameters of the analog link."""
 
-    vpi: float = 3.5  # volts; inert since the drive is given as a fraction of it
-    drive_scale: float = 0.3  # peak drive as a fraction of vpi
+    drive_scale: float = 0.3  # peak drive as a fraction of the modulator's V_pi
     sig_power_per_ch_dbm: float = -15.0
     lo_power_per_tone_dbm: float = -4.0  # 8 dBm comb minus 12 dB attenuation
     osnr_db: float = 55.0
@@ -301,13 +293,11 @@ def validate_scaling(
     return ScalingReport(checks=[c1, c2])
 
 
-def mzm_field(
-    v: SampledWaveform, vpi: float, drive_scale: float
-) -> SampledWaveform:
+def mzm_field(v: SampledWaveform, drive_scale: float) -> SampledWaveform:
     """Field factor of a null-biased interferometric modulator.
 
     ``v`` must be normalized to unit peak; the realized drive is
-    drive_scale * vpi peak, giving mu = sin(pi/2 * drive_scale * v).
+    drive_scale * V_pi peak, giving mu = sin(pi/2 * drive_scale * v).
     At the null the carrier is suppressed and the field is an odd,
     nearly linear function of the drive.
     """
@@ -484,53 +474,3 @@ def subband_beat(
         sat = 2.0 * r * np.sqrt(p_lo * dbm_to_watts(link.tia_sat_dbm))
         i = sat * np.tanh(i / sat)
     return SampledWaveform(i, rate_out)
-
-
-@dataclass
-class PhaseTrack:
-    """Differential-phase diagnostic for one tone pair."""
-
-    theta: np.ndarray
-    rate: float
-    subband_index: int
-    rms_drift_rad: float
-    seed_contribution_rad: float  # identically 0: common-mode cancellation
-
-
-def seed_coherence_check(
-    combs: ScenarioCombs,
-    duration: float,
-    n: int = 1,
-    rate: float = 1e9,
-    seed: int = 0,
-) -> PhaseTrack:
-    """Produce the differential phase track and its drift summary.
-
-    The seed laser never contributes, whatever its linewidth; the track
-    contains only the n-scaled synthesizer walk and the configured path
-    drift.
-    """
-    n_samples = max(2, int(round(duration * rate)))
-    theta = _differential_phase(n, combs, n_samples, rate, seed)
-    return PhaseTrack(
-        theta=theta,
-        rate=rate,
-        subband_index=n,
-        rms_drift_rad=float(np.sqrt(np.mean(np.square(theta - theta[0])))),
-        seed_contribution_rad=0.0,
-    )
-
-
-def comb_to_csv(comb: CombSpec, path, peak_dbm: float = 0.0) -> None:
-    """Write ``tone_index,power_dbm,phase_rad`` rows.
-
-    Powers are referenced so the strongest tone sits at ``peak_dbm``.
-    """
-    with open(path, "w") as fh:
-        fh.write(f"# spacing_hz = {comb.spacing!r}\n")
-        fh.write(f"# n_tones = {comb.n_tones}\n")
-        fh.write("tone_index,power_dbm,phase_rad\n")
-        peak = comb.tone_amps.max()
-        for i, (a, ph) in enumerate(zip(comb.tone_amps, comb.tone_phases), start=1):
-            p = peak_dbm + 20.0 * np.log10(a / peak)
-            fh.write(f"{i},{p:.6f},{ph:.6f}\n")

@@ -205,15 +205,10 @@ def demod_pam4(
     xa = sps_mod.hilbert(x)
     bb = xa * np.exp(-2j * np.pi * cfg.baseband_offset * time_vector(x.size, wave.rate))
 
-    mf = rrc_taps(cfg.rolloff, sps_in, 16)
-    re = apply_fir(bb.real, mf)
-    im = apply_fir(bb.imag, mf)
-
-    target_rate = cfg.sps * cfg.baud
-    re = resample_waveform(SampledWaveform(re, wave.rate), target_rate).samples
-    im = resample_waveform(SampledWaveform(im, wave.rate), target_rate).samples
-    z = re  # fold-coherent sidebands put the data in the real part
-    del im
+    # fold-coherent sidebands put the data in the real part, so only it is
+    # matched-filtered and resampled
+    re = apply_fir(bb.real, rrc_taps(cfg.rolloff, sps_in, 16))
+    z = resample_waveform(SampledWaveform(re, wave.rate), cfg.sps * cfg.baud).samples
 
     n_avail = z.size // cfg.sps
     if n_avail < tx.size:

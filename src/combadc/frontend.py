@@ -20,7 +20,7 @@ receiver's AC-coupling notch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,8 +43,6 @@ __all__ = [
     "quantize_midrise",
     "dequantize_midrise",
     "dac_model",
-    "waveform_to_csv",
-    "symbols_to_csv",
 ]
 
 
@@ -268,19 +266,3 @@ def dac_model(
         )
         y = apply_fir(y, taps)
     return SampledWaveform(y, cfg.rate)
-
-
-def waveform_to_csv(wave: SampledWaveform, path) -> None:
-    """Dump samples as ``index,value`` rows for external cross-checking."""
-    with open(path, "w") as fh:
-        fh.write(f"# rate_hz = {wave.rate!r}\n")
-        fh.write("index,value\n")
-        for i, v in enumerate(wave.samples):
-            fh.write(f"{i},{v!r}\n")
-
-
-def symbols_to_csv(symbols: np.ndarray, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("index,value\n")
-        for i, v in enumerate(symbols):
-            fh.write(f"{i},{v!r}\n")

@@ -163,7 +163,7 @@ def _front_end(
         y = SampledWaveform(apply_fir(y.samples, taps), y.rate)
     # drive conditioner: filters may overshoot a little past full scale
     v = np.clip(y.samples * post_gain, -1.0, 1.0)
-    return mzm_field(SampledWaveform(v, y.rate), cfg.link.vpi, cfg.link.drive_scale)
+    return mzm_field(SampledWaveform(v, y.rate), cfg.link.drive_scale)
 
 
 def _capture_subband(
@@ -204,18 +204,8 @@ def _capture_subband(
 # sine sweep
 
 
-@dataclass
-class _SweepResult:
-    index: int
-    freq_ghz: float
-    row: tuple[float, float, float] | None  # sfdr, sinad, enob
-    label: str
-    seed: int
-    elapsed_s: float
-    error: str = ""
-
-
-def _sweep_point(args: tuple[ScenarioConfig, int, float]) -> _SweepResult:
+def _sweep_point(args: tuple[ScenarioConfig, int, float]) -> tuple[TaskRecord, str]:
+    """One sweep point: its task record and its CSV row ("" if it failed)."""
     cfg, index, f_request = args
     t0 = time.perf_counter()
     seeds = _task_seeds(cfg.run.master_seed, "sweep", index, 3)
@@ -238,20 +228,23 @@ def _sweep_point(args: tuple[ScenarioConfig, int, float]) -> _SweepResult:
             window=_window_name(cfg),
             include_notch=cfg.metrics.include_notch_band,
         )
-        row = (report.sfdr_db, report.sinad_db, report.enob_bits)
-        return _SweepResult(
-            index, f_request / 1e9, row, label, seeds[0], time.perf_counter() - t0
-        )
     except Exception as exc:
-        return _SweepResult(
-            index,
-            f_request / 1e9,
-            None,
-            label,
-            seeds[0],
-            time.perf_counter() - t0,
-            error=_failure_detail(exc),
-        )
+        return _task(index, label, seeds[0], t0, exc), ""
+    row = (
+        f"{f_request / 1e9:.4f},{report.sfdr_db:.6f},"
+        f"{report.sinad_db:.6f},{report.enob_bits:.6f}\n"
+    )
+    return _task(index, label, seeds[0], t0), row
+
+
+def _task(
+    index: int, label: str, seed: int, t0: float, exc: Exception | None = None
+) -> TaskRecord:
+    """Manifest record of a task started at ``t0``; failed if ``exc`` is given."""
+    elapsed_s = time.perf_counter() - t0
+    if exc is None:
+        return TaskRecord(index, label, seed, elapsed_s, "ok")
+    return TaskRecord(index, label, seed, elapsed_s, "failed", _failure_detail(exc))
 
 
 def _failure_detail(exc: Exception) -> str:
@@ -288,25 +281,15 @@ def run_sweep(cfg: ScenarioConfig, out_dir: str, jobs: int = 1) -> RunManifest:
     freqs = cfg.sweep.frequencies()
     results = _run_tasks(_sweep_point, [(cfg, i, fr) for i, fr in enumerate(freqs)], jobs)
 
-    manifest = RunManifest(subcommand="sweep-sine", config_text=dump_config(cfg))
+    manifest = RunManifest(
+        subcommand="sweep-sine",
+        config_text=dump_config(cfg),
+        tasks=[record for record, _ in results],
+    )
     csv_path = os.path.join(out_dir, "sweep.csv")
     with open(csv_path, "w") as fh:
         fh.write("freq_ghz,sfdr_db,sinad_db,enob_bits\n")
-        for r in sorted(results, key=lambda r: r.index):
-            if r.row is not None:
-                fh.write(
-                    f"{r.freq_ghz:.4f},{r.row[0]:.6f},{r.row[1]:.6f},{r.row[2]:.6f}\n"
-                )
-            manifest.tasks.append(
-                TaskRecord(
-                    r.index,
-                    r.label,
-                    r.seed,
-                    r.elapsed_s,
-                    "ok" if r.row is not None else "failed",
-                    r.error,
-                )
-            )
+        fh.writelines(row for _, row in results)
     manifest.artifacts["sweep.csv"] = _sha256(csv_path)
     _write_manifest(manifest, out_dir)
     return manifest
@@ -353,37 +336,14 @@ def _scm_mu(cfg: ScenarioConfig, symbols: dict[int, np.ndarray]) -> SampledWavef
     return _front_end(x, cfg, dac_seed, 1.0 / cfg.dac.full_scale)
 
 
-@dataclass
-class _ScmResult:
-    index: int
-    channel: int
-    snr_db: float | None
-    spectrum_csv: str | None
-    label: str
-    seed: int
-    elapsed_s: float
-    error: str = ""
-
-
-def _scm_failure(
-    cfg: ScenarioConfig, index: int, channel: int, elapsed_s: float, exc: Exception
-) -> _ScmResult:
-    seed = _task_seeds(cfg.run.master_seed, "scm", channel, 2)[0]
-    return _ScmResult(
-        index,
-        channel,
-        None,
-        None,
-        f"channel={channel}",
-        seed,
-        elapsed_s,
-        error=_failure_detail(exc),
-    )
+def _spectrum_name(channel: int) -> str:
+    return f"spectrum_ch{channel}.csv"
 
 
 def _scm_channel(
     args: tuple[ScenarioConfig, int, int, SampledWaveform, np.ndarray, str],
-) -> _ScmResult:
+) -> tuple[TaskRecord, float | None]:
+    """One channel: its task record and its SNR (None if it failed)."""
     cfg, index, channel, mu, tx, out_dir = args
     t0 = time.perf_counter()
     seeds = _task_seeds(cfg.run.master_seed, "scm", channel, 2)
@@ -395,34 +355,30 @@ def _scm_channel(
         wave = cap.to_waveform()
         n_fft = 1 << int(np.log2(wave.n))
         spec = periodogram(wave, n_fft=n_fft, n_avg=wave.n // n_fft)
-        name = f"spectrum_ch{channel}.csv"
-        spectrum_to_csv(spec, os.path.join(out_dir, name))
-        return _ScmResult(
-            index,
-            channel,
-            report.snr_db,
-            name,
-            f"channel={channel}",
-            seeds[0],
-            time.perf_counter() - t0,
-        )
+        spectrum_to_csv(spec, os.path.join(out_dir, _spectrum_name(channel)))
     except Exception as exc:
-        return _scm_failure(cfg, index, channel, time.perf_counter() - t0, exc)
+        return _task(index, f"channel={channel}", seeds[0], t0, exc), None
+    return _task(index, f"channel={channel}", seeds[0], t0), report.snr_db
 
 
 def _scm_results(
     cfg: ScenarioConfig, channels: list[int], out_dir: str, jobs: int
-) -> list[_ScmResult]:
+) -> list[tuple[TaskRecord, float | None]]:
     """Demodulate ``channels`` of one transmit burst, built once per run.
 
     Every channel task gets the same field factor and its own symbols; if
     the burst itself cannot be built, each channel records that failure.
     """
+    t0 = time.perf_counter()
     try:
         symbols = _scm_symbols(cfg)
         mu = _scm_mu(cfg, symbols)
     except Exception as exc:
-        return [_scm_failure(cfg, i, ch, 0.0, exc) for i, ch in enumerate(channels)]
+        failed = []
+        for i, ch in enumerate(channels):
+            seed = _task_seeds(cfg.run.master_seed, "scm", ch, 2)[0]
+            failed.append((_task(i, f"channel={ch}", seed, t0, exc), None))
+        return failed
     args = [(cfg, i, ch, mu, symbols[ch], out_dir) for i, ch in enumerate(channels)]
     return _run_tasks(_scm_channel, args, jobs)
 
@@ -454,27 +410,19 @@ def run_scm(
         channels = sorted(set(channels))
     results = _scm_results(cfg, channels, out_dir, jobs)
 
-    manifest = RunManifest(subcommand="run-scm", config_text=dump_config(cfg))
+    manifest = RunManifest(
+        subcommand="run-scm",
+        config_text=dump_config(cfg),
+        tasks=[record for record, _ in results],
+    )
     csv_path = os.path.join(out_dir, "scm_snr.csv")
     with open(csv_path, "w") as fh:
         fh.write("channel,snr_db\n")
-        for r in sorted(results, key=lambda r: r.index):
-            if r.snr_db is not None:
-                fh.write(f"{r.channel},{r.snr_db:.6f}\n")
-            manifest.tasks.append(
-                TaskRecord(
-                    r.index,
-                    r.label,
-                    r.seed,
-                    r.elapsed_s,
-                    "ok" if r.snr_db is not None else "failed",
-                    r.error,
-                )
-            )
-            if r.spectrum_csv is not None:
-                manifest.artifacts[r.spectrum_csv] = _sha256(
-                    os.path.join(out_dir, r.spectrum_csv)
-                )
+        for channel, (_, snr_db) in zip(channels, results):
+            if snr_db is not None:
+                fh.write(f"{channel},{snr_db:.6f}\n")
+                name = _spectrum_name(channel)
+                manifest.artifacts[name] = _sha256(os.path.join(out_dir, name))
     manifest.artifacts["scm_snr.csv"] = _sha256(csv_path)
     _write_manifest(manifest, out_dir)
     return manifest
@@ -489,24 +437,15 @@ def run_spectrum(cfg: ScenarioConfig, out_dir: str, channel: int) -> RunManifest
         raise ConfigError(f"channel-set: channel {channel} is not active")
     os.makedirs(out_dir, exist_ok=True)
 
-    (result,) = _scm_results(cfg, [channel], out_dir, jobs=1)
-    manifest = RunManifest(subcommand="spectrum", config_text=dump_config(cfg))
-    manifest.tasks.append(
-        TaskRecord(
-            result.index,
-            result.label,
-            result.seed,
-            result.elapsed_s,
-            "ok" if result.error == "" else "failed",
-            result.error,
-        )
+    ((record, _),) = _scm_results(cfg, [channel], out_dir, jobs=1)
+    manifest = RunManifest(
+        subcommand="spectrum", config_text=dump_config(cfg), tasks=[record]
     )
-    if result.error:
+    if record.status == "failed":
         _write_manifest(manifest, out_dir)
-        raise CombAdcError(result.error)
-    manifest.artifacts[result.spectrum_csv] = _sha256(
-        os.path.join(out_dir, result.spectrum_csv)
-    )
+        raise CombAdcError(record.detail)
+    name = _spectrum_name(channel)
+    manifest.artifacts[name] = _sha256(os.path.join(out_dir, name))
     _write_manifest(manifest, out_dir)
     return manifest
 

@@ -76,7 +76,6 @@ class CombsSection:
     f_sig: float = 26e9
     delta_f: float = 1e9
     n_tones: int = 24
-    seed_linewidth: float = 5e3
     drive_linewidth: float = 0.0
     differential_drift: float = 0.0
     # applied to the signal comb only; the LO comb stays flat
@@ -101,9 +100,6 @@ class ImpairmentFlags:
     dac_residual_noise: bool = True
     adc_quantization: bool = True
 
-    def all_off(self) -> "ImpairmentFlags":
-        return ImpairmentFlags(**{f.name: False for f in dataclasses.fields(self)})
-
 
 @dataclass
 class MetricsSection:
@@ -111,6 +107,12 @@ class MetricsSection:
     n_avg: int = 4
     window: str = "auto"  # auto | rectangular | blackman-harris-4term
     include_notch_band: bool = False
+
+    def __post_init__(self):
+        if self.n_fft < 2 or self.n_fft & (self.n_fft - 1):
+            raise ConfigError(f"n_fft must be a power of two >= 2, got {self.n_fft}")
+        if self.n_avg < 1:
+            raise ConfigError(f"n_avg must be at least 1, got {self.n_avg}")
 
 
 @dataclass
@@ -269,14 +271,12 @@ _KEYS: dict[str, tuple[str, str, object]] = {
     "combs.f_sig": ("combs", "f_sig", _p_float),
     "combs.delta_f": ("combs", "delta_f", _p_float),
     "combs.n_tones": ("combs", "n_tones", _p_int),
-    "combs.seed_linewidth": ("combs", "seed_linewidth", _p_float),
     "combs.drive_linewidth": ("combs", "drive_linewidth", _p_float),
     "combs.differential_drift": ("combs", "differential_drift", _p_float),
     "combs.tone_tilt_db": ("combs", "tone_tilt_db", _p_float),
     "combs.source": ("combs", "source", _p_choice("flat", "cascade")),
     "combs.cascade_pm": ("combs", "cascade_pm", _p_float),
     "combs.cascade_im": ("combs", "cascade_im", _p_float),
-    "link.vpi": ("link", "vpi", _p_float),
     "link.drive_scale": ("link", "drive_scale", _p_float),
     "link.sig_power_per_ch_dbm": ("link", "sig_power_per_ch_dbm", _p_float),
     "link.lo_power_per_tone_dbm": ("link", "lo_power_per_tone_dbm", _p_float),
@@ -396,10 +396,7 @@ def build_combs(cfg: ScenarioConfig) -> ScenarioCombs:
         amps = sig.tone_amps * 10.0 ** (-c.tone_tilt_db * ramp / 20.0)
         sig = dataclasses.replace(sig, tone_amps=amps)
     return ScenarioCombs(
-        signal=sig,
-        lo=lo,
-        seed_linewidth=c.seed_linewidth,
-        differential_phase_drift=c.differential_drift,
+        signal=sig, lo=lo, differential_phase_drift=c.differential_drift
     )
 
 
@@ -429,7 +426,7 @@ def validate_scenario(cfg: ScenarioConfig) -> ScenarioCombs:
     _rule("bits-range", 1 <= cfg.dac.bits <= 16, f"dac.bits = {cfg.dac.bits} not in 1..16")
 
     # remaining section-local invariants (re-run the dataclass checks)
-    for name in ("scm", "dac", "adc", "demod"):
+    for name in ("scm", "dac", "adc", "demod", "link", "metrics"):
         try:
             dataclasses.replace(getattr(cfg, name))
         except CombAdcError as exc:

@@ -47,7 +47,6 @@ __all__ = [
     "apply_fir",
     "spectral_tilt_taps",
     "resample_waveform",
-    "awgn",
     "white_noise",
     "wiener_phase",
 ]
@@ -340,20 +339,6 @@ def resample_waveform(wave: SampledWaveform, new_rate: float) -> SampledWaveform
     taps = fir_lowpass(0.95 * f_half, hi_rate, transition_hz=0.1 * f_half)
     y = apply_fir(stuffed, taps)[::down]
     return SampledWaveform(y + mean, new_rate)
-
-
-def awgn(wave: SampledWaveform, noise_power: float, seed) -> SampledWaveform:
-    """Add white Gaussian noise of the given variance (sample units squared).
-
-    ``seed`` may be an integer or an existing numpy Generator.
-    """
-    if noise_power < 0:
-        raise ValueError("noise power must be non-negative")
-    if noise_power == 0:
-        return wave.copy()
-    rng = np.random.default_rng(seed)
-    y = wave.samples + rng.normal(0.0, np.sqrt(noise_power), wave.n)
-    return SampledWaveform(y, wave.rate)
 
 
 def white_noise(n: int, rate: float, density: float, seed) -> np.ndarray:

@@ -87,7 +87,7 @@ def test_tone_mapping_into_subband_five():
         x = sine_waveform(f_actual, cfg.dac.full_scale, cfg.sweep.duration, cfg.dac.rate)
         y = dac_model(x, cfg.dac, seed=1)
         v = np.clip(y.samples * backoff / cfg.dac.full_scale, -1.0, 1.0)
-        mu = mzm_field(SampledWaveform(v, y.rate), cfg.link.vpi, cfg.link.drive_scale)
+        mu = mzm_field(SampledWaveform(v, y.rate), cfg.link.drive_scale)
         cap = adc_capture(subband_beat(mu, n, combs, cfg.link, seed=2), n, cfg.adc, seed=3)
         rep = sine_metrics(cap, folded)
         assert time.perf_counter() - t0 < 10.0

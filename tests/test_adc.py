@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from combadc.adc import AdcConfig, adc_capture, capture_from_csv, capture_to_csv
+from combadc.adc import AdcConfig, adc_capture
 from combadc.errors import SignalError
 from combadc.metrics import sine_metrics
 from combadc.waveform import SampledWaveform, time_vector
@@ -110,30 +110,6 @@ def test_anti_alias_filter_guards_the_band():
     p_in = np.var(adc_capture(in_band, 1, cfg, 0).values())
     p_out = np.var(adc_capture(out_band, 1, cfg, 0).values())
     assert 10 * np.log10(p_out / p_in) < -50.0
-
-
-def test_capture_csv_round_trip(tmp_path):
-    f = _bin_freq(2561)
-    cap = adc_capture(_tone_input(f, n_out=4096), 5, _law_cfg(jitter_rms=1e-12), 9)
-    path = tmp_path / "cap.csv"
-    capture_to_csv(cap, path)
-    back = capture_from_csv(path)
-    assert np.array_equal(back.codes, cap.codes)
-    assert back.cfg.bits == cap.cfg.bits
-    assert back.cfg.rate == cap.cfg.rate
-    assert back.cfg.jitter_rms == cap.cfg.jitter_rms
-    assert back.full_scale_used == cap.full_scale_used
-    assert back.subband_index == 5 and back.seed == 9
-    assert back.duration == cap.duration
-    assert np.array_equal(back.values(), cap.values())
-
-
-def test_analog_capture_rejects_csv(tmp_path):
-    cap = adc_capture(
-        _tone_input(_bin_freq(3), n_out=2048), 1, _law_cfg(), 0, quantize=False
-    )
-    with pytest.raises(SignalError):
-        capture_to_csv(cap, tmp_path / "nope.csv")
 
 
 def test_oversampling_precondition():

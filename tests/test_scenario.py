@@ -114,6 +114,12 @@ def test_syntax_errors_carry_line_numbers(text, fragment, lineno):
         ("scm.active_channels = 11", "channel-set"),
         ("scm.baseband_offset = 600mhz", "scm-invariants"),
         ("demod.ffe_taps = 16", "demod-invariants"),
+        ("link.drive_scale = 2", "link-invariants"),
+        ("link.responsivity = -1", "link-invariants"),
+        ("link.pd_bandwidth = 0", "link-invariants"),
+        ("link.thermal_noise_density = -1", "link-invariants"),
+        ("metrics.n_fft = 1000", "metrics-invariants"),
+        ("metrics.n_avg = 0", "metrics-invariants"),
     ],
 )
 def test_semantic_rules_are_named(text, rule):
@@ -199,14 +205,6 @@ def test_build_demod_copies_channel_geometry():
     assert d.baseband_offset == 30e6
     assert d.baud == cfg.scm.baud
     assert d.rolloff == cfg.scm.rolloff
-
-
-def test_impairment_flags_all_off():
-    flags = load_config("").impairments.all_off()
-    assert not any(
-        getattr(flags, f)
-        for f in ("thermal", "shot", "jitter", "dac_quantization", "adc_quantization")
-    )
 
 
 # ------------------------------------------------------- re-runnable manifests

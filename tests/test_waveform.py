@@ -8,7 +8,6 @@ from combadc.waveform import (
     SampledWaveform,
     analytic,
     apply_fir,
-    awgn,
     fir_lowpass,
     periodogram,
     resample_waveform,
@@ -301,16 +300,6 @@ def test_resample_output_timestamps():
 
 
 # -------------------------------------------------------------------- noise
-
-
-def test_awgn_variance(rng):
-    w = SampledWaveform(np.zeros(200_000), 1e9)
-    y = awgn(w, 0.04, rng)
-    assert np.var(y.samples) == pytest.approx(0.04, rel=0.03)
-    same = awgn(w, 0.0, 123)
-    assert np.array_equal(same.samples, w.samples)
-    with pytest.raises(ValueError):
-        awgn(w, -1.0, 123)
 
 
 def test_white_noise_density_law():

@@ -3,8 +3,7 @@
 The converter sees an oversampled analog waveform and produces integer
 codes: AC coupling, anti-alias filtering, (optionally jittered) sampling
 by band-limited interpolation, clipping, and uniform mid-rise
-quantization. The capture remembers everything needed to reproduce or
-dequantize itself.
+quantization. The capture carries what it needs to dequantize itself.
 """
 
 from __future__ import annotations
@@ -67,8 +66,6 @@ class SubbandCapture:
     codes: np.ndarray | None
     cfg: AdcConfig
     subband_index: int
-    seed: int
-    duration: float
     full_scale_used: float
     analog: np.ndarray | None = None
 
@@ -174,16 +171,12 @@ def adc_capture(
             codes=quantize_midrise(sampled, cfg.bits, fs, clip=True),
             cfg=cfg,
             subband_index=n,
-            seed=seed,
-            duration=n_out / cfg.rate,
             full_scale_used=fs,
         )
     return SubbandCapture(
         codes=None,
         cfg=cfg,
         subband_index=n,
-        seed=seed,
-        duration=n_out / cfg.rate,
         full_scale_used=fs,
         analog=np.clip(sampled, -fs, fs),
     )

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft as sfft
 from scipy import signal as sps_mod
+from scipy.linalg import solve_triangular
 
 from .adc import SubbandCapture
 from .errors import EqualizerError, SignalError
@@ -36,6 +37,11 @@ _EDGE_DISCARD = 48
 
 # tap-energy bound beyond which LMS is declared divergent
 _TAP_NORM_BOUND = 1e6
+
+# training symbols per LMS block: fewer Python steps per pass against a
+# triangular solve whose cost grows with the block; 64 was the knee for
+# 17 taps and 819 to 6,554 training symbols
+_LMS_BLOCK = 64
 
 
 @dataclass
@@ -104,6 +110,16 @@ def ffe_lms(
     the fitted point is the same Wiener solution either way. Steps much
     above ~2 are unstable; that surfaces as an EqualizerError rather than
     silent garbage.
+
+    Training runs as blocked forward substitution, not one Python step
+    per symbol. Step m is ``w += e_m g_m`` with ``e_m = t_m - u_m . w``
+    and ``g_m = step u_m / denom``, so the errors of a block of
+    ``_LMS_BLOCK`` consecutive symbols solve the unit lower triangular
+    system ``(I + tril(U G^T, -1)) e = t - U w``. The windows repeat on
+    every pass, so each block's ``L^-1 [U | t]`` is solved once up front;
+    a pass is then two small matrix-vector products per block. This is
+    the same recurrence as the per-symbol loop, only summed in a
+    different order, so the taps agree with it to rounding (about 1e-14).
     """
     if taps % 2 != 1:
         raise SignalError("equalizer length must be odd")
@@ -119,38 +135,53 @@ def ffe_lms(
 
     # orthonormal transform: inner products (and the divergence norm
     # check) carry over unchanged between domains
-    u_all = sfft.dct(windows, type=2, axis=1, norm="ortho")
-    p_bin = np.mean(u_all[: training.size] ** 2, axis=0)
-    denom = p_bin * taps + 1e-12
+    u_train = sfft.dct(windows[: training.size], type=2, axis=1, norm="ortho")
+    denom = np.mean(u_train**2, axis=0) * taps + 1e-12
 
     spike = np.zeros(taps)
     spike[(taps - 1) // 2] = 1.0
     w = sfft.dct(spike, type=2, norm="ortho")
+    n_train = training.size
     n_passes = max(1, passes)
     # burn-in, then Polyak-average the taps: washes out the stochastic
     # gradient wiggle so the frozen filter sits at the converged mean
-    burn = training.size // 2 if n_passes == 1 else training.size
-    w_avg = np.zeros(taps)
-    n_avg = 0
-    update = 0
+    burn = n_train // 2 if n_passes == 1 else n_train
+    w_sum = np.zeros(taps)
     # overflow inside a diverging run is expected right up until the norm
     # check turns it into a loud error, so keep numpy quiet about it
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(n_passes):
-            for m in range(training.size):
-                u = u_all[m]
-                err = training[m] - float(w @ u)
-                w = w + step * err * u / denom
-                update += 1
-                if update > burn:
-                    w_avg += w
-                    n_avg += 1
+        blocks = []
+        for s in range(0, n_train, _LMS_BLOCK):
+            u_b = u_train[s : s + _LMS_BLOCK]
+            g_b = step * u_b / denom
+            # only the strict lower triangle of U G^T is read
+            sol = solve_triangular(
+                u_b @ g_b.T,
+                np.column_stack([u_b, training[s : s + _LMS_BLOCK]]),
+                lower=True,
+                unit_diagonal=True,
+                check_finite=False,
+            )
+            # update i of a block shows in the taps after its last n - i updates
+            n = u_b.shape[0]
+            blocks.append((s, sol[:, :-1], sol[:, -1], g_b.T, n - np.arange(n)))
+        for p in range(n_passes):
+            # symbol m of pass p is update p*M + m + 1; those past burn are averaged
+            first_avg = burn - p * n_train
+            for s, u_t, t_t, g_t, after in blocks:
+                e = t_t - u_t @ w
+                n = after.size
+                n_avg_b = n - min(max(first_avg - s, 0), n)
+                if n_avg_b:
+                    # sum of w over the block's last n_avg_b updates
+                    w_sum += n_avg_b * w + g_t @ (np.minimum(after, n_avg_b) * e)
+                w = w + g_t @ e
             norm = float(w @ w)
             if not np.isfinite(norm) or norm > _TAP_NORM_BOUND:
                 raise EqualizerError(
                     f"LMS diverged (tap energy {norm:.3g}); reduce the step size"
                 )
-    w_time = sfft.idct(w_avg / n_avg, type=2, norm="ortho")
+    w_time = sfft.idct(w_sum / (n_passes * n_train - burn), type=2, norm="ortho")
     return w_time, windows @ w_time
 
 

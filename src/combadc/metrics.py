@@ -16,10 +16,19 @@ from .adc import SubbandCapture
 from .errors import MeasurementError
 from .waveform import SampledWaveform, SpectrumEstimate, periodogram, resample_waveform
 
-__all__ = ["MetricsReport", "sine_metrics", "fold_frequency"]
+__all__ = ["MetricsReport", "analysis_grid_fault", "sine_metrics", "fold_frequency"]
+
+ANALYSIS_RATE = 1e9
+
+# folded test tones are kept inside this window: above the converter's
+# AC-coupling notch with margin, below the detector filter edge
+FOLD_WINDOW_HZ = (170e6, 455e6)
 
 # AC-coupled region excluded from the default analysis band
 _NOTCH_HZ = 10e6
+
+# bins on each side of the fundamental's peak counted as its power
+GUARD_BINS = 3
 
 
 @dataclass
@@ -47,16 +56,40 @@ def fold_frequency(f: float, n: int, delta_f: float) -> float:
     return abs(off)
 
 
+def analysis_grid_fault(n_fft: int) -> str:
+    """Why an ``n_fft``-point analysis grid cannot score a folded tone.
+
+    Returns "" when it can. A snapped tone needs a grid bin inside
+    ``FOLD_WINDOW_HZ``, and SINAD needs analysis-band bins left once the
+    fundamental's peak and ``GUARD_BINS`` on each side of it are taken out.
+    """
+    grid = ANALYSIS_RATE / n_fft
+    lo, hi = FOLD_WINDOW_HZ
+    if np.ceil(lo / grid) > np.floor(hi / grid):
+        return (
+            f"the {grid / 1e6:g} MHz analysis grid has no bin inside the "
+            f"{lo / 1e6:g}-{hi / 1e6:g} MHz fold window"
+        )
+    band = n_fft // 2 - int(_NOTCH_HZ // grid)
+    span = 2 * GUARD_BINS + 1
+    if band <= span:
+        return (
+            f"the analysis band holds {band} bins of {grid / 1e6:g} MHz, no more "
+            f"than the {span} the fundamental and its guard bins take"
+        )
+    return ""
+
+
 def sine_metrics(
     cap: SubbandCapture | SampledWaveform,
     expected_baseband_hz: float,
     *,
-    analysis_rate: float = 1e9,
+    analysis_rate: float = ANALYSIS_RATE,
     n_fft: int = 16384,
     n_avg: int = 4,
     window: str = "rectangular",
     include_notch: bool = False,
-    guard_bins: int = 3,
+    guard_bins: int = GUARD_BINS,
 ) -> MetricsReport:
     """Tone quality figures from one sub-band capture.
 

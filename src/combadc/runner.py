@@ -32,7 +32,7 @@ from .comb import ScenarioCombs, mzm_field, subband_beat
 from .demod import demod_pam4
 from .errors import CombAdcError, ConfigError
 from .frontend import dac_model, gen_pam4_symbols, scm_waveform, sine_waveform
-from .metrics import sine_metrics
+from .metrics import ANALYSIS_RATE, FOLD_WINDOW_HZ, sine_metrics
 from .scenario import (
     ScenarioConfig,
     build_combs,
@@ -59,13 +59,6 @@ __all__ = [
     "run_sweep",
     "snap_sweep_frequency",
 ]
-
-# folded test tones are kept inside this window: above the converter's
-# AC-coupling notch with margin, below the detector filter edge
-_FOLD_MIN_HZ = 170e6
-_FOLD_MAX_HZ = 455e6
-
-_ANALYSIS_RATE = 1e9
 
 
 @dataclass
@@ -134,13 +127,14 @@ def snap_sweep_frequency(
     n = int(np.clip(round(f_request / delta_f), 1, combs.n_pairs))
     offset = f_request - n * delta_f
     side = 1.0 if offset >= 0 else -1.0
-    folded = float(np.clip(abs(offset), _FOLD_MIN_HZ, _FOLD_MAX_HZ))
+    fold_lo, fold_hi = FOLD_WINDOW_HZ
+    folded = float(np.clip(abs(offset), fold_lo, fold_hi))
     if cfg.sweep.snap:
         # clamp on the grid-aligned window so rounding cannot push the
         # tone back past either edge
-        grid = _ANALYSIS_RATE / cfg.metrics.n_fft
-        bin_lo = int(np.ceil(_FOLD_MIN_HZ / grid))
-        bin_hi = int(np.floor(_FOLD_MAX_HZ / grid))
+        grid = ANALYSIS_RATE / cfg.metrics.n_fft
+        bin_lo = int(np.ceil(fold_lo / grid))
+        bin_hi = int(np.floor(fold_hi / grid))
         folded = int(np.clip(round(folded / grid), bin_lo, bin_hi)) * grid
     return n * delta_f + side * folded, n, folded
 
@@ -222,7 +216,7 @@ def _sweep_point(args: tuple[ScenarioConfig, int, float]) -> tuple[TaskRecord, s
         report = sine_metrics(
             cap,
             f_folded,
-            analysis_rate=_ANALYSIS_RATE,
+            analysis_rate=ANALYSIS_RATE,
             n_fft=cfg.metrics.n_fft,
             n_avg=cfg.metrics.n_avg,
             window=_window_name(cfg),

@@ -27,6 +27,7 @@ from .comb import (
 from .demod import DemodConfig
 from .errors import CombAdcError, ConfigError
 from .frontend import DacConfig, ScmConfig
+from .metrics import analysis_grid_fault
 
 __all__ = [
     "CombsSection",
@@ -500,6 +501,12 @@ def validate_scenario(cfg: ScenarioConfig) -> ScenarioCombs:
         cfg.sweep.duration * 1e9 >= cfg.metrics.n_fft * cfg.metrics.n_avg,
         f"sweep.duration {cfg.sweep.duration:.3g} s too short for "
         f"{cfg.metrics.n_fft} x {cfg.metrics.n_avg} spectral averaging",
+    )
+    grid_fault = analysis_grid_fault(cfg.metrics.n_fft)
+    _rule(
+        "analysis-grid",
+        not grid_fault,
+        f"metrics.n_fft = {cfg.metrics.n_fft}: {grid_fault}",
     )
     n_sym = cfg.scm.symbols_per_burst
     _rule(

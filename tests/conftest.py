@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from combadc.adc import AdcConfig, SubbandCapture
-from combadc.comb import CombSpec, LinkConfig, ScenarioCombs, flat_comb
-from combadc.waveform import SampledWaveform, time_vector
+from combadc.comb import LinkConfig, ScenarioCombs, flat_comb
+from combadc.waveform import time_vector
 
 
 def make_combs(
@@ -64,8 +64,6 @@ def tone_capture(
         codes=codes,
         cfg=cfg,
         subband_index=1,
-        seed=seed,
-        duration=n / rate,
         full_scale_used=full_scale,
     )
 

@@ -60,6 +60,23 @@ def test_snap_off_keeps_exact_offsets():
     assert folded == pytest.approx(230e6)
 
 
+@pytest.mark.parametrize("snap", ["on", "off"])
+def test_coarsest_admitted_analysis_grid_scores(tmp_path, snap):
+    # 16 is the smallest n_fft the analysis-grid rule lets through
+    cfg = load_config(
+        f"""
+        sweep.start = 5.5ghz
+        sweep.stop = 5.5ghz
+        sweep.duration = 20us
+        sweep.snap = {snap}
+        metrics.n_fft = 16
+        metrics.n_avg = 1
+        """
+    )
+    man = run_sweep(cfg, str(tmp_path), jobs=1)
+    assert [t.status for t in man.tasks] == ["ok"]
+
+
 # ----------------------------------------------------------------- artifacts
 
 

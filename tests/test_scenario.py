@@ -120,6 +120,9 @@ def test_syntax_errors_carry_line_numbers(text, fragment, lineno):
         ("link.thermal_noise_density = -1", "link-invariants"),
         ("metrics.n_fft = 1000", "metrics-invariants"),
         ("metrics.n_avg = 0", "metrics-invariants"),
+        ("metrics.n_fft = 2", "analysis-grid"),
+        ("metrics.n_fft = 4", "analysis-grid"),
+        ("metrics.n_fft = 8", "analysis-grid"),
     ],
 )
 def test_semantic_rules_are_named(text, rule):

@@ -15,7 +15,8 @@ hole at the subcarrier itself. After sub-band downconversion the two
 sidebands fold onto each other coherently, so the recovered baseband is
 an ordinary offset-carrier PAM signal instead of an irrecoverable
 self-overlapped one; the hole is what keeps the content clear of the
-receiver's AC-coupling notch.
+receiver's AC-coupling notch. ``scm_waveform`` builds all channels as
+one spectrum, with every subcarrier on an FFT bin of the record.
 """
 
 from __future__ import annotations
@@ -23,20 +24,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import fft
+from scipy.signal import upfirdn
 
 from .errors import SignalError
-from .waveform import (
-    SampledWaveform,
-    analytic,
-    apply_fir,
-    fir_lowpass,
-    rrc_taps,
-    time_vector,
-)
+from .waveform import SampledWaveform, apply_fir, fir_lowpass, rrc_taps, time_vector
 
 __all__ = [
     "ScmConfig",
     "DacConfig",
+    "carrier_grid_fault",
     "gen_pam4_symbols",
     "scm_waveform",
     "sine_waveform",
@@ -136,18 +133,18 @@ def gen_pam4_symbols(count: int, seed, levels: int = 4) -> np.ndarray:
     return sym * np.sqrt(3.0 / (levels**2 - 1))
 
 
-def _shaped_baseband(
-    symbols: np.ndarray, sps: int, taps: np.ndarray, n_out: int
-) -> np.ndarray:
-    """RRC-shape a symbol sequence onto a dense sample grid.
-
-    Symbol m lands at sample m*sps; all filtering is zero-phase so that
-    stays true at the output.
-    """
-    train = np.zeros(n_out)
-    idx = np.arange(symbols.size) * sps
-    train[idx] = symbols
-    return apply_fir(train, taps)
+def carrier_grid_fault(cfg: ScmConfig, rate: float) -> str:
+    """Why the ``round(duration * rate)``-sample burst cannot put every
+    subcarrier on an FFT bin (a fractional count of ``channel_spacing``
+    cycles); "" when it can."""
+    n = int(round(cfg.duration * rate))
+    cycles = cfg.channel_spacing * n / rate
+    if abs(cycles - round(cycles)) > 1e-6:
+        return (
+            f"the {n}-sample burst holds {cycles:.6g} cycles of the "
+            f"{cfg.channel_spacing:g} Hz channel spacing, not a whole number"
+        )
+    return ""
 
 
 def scm_waveform(
@@ -159,6 +156,14 @@ def scm_waveform(
     symbol sequence. The output is the plain sum of channels (no level
     scaling here; drive normalization happens at the DAC boundary), so the
     waveform is linear in any one channel's symbols.
+
+    Built in the frequency domain: ``Re(a) cos(w_k t)`` is
+    ``Re(a (e^{j w_k t} + e^{-j w_k t}) / 2)`` and ``w_k`` sits on bin
+    ``k * s1``, so each channel's analytic spectrum (one ``rfft``) is added
+    circularly shifted by ``+-k * s1`` bins, and one inverse FFT and the
+    common ``baseband_offset`` mix give the burst. The RRC shaping stays a
+    linear convolution (zeros outside the record), so edge symbols come out
+    as from the time-domain construction; only the Hilbert step is circular.
     """
     if rate < 2.2 * cfg.n_channels * cfg.channel_spacing:
         raise SignalError(
@@ -169,14 +174,18 @@ def scm_waveform(
     if abs(sps - round(sps)) > 1e-9:
         raise SignalError("simulation rate must be an integer multiple of the baud")
     sps = int(round(sps))
+    fault = carrier_grid_fault(cfg, rate)
+    if fault:
+        raise SignalError(fault)
     n = int(round(cfg.duration * rate))
+    s1 = int(round(cfg.channel_spacing * n / rate))  # subcarrier spacing in bins
     n_sym = cfg.symbols_per_burst
-    t = time_vector(n, rate)
     # scaled so the matched receive filter sees unit symbol amplitude
     taps = rrc_taps(cfg.rolloff, sps, 16)
-    offset_lo = np.exp(2j * np.pi * cfg.baseband_offset * t)
+    half = taps.size // 2
 
-    total = np.zeros(n)
+    n_half = n // 2 + 1  # rfft length
+    spectrum = np.zeros(n, dtype=np.complex128)
     for k in cfg.active_set():
         if k not in per_channel_symbols:
             raise SignalError(f"missing symbols for channel {k}")
@@ -185,10 +194,21 @@ def scm_waveform(
             raise SignalError(
                 f"channel {k}: expected {n_sym} symbols, got {sym.size}"
             )
-        p = SampledWaveform(_shaped_baseband(sym, sps, taps, n), rate)
-        offset_bb = np.real(analytic(p).samples * offset_lo)
-        total += offset_bb * np.cos(2.0 * np.pi * k * cfg.channel_spacing * t)
-    return SampledWaveform(total, rate)
+        # symbol m at sample m*sps: the slice removes the filter delay
+        shaped = upfirdn(taps, sym, up=sps)[half : half + n]
+        # analytic-signal weights (DC and Nyquist once, positive bins
+        # twice) times the 1/2 of the cosine's two exponentials
+        a = fft.rfft(shaped)
+        a[0] *= 0.5
+        if n % 2 == 0:
+            a[-1] *= 0.5
+        for start in (k * s1 % n, -k * s1 % n):  # circular shift by +-k*s1
+            head = min(n_half, n - start)
+            spectrum[start : start + head] += a[:head]
+            spectrum[: n_half - head] += a[head:]
+    burst = fft.ifft(spectrum, overwrite_x=True)
+    burst *= np.exp(2j * np.pi * cfg.baseband_offset * time_vector(n, rate))
+    return SampledWaveform(burst.real.copy(), rate)
 
 
 def sine_waveform(

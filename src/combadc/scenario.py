@@ -26,7 +26,7 @@ from .comb import (
 )
 from .demod import DemodConfig
 from .errors import CombAdcError, ConfigError
-from .frontend import DacConfig, ScmConfig
+from .frontend import DacConfig, ScmConfig, carrier_grid_fault
 from .metrics import analysis_grid_fault
 
 __all__ = [
@@ -465,6 +465,8 @@ def validate_scenario(cfg: ScenarioConfig) -> ScenarioCombs:
         cfg.dac.rate >= 2.2 * cfg.bandwidth,
         f"dac.rate {cfg.dac.rate:.3g} Hz cannot carry {cfg.bandwidth:.3g} Hz of channels",
     )
+    carrier_fault = carrier_grid_fault(cfg.scm, cfg.dac.rate)
+    _rule("carrier-grid", not carrier_fault, f"scm.duration: {carrier_fault}")
     _rule(
         "rate-consistency",
         cfg.dac.rate >= MIN_OVERSAMPLING * cfg.adc.rate,

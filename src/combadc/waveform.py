@@ -35,13 +35,11 @@ from .errors import SignalError
 
 __all__ = [
     "SampledWaveform",
-    "ComplexWaveform",
     "SpectrumEstimate",
     "time_vector",
     "rms",
     "periodogram",
     "spectrum_to_csv",
-    "analytic",
     "rrc_taps",
     "fir_lowpass",
     "apply_fir",
@@ -81,27 +79,6 @@ class SampledWaveform:
 
     def copy(self) -> "SampledWaveform":
         return SampledWaveform(self.samples.copy(), self.rate)
-
-
-@dataclass
-class ComplexWaveform:
-    """Complex (analytic / equivalent-baseband) signal at ``rate`` Sa/s."""
-
-    samples: np.ndarray
-    rate: float
-
-    def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.complex128)
-        if self.samples.ndim != 1 or self.samples.size == 0:
-            raise SignalError("waveform samples must be a non-empty 1-D sequence")
-        if not np.all(np.isfinite(self.samples)):
-            raise SignalError("waveform contains non-finite samples")
-        if self.rate <= 0:
-            raise SignalError("sample rate must be positive")
-
-    @property
-    def n(self) -> int:
-        return self.samples.size
 
 
 # windows accepted by periodogram, mapped to scipy names
@@ -202,13 +179,9 @@ def spectrum_to_csv(spec: SpectrumEstimate, path) -> None:
         fh.write(f"# n_avg = {spec.n_avg}\n")
         fh.write(f"# window = {spec.window}\n")
         fh.write("freq_hz,power_db\n")
-        for f, p in zip(spec.bin_freqs, spec.power_db):
-            fh.write(f"{f:.6f},{p:.6f}\n")
-
-
-def analytic(wave: SampledWaveform) -> ComplexWaveform:
-    """Analytic signal: real part equals the input, spectrum one-sided."""
-    return ComplexWaveform(sps.hilbert(wave.samples), wave.rate)
+        # Python floats format faster than numpy scalars; same digits
+        freqs, powers = spec.bin_freqs.tolist(), spec.power_db.tolist()
+        fh.write("".join(map("{:.6f},{:.6f}\n".format, freqs, powers)))
 
 
 def rrc_taps(rolloff: float, sps_per_sym: int, span: int) -> np.ndarray:

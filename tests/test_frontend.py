@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.signal import hilbert
 
 from combadc.errors import SignalError
 from combadc.frontend import (
@@ -14,7 +15,7 @@ from combadc.frontend import (
     sine_waveform,
 )
 from combadc.metrics import sine_metrics
-from combadc.waveform import SampledWaveform, periodogram
+from combadc.waveform import SampledWaveform, periodogram, rrc_taps
 
 
 # ------------------------------------------------------------------ symbols
@@ -108,6 +109,59 @@ def test_scm_constant_symbols_are_two_lines():
     for b in top:
         guard[max(b - 6, 0) : b + 7] = True
     assert p[guard].sum() / p.sum() > 0.95
+
+
+def _scm_reference(cfg, symbols, rate):
+    # the burst built channel by channel in time: symbol train, RRC by
+    # direct convolution, full-rate Hilbert transform, offset mix, then
+    # the subcarrier multiply
+    sps = int(round(rate / cfg.baud))
+    n = int(round(cfg.duration * rate))
+    t = np.arange(n) / rate
+    taps = rrc_taps(cfg.rolloff, sps, 16)
+    offset_lo = np.exp(2j * np.pi * cfg.baseband_offset * t)
+    total = np.zeros(n)
+    for k in cfg.active_set():
+        train = np.zeros(n)
+        train[np.arange(cfg.symbols_per_burst) * sps] = symbols[k]
+        shaped = np.convolve(train, taps, mode="same")
+        offset_bb = np.real(hilbert(shaped) * offset_lo)
+        total += offset_bb * np.cos(2.0 * np.pi * k * cfg.channel_spacing * t)
+    return total
+
+
+def _assert_matches_reference(cfg, rate):
+    symbols = {
+        k: gen_pam4_symbols(cfg.symbols_per_burst, 100 + k)
+        for k in range(1, cfg.n_channels + 1)
+    }
+    got = scm_waveform(cfg, symbols, rate).samples
+    want = _scm_reference(cfg, symbols, rate)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) < 1e-9
+
+
+@pytest.mark.parametrize("duration", [0.512e-6, 2.048e-6])
+@pytest.mark.parametrize("active", [None, (1, 4, 9)])
+def test_scm_matches_time_domain_reference(duration, active):
+    cfg = ScmConfig(duration=duration, active_channels=active)
+    _assert_matches_reference(cfg, 32e9)
+
+
+def test_scm_matches_reference_on_odd_record():
+    # 900 MBd at 25 samples per symbol: 1.022 us is 22,995 samples, an
+    # odd record whose last rfft bin is not a Nyquist bin
+    cfg = ScmConfig(baud=900e6, duration=1.022e-6, active_channels=(2, 7, 10))
+    assert round(cfg.duration * 22.5e9) % 2 == 1
+    _assert_matches_reference(cfg, 22.5e9)
+
+
+def test_scm_off_carrier_grid_is_rejected():
+    # 2.0001 us at 32 GSa/s is 64,003 samples: 2000.09 cycles of 1 GHz
+    cfg = ScmConfig(duration=2.0001e-6, active_channels=(1,))
+    sym = gen_pam4_symbols(cfg.symbols_per_burst, 1)
+    with pytest.raises(SignalError, match="whole number"):
+        scm_waveform(cfg, {1: sym}, 32e9)
 
 
 def test_scm_missing_or_wrong_symbols():

@@ -107,6 +107,7 @@ def test_syntax_errors_carry_line_numbers(text, fragment, lineno):
         ("combs.n_tones = 8", "comb-scaling"),
         ("dac.rate = 30ghz", "rate-consistency"),
         ("adc.rate = 9ghz", "rate-consistency"),
+        ("scm.duration = 2.0001us", "carrier-grid"),
         ("sweep.stop = 30ghz", "sweep-grid"),
         ("sweep.start = 0", "sweep-grid"),
         ("sweep.duration = 10us", "capture-length"),

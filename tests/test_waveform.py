@@ -6,7 +6,6 @@ from scipy import signal as sps
 from combadc.errors import SignalError
 from combadc.waveform import (
     SampledWaveform,
-    analytic,
     apply_fir,
     fir_lowpass,
     periodogram,
@@ -112,19 +111,6 @@ def test_periodogram_parseval_property(n_fft, n_avg, sigma):
     x = np.random.default_rng(n_fft * n_avg).normal(0.0, sigma, n_fft * n_avg)
     spec = periodogram(SampledWaveform(x, 2.4e9), n_fft=n_fft, n_avg=n_avg)
     assert spec.power_linear.sum() == pytest.approx(np.mean(x**2), rel=1e-9)
-
-
-# ----------------------------------------------------------------- analytic
-
-
-def test_analytic_preserves_real_part(rng):
-    x = rng.normal(size=4096)
-    a = analytic(SampledWaveform(x, 1e9))
-    assert np.allclose(a.samples.real, x, atol=1e-12)
-    # one-sided: negative-frequency content is suppressed
-    spec = np.fft.fft(a.samples)
-    neg = np.abs(spec[2049 + 64 : -64])  # clear of DC/Nyquist edges
-    assert np.max(neg) < 1e-6 * np.max(np.abs(spec))
 
 
 # ---------------------------------------------------------------------- RRC

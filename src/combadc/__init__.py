@@ -41,7 +41,7 @@ from .frontend import (
     scm_waveform,
     sine_waveform,
 )
-from .metrics import MetricsReport, fold_frequency, sine_metrics
+from .metrics import MetricsReport, sine_metrics
 from .runner import (
     RunManifest,
     run_scm,
@@ -85,7 +85,6 @@ __all__ = [
     "scm_waveform",
     "sine_waveform",
     "MetricsReport",
-    "fold_frequency",
     "sine_metrics",
     "RunManifest",
     "run_scm",

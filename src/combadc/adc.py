@@ -128,7 +128,6 @@ def adc_capture(
     seed: int,
     *,
     quantize: bool = True,
-    jitter: bool = True,
 ) -> SubbandCapture:
     """Digitize an oversampled analog sub-band waveform.
 
@@ -154,7 +153,7 @@ def adc_capture(
         y = apply_fir(y, fir_lowpass(cfg.aa_cutoff, x.rate))
 
     positions = np.arange(n_out) * ratio
-    if jitter and cfg.jitter_rms > 0.0:
+    if cfg.jitter_rms > 0.0:
         rng = derive_rng(seed, "jitter")
         positions = positions + rng.normal(0.0, cfg.jitter_rms * x.rate, n_out)
     sampled = _lagrange_sample(y, positions)

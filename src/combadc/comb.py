@@ -100,10 +100,6 @@ class CombSpec:
             np.log10(self.tone_amps.max() / self.tone_amps.min())
         )
 
-    @property
-    def span_hz(self) -> float:
-        return (self.n_tones - 1) * self.spacing
-
 
 @dataclass
 class ScenarioCombs:
@@ -313,29 +309,23 @@ def mzm_field(v: SampledWaveform, drive_scale: float) -> SampledWaveform:
 
 
 def _differential_phase(
-    n: int,
-    combs: ScenarioCombs,
-    n_samples: int,
-    rate: float,
-    seed: int,
-    drive_phase_noise: bool = True,
-    phase_drift: bool = True,
+    n: int, combs: ScenarioCombs, n_samples: int, rate: float, seed: int
 ) -> np.ndarray:
     """Differential beat phase for tone pair n.
 
     The seed-laser contribution is common to both combs and cancels
     identically, so it is structurally absent here regardless of
     seed_linewidth. The RF-synthesizer walk scales by n; path drift does
-    not (it is an optical path-length effect shared by all pairs).
+    not (it is an optical path-length effect shared by all pairs). A zero
+    drive linewidth or drift leaves its term out.
     """
     theta = np.zeros(n_samples)
-    if drive_phase_noise:
-        lw = combs.signal.drive_linewidth + combs.lo.drive_linewidth
-        if lw > 0:
-            theta = theta + n * wiener_phase(
-                lw, n_samples, rate, derive_rng(seed, "drive-phase")
-            )
-    if phase_drift and combs.differential_phase_drift != 0.0:
+    lw = combs.signal.drive_linewidth + combs.lo.drive_linewidth
+    if lw > 0:
+        theta = theta + n * wiener_phase(
+            lw, n_samples, rate, derive_rng(seed, "drive-phase")
+        )
+    if combs.differential_phase_drift != 0.0:
         theta = theta + combs.differential_phase_drift * time_vector(n_samples, rate)
     static = (
         combs.signal.tone_phases[n - 1] - combs.lo.tone_phases[n - 1]
@@ -368,12 +358,7 @@ def subband_beat(
     seed: int,
     *,
     out_rate: float | None = None,
-    thermal: bool = True,
     shot: bool = True,
-    osnr_beat: bool = True,
-    drive_phase_noise: bool = True,
-    phase_drift: bool = True,
-    cmrr_leak: bool = True,
     tia_saturation: bool = True,
 ) -> SampledWaveform:
     """Balanced photocurrent of sub-band n, at ``out_rate`` or above.
@@ -384,6 +369,12 @@ def subband_beat(
     amplified-spontaneous-emission beat noise enter as white currents.
     Everything then passes the photodiode band limit and the soft
     transimpedance saturation.
+
+    Each link term is off when its own value says so: an infinite
+    ``link.cmrr_db`` drops the leak, an infinite ``link.osnr_db`` the ASE
+    beat, and a zero ``link.thermal_noise_density`` the thermal current.
+    Only ``shot`` and ``tia_saturation`` have no such value and keep a
+    keyword switch.
 
     The down-conversion is exact band selection in the frequency domain:
     the output keeps the spectrum within half its rate of the sub-band
@@ -438,32 +429,24 @@ def subband_beat(
     k0 = int(round(shift))
     z = np.fft.ifft(_band_select(spectrum, k0, n_out)) * scale
 
-    theta = _differential_phase(
-        n,
-        combs,
-        n_out,
-        rate_out,
-        seed,
-        drive_phase_noise=drive_phase_noise,
-        phase_drift=phase_drift,
-    )
+    theta = _differential_phase(n, combs, n_out, rate_out, seed)
     residual = (shift - k0) * rate / n_in  # Hz, under half a bin
     theta = theta - 2.0 * np.pi * residual * time_vector(n_out, rate_out)
     i = gain * np.real(z * np.exp(1j * theta))
 
-    if cmrr_leak and np.isfinite(link.cmrr_db):
+    if np.isfinite(link.cmrr_db):
         kappa = db_to_amplitude_ratio(-link.cmrr_db)
         leak = np.fft.rfft(np.square(mu.samples))[: n_out // 2 + 1]
         i = i + kappa * r * p_ch * np.fft.irfft(leak, n_out) * scale
 
-    if thermal and link.thermal_noise_density > 0:
+    if link.thermal_noise_density > 0:
         i = i + white_noise(
             n_out, rate_out, link.thermal_noise_density, derive_rng(seed, "thermal")
         )
     if shot:
         dens = np.sqrt(4.0 * elementary_charge * r * (p_lo + p_ch))
         i = i + white_noise(n_out, rate_out, dens, derive_rng(seed, "shot"))
-    if osnr_beat and np.isfinite(link.osnr_db):
+    if np.isfinite(link.osnr_db):
         s_ase = p_ch * 10.0 ** (-link.osnr_db / 10.0) / _OSNR_REF_BW
         dens = 2.0 * r * np.sqrt(p_lo * s_ase)
         i = i + white_noise(n_out, rate_out, dens, derive_rng(seed, "osnr"))

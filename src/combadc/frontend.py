@@ -80,15 +80,6 @@ class ScmConfig:
     def symbols_per_burst(self) -> int:
         return int(np.floor(self.duration * self.baud))
 
-    @property
-    def occupied_bandwidth(self) -> float:
-        """Upper spectral edge of the composite."""
-        return (
-            self.n_channels * self.channel_spacing
-            + self.baseband_offset
-            + self.baud * (1.0 + self.rolloff) / 2.0
-        )
-
     def active_set(self) -> tuple[int, ...]:
         if self.active_channels is None:
             return tuple(range(1, self.n_channels + 1))
@@ -253,15 +244,13 @@ def dac_model(
     *,
     quantize: bool = True,
     clip: bool = True,
-    residual_noise: bool = True,
-    reconstruction_lpf: bool = True,
 ) -> SampledWaveform:
     """Convert an ideal waveform into what the coarse DAC actually emits.
 
     Stage order: clip, quantize, add the residual-noise calibration term,
-    reconstruction low-pass. The keyword switches exist so impairment
-    toggles can isolate each contribution; with everything off this is the
-    identity.
+    reconstruction low-pass. ``quantize`` and ``clip`` isolate the first
+    two stages; ``cfg.residual_noise_db = None`` and ``cfg.lpf_cutoff =
+    None`` drop the other two. With all four off this is the identity.
     """
     if abs(x.rate - cfg.rate) > 1e-6 * cfg.rate:
         raise SignalError(
@@ -273,12 +262,12 @@ def dac_model(
     if quantize:
         codes = quantize_midrise(y, cfg.bits, cfg.full_scale, clip=clip)
         y = dequantize_midrise(codes, cfg.bits, cfg.full_scale)
-    if residual_noise and cfg.residual_noise_db is not None:
+    if cfg.residual_noise_db is not None:
         rng = np.random.default_rng(seed)
         fs_sine_power = cfg.full_scale**2 / 2.0
         sigma = np.sqrt(fs_sine_power * 10.0 ** (cfg.residual_noise_db / 10.0))
         y = y + rng.normal(0.0, sigma, y.size)
-    if reconstruction_lpf and cfg.lpf_cutoff is not None:
+    if cfg.lpf_cutoff is not None:
         # tight transition: the spec'd bandwidth is the -6 dB point and the
         # passband stays flat to 0.96x cutoff, so in-band tones see no droop
         taps = fir_lowpass(

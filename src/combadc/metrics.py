@@ -16,7 +16,7 @@ from .adc import SubbandCapture
 from .errors import MeasurementError
 from .waveform import SampledWaveform, SpectrumEstimate, periodogram, resample_waveform
 
-__all__ = ["MetricsReport", "analysis_grid_fault", "sine_metrics", "fold_frequency"]
+__all__ = ["MetricsReport", "analysis_grid_fault", "sine_metrics"]
 
 ANALYSIS_RATE = 1e9
 
@@ -39,21 +39,6 @@ class MetricsReport:
     fundamental_hz: float
     spectrum: SpectrumEstimate
     analysis_band: tuple[float, float]
-
-
-def fold_frequency(f: float, n: int, delta_f: float) -> float:
-    """Baseband landing frequency of a tone at ``f`` seen by sub-band n.
-
-    Both halves of the sub-band map onto [0, delta_f/2]:
-    fold_frequency(f) == fold_frequency(2*n*delta_f - f).
-    """
-    off = f - n * delta_f
-    if abs(off) > delta_f / 2.0 + 1e-6:
-        raise ValueError(
-            f"{f:g} Hz lies outside sub-band {n} "
-            f"(center {n * delta_f:g} Hz, half-width {delta_f / 2.0:g} Hz)"
-        )
-    return abs(off)
 
 
 def analysis_grid_fault(n_fft: int) -> str:

@@ -145,12 +145,7 @@ def _front_end(
     """Shared transmit chain: DAC, analog roll-off, drive, modulator."""
     imp = cfg.impairments
     y = dac_model(
-        x,
-        cfg.dac,
-        dac_seed,
-        quantize=imp.dac_quantization,
-        clip=imp.dac_clip,
-        residual_noise=imp.dac_residual_noise,
+        x, cfg.dac, dac_seed, quantize=imp.dac_quantization, clip=imp.dac_clip
     )
     if cfg.run.electrical_rolloff_db != 0.0:
         taps = spectral_tilt_taps(y.rate, cfg.run.electrical_rolloff_db)
@@ -176,22 +171,10 @@ def _capture_subband(
         cfg.link,
         beat_seed,
         out_rate=MIN_OVERSAMPLING * cfg.adc.rate,
-        thermal=imp.thermal,
         shot=imp.shot,
-        osnr_beat=imp.osnr_beat,
-        drive_phase_noise=imp.drive_phase_noise,
-        phase_drift=imp.phase_drift,
-        cmrr_leak=imp.cmrr_leak,
         tia_saturation=imp.tia_saturation,
     )
-    return adc_capture(
-        current,
-        n,
-        cfg.adc,
-        adc_seed,
-        quantize=imp.adc_quantization,
-        jitter=imp.jitter,
-    )
+    return adc_capture(current, n, cfg.adc, adc_seed, quantize=imp.adc_quantization)
 
 
 # ---------------------------------------------------------------------------
@@ -335,16 +318,24 @@ def _spectrum_name(channel: int) -> str:
 
 
 def _scm_channel(
-    args: tuple[ScenarioConfig, int, int, SampledWaveform, np.ndarray, str],
+    args: tuple[ScenarioConfig, int, int, SampledWaveform, np.ndarray | None, str],
 ) -> tuple[TaskRecord, float | None]:
-    """One channel: its task record and its SNR (None if it failed)."""
+    """One channel: its task record and its SNR (None if failed or not asked).
+
+    The channel is captured and its spectrum written. Given the channel's
+    transmitted symbols it is demodulated first, and a channel whose
+    demodulation fails writes no spectrum; without them (a spectrum run)
+    the equalizer never runs.
+    """
     cfg, index, channel, mu, tx, out_dir = args
     t0 = time.perf_counter()
     seeds = _task_seeds(cfg.run.master_seed, "scm", channel, 2)
     try:
         combs = build_combs(cfg)
         cap = _capture_subband(mu, channel, cfg, combs, seeds[0], seeds[1])
-        report = demod_pam4(cap, build_demod(cfg, channel), tx)
+        snr_db = None
+        if tx is not None:
+            snr_db = demod_pam4(cap, build_demod(cfg, channel), tx).snr_db
 
         wave = cap.to_waveform()
         n_fft = 1 << int(np.log2(wave.n))
@@ -352,16 +343,21 @@ def _scm_channel(
         spectrum_to_csv(spec, os.path.join(out_dir, _spectrum_name(channel)))
     except Exception as exc:
         return _task(index, f"channel={channel}", seeds[0], t0, exc), None
-    return _task(index, f"channel={channel}", seeds[0], t0), report.snr_db
+    return _task(index, f"channel={channel}", seeds[0], t0), snr_db
 
 
 def _scm_results(
-    cfg: ScenarioConfig, channels: list[int], out_dir: str, jobs: int
+    cfg: ScenarioConfig,
+    channels: list[int],
+    out_dir: str,
+    jobs: int,
+    demodulate: bool,
 ) -> list[tuple[TaskRecord, float | None]]:
-    """Demodulate ``channels`` of one transmit burst, built once per run.
+    """Capture ``channels`` of one transmit burst, built once per run.
 
-    Every channel task gets the same field factor and its own symbols; if
-    the burst itself cannot be built, each channel records that failure.
+    Every channel task gets the same field factor and, when
+    ``demodulate``, its own symbols; if the burst itself cannot be built,
+    each channel records that failure.
     """
     t0 = time.perf_counter()
     try:
@@ -373,7 +369,10 @@ def _scm_results(
             seed = _task_seeds(cfg.run.master_seed, "scm", ch, 2)[0]
             failed.append((_task(i, f"channel={ch}", seed, t0, exc), None))
         return failed
-    args = [(cfg, i, ch, mu, symbols[ch], out_dir) for i, ch in enumerate(channels)]
+    args = [
+        (cfg, i, ch, mu, symbols[ch] if demodulate else None, out_dir)
+        for i, ch in enumerate(channels)
+    ]
     return _run_tasks(_scm_channel, args, jobs)
 
 
@@ -402,7 +401,7 @@ def run_scm(
         if missing:
             raise ConfigError(f"channel-set: channel {missing[0]} is not active")
         channels = sorted(set(channels))
-    results = _scm_results(cfg, channels, out_dir, jobs)
+    results = _scm_results(cfg, channels, out_dir, jobs, demodulate=True)
 
     manifest = RunManifest(
         subcommand="run-scm",
@@ -423,7 +422,11 @@ def run_scm(
 
 
 def run_spectrum(cfg: ScenarioConfig, out_dir: str, channel: int) -> RunManifest:
-    """Capture one sub-band of the channelized burst and dump its spectrum."""
+    """Capture one sub-band of the channelized burst and dump its spectrum.
+
+    The channel is not demodulated, so an equalizer that would diverge on
+    it does not fail the run.
+    """
     validate_scenario(cfg)
     if cfg.run.source == "sweep":
         raise ConfigError("source: config selects the sine source, not channels")
@@ -431,7 +434,7 @@ def run_spectrum(cfg: ScenarioConfig, out_dir: str, channel: int) -> RunManifest
         raise ConfigError(f"channel-set: channel {channel} is not active")
     os.makedirs(out_dir, exist_ok=True)
 
-    ((record, _),) = _scm_results(cfg, [channel], out_dir, jobs=1)
+    ((record, _),) = _scm_results(cfg, [channel], out_dir, jobs=1, demodulate=False)
     manifest = RunManifest(
         subcommand="spectrum", config_text=dump_config(cfg), tasks=[record]
     )

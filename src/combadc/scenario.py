@@ -88,17 +88,19 @@ class CombsSection:
 
 @dataclass
 class ImpairmentFlags:
-    thermal: bool = True
+    """Switches for the terms no physical key can turn off.
+
+    Every other noise term is switched off through its own value:
+    ``link.thermal_noise_density = 0``, ``link.osnr_db = inf``,
+    ``link.cmrr_db = inf``, ``combs.drive_linewidth = 0``,
+    ``combs.differential_drift = 0``, ``adc.jitter_rms = 0`` and
+    ``dac.residual_noise_db = off``.
+    """
+
     shot: bool = True
-    osnr_beat: bool = True
-    drive_phase_noise: bool = True
-    phase_drift: bool = True
-    cmrr_leak: bool = True
     tia_saturation: bool = True
-    jitter: bool = True
     dac_quantization: bool = True
     dac_clip: bool = True
-    dac_residual_noise: bool = True
     adc_quantization: bool = True
 
 

@@ -74,9 +74,6 @@ class SampledWaveform:
     def duration(self) -> float:
         return self.n / self.rate
 
-    def times(self) -> np.ndarray:
-        return time_vector(self.n, self.rate)
-
     def copy(self) -> "SampledWaveform":
         return SampledWaveform(self.samples.copy(), self.rate)
 

@@ -30,7 +30,9 @@ def make_combs(
 
 
 def quiet_link(**overrides) -> LinkConfig:
-    """Link with every noise knob silenced; tests switch terms back on."""
+    """Link with its noise terms off: no ASE beat, no CMRR leak, no thermal
+    current. Tests switch a term back on by overriding its value; shot
+    noise and TIA saturation are keyword switches of ``subband_beat``."""
     base = dict(
         osnr_db=np.inf,
         cmrr_db=np.inf,

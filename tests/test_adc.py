@@ -75,15 +75,6 @@ def test_jitter_law_400mhz():
     assert rep.sinad_db == pytest.approx(40.0, abs=1.0)
 
 
-def test_jitter_flag_isolated():
-    f = _bin_freq(2561)
-    x = _tone_input(f, n_out=4096)
-    sigma = 2e-12
-    with_rms = adc_capture(x, 1, _law_cfg(jitter_rms=sigma), 7, jitter=False)
-    without = adc_capture(x, 1, _law_cfg(), 7)
-    assert np.array_equal(with_rms.codes, without.codes)
-
-
 def test_capture_determinism():
     f = _bin_freq(2561)
     x = _tone_input(f, n_out=4096)

@@ -48,7 +48,6 @@ def test_pam_symbols_determinism_and_orders():
 def test_burst_symbol_budget():
     cfg = ScmConfig()
     assert cfg.symbols_per_burst == 1638
-    assert cfg.occupied_bandwidth == pytest.approx(10e9 + 40e6 + 440e6)
     assert cfg.active_set() == tuple(range(1, 11))
     assert ScmConfig(active_channels=(3, 7)).active_set() == (3, 7)
 
@@ -222,10 +221,9 @@ def test_midrise_roundtrip_error_bound(bits, x):
 
 
 def test_dac_all_switches_off_is_identity(rng):
-    cfg = DacConfig()
+    cfg = DacConfig(residual_noise_db=None, lpf_cutoff=None)
     x = SampledWaveform(rng.uniform(-2, 2, 4096), cfg.rate)
-    y = dac_model(x, cfg, 1, quantize=False, clip=False,
-                  residual_noise=False, reconstruction_lpf=False)
+    y = dac_model(x, cfg, 1, quantize=False, clip=False)
     assert np.array_equal(y.samples, x.samples)
 
 
@@ -269,7 +267,7 @@ def test_dac_reconstruction_lpf_flat_in_band():
 
     def drop_db(f):
         tone = sine_waveform(f, 0.2, n / cfg.rate, cfg.rate)
-        out = dac_model(tone, cfg, 1, quantize=False, clip=False, residual_noise=False)
+        out = dac_model(tone, cfg, 1, quantize=False, clip=False)
         from combadc.waveform import rms
 
         return 20 * np.log10(rms(out.samples[body]) / rms(tone.samples[body]))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from combadc.errors import MeasurementError
-from combadc.metrics import fold_frequency, sine_metrics
+from combadc.metrics import sine_metrics
 from combadc.waveform import SampledWaveform, time_vector
 
 from conftest import tone_capture
@@ -75,15 +75,6 @@ def test_notch_flag_widens_band():
     assert narrow.analysis_band == (10e6, 5e8)
     assert wide.analysis_band == (0.0, 5e8)
     assert narrow.sinad_db - wide.sinad_db > 10.0
-
-
-def test_fold_frequency_symmetry():
-    assert fold_frequency(5.25e9, 5, 1e9) == pytest.approx(250e6)
-    assert fold_frequency(4.75e9, 5, 1e9) == pytest.approx(250e6)
-    assert fold_frequency(5.25e9, 5, 1e9) == fold_frequency(2 * 5 * 1e9 - 5.25e9, 5, 1e9)
-    assert fold_frequency(7e9, 7, 1e9) == 0.0
-    with pytest.raises(ValueError):
-        fold_frequency(5.6e9, 5, 1e9)
 
 
 def test_no_fundamental_raises():

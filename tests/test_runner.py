@@ -1,6 +1,6 @@
 import pytest
 
-from combadc.errors import CombAdcError, ConfigError, EqualizerError
+from combadc.errors import CombAdcError, ConfigError, EqualizerError, SignalError
 from combadc.runner import run_scm, run_spectrum, run_sweep, snap_sweep_frequency
 from combadc.scenario import build_combs, load_config
 
@@ -189,13 +189,30 @@ def test_failed_task_is_recorded_not_fatal(tmp_path, monkeypatch):
 def test_spectrum_failure_still_writes_manifest(tmp_path, monkeypatch):
     import combadc.runner as runner_mod
 
-    def always_fails(cap, dcfg, tx):
-        raise EqualizerError("forced failure for the test")
+    def always_fails(x, n, cfg, seed, **kwargs):
+        raise SignalError("forced failure for the test")
 
-    monkeypatch.setattr(runner_mod, "demod_pam4", always_fails)
+    monkeypatch.setattr(runner_mod, "adc_capture", always_fails)
     with pytest.raises(CombAdcError, match="forced failure"):
         run_spectrum(load_config(""), str(tmp_path), channel=5)
     assert "status=failed" in _read(tmp_path / "manifest.txt")
+
+
+def test_spectrum_run_does_not_demodulate(tmp_path, monkeypatch):
+    import combadc.runner as runner_mod
+
+    cfg = load_config("")
+    run_scm(cfg, str(tmp_path / "scm"), channels=[5])
+
+    def diverges(cap, dcfg, tx):
+        raise EqualizerError("LMS diverged")
+
+    monkeypatch.setattr(runner_mod, "demod_pam4", diverges)
+    man = run_spectrum(cfg, str(tmp_path / "spectrum"), channel=5)
+    assert [t.status for t in man.tasks] == ["ok"]
+    assert _read(tmp_path / "spectrum/spectrum_ch5.csv") == _read(
+        tmp_path / "scm/spectrum_ch5.csv"
+    )
 
 
 def test_unexpected_sweep_error_is_recorded_not_fatal(tmp_path, monkeypatch):

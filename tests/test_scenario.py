@@ -36,7 +36,7 @@ def test_empty_config_is_the_reference_system():
     assert cfg.adc.rate == 2.4e9
     assert cfg.adc.jitter_rms == 50e-15
     assert cfg.run.electrical_rolloff_db == 3.0
-    assert cfg.impairments.thermal and cfg.impairments.jitter
+    assert cfg.impairments.shot and cfg.impairments.adc_quantization
     assert cfg.bandwidth == 10e9
 
 
@@ -61,14 +61,14 @@ def test_unit_suffixes_and_comments():
 def test_bool_and_off_values():
     cfg = load_config(
         """
-        impairments.jitter = off
+        impairments.adc_quantization = off
         sweep.snap = false
         dac.lpf_cutoff = off
         adc.full_scale = auto
         scm.active_channels = 1,5,10
         """
     )
-    assert cfg.impairments.jitter is False
+    assert cfg.impairments.adc_quantization is False
     assert cfg.sweep.snap is False
     assert cfg.dac.lpf_cutoff is None
     assert cfg.adc.full_scale == "auto"
@@ -131,6 +131,24 @@ def test_semantic_rules_are_named(text, rule):
         load_config(text)
 
 
+@pytest.mark.parametrize(
+    "name",
+    [
+        "thermal",
+        "osnr_beat",
+        "cmrr_leak",
+        "drive_phase_noise",
+        "phase_drift",
+        "jitter",
+        "dac_residual_noise",
+    ],
+)
+def test_terms_with_a_physical_off_value_have_no_flag(name):
+    # each of these terms is switched off through its own physical key
+    with pytest.raises(ConfigError, match=f"unknown key 'impairments.{name}'"):
+        load_config(f"impairments.{name} = off")
+
+
 def test_dump_round_trips_byte_identically():
     first = dump_config(load_config(""))
     assert dump_config(load_config(first)) == first
@@ -139,7 +157,7 @@ def test_dump_round_trips_byte_identically():
         """
         run.master_seed = 99
         scm.active_channels = 2,7
-        impairments.cmrr_leak = off
+        impairments.tia_saturation = off
         dac.lpf_cutoff = off
         combs.source = cascade
         sweep.snap = false
@@ -148,7 +166,7 @@ def test_dump_round_trips_byte_identically():
     text = dump_config(tweaked)
     assert dump_config(load_config(text)) == text
     assert "scm.active_channels = 2,7" in text
-    assert "impairments.cmrr_leak = off" in text
+    assert "impairments.tia_saturation = off" in text
     assert "dac.lpf_cutoff = off" in text
     assert "adc.full_scale = auto" in text
 

@@ -1,0 +1,104 @@
+#!/usr/bin/env python3
+"""Compare two run directories artifact by artifact.
+
+    python3 scripts/compare_runs.py DIR_A DIR_B
+
+Each directory holds the `manifest.txt` of one `sweep-sine`, `run-scm` or
+`spectrum` run and the artifacts it names. The report says, per artifact,
+whether its sha256 matches; lists every `# task` line that differs once
+`elapsed_s` is set aside, and whether the config payloads match; and
+prints, for every numeric column of every CSV artifact present in both
+runs, the largest absolute difference between the two. Exit status is 0
+when everything matches and 1 when anything differs.
+"""
+
+import argparse
+import os
+import re
+import sys
+
+_ELAPSED = re.compile(r" elapsed_s=\S+")
+
+
+def read_manifest(run_dir: str) -> tuple[dict[str, str], list[str], str]:
+    """(artifact name -> sha256, task lines without elapsed_s, config payload)."""
+    artifacts, tasks, payload = {}, [], []
+    with open(os.path.join(run_dir, "manifest.txt")) as fh:
+        for line in fh.read().splitlines():
+            if line.startswith("# artifact "):
+                name, sha = line[len("# artifact ") :].rsplit(" sha256=", 1)
+                artifacts[name] = sha
+            elif line.startswith("# task "):
+                tasks.append(_ELAPSED.sub("", line))
+            elif not line.startswith("#"):
+                payload.append(line)
+    return artifacts, tasks, "\n".join(payload)
+
+
+def read_csv(path: str) -> tuple[list[str], list[list[str]]]:
+    with open(path) as fh:
+        lines = [l for l in fh.read().splitlines() if l and not l.startswith("#")]
+    return lines[0].split(","), [line.split(",") for line in lines[1:]]
+
+
+def column_diffs(path_a: str, path_b: str) -> list[str]:
+    """One report line per numeric column: max |a - b| over shared rows."""
+    head_a, rows_a = read_csv(path_a)
+    head_b, rows_b = read_csv(path_b)
+    if head_a != head_b:
+        return [f"  header differs: {','.join(head_a)} vs {','.join(head_b)}"]
+    out = []
+    if len(rows_a) != len(rows_b):
+        out.append(f"  rows differ: {len(rows_a)} vs {len(rows_b)}")
+    for col, name in enumerate(head_a):
+        try:
+            diff = max(
+                (abs(float(a[col]) - float(b[col])) for a, b in zip(rows_a, rows_b)),
+                default=0.0,
+            )
+        except ValueError:
+            continue  # not a numeric column
+        out.append(f"  {name}: max |diff| {diff:.6g}")
+    return out
+
+
+def compare(dir_a: str, dir_b: str) -> tuple[list[str], bool]:
+    """Report lines and whether anything differs."""
+    art_a, tasks_a, cfg_a = read_manifest(dir_a)
+    art_b, tasks_b, cfg_b = read_manifest(dir_b)
+    lines, differs = [], False
+    for name in sorted(set(art_a) | set(art_b)):
+        if name not in art_a or name not in art_b:
+            lines.append(f"artifact {name}: only in {dir_a if name in art_a else dir_b}")
+            differs = True
+            continue
+        same = art_a[name] == art_b[name]
+        differs |= not same
+        lines.append(f"artifact {name}: sha256 {'matches' if same else 'differs'}")
+        if name.endswith(".csv"):
+            lines += column_diffs(os.path.join(dir_a, name), os.path.join(dir_b, name))
+    for i in range(max(len(tasks_a), len(tasks_b))):
+        a = tasks_a[i] if i < len(tasks_a) else "(none)"
+        b = tasks_b[i] if i < len(tasks_b) else "(none)"
+        if a != b:
+            lines += [f"task line {i} differs:", f"  A {a}", f"  B {b}"]
+            differs = True
+    if cfg_a != cfg_b:
+        lines.append("config payload differs")
+        differs = True
+    lines.append(f"{'differ' if differs else 'match'}: {dir_a} vs {dir_b}")
+    return lines, differs
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("dir_a")
+    ap.add_argument("dir_b")
+    args = ap.parse_args(argv)
+    lines, differs = compare(args.dir_a, args.dir_b)
+    print("\n".join(lines))
+    return 1 if differs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

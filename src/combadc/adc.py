@@ -110,13 +110,14 @@ def _lagrange_sample(x: np.ndarray, positions: np.ndarray, order: int = 8) -> np
     pos = np.clip(positions, 0.0, n - 1.0)
     base = np.clip(np.floor(pos).astype(np.int64) - (order // 2 - 1), 0, n - order)
     d = pos - base
+    offsets = [d - m for m in range(order)]
     out = np.zeros(pos.size)
     for j in range(order):
         w = np.ones(pos.size)
         for m in range(order):
             if m == j:
                 continue
-            w *= (d - m) / (j - m)
+            w *= offsets[m] / (j - m)
         out += w * x[base + j]
     return out
 

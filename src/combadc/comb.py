@@ -335,18 +335,28 @@ def _differential_phase(
     return theta
 
 
-def _band_select(spectrum: np.ndarray, k0: int, n_out: int) -> np.ndarray:
-    """``n_out`` bins of a one-sided spectrum around bin ``k0``, FFT-ordered.
+def _analytic_band(
+    spectrum: np.ndarray, n_in: int, k0: int, n_out: int
+) -> np.ndarray:
+    """``n_out`` bins of an analytic signal's spectrum around bin ``k0``,
+    FFT-ordered.
 
-    Bin ``k0`` lands on DC. Output bins whose source lies below DC or past
-    the end of ``spectrum`` stay zero, which is what drops the negative
-    frequencies of an analytic signal.
+    ``spectrum`` is the ``rfft`` of an ``n_in``-sample real record. Bin
+    ``k0`` lands on DC. Only the kept bins get the analytic weights: DC
+    and Nyquist once, every other positive bin twice. Output bins whose
+    source lies below DC or past the end of ``spectrum`` stay zero, which
+    is what drops the negative frequencies.
     """
     centred = np.zeros(n_out, dtype=np.complex128)
     first = k0 - n_out // 2  # source bin of centred[0]
-    src = spectrum[max(first, 0) : first + n_out]
-    start = max(-first, 0)
-    centred[start : start + src.size] = src
+    lo = max(first, 0)
+    src = spectrum[lo : first + n_out]
+    kept = centred[lo - first : lo - first + src.size]
+    np.multiply(src, 2.0, out=kept)
+    if lo == 0:
+        kept[0] = spectrum[0]
+    if n_in % 2 == 0 and first + n_out >= spectrum.size:
+        kept[-1] = spectrum[-1]
     return np.fft.ifftshift(centred)
 
 
@@ -420,19 +430,19 @@ def subband_beat(
         * combs.lo.tone_amps[n - 1]
     )
 
-    # analytic-signal weights: DC and Nyquist once, positive bins twice
     spectrum = np.fft.rfft(mu.samples)
-    spectrum[1:] *= 2.0
-    if n_in % 2 == 0:
-        spectrum[-1] *= 0.5
     shift = n * combs.delta_f * n_in / rate  # downshift in bins
     k0 = int(round(shift))
-    z = np.fft.ifft(_band_select(spectrum, k0, n_out)) * scale
+    z = np.fft.ifft(_analytic_band(spectrum, n_in, k0, n_out)) * scale
 
     theta = _differential_phase(n, combs, n_out, rate_out, seed)
     residual = (shift - k0) * rate / n_in  # Hz, under half a bin
-    theta = theta - 2.0 * np.pi * residual * time_vector(n_out, rate_out)
-    i = gain * np.real(z * np.exp(1j * theta))
+    if residual != 0.0:
+        theta = theta - 2.0 * np.pi * residual * time_vector(n_out, rate_out)
+    # the default track is zero on a band that sits on the bin grid
+    if np.any(theta):
+        z = z * np.exp(1j * theta)
+    i = gain * z.real
 
     if np.isfinite(link.cmrr_db):
         kappa = db_to_amplitude_ratio(-link.cmrr_db)

@@ -3,8 +3,9 @@
 Produces the two stimulus families the testbench uses: single sine waves
 for dynamic-range characterization, and the multi-channel subcarrier PAM4
 burst. Both are then pushed through a model of a coarse, fast DAC
-(few-bit quantization, clipping, a residual-noise calibration term, and a
-reconstruction low-pass).
+(clipping, few-bit quantization, a residual-noise calibration term, and
+one FIR for the reconstruction low-pass and the cabling's spectral
+tilt).
 
 Channel construction note: each channel's PAM4 baseband is shaped with a
 root-raised-cosine, converted to its analytic form, shifted up by
@@ -28,7 +29,14 @@ from scipy import fft
 from scipy.signal import upfirdn
 
 from .errors import SignalError
-from .waveform import SampledWaveform, apply_fir, fir_lowpass, rrc_taps, time_vector
+from .waveform import (
+    SampledWaveform,
+    apply_fir,
+    fir_lowpass,
+    rrc_taps,
+    spectral_tilt_taps,
+    time_vector,
+)
 
 __all__ = [
     "ScmConfig",
@@ -198,7 +206,12 @@ def scm_waveform(
             spectrum[start : start + head] += a[:head]
             spectrum[: n_half - head] += a[head:]
     burst = fft.ifft(spectrum, overwrite_x=True)
-    burst *= np.exp(2j * np.pi * cfg.baseband_offset * time_vector(n, rate))
+    # the offset mix e^{jw(1024a + b)} as the outer product of e^{jw 1024a}
+    # and e^{jwb}: two short exponentials instead of one per sample
+    w = 2.0 * np.pi * cfg.baseband_offset / rate
+    coarse = np.exp(1j * w * 1024 * np.arange(-(-n // 1024)))
+    fine = np.exp(1j * w * np.arange(1024))
+    burst *= np.outer(coarse, fine).ravel()[:n]
     return SampledWaveform(burst.real.copy(), rate)
 
 
@@ -244,13 +257,17 @@ def dac_model(
     *,
     quantize: bool = True,
     clip: bool = True,
+    electrical_rolloff_db: float = 0.0,
 ) -> SampledWaveform:
-    """Convert an ideal waveform into what the coarse DAC actually emits.
+    """Convert an ideal waveform into what the coarse DAC actually emits,
+    as seen past the analog cabling.
 
     Stage order: clip, quantize, add the residual-noise calibration term,
-    reconstruction low-pass. ``quantize`` and ``clip`` isolate the first
-    two stages; ``cfg.residual_noise_db = None`` and ``cfg.lpf_cutoff =
-    None`` drop the other two. With all four off this is the identity.
+    then one FIR that is the reconstruction low-pass convolved with the
+    ``electrical_rolloff_db`` spectral tilt of the cabling and connectors.
+    ``quantize`` and ``clip`` isolate the first two stages;
+    ``cfg.residual_noise_db = None``, ``cfg.lpf_cutoff = None`` and a zero
+    roll-off drop the others. With all of them off this is the identity.
     """
     if abs(x.rate - cfg.rate) > 1e-6 * cfg.rate:
         raise SignalError(
@@ -267,11 +284,16 @@ def dac_model(
         fs_sine_power = cfg.full_scale**2 / 2.0
         sigma = np.sqrt(fs_sine_power * 10.0 ** (cfg.residual_noise_db / 10.0))
         y = y + rng.normal(0.0, sigma, y.size)
+    taps = np.ones(1)  # identity
     if cfg.lpf_cutoff is not None:
         # tight transition: the spec'd bandwidth is the -6 dB point and the
         # passband stays flat to 0.96x cutoff, so in-band tones see no droop
         taps = fir_lowpass(
             cfg.lpf_cutoff, cfg.rate, transition_hz=0.08 * cfg.lpf_cutoff
         )
+    if electrical_rolloff_db != 0.0:
+        # both filters are linear and adjacent: one pass at the DAC rate
+        taps = np.convolve(taps, spectral_tilt_taps(cfg.rate, electrical_rolloff_db))
+    if taps.size > 1:
         y = apply_fir(y, taps)
     return SampledWaveform(y, cfg.rate)

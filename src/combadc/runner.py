@@ -42,14 +42,7 @@ from .scenario import (
 )
 from .seeding import derive_seed_sequence
 from .units import db_to_amplitude_ratio
-from .waveform import (
-    SampledWaveform,
-    apply_fir,
-    periodogram,
-    rms,
-    spectral_tilt_taps,
-    spectrum_to_csv,
-)
+from .waveform import SampledWaveform, periodogram, rms, spectrum_to_csv
 
 __all__ = [
     "RunManifest",
@@ -142,14 +135,16 @@ def snap_sweep_frequency(
 def _front_end(
     x: SampledWaveform, cfg: ScenarioConfig, dac_seed: int, post_gain: float
 ) -> SampledWaveform:
-    """Shared transmit chain: DAC, analog roll-off, drive, modulator."""
+    """Shared transmit chain: DAC with the analog roll-off, drive, modulator."""
     imp = cfg.impairments
     y = dac_model(
-        x, cfg.dac, dac_seed, quantize=imp.dac_quantization, clip=imp.dac_clip
+        x,
+        cfg.dac,
+        dac_seed,
+        quantize=imp.dac_quantization,
+        clip=imp.dac_clip,
+        electrical_rolloff_db=cfg.run.electrical_rolloff_db,
     )
-    if cfg.run.electrical_rolloff_db != 0.0:
-        taps = spectral_tilt_taps(y.rate, cfg.run.electrical_rolloff_db)
-        y = SampledWaveform(apply_fir(y.samples, taps), y.rate)
     # drive conditioner: filters may overshoot a little past full scale
     v = np.clip(y.samples * post_gain, -1.0, 1.0)
     return mzm_field(SampledWaveform(v, y.rate), cfg.link.drive_scale)

@@ -18,9 +18,10 @@ Conventions the rest of the package depends on:
   to a known delay of 0. Overlap-add transforms blocks a few times the
   filter length instead of the whole record, which is what keeps long
   captures cheap.
-* Rate conversion only accepts ratios that reduce to small integer
-  fractions; anything else is a configuration mistake, not something to
-  approximate silently.
+* Rate conversion is polyphase: ``upfirdn`` computes only the outputs it
+  keeps, never the zero-stuffed intermediate record. It only accepts
+  ratios that reduce to small integer fractions; anything else is a
+  configuration mistake, not something to approximate silently.
 """
 
 from __future__ import annotations
@@ -280,14 +281,16 @@ def spectral_tilt_taps(
 
 
 def resample_waveform(wave: SampledWaveform, new_rate: float) -> SampledWaveform:
-    """Polyphase-equivalent rate conversion for small rational ratios.
+    """Polyphase rate conversion for small rational ratios ``up/down``.
 
-    Zero-stuff by the numerator, low-pass with a Kaiser FIR whose passband
-    reaches 0.9 of the smaller Nyquist (flat within ~0.02 dB) and whose
-    stopband starts at that Nyquist (>= 60 dB), then take every
-    denominator-th sample. Output sample k sits at time k / new_rate, so
-    downstream symbol indexing needs no offset hunting. The mean is
-    carried around the filter so DC survives exactly.
+    The filter is a Kaiser low-pass at ``up`` times the input rate whose
+    passband reaches 0.9 of the smaller Nyquist (flat within ~0.02 dB)
+    and whose stopband starts at that Nyquist (>= 60 dB). ``upfirdn``
+    applies it to the zero-stuffed input one kept output at a time, so
+    the ``down - 1`` discarded outputs and the stuffed zeros cost nothing.
+    Output sample k sits at time k / new_rate (the filter delay is
+    removed), so downstream symbol indexing needs no offset hunting. The
+    mean is carried around the filter so DC survives exactly.
     """
     ratio = new_rate / wave.rate
     frac = Fraction(ratio).limit_denominator(64)
@@ -302,12 +305,17 @@ def resample_waveform(wave: SampledWaveform, new_rate: float) -> SampledWaveform
     up, down = frac.numerator, frac.denominator
     x = wave.samples
     mean = x.mean()
-    hi_rate = wave.rate * up
-    stuffed = np.zeros(x.size * up)
-    stuffed[::up] = (x - mean) * up
     f_half = 0.5 * min(wave.rate, new_rate)
-    taps = fir_lowpass(0.95 * f_half, hi_rate, transition_hz=0.1 * f_half)
-    y = apply_fir(stuffed, taps)[::down]
+    taps = fir_lowpass(0.95 * f_half, wave.rate * up, transition_hz=0.1 * f_half)
+    # output k is the zero-phase filter's sample k * down on the stuffed
+    # grid, i.e. the full convolution's sample k * down + half; leading
+    # zeros on the taps move that onto upfirdn's own decimation phase
+    half = taps.size // 2
+    lead = (-half) % down
+    taps = np.concatenate((np.zeros(lead), taps))
+    first = (half + lead) // down
+    n_out = -(-x.size * up // down)
+    y = sps.upfirdn(taps, (x - mean) * up, up, down)[first : first + n_out]
     return SampledWaveform(y + mean, new_rate)
 
 

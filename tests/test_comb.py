@@ -304,23 +304,36 @@ def _tone_fit(x, rate, freqs, body=2048):
     return np.hypot(coef[0::2], coef[1::2])
 
 
+@pytest.mark.parametrize("phased", [False, True])
 @pytest.mark.parametrize("n_samples", [65536, 65537])
 @pytest.mark.parametrize("n", [1, 4, 10])
-def test_beat_matches_hilbert_mix_oracle(n_samples, n, rng):
+def test_beat_matches_hilbert_mix_oracle(n_samples, n, phased, rng):
     # full rate, impairments off: the frequency-domain down-conversion is
     # the analytic signal mixed down by n * delta_f and low-passed; 65537
-    # samples put the downshift off the FFT bin grid
+    # samples put the downshift off the FFT bin grid. The phased pair
+    # (cascade signal comb against a flat LO, plus path drift) mixes in a
+    # nonzero differential phase on the bin grid as well
     from scipy import signal as sps
 
     from combadc.waveform import apply_fir, fir_lowpass
 
-    combs = make_combs(tilt_db=2.0)
+    if phased:
+        combs = ScenarioCombs(
+            signal=comb_from_cascade(18.2, 1.6, 24, spacing=26e9),
+            lo=flat_comb(24, 27e9),
+            differential_phase_drift=3e5,
+        )
+    else:
+        combs = make_combs(tilt_db=2.0)
     link = quiet_link()
     rate = 32e9
     mu = SampledWaveform(0.05 * rng.standard_normal(n_samples), rate)
     out = subband_beat(mu, n, combs, link, seed=3, **_ALL_OFF)
     t = time_vector(n_samples, rate)
-    lo = np.exp(-2j * np.pi * n * combs.delta_f * t)
+    static = combs.signal.tone_phases[n - 1] - combs.lo.tone_phases[n - 1]
+    assert (static != 0.0) == phased
+    theta = static + combs.differential_phase_drift * t
+    lo = np.exp(1j * (theta - 2 * np.pi * n * combs.delta_f * t))
     mixed = _link_gain(link, combs, n) * np.real(sps.hilbert(mu.samples) * lo)
     want = apply_fir(mixed, fir_lowpass(link.pd_bandwidth, rate))
     assert out.rate == rate and out.n == n_samples

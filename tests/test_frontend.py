@@ -15,7 +15,14 @@ from combadc.frontend import (
     sine_waveform,
 )
 from combadc.metrics import sine_metrics
-from combadc.waveform import SampledWaveform, periodogram, rrc_taps
+from combadc.waveform import (
+    SampledWaveform,
+    apply_fir,
+    fir_lowpass,
+    periodogram,
+    rrc_taps,
+    spectral_tilt_taps,
+)
 
 
 # ------------------------------------------------------------------ symbols
@@ -276,6 +283,24 @@ def test_dac_reconstruction_lpf_flat_in_band():
     assert abs(drop_db(0.5e9)) < 0.05
     # and a tone past cutoff is strongly rejected
     assert drop_db(14e9) < -40.0
+
+
+@pytest.mark.parametrize("lpf_cutoff", [11e9, None])
+def test_dac_one_fir_matches_reconstruction_then_tilt(lpf_cutoff, rng):
+    # the merged FIR against the reconstruction low-pass and the tilt run
+    # back to back; the cascade truncates its intermediate "same" output,
+    # so the two may differ only within half the merged length of an edge
+    cfg = DacConfig(lpf_cutoff=lpf_cutoff)
+    x = SampledWaveform(rng.uniform(-1.2, 1.2, 20001), cfg.rate)
+    got = dac_model(x, cfg, 5, electrical_rolloff_db=3.0).samples
+    h2 = spectral_tilt_taps(cfg.rate, 3.0)
+    want = apply_fir(dac_model(x, cfg, 5).samples, h2)
+    h1 = np.ones(1)
+    if lpf_cutoff is not None:
+        h1 = fir_lowpass(lpf_cutoff, cfg.rate, transition_hz=0.08 * lpf_cutoff)
+    edge = (h1.size + h2.size) // 2
+    assert got.size == want.size
+    assert np.max(np.abs(got[edge:-edge] - want[edge:-edge])) <= 1e-12
 
 
 def test_dac_clip_stage():

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -282,6 +284,40 @@ def test_resample_output_timestamps():
     k = np.arange(200, y.n - 200)
     expected = x[0] + (k * rate_in / rate_out) * (x[1] - x[0])
     assert np.max(np.abs(y.samples[200:-200] - expected)) < 1e-3
+
+
+def _zero_stuff_resample(x, rate, new_rate):
+    # the resampler as its docstring states it: zero-stuff by up, the
+    # Kaiser low-pass applied by direct convolution centred on each
+    # stuffed sample, then every down-th output
+    frac = Fraction(new_rate / rate).limit_denominator(64)
+    up, down = frac.numerator, frac.denominator
+    mean = x.mean()
+    stuffed = np.zeros(x.size * up)
+    stuffed[::up] = (x - mean) * up
+    f_half = 0.5 * min(rate, new_rate)
+    taps = fir_lowpass(0.95 * f_half, rate * up, transition_hz=0.1 * f_half)
+    assert stuffed.size > taps.size  # np.convolve "same" keeps the longer length
+    return np.convolve(stuffed, taps, mode="same")[::down] + mean
+
+
+@pytest.mark.parametrize("n", [2000, 2001])
+@pytest.mark.parametrize(
+    "rate, new_rate",
+    [
+        (2.4e9, 1e9),  # 5/12, the metrics analysis stream
+        (2.4e9, 2 * 800e6),  # 2/3, demod's sps * baud from the ADC rate
+        (1e9, 4e9),
+        (3e9, 1e9),
+    ],
+)
+def test_resample_matches_zero_stuff_reference(rate, new_rate, n, rng):
+    x = rng.standard_normal(n) + 0.3
+    got = resample_waveform(SampledWaveform(x, rate), new_rate)
+    want = _zero_stuff_resample(x, rate, new_rate)
+    assert got.rate == new_rate
+    assert got.n == want.size
+    assert np.max(np.abs(got.samples - want)) <= 1e-12
 
 
 # -------------------------------------------------------------------- noise

@@ -304,15 +304,7 @@ def _tone_fit(x, rate, freqs, body=2048):
     return np.hypot(coef[0::2], coef[1::2])
 
 
-@pytest.mark.parametrize("phased", [False, True])
-@pytest.mark.parametrize("n_samples", [65536, 65537])
-@pytest.mark.parametrize("n", [1, 4, 10])
-def test_beat_matches_hilbert_mix_oracle(n_samples, n, phased, rng):
-    # full rate, impairments off: the frequency-domain down-conversion is
-    # the analytic signal mixed down by n * delta_f and low-passed; 65537
-    # samples put the downshift off the FFT bin grid. The phased pair
-    # (cascade signal comb against a flat LO, plus path drift) mixes in a
-    # nonzero differential phase on the bin grid as well
+def _check_hilbert_mix_oracle(n_samples, n, phased, rng):
     from scipy import signal as sps
 
     from combadc.waveform import apply_fir, fir_lowpass
@@ -338,6 +330,23 @@ def test_beat_matches_hilbert_mix_oracle(n_samples, n, phased, rng):
     want = apply_fir(mixed, fir_lowpass(link.pd_bandwidth, rate))
     assert out.rate == rate and out.n == n_samples
     assert np.max(np.abs(out.samples - want)) <= 1e-9 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n_samples", [65536, 65537])
+@pytest.mark.parametrize("n", [1, 4, 10])
+def test_beat_matches_hilbert_mix_oracle(n_samples, n, rng):
+    # full rate, impairments off: the frequency-domain down-conversion is
+    # the analytic signal mixed down by n * delta_f and low-passed; 65537
+    # samples put the downshift off the FFT bin grid
+    _check_hilbert_mix_oracle(n_samples, n, False, rng)
+
+
+@pytest.mark.parametrize("n_samples", [65536, 65537])
+@pytest.mark.parametrize("n", [1, 4, 10])
+def test_beat_matches_hilbert_mix_oracle_phased(n_samples, n, rng):
+    # the phased pair (cascade signal comb against a flat LO, plus path
+    # drift) mixes in a nonzero differential phase on the bin grid as well
+    _check_hilbert_mix_oracle(n_samples, n, True, rng)
 
 
 @pytest.mark.parametrize("out_rate", [None, 9.6e9])

@@ -17,13 +17,11 @@ from .adc import AdcConfig, SubbandCapture, adc_capture
 from .comb import (
     CombSpec,
     LinkConfig,
-    ScalingReport,
     ScenarioCombs,
     comb_from_cascade,
     flat_comb,
     mzm_field,
     subband_beat,
-    validate_scaling,
 )
 from .demod import DemodConfig, DemodReport, demod_pam4, ffe_lms, wiener_ffe
 from .errors import (
@@ -61,13 +59,11 @@ __all__ = [
     "adc_capture",
     "CombSpec",
     "LinkConfig",
-    "ScalingReport",
     "ScenarioCombs",
     "comb_from_cascade",
     "flat_comb",
     "mzm_field",
     "subband_beat",
-    "validate_scaling",
     "DemodConfig",
     "DemodReport",
     "demod_pam4",

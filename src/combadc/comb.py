@@ -49,9 +49,7 @@ __all__ = [
     "cascade_harmonics",
     "comb_from_cascade",
     "flat_comb",
-    "validate_scaling",
-    "ScalingCheck",
-    "ScalingReport",
+    "comb_scaling_fault",
     "mzm_field",
     "subband_beat",
 ]
@@ -82,8 +80,8 @@ class CombSpec:
         self.tone_amps = np.asarray(self.tone_amps, dtype=np.float64)
         if self.tone_amps.size != self.n_tones:
             raise ConfigError("tone amplitude list does not match n_tones")
-        if np.any(self.tone_amps <= 0):
-            raise ConfigError("tone amplitudes must be positive")
+        if not np.all((self.tone_amps > 0) & np.isfinite(self.tone_amps)):
+            raise ConfigError("tone amplitudes must be positive and finite")
         if self.tone_phases is None:
             self.tone_phases = np.zeros(self.n_tones)
         else:
@@ -197,20 +195,16 @@ def comb_from_cascade(
     c = cascade_harmonics(pm_index, im_depth)
     amps = np.abs(c)
     floor = amps.max() * db_to_amplitude_ratio(-40.0)
-    usable = amps > floor
-    best = None
-    for start in range(amps.size - n_tones + 1):
-        if not usable[start : start + n_tones].all():
-            continue
-        weakest = amps[start : start + n_tones].min()
-        if best is None or weakest > best[1]:
-            best = (start, weakest)
-    if best is None:
+    # weakest line of every run of n_tones consecutive harmonics
+    weakest = amps[:0]
+    if n_tones <= amps.size:
+        weakest = np.lib.stride_tricks.sliding_window_view(amps, n_tones).min(axis=1)
+    if not np.any(weakest > floor):
         raise ValueError(
             f"modulator cascade (pm={pm_index}, im={im_depth}) does not yield "
             f"{n_tones} usable lines"
         )
-    start = best[0]
+    start = int(np.argmax(weakest))
     window = slice(start, start + n_tones)
     return CombSpec(
         spacing=spacing,
@@ -245,48 +239,24 @@ def flat_comb(
     )
 
 
-@dataclass
-class ScalingCheck:
-    name: str
-    passed: bool
-    margin_hz: float
-    detail: str
+def comb_scaling_fault(bandwidth: float, combs: ScenarioCombs, n_subbands: int) -> str:
+    """Why the comb pair cannot slice ``bandwidth`` into ``n_subbands``
+    sub-bands; "" when it can.
 
-
-@dataclass
-class ScalingReport:
-    checks: list
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-
-def validate_scaling(
-    bandwidth_b: float, combs: ScenarioCombs, n_subbands: int | None = None
-) -> ScalingReport:
-    """Report whether the comb geometry can cover ``bandwidth_b``.
-
-    Two conditions: the sub-band grid must tile the band (delta_f at
-    least B/N for N sub-bands), and half the signal-comb spacing must
-    exceed the band so neighboring tone images stay clear.
+    The sub-band grid must tile the band (delta_f at least B/N), half the
+    signal-comb spacing must exceed the band so neighboring tone images
+    stay clear, and every sub-band needs a tone pair of its own.
     """
-    n = n_subbands if n_subbands is not None else combs.n_pairs
-    need = bandwidth_b / n if n > 0 else 0.0
-    c1 = ScalingCheck(
-        name="subband-tiling",
-        passed=combs.delta_f >= need,
-        margin_hz=combs.delta_f - need,
-        detail=f"delta_f {combs.delta_f:g} Hz vs B/N {need:g} Hz",
-    )
+    faults = []
+    need = bandwidth / n_subbands
+    if combs.delta_f < need:
+        faults.append(f"subband-tiling: delta_f {combs.delta_f:g} Hz vs B/N {need:g} Hz")
     f_sig = combs.signal.spacing
-    c2 = ScalingCheck(
-        name="tone-separation",
-        passed=f_sig > 2.0 * bandwidth_b or bandwidth_b == 0.0,
-        margin_hz=f_sig - 2.0 * bandwidth_b,
-        detail=f"f_sig/2 {f_sig / 2.0:g} Hz vs B {bandwidth_b:g} Hz",
-    )
-    return ScalingReport(checks=[c1, c2])
+    if f_sig <= 2.0 * bandwidth:
+        faults.append(f"tone-separation: f_sig/2 {f_sig / 2.0:g} Hz vs B {bandwidth:g} Hz")
+    if n_subbands > combs.n_pairs:
+        faults.append(f"{n_subbands} channels exceed {combs.n_pairs} usable tone pairs")
+    return "; ".join(faults)
 
 
 def mzm_field(v: SampledWaveform, drive_scale: float) -> SampledWaveform:

@@ -50,13 +50,13 @@ class DemodConfig:
     baseband_offset: float = 40e6
     baud: float = 800e6
     rolloff: float = 0.1
+    equalizer: str = "lms"  # lms | wiener | none
     ffe_taps: int = 17
     sps: int = 2
     ffe_step: float = 0.5
     training_fraction: float = 0.5
     # extra LMS sweeps over the training span; short bursts need a few
     ffe_passes: int = 12
-    equalizer: str = "lms"  # lms | wiener | none
 
     def __post_init__(self):
         if self.ffe_taps % 2 != 1 or self.ffe_taps < 1:

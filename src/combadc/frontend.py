@@ -73,6 +73,10 @@ class ScmConfig:
     def __post_init__(self):
         if self.n_channels < 1:
             raise SignalError("need at least one channel")
+        if self.baud <= 0:
+            raise SignalError("baud must be positive")
+        if not 0.0 <= self.rolloff <= 1.0:
+            raise SignalError("roll-off must lie in [0, 1]")
         if self.active_channels is not None:
             self.active_channels = tuple(sorted(set(self.active_channels)))
             if not self.active_channels:
@@ -136,7 +140,10 @@ def carrier_grid_fault(cfg: ScmConfig, rate: float) -> str:
     """Why the ``round(duration * rate)``-sample burst cannot put every
     subcarrier on an FFT bin (a fractional count of ``channel_spacing``
     cycles); "" when it can."""
-    n = int(round(cfg.duration * rate))
+    n = cfg.duration * rate
+    if not np.isfinite(cfg.channel_spacing * n / rate):
+        return f"a {cfg.duration:g} s burst at {rate:g} Sa/s is too long to count"
+    n = int(round(n))
     cycles = cfg.channel_spacing * n / rate
     if abs(cycles - round(cycles)) > 1e-6:
         return (

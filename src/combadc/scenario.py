@@ -21,8 +21,8 @@ from .comb import (
     LinkConfig,
     ScenarioCombs,
     comb_from_cascade,
+    comb_scaling_fault,
     flat_comb,
-    validate_scaling,
 )
 from .demod import DemodConfig
 from .errors import CombAdcError, ConfigError
@@ -128,8 +128,8 @@ class ScenarioConfig:
     link: LinkConfig = field(default_factory=LinkConfig)
     adc: AdcConfig = field(default_factory=lambda: AdcConfig(jitter_rms=50e-15))
     demod: DemodConfig = field(default_factory=DemodConfig)
-    impairments: ImpairmentFlags = field(default_factory=ImpairmentFlags)
     metrics: MetricsSection = field(default_factory=MetricsSection)
+    impairments: ImpairmentFlags = field(default_factory=ImpairmentFlags)
 
     @property
     def bandwidth(self) -> float:
@@ -175,13 +175,9 @@ def _number(tok: str) -> float:
     return value * _UNIT_SCALE.get(suffix, 1.0)
 
 
-def _p_float(tok: str):
-    return _number(tok)
-
-
 def _p_int(tok: str):
     v = _number(tok)
-    if v != int(v):
+    if not v.is_integer():
         raise ValueError(f"expected an integer, got {tok!r}")
     return int(v)
 
@@ -247,73 +243,48 @@ def _fmt(value) -> str:
     return str(value)
 
 
-# registry: config key -> (section attr, field attr, parser)
-_KEYS: dict[str, tuple[str, str, object]] = {
-    "run.master_seed": ("run", "master_seed", _p_int),
-    "run.source": ("run", "source", _p_choice("auto", "sweep", "scm")),
-    "run.electrical_rolloff_db": ("run", "electrical_rolloff_db", _p_float),
-    "sweep.start": ("sweep", "start", _p_float),
-    "sweep.stop": ("sweep", "stop", _p_float),
-    "sweep.step": ("sweep", "step", _p_float),
-    "sweep.snap": ("sweep", "snap", _p_bool),
-    "sweep.duration": ("sweep", "duration", _p_float),
-    "scm.n_channels": ("scm", "n_channels", _p_int),
-    "scm.channel_spacing": ("scm", "channel_spacing", _p_float),
-    "scm.baud": ("scm", "baud", _p_float),
-    "scm.baseband_offset": ("scm", "baseband_offset", _p_float),
-    "scm.rolloff": ("scm", "rolloff", _p_float),
-    "scm.duration": ("scm", "duration", _p_float),
-    "scm.levels": ("scm", "levels", _p_int),
-    "scm.drive_rms": ("scm", "drive_rms", _p_float),
-    "scm.active_channels": ("scm", "active_channels", _p_channels),
-    "dac.bits": ("dac", "bits", _p_int),
-    "dac.rate": ("dac", "rate", _p_float),
-    "dac.lpf_cutoff": ("dac", "lpf_cutoff", _p_float_or_off),
-    "dac.full_scale": ("dac", "full_scale", _p_float),
-    "dac.residual_noise_db": ("dac", "residual_noise_db", _p_float_or_off),
-    "combs.f_sig": ("combs", "f_sig", _p_float),
-    "combs.delta_f": ("combs", "delta_f", _p_float),
-    "combs.n_tones": ("combs", "n_tones", _p_int),
-    "combs.drive_linewidth": ("combs", "drive_linewidth", _p_float),
-    "combs.differential_drift": ("combs", "differential_drift", _p_float),
-    "combs.tone_tilt_db": ("combs", "tone_tilt_db", _p_float),
-    "combs.source": ("combs", "source", _p_choice("flat", "cascade")),
-    "combs.cascade_pm": ("combs", "cascade_pm", _p_float),
-    "combs.cascade_im": ("combs", "cascade_im", _p_float),
-    "link.drive_scale": ("link", "drive_scale", _p_float),
-    "link.sig_power_per_ch_dbm": ("link", "sig_power_per_ch_dbm", _p_float),
-    "link.lo_power_per_tone_dbm": ("link", "lo_power_per_tone_dbm", _p_float),
-    "link.osnr_db": ("link", "osnr_db", _p_db_or_inf),
-    "link.pd_bandwidth": ("link", "pd_bandwidth", _p_float),
-    "link.tia_sat_dbm": ("link", "tia_sat_dbm", _p_float),
-    "link.cmrr_db": ("link", "cmrr_db", _p_db_or_inf),
-    "link.responsivity": ("link", "responsivity", _p_float),
-    "link.thermal_noise_density": ("link", "thermal_noise_density", _p_float),
-    "link.sine_backoff_db": ("link", "sine_backoff_db", _p_float),
-    "adc.bits": ("adc", "bits", _p_int),
-    "adc.rate": ("adc", "rate", _p_float),
-    "adc.full_scale": ("adc", "full_scale", _p_float_or_auto),
-    "adc.jitter_rms": ("adc", "jitter_rms", _p_float),
-    "adc.aa_cutoff": ("adc", "aa_cutoff", _p_float_or_off),
-    "adc.ac_couple": ("adc", "ac_couple_hz", _p_float_or_off),
-    "demod.equalizer": ("demod", "equalizer", _p_choice("lms", "wiener", "none")),
-    "demod.ffe_taps": ("demod", "ffe_taps", _p_int),
-    "demod.sps": ("demod", "sps", _p_int),
-    "demod.ffe_step": ("demod", "ffe_step", _p_float),
-    "demod.training_fraction": ("demod", "training_fraction", _p_float),
-    "demod.ffe_passes": ("demod", "ffe_passes", _p_int),
-    "metrics.n_fft": ("metrics", "n_fft", _p_int),
-    "metrics.n_avg": ("metrics", "n_avg", _p_int),
-    "metrics.window": (
-        "metrics",
-        "window",
-        _p_choice("auto", "rectangular", "blackman-harris-4term"),
-    ),
-    "metrics.include_notch_band": ("metrics", "include_notch_band", _p_bool),
+# keys whose spelling the type of their default does not give
+_SPELLINGS = {
+    "run.source": _p_choice("auto", "sweep", "scm"),
+    "combs.source": _p_choice("flat", "cascade"),
+    "demod.equalizer": _p_choice("lms", "wiener", "none"),
+    "metrics.window": _p_choice("auto", "rectangular", "blackman-harris-4term"),
+    "dac.lpf_cutoff": _p_float_or_off,
+    "dac.residual_noise_db": _p_float_or_off,
+    "adc.aa_cutoff": _p_float_or_off,
+    "adc.ac_couple": _p_float_or_off,
+    "link.osnr_db": _p_db_or_inf,
+    "link.cmrr_db": _p_db_or_inf,
+    "adc.full_scale": _p_float_or_auto,
+    "scm.active_channels": _p_channels,
 }
+# the one key not spelled like its field
+_RENAMED = {"adc.ac_couple_hz": "adc.ac_couple"}
+# build_demod fills these from the scm section; they are not config keys
+_DERIVED = {"demod.channel_index", "demod.baseband_offset", "demod.baud", "demod.rolloff"}
 
-for _flag in dataclasses.fields(ImpairmentFlags):
-    _KEYS[f"impairments.{_flag.name}"] = ("impairments", _flag.name, _p_bool)
+
+def _parser_for(default):
+    if isinstance(default, bool):  # before int: bool is an int
+        return _p_bool
+    return _p_int if isinstance(default, int) else _number
+
+
+def _key_table() -> dict[str, tuple[str, str, object]]:
+    """Config key -> (section attr, field attr, parser), in field order."""
+    table = {}
+    for section in dataclasses.fields(ScenarioConfig):
+        defaults = section.default_factory()
+        for f in dataclasses.fields(defaults):
+            key = f"{section.name}.{f.name}"
+            key = _RENAMED.get(key, key)
+            if key not in _DERIVED:
+                parse = _SPELLINGS.get(key) or _parser_for(getattr(defaults, f.name))
+                table[key] = (section.name, f.name, parse)
+    return table
+
+
+_KEYS = _key_table()
 
 
 def load_config(text: str) -> ScenarioConfig:
@@ -416,6 +387,9 @@ def build_demod(cfg: ScenarioConfig, channel: int) -> DemodConfig:
 
 # a sweep beyond this many points is a typo in sweep.step, not a plan
 _MAX_SWEEP_POINTS = 10_000
+# more comb lines than the cascade's harmonic grid holds span about
+# 100 THz at 26 GHz spacing, far past any optical band: a typo, not a comb
+_MAX_COMB_TONES = 4096
 
 
 def validate_scenario(cfg: ScenarioConfig) -> ScenarioCombs:
@@ -440,26 +414,24 @@ def validate_scenario(cfg: ScenarioConfig) -> ScenarioCombs:
         f"scm.levels = {cfg.scm.levels}, supported orders are 2/4/8",
     )
 
+    _rule(
+        "comb-scaling",
+        1 <= cfg.combs.n_tones <= _MAX_COMB_TONES,
+        f"combs.n_tones = {cfg.combs.n_tones:.3g} not in 1..{_MAX_COMB_TONES}",
+    )
     try:
         combs = build_combs(cfg)
-    except CombAdcError as exc:
+    except (CombAdcError, ValueError) as exc:
+        # comb_from_cascade raises ValueError for a drive that cannot
+        # yield the requested lines
         raise ConfigError(f"comb-scaling: {exc}") from None
-    report = validate_scaling(cfg.bandwidth, combs, n_subbands=cfg.scm.n_channels)
-    _rule(
-        "comb-scaling",
-        report.passed,
-        "; ".join(f"{c.name}: {c.detail}" for c in report.checks if not c.passed),
-    )
-    _rule(
-        "comb-scaling",
-        cfg.scm.n_channels <= combs.n_pairs,
-        f"{cfg.scm.n_channels} channels exceed {combs.n_pairs} usable tone pairs",
-    )
+    scaling_fault = comb_scaling_fault(cfg.bandwidth, combs, cfg.scm.n_channels)
+    _rule("comb-scaling", not scaling_fault, scaling_fault)
 
     sps = cfg.dac.rate / cfg.scm.baud
     _rule(
         "rate-consistency",
-        abs(sps - round(sps)) < 1e-9,
+        np.isfinite(sps) and abs(sps - round(sps)) < 1e-9,
         f"dac.rate must be an integer multiple of scm.baud (ratio {sps:.6g})",
     )
     _rule(
@@ -487,8 +459,9 @@ def validate_scenario(cfg: ScenarioConfig) -> ScenarioCombs:
     )
     _rule(
         "sweep-grid",
-        cfg.sweep.n_points <= _MAX_SWEEP_POINTS,
-        f"{cfg.sweep.n_points:.3g} sweep points, at most {_MAX_SWEEP_POINTS} allowed",
+        cfg.sweep.stop - cfg.sweep.start < _MAX_SWEEP_POINTS * cfg.sweep.step,
+        f"sweep.step {cfg.sweep.step:.3g} Hz gives more than "
+        f"{_MAX_SWEEP_POINTS} sweep points",
     )
     _rule(
         "sweep-grid",

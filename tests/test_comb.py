@@ -7,11 +7,11 @@ from combadc.comb import (
     ScenarioCombs,
     cascade_harmonics,
     comb_from_cascade,
+    comb_scaling_fault,
     flat_comb,
     _differential_phase,
     mzm_field,
     subband_beat,
-    validate_scaling,
 )
 from combadc.errors import ConfigError, SignalError
 from combadc.units import dbm_to_watts
@@ -40,6 +40,33 @@ def test_cascade_comb_default_operating_point():
     assert spec.n_tones == 24
     assert spec.tone_amps.max() == pytest.approx(1.0)
     assert spec.flatness_db < 3.0
+
+
+def _flattest_window_loop(amps, n_tones, floor):
+    """Reference: first window of n_tones lines, all above floor, whose
+    weakest line is strongest; None when no window qualifies."""
+    best = None
+    for start in range(amps.size - n_tones + 1):
+        run = amps[start : start + n_tones]
+        if (run > floor).all() and (best is None or run.min() > best[1]):
+            best = (start, run.min())
+    return None if best is None else best[0]
+
+
+@pytest.mark.parametrize("pm,im", [(18.2, 1.6), (18.2, 0.0), (5.0, 0.8), (1.45, 0.0)])
+@pytest.mark.parametrize("n_tones", [1, 7, 24, 40])
+def test_cascade_comb_picks_the_flattest_window(pm, im, n_tones):
+    c = cascade_harmonics(pm, im)
+    amps = np.abs(c)
+    start = _flattest_window_loop(amps, n_tones, amps.max() * 10 ** (-40 / 20))
+    if start is None:
+        with pytest.raises(ValueError, match="usable lines"):
+            comb_from_cascade(pm, im, n_tones)
+        return
+    spec = comb_from_cascade(pm, im, n_tones)
+    window = amps[start : start + n_tones]
+    assert np.array_equal(spec.tone_amps, window / window.max())
+    assert np.array_equal(spec.tone_phases, np.angle(c[start : start + n_tones]))
 
 
 def test_cascade_comb_too_weak_drive():
@@ -76,22 +103,26 @@ def test_scenario_combs_geometry():
 
 
 def test_validate_scaling_default_geometry():
-    rep = validate_scaling(10e9, make_combs())
-    assert rep.passed
-    names = [c.name for c in rep.checks]
-    assert "subband-tiling" in names and "tone-separation" in names
+    # 10 GHz in 24 sub-bands of the 1 GHz grid, images 26 GHz apart
+    assert comb_scaling_fault(10e9, make_combs(), n_subbands=24) == ""
 
 
 def test_validate_scaling_band_too_wide_for_grid():
-    rep = validate_scaling(30e9, make_combs())
-    tiling = next(c for c in rep.checks if c.name == "subband-tiling")
-    assert not tiling.passed and tiling.margin_hz < 0
+    combs = make_combs()
+    fault = comb_scaling_fault(30e9, combs, n_subbands=24)
+    assert "subband-tiling" in fault
+    assert combs.delta_f < 30e9 / 24
 
 
 def test_validate_scaling_tone_images_collide():
-    rep = validate_scaling(14e9, make_combs())
-    sep = next(c for c in rep.checks if c.name == "tone-separation")
-    assert not sep.passed
+    fault = comb_scaling_fault(14e9, make_combs(), n_subbands=24)
+    assert "tone-separation" in fault
+    assert "subband-tiling" not in fault
+
+
+def test_comb_scaling_counts_tone_pairs():
+    fault = comb_scaling_fault(10e9, make_combs(n_tones=8), n_subbands=10)
+    assert fault == "10 channels exceed 8 usable tone pairs"
 
 
 # ---------------------------------------------------------------- modulator

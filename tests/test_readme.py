@@ -24,6 +24,15 @@ def test_config_example_parses():
     assert load_config(example) != load_config("")
 
 
+def test_noise_term_table_keys_load():
+    body = README.split("\n## Configs\n", 1)[1]
+    table = body.split("| noise term | off when |", 1)[1].split("\n\n", 1)[0]
+    settings = re.findall(r"`([a-z_]+\.[a-z_]+) = ([^`]+)`", table)
+    assert len(settings) == 7
+    for key, value in settings:
+        load_config(f"{key} = {value}")
+
+
 def test_validate_prints_the_readme_sample(capsys):
     (session,) = [b for b in _blocks("Command line") if b.startswith("$ combadc validate\n")]
     sample = session.splitlines()[1]

@@ -124,6 +124,22 @@ def test_syntax_errors_carry_line_numbers(text, fragment, lineno):
         ("metrics.n_fft = 2", "analysis-grid"),
         ("metrics.n_fft = 4", "analysis-grid"),
         ("metrics.n_fft = 8", "analysis-grid"),
+        ("combs.source = cascade\ncombs.n_tones = 200", "comb-scaling"),
+        ("combs.source = cascade\ncombs.cascade_pm = 0", "comb-scaling"),
+        ("combs.source = cascade\ncombs.n_tones = 0", "comb-scaling"),
+        ("combs.n_tones = 1e300", "comb-scaling"),
+        ("scm.baud = 0", "scm-invariants"),
+        ("scm.rolloff = -5", "scm-invariants"),
+        ("scm.baud = 400mhz\nscm.rolloff = 1.5", "scm-invariants"),
+        ("sweep.step = 1e-300", "sweep-grid"),
+        ("scm.baud = 1e-300", "rate-consistency"),
+        ("scm.duration = 1e300", "carrier-grid"),
+        pytest.param(
+            "combs.tone_tilt_db = -1e300",
+            "comb-scaling",
+            # the tilt overflows to infinite tone amplitudes; numpy warns
+            marks=pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning"),
+        ),
     ],
 )
 def test_semantic_rules_are_named(text, rule):
@@ -309,6 +325,100 @@ def _configs(draw):
 @given(_configs())
 def test_dump_then_load_is_identity(cfg):
     assert load_config(dump_config(cfg)) == cfg
+
+
+# every key with its default spelling, read from the public dump
+_DEFAULT_TEXT = dict(
+    line.split(" = ") for line in dump_config(load_config("")).splitlines() if line
+)
+# spellings a key's default does not show (README "Configs")
+_CHOICES = {
+    "run.source": ["auto", "sweep", "scm"],
+    "combs.source": ["flat", "cascade"],
+    "demod.equalizer": ["lms", "wiener", "none"],
+    "metrics.window": ["auto", "rectangular", "blackman-harris-4term"],
+}
+_WORDS = {
+    "dac.lpf_cutoff": ["off"],
+    "dac.residual_noise_db": ["off"],
+    "adc.aa_cutoff": ["off"],
+    "adc.ac_couple": ["off"],
+    "adc.full_scale": ["auto"],
+    "link.osnr_db": ["inf", "off"],
+    "link.cmrr_db": ["inf", "off"],
+}
+_RULES = {
+    "seed-range",
+    "bits-range",
+    "scm-invariants",
+    "dac-invariants",
+    "adc-invariants",
+    "demod-invariants",
+    "link-invariants",
+    "metrics-invariants",
+    "pam-order",
+    "comb-scaling",
+    "rate-consistency",
+    "carrier-grid",
+    "sweep-grid",
+    "capture-length",
+    "analysis-grid",
+    "training-length",
+    "channel-set",
+}
+_SIGN = st.sampled_from(["", "-"])
+
+
+def _spelling(key: str):
+    """Values spelled the way ``key`` accepts them, across decades."""
+    default = _DEFAULT_TEXT[key]
+    if key in _CHOICES:
+        return st.sampled_from(_CHOICES[key])
+    if key == "scm.active_channels":
+        listed = st.lists(st.integers(0, 12), min_size=1, max_size=4)
+        return st.one_of(st.just("all"), listed.map(lambda c: ",".join(map(str, c))))
+    if default in ("on", "off"):
+        return st.sampled_from(["on", "off", "true", "false", "yes", "no"])
+    if default.lstrip("-").isdigit():
+        near = st.integers(-3, 3 * int(default) + 3).map(str)
+        decades = st.tuples(_SIGN, st.integers(0, 300)).map(lambda t: f"{t[0]}1e{t[1]}")
+        numbers = st.one_of(near, decades)
+    else:
+        scale = float(default) if default not in _WORDS.get(key, []) else 1.0
+        near = st.floats(0.5, 2.0).map(lambda k: repr(k * scale))
+        decades = st.tuples(_SIGN, st.floats(1.0, 9.99), st.integers(-300, 300)).map(
+            lambda t: f"{t[0]}{t[1]!r}e{t[2]}"
+        )
+        numbers = st.one_of(st.just("0"), near, decades)
+    return st.one_of(numbers, st.sampled_from(_WORDS.get(key, [default])))
+
+
+_KEY_SPELLINGS = {key: _spelling(key) for key in _DEFAULT_TEXT}
+_OTHER_KEYS = st.lists(st.sampled_from(sorted(_DEFAULT_TEXT)), max_size=2)
+
+
+@st.composite
+def _assignments(draw, key: str) -> str:
+    """``key`` plus up to two other keys, so rules that join keys (a
+    cascade comb with its tone count) are reached too."""
+    keys = dict.fromkeys([key, *draw(_OTHER_KEYS)])
+    return "".join(f"{k} = {draw(_KEY_SPELLINGS[k])}\n" for k in keys)
+
+
+# drawn tilts overflow to infinite tone amplitudes, as in the rule cases
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("key", sorted(_DEFAULT_TEXT))
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_every_key_loads_or_fails_a_named_rule(key, data):
+    text = data.draw(_assignments(key))
+    try:
+        cfg = load_config(text)
+    except ConfigError as exc:
+        assert str(exc).split(":")[0] in _RULES, text
+        return
+    dumped = dump_config(cfg)
+    assert dump_config(load_config(dumped)) == dumped
 
 
 # ----------------------------------------------------------------- seed rule

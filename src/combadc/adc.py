@@ -16,7 +16,7 @@ from scipy import signal as sps
 from .errors import SignalError
 from .frontend import dequantize_midrise, quantize_midrise
 from .seeding import derive_rng
-from .waveform import SampledWaveform, apply_fir, fir_lowpass
+from .waveform import SampledWaveform, apply_fir, fir_lowpass, lowpass_band
 
 __all__ = ["AdcConfig", "SubbandCapture", "adc_capture"]
 
@@ -29,8 +29,8 @@ MIN_OVERSAMPLING = 4.0
 class AdcConfig:
     bits: int = 14
     rate: float = 2.4e9
-    # "auto" scales full range to the capture peak (handy for law tests);
-    # the paper-like scenario pins a calibrated absolute value instead
+    # "auto" scales full range to each capture's peak, as the default
+    # scenario does; a number pins an absolute full scale instead
     full_scale: float | str = "auto"
     jitter_rms: float = 0.0
     aa_cutoff: float | None = 1.2e9
@@ -41,8 +41,14 @@ class AdcConfig:
             raise SignalError("ADC resolution must be between 1 and 24 bits")
         if self.rate <= 0:
             raise SignalError("sample rate must be positive")
-        if self.aa_cutoff is not None and self.aa_cutoff > self.rate / 2.0:
-            raise SignalError("anti-alias cutoff cannot exceed Nyquist")
+        if self.aa_cutoff is not None:
+            if self.aa_cutoff > self.rate / 2.0:
+                raise SignalError("anti-alias cutoff cannot exceed Nyquist")
+            # the filter runs at the input rate, at least MIN_OVERSAMPLING x rate
+            lowpass_band(self.aa_cutoff, MIN_OVERSAMPLING * self.rate)
+        if self.ac_couple_hz is not None and self.ac_couple_hz <= 0.0:
+            # a negative corner puts the DC blocker's pole outside the unit circle
+            raise SignalError("AC-coupling corner must be positive")
         if self.jitter_rms < 0:
             raise SignalError("jitter must be non-negative")
         if isinstance(self.full_scale, str):

@@ -71,7 +71,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _Parser(prog="combadc", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def add_common(p: argparse.ArgumentParser, jobs: bool, channel: str | None):
+    def add_common(p: argparse.ArgumentParser, jobs: bool):
         p.add_argument(
             "--config",
             metavar="PATH",
@@ -94,27 +94,30 @@ def main(argv: list[str] | None = None) -> int:
                 default=1,
                 help="worker processes (default 1; results identical)",
             )
-        if channel is not None:
-            p.add_argument("--channel", metavar="N", type=int, help=channel)
 
     p_val = sub.add_parser("validate", help="parse and check a scenario file")
     p_val.add_argument("--config", metavar="PATH", help="scenario file to check")
 
     p_sweep = sub.add_parser("sweep-sine", help="single-tone sweep over the band")
-    add_common(p_sweep, jobs=True, channel=None)
+    add_common(p_sweep, jobs=True)
 
     p_scm = sub.add_parser("run-scm", help="demodulate the channelized PAM4 burst")
-    add_common(
-        p_scm,
-        jobs=True,
-        channel="demodulate only this channel (all active channels still transmit)",
+    add_common(p_scm, jobs=True)
+    p_scm.add_argument(
+        "--channel",
+        metavar="N",
+        type=int,
+        help="demodulate only this channel (all active channels still transmit)",
     )
 
     p_spec = sub.add_parser("spectrum", help="dump one sub-band capture spectrum")
-    add_common(
-        p_spec,
-        jobs=False,
-        channel="sub-band to capture (default: demod.channel_index)",
+    add_common(p_spec, jobs=False)
+    p_spec.add_argument(
+        "--channel",
+        metavar="N",
+        type=int,
+        default=1,
+        help="sub-band to capture (default: 1)",
     )
 
     args = parser.parse_args(argv)
@@ -136,10 +139,7 @@ def main(argv: list[str] | None = None) -> int:
             picked = [args.channel] if args.channel is not None else None
             manifest = run_scm(cfg, args.out, jobs=args.jobs, channels=picked)
         else:
-            channel = args.channel
-            if channel is None:
-                channel = cfg.demod.channel_index
-            manifest = run_spectrum(cfg, args.out, channel)
+            manifest = run_spectrum(cfg, args.out, args.channel)
         return _finish(manifest, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -50,6 +50,7 @@ __all__ = [
     "comb_from_cascade",
     "flat_comb",
     "comb_scaling_fault",
+    "downshift_hz",
     "mzm_field",
     "subband_beat",
 ]
@@ -155,6 +156,13 @@ class LinkConfig:
             raise ConfigError("responsivity must be positive")
         if self.thermal_noise_density < 0:
             raise ConfigError("thermal noise density must be non-negative")
+        # past 300 dB a level's power ratio, and the products of them the
+        # beat forms, overflow or vanish: a typo, not a level. inf is how
+        # the two noise ratios drop their term.
+        levels = [self.sig_power_per_ch_dbm, self.lo_power_per_tone_dbm, self.tia_sat_dbm]
+        levels += [self.sine_backoff_db, self.osnr_db, self.cmrr_db]
+        if not all(-300.0 <= db <= 300.0 or db == np.inf for db in levels):
+            raise ConfigError("dB and dBm levels must lie within -300..300")
 
 
 def cascade_harmonics(
@@ -257,6 +265,17 @@ def comb_scaling_fault(bandwidth: float, combs: ScenarioCombs, n_subbands: int) 
     if n_subbands > combs.n_pairs:
         faults.append(f"{n_subbands} channels exceed {combs.n_pairs} usable tone pairs")
     return "; ".join(faults)
+
+
+def downshift_hz(n: int, delta_f: float, rate: float) -> float:
+    """Sub-band n's ``n * delta_f`` downshift; raises SignalError when a
+    modulation grid at ``rate`` cannot represent it."""
+    if rate <= 2.0 * n * delta_f:
+        raise SignalError(
+            f"modulation grid at {rate:g} Sa/s cannot represent the "
+            f"{n * delta_f:g} Hz downshift for sub-band {n}"
+        )
+    return n * delta_f
 
 
 def mzm_field(v: SampledWaveform, drive_scale: float) -> SampledWaveform:
@@ -370,11 +389,7 @@ def subband_beat(
             f"sub-band index {n} outside the available 1..{combs.n_pairs}"
         )
     rate = mu.rate
-    if rate <= 2.0 * n * combs.delta_f:
-        raise SignalError(
-            f"modulation grid at {rate:g} Sa/s cannot represent the "
-            f"{n * combs.delta_f:g} Hz downshift for sub-band {n}"
-        )
+    shift_hz = downshift_hz(n, combs.delta_f, rate)
     n_in = mu.n
     if out_rate is None:
         n_out = n_in
@@ -401,7 +416,7 @@ def subband_beat(
     )
 
     spectrum = np.fft.rfft(mu.samples)
-    shift = n * combs.delta_f * n_in / rate  # downshift in bins
+    shift = shift_hz * n_in / rate  # downshift in bins
     k0 = int(round(shift))
     z = np.fft.ifft(_analytic_band(spectrum, n_in, k0, n_out)) * scale
 

@@ -24,16 +24,33 @@ from .waveform import (
     SampledWaveform,
     apply_fir,
     fir_lowpass,
+    resample_plan,
     resample_waveform,
     rms,
     rrc_taps,
+    samples_per_symbol,
     time_vector,
 )
 
-__all__ = ["DemodConfig", "DemodReport", "demod_pam4", "ffe_lms", "wiener_ffe"]
+__all__ = [
+    "DemodConfig",
+    "DemodReport",
+    "capture_filters",
+    "demod_pam4",
+    "ffe_lms",
+    "symbol_budget",
+    "wiener_ffe",
+]
 
 # symbols dropped at each burst edge before any statistics
 _EDGE_DISCARD = 48
+
+# training symbols the equalizer needs per tap
+_TRAINING_PER_TAP = 10
+
+# LMS sweeps past this only hold the run: by 48 the taps already sit
+# within about 1 % excess MSE of the direct solve
+_MAX_LMS_PASSES = 1000
 
 # tap-energy bound beyond which LMS is declared divergent
 _TAP_NORM_BOUND = 1e6
@@ -65,6 +82,10 @@ class DemodConfig:
             raise SignalError("need at least 2 samples per symbol")
         if not 0.0 < self.training_fraction < 1.0:
             raise SignalError("training fraction must be in (0, 1)")
+        if self.ffe_step <= 0.0:
+            raise SignalError("LMS step must be positive")
+        if not 1 <= self.ffe_passes <= _MAX_LMS_PASSES:
+            raise SignalError(f"LMS passes must be in 1..{_MAX_LMS_PASSES}")
         if self.equalizer not in ("lms", "wiener", "none"):
             raise SignalError("equalizer must be lms, wiener or none")
 
@@ -124,13 +145,15 @@ def ffe_lms(
     if taps % 2 != 1:
         raise SignalError("equalizer length must be odd")
     training = np.asarray(training, dtype=np.float64)
-    if training.size < 10 * taps:
+    if training.size < _TRAINING_PER_TAP * taps:
         raise SignalError(
             f"training too short: {training.size} symbols for {taps} taps"
         )
     n_sym = y.size // sps
     if training.size > n_sym:
         raise SignalError("more training symbols than received symbols")
+    if passes < 1:
+        raise SignalError(f"need at least one LMS pass, got {passes}")
     windows = _symbol_windows(y, n_sym, taps, sps)
 
     # orthonormal transform: inner products (and the divergence norm
@@ -142,10 +165,9 @@ def ffe_lms(
     spike[(taps - 1) // 2] = 1.0
     w = sfft.dct(spike, type=2, norm="ortho")
     n_train = training.size
-    n_passes = max(1, passes)
     # burn-in, then Polyak-average the taps: washes out the stochastic
     # gradient wiggle so the frozen filter sits at the converged mean
-    burn = n_train // 2 if n_passes == 1 else n_train
+    burn = n_train // 2 if passes == 1 else n_train
     w_sum = np.zeros(taps)
     # overflow inside a diverging run is expected right up until the norm
     # check turns it into a loud error, so keep numpy quiet about it
@@ -165,7 +187,7 @@ def ffe_lms(
             # update i of a block shows in the taps after its last n - i updates
             n = u_b.shape[0]
             blocks.append((s, sol[:, :-1], sol[:, -1], g_b.T, n - np.arange(n)))
-        for p in range(n_passes):
+        for p in range(passes):
             # symbol m of pass p is update p*M + m + 1; those past burn are averaged
             first_avg = burn - p * n_train
             for s, u_t, t_t, g_t, after in blocks:
@@ -181,7 +203,7 @@ def ffe_lms(
                 raise EqualizerError(
                     f"LMS diverged (tap energy {norm:.3g}); reduce the step size"
                 )
-    w_time = sfft.idct(w_sum / (n_passes * n_train - burn), type=2, norm="ortho")
+    w_time = sfft.idct(w_sum / (passes * n_train - burn), type=2, norm="ortho")
     return w_time, windows @ w_time
 
 
@@ -213,6 +235,32 @@ def _ls_gain(y: np.ndarray, a: np.ndarray) -> float:
     return float(y @ a) / denom if denom > 0 else 1.0
 
 
+def capture_filters(rate: float, cfg: DemodConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Channel low-pass and matched-filter taps for a capture at ``rate``;
+    raises SignalError when no capture at that rate can be demodulated."""
+    sps_in = samples_per_symbol(rate, cfg.baud)
+    resample_plan(rate, cfg.sps * cfg.baud)
+    # keep the folded channel, reject everything past the half-band
+    edge = cfg.baseband_offset + cfg.baud * (1.0 + cfg.rolloff) / 2.0
+    channel = fir_lowpass(edge + 20e6, rate, transition_hz=40e6)
+    return channel, rrc_taps(cfg.rolloff, sps_in, 16)
+
+
+def symbol_budget(n_sym: int, cfg: DemodConfig) -> tuple[int, slice]:
+    """Training length and scored span of an ``n_sym``-symbol burst;
+    raises SignalError when either is too short."""
+    n_train = int(round(cfg.training_fraction * n_sym))
+    if n_train < _TRAINING_PER_TAP * cfg.ffe_taps:
+        raise SignalError(
+            f"{n_sym} symbols leave too little training for {cfg.ffe_taps} taps"
+        )
+    lo = max(n_train, _EDGE_DISCARD)
+    hi = n_sym - _EDGE_DISCARD
+    if hi - lo < 100:
+        raise SignalError("too few evaluation symbols after training and edges")
+    return n_train, slice(lo, hi)
+
+
 def demod_pam4(
     cap: SubbandCapture, cfg: DemodConfig, tx_symbols: np.ndarray
 ) -> DemodReport:
@@ -224,21 +272,15 @@ def demod_pam4(
     """
     tx = np.asarray(tx_symbols, dtype=np.float64)
     wave = cap.to_waveform()
-    sps_in = wave.rate / cfg.baud
-    if abs(sps_in - round(sps_in)) > 1e-9:
-        raise SignalError("capture rate must be an integer multiple of the baud")
-    sps_in = int(round(sps_in))
-
-    # keep the folded channel, reject everything past the half-band
-    edge = cfg.baseband_offset + cfg.baud * (1.0 + cfg.rolloff) / 2.0
-    x = apply_fir(wave.samples, fir_lowpass(edge + 20e6, wave.rate, transition_hz=40e6))
+    channel, matched = capture_filters(wave.rate, cfg)
+    x = apply_fir(wave.samples, channel)
 
     xa = sps_mod.hilbert(x)
     bb = xa * np.exp(-2j * np.pi * cfg.baseband_offset * time_vector(x.size, wave.rate))
 
     # fold-coherent sidebands put the data in the real part, so only it is
     # matched-filtered and resampled
-    re = apply_fir(bb.real, rrc_taps(cfg.rolloff, sps_in, 16))
+    re = apply_fir(bb.real, matched)
     z = resample_waveform(SampledWaveform(re, wave.rate), cfg.sps * cfg.baud).samples
 
     n_avail = z.size // cfg.sps
@@ -252,9 +294,7 @@ def demod_pam4(
     z = z / scale
 
     n_sym = tx.size
-    n_train = int(round(cfg.training_fraction * n_sym))
-    n_train = min(max(n_train, 10 * cfg.ffe_taps), n_sym - _EDGE_DISCARD)
-
+    n_train, sel = symbol_budget(n_sym, cfg)
     raw = _symbol_windows(z, n_sym, 1, cfg.sps)[:, 0]
 
     if cfg.equalizer == "lms":
@@ -268,12 +308,6 @@ def demod_pam4(
     eq = eq[:n_sym]
 
     # score on symbols the filter never trained on, clear of burst edges
-    lo = max(n_train, _EDGE_DISCARD)
-    hi = n_sym - _EDGE_DISCARD
-    if hi - lo < 100:
-        raise SignalError("too few evaluation symbols after training and edges")
-    sel = slice(lo, hi)
-
     eq_gain = _ls_gain(eq[sel], tx[sel])
     y_eval = eq[sel] * eq_gain
     err = y_eval - tx[sel]

@@ -33,7 +33,9 @@ from .waveform import (
     SampledWaveform,
     apply_fir,
     fir_lowpass,
+    lowpass_band,
     rrc_taps,
+    samples_per_symbol,
     spectral_tilt_taps,
     time_vector,
 )
@@ -41,6 +43,7 @@ from .waveform import (
 __all__ = [
     "ScmConfig",
     "DacConfig",
+    "burst_sps",
     "carrier_grid_fault",
     "gen_pam4_symbols",
     "scm_waveform",
@@ -98,6 +101,12 @@ class ScmConfig:
         return self.active_channels
 
 
+# the reconstruction low-pass's transition width as a fraction of its
+# cutoff: tight, so the spec'd bandwidth is the -6 dB point and the
+# passband stays flat to 0.96x cutoff, and in-band tones see no droop
+_LPF_TRANSITION = 0.08
+
+
 @dataclass
 class DacConfig:
     bits: int = 6
@@ -113,10 +122,14 @@ class DacConfig:
     def __post_init__(self):
         if self.bits < 1:
             raise SignalError("DAC needs at least 1 bit")
-        if self.lpf_cutoff is not None and self.lpf_cutoff >= self.rate / 2:
-            raise SignalError("DAC reconstruction filter must sit below Nyquist")
-        if self.full_scale <= 0:
-            raise SignalError("full scale must be positive")
+        if self.lpf_cutoff is not None:
+            lowpass_band(self.lpf_cutoff, self.rate, _LPF_TRANSITION * self.lpf_cutoff)
+        # the residual noise power is full_scale**2 times a ratio of up to
+        # 300 dB; past these bounds it overflows, so the value is a typo
+        if not 0.0 < self.full_scale <= 1e100:
+            raise SignalError("full scale must lie in (0, 1e100]")
+        if self.residual_noise_db is not None and abs(self.residual_noise_db) > 300.0:
+            raise SignalError("residual noise must lie within -300..300 dB")
 
 
 def gen_pam4_symbols(count: int, seed, levels: int = 4) -> np.ndarray:
@@ -134,6 +147,17 @@ def gen_pam4_symbols(count: int, seed, levels: int = 4) -> np.ndarray:
     lattice = np.arange(-(levels - 1), levels, 2, dtype=np.float64)
     sym = rng.choice(lattice, size=count)
     return sym * np.sqrt(3.0 / (levels**2 - 1))
+
+
+def burst_sps(cfg: ScmConfig, rate: float) -> int:
+    """Samples per symbol of the burst at ``rate``; raises SignalError when
+    the rate cannot carry the channel plan or a whole count per symbol."""
+    if rate < 2.2 * cfg.n_channels * cfg.channel_spacing:
+        raise SignalError(
+            f"simulation rate {rate:g} too low for "
+            f"{cfg.n_channels} channels on a {cfg.channel_spacing:g} Hz grid"
+        )
+    return samples_per_symbol(rate, cfg.baud)
 
 
 def carrier_grid_fault(cfg: ScmConfig, rate: float) -> str:
@@ -171,15 +195,7 @@ def scm_waveform(
     linear convolution (zeros outside the record), so edge symbols come out
     as from the time-domain construction; only the Hilbert step is circular.
     """
-    if rate < 2.2 * cfg.n_channels * cfg.channel_spacing:
-        raise SignalError(
-            f"simulation rate {rate:g} too low for "
-            f"{cfg.n_channels} channels on a {cfg.channel_spacing:g} Hz grid"
-        )
-    sps = rate / cfg.baud
-    if abs(sps - round(sps)) > 1e-9:
-        raise SignalError("simulation rate must be an integer multiple of the baud")
-    sps = int(round(sps))
+    sps = burst_sps(cfg, rate)
     fault = carrier_grid_fault(cfg, rate)
     if fault:
         raise SignalError(fault)
@@ -293,11 +309,7 @@ def dac_model(
         y = y + rng.normal(0.0, sigma, y.size)
     taps = np.ones(1)  # identity
     if cfg.lpf_cutoff is not None:
-        # tight transition: the spec'd bandwidth is the -6 dB point and the
-        # passband stays flat to 0.96x cutoff, so in-band tones see no droop
-        taps = fir_lowpass(
-            cfg.lpf_cutoff, cfg.rate, transition_hz=0.08 * cfg.lpf_cutoff
-        )
+        taps = fir_lowpass(cfg.lpf_cutoff, cfg.rate, _LPF_TRANSITION * cfg.lpf_cutoff)
     if electrical_rolloff_db != 0.0:
         # both filters are linear and adjacent: one pass at the DAC rate
         taps = np.convolve(taps, spectral_tilt_taps(cfg.rate, electrical_rolloff_db))

@@ -22,12 +22,14 @@ from .comb import (
     ScenarioCombs,
     comb_from_cascade,
     comb_scaling_fault,
+    downshift_hz,
     flat_comb,
 )
-from .demod import DemodConfig
-from .errors import CombAdcError, ConfigError
-from .frontend import DacConfig, ScmConfig, carrier_grid_fault
-from .metrics import analysis_grid_fault
+from .demod import DemodConfig, capture_filters, symbol_budget
+from .errors import CombAdcError, ConfigError, SignalError
+from .frontend import DacConfig, ScmConfig, burst_sps, carrier_grid_fault
+from .metrics import ANALYSIS_RATE, analysis_grid_fault
+from .waveform import lowpass_band, resample_plan
 
 __all__ = [
     "CombsSection",
@@ -169,10 +171,12 @@ def _number(tok: str) -> float:
     if suffix and suffix not in _UNIT_SCALE:
         raise ValueError(f"unknown unit suffix {suffix!r}")
     try:
-        value = float(num)
+        value = float(num) * _UNIT_SCALE.get(suffix, 1.0)
     except ValueError:
         raise ValueError(f"not a number: {tok!r}") from None
-    return value * _UNIT_SCALE.get(suffix, 1.0)
+    if not np.isfinite(value):
+        raise ValueError(f"not a finite number: {tok!r}")
+    return value
 
 
 def _p_int(tok: str):
@@ -348,6 +352,14 @@ def _rule(name: str, ok: bool, detail: str):
         raise ConfigError(f"{name}: {detail}")
 
 
+def _stage_rule(name: str, check, *args):
+    """Run a stage's own precondition; the SignalError it raises fails rule ``name``."""
+    try:
+        check(*args)
+    except SignalError as exc:
+        raise ConfigError(f"{name}: {exc}") from None
+
+
 def build_combs(cfg: ScenarioConfig) -> ScenarioCombs:
     """Materialize the comb pair the config describes."""
     c = cfg.combs
@@ -390,6 +402,10 @@ _MAX_SWEEP_POINTS = 10_000
 # more comb lines than the cascade's harmonic grid holds span about
 # 100 THz at 26 GHz spacing, far past any optical band: a typo, not a comb
 _MAX_COMB_TONES = 4096
+# a run peaks near 65 (sweep point) to 100 (burst) bytes per sample of
+# its record at the DAC rate; 2**24 samples (0.52 ms at 32 GSa/s, 7.5x
+# the default sweep point) already take a burst near 1.7 GB
+_MAX_RECORD_SAMPLES = 2**24
 
 
 def validate_scenario(cfg: ScenarioConfig) -> ScenarioCombs:
@@ -428,22 +444,14 @@ def validate_scenario(cfg: ScenarioConfig) -> ScenarioCombs:
     scaling_fault = comb_scaling_fault(cfg.bandwidth, combs, cfg.scm.n_channels)
     _rule("comb-scaling", not scaling_fault, scaling_fault)
 
-    sps = cfg.dac.rate / cfg.scm.baud
-    _rule(
-        "rate-consistency",
-        np.isfinite(sps) and abs(sps - round(sps)) < 1e-9,
-        f"dac.rate must be an integer multiple of scm.baud (ratio {sps:.6g})",
-    )
-    _rule(
-        "rate-consistency",
-        cfg.dac.rate >= 2.2 * cfg.bandwidth,
-        f"dac.rate {cfg.dac.rate:.3g} Hz cannot carry {cfg.bandwidth:.3g} Hz of channels",
-    )
+    _stage_rule("rate-consistency", burst_sps, cfg.scm, cfg.dac.rate)
     carrier_fault = carrier_grid_fault(cfg.scm, cfg.dac.rate)
     _rule("carrier-grid", not carrier_fault, f"scm.duration: {carrier_fault}")
+    # the beat hands the converter its input at least this fast
+    beat_rate = MIN_OVERSAMPLING * cfg.adc.rate
     _rule(
         "rate-consistency",
-        cfg.dac.rate >= MIN_OVERSAMPLING * cfg.adc.rate,
+        cfg.dac.rate >= beat_rate,
         "dac.rate must be at least 4x adc.rate for clean band-limited sampling",
     )
     _rule(
@@ -451,6 +459,11 @@ def validate_scenario(cfg: ScenarioConfig) -> ScenarioCombs:
         cfg.link.pd_bandwidth <= cfg.adc.rate / 2,
         "link.pd_bandwidth beyond the converter Nyquist band would alias",
     )
+    _stage_rule("rate-consistency", lowpass_band, cfg.link.pd_bandwidth, beat_rate)
+    # the demod geometry is the same for every channel
+    demod = build_demod(cfg, 1)
+    _stage_rule("rate-consistency", capture_filters, cfg.adc.rate, demod)
+    _stage_rule("rate-consistency", resample_plan, cfg.adc.rate, ANALYSIS_RATE)
     _rule(
         "sweep-grid",
         0 < cfg.sweep.start <= cfg.sweep.stop and cfg.sweep.step > 0,
@@ -475,9 +488,16 @@ def validate_scenario(cfg: ScenarioConfig) -> ScenarioCombs:
     )
     _rule(
         "capture-length",
-        cfg.sweep.duration * 1e9 >= cfg.metrics.n_fft * cfg.metrics.n_avg,
+        cfg.sweep.duration * ANALYSIS_RATE >= cfg.metrics.n_fft * cfg.metrics.n_avg,
         f"sweep.duration {cfg.sweep.duration:.3g} s too short for "
         f"{cfg.metrics.n_fft} x {cfg.metrics.n_avg} spectral averaging",
+    )
+    longest = max(cfg.sweep.duration, cfg.scm.duration)
+    _rule(
+        "capture-length",
+        longest * cfg.dac.rate <= _MAX_RECORD_SAMPLES,
+        f"a {longest:.3g} s record at {cfg.dac.rate:.3g} Sa/s holds more than "
+        f"{_MAX_RECORD_SAMPLES} samples",
     )
     grid_fault = analysis_grid_fault(cfg.metrics.n_fft)
     _rule(
@@ -485,16 +505,14 @@ def validate_scenario(cfg: ScenarioConfig) -> ScenarioCombs:
         not grid_fault,
         f"metrics.n_fft = {cfg.metrics.n_fft}: {grid_fault}",
     )
-    n_sym = cfg.scm.symbols_per_burst
-    _rule(
-        "training-length",
-        int(round(cfg.demod.training_fraction * n_sym)) >= 10 * cfg.demod.ffe_taps,
-        f"{n_sym} symbols leave too little training for {cfg.demod.ffe_taps} taps",
-    )
+    _stage_rule("training-length", symbol_budget, cfg.scm.symbols_per_burst, demod)
     active = cfg.scm.active_set()
     _rule(
         "channel-set",
         all(1 <= ch <= cfg.scm.n_channels for ch in active),
         f"active channels {sorted(active)} outside 1..{cfg.scm.n_channels}",
     )
+    # the highest sub-band a sweep point or an active channel reaches
+    top = max(round(cfg.sweep.stop / combs.delta_f), *active)
+    _stage_rule("rate-consistency", downshift_hz, top, combs.delta_f, cfg.dac.rate)
     return combs

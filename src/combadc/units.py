@@ -2,36 +2,12 @@
 
 from __future__ import annotations
 
-import math
-
-__all__ = [
-    "dbm_to_watts",
-    "watts_to_dbm",
-    "db_to_power_ratio",
-    "db_to_amplitude_ratio",
-    "power_ratio_to_db",
-]
+__all__ = ["dbm_to_watts", "db_to_amplitude_ratio"]
 
 
 def dbm_to_watts(p_dbm: float) -> float:
     return 1e-3 * 10.0 ** (p_dbm / 10.0)
 
 
-def watts_to_dbm(p_w: float) -> float:
-    if p_w <= 0.0:
-        raise ValueError("power must be positive to express in dBm")
-    return 10.0 * math.log10(p_w / 1e-3)
-
-
-def db_to_power_ratio(db: float) -> float:
-    return 10.0 ** (db / 10.0)
-
-
 def db_to_amplitude_ratio(db: float) -> float:
     return 10.0 ** (db / 20.0)
-
-
-def power_ratio_to_db(ratio: float) -> float:
-    if ratio <= 0.0:
-        raise ValueError("ratio must be positive")
-    return 10.0 * math.log10(ratio)

@@ -42,9 +42,12 @@ __all__ = [
     "periodogram",
     "spectrum_to_csv",
     "rrc_taps",
+    "samples_per_symbol",
+    "lowpass_band",
     "fir_lowpass",
     "apply_fir",
     "spectral_tilt_taps",
+    "resample_plan",
     "resample_waveform",
     "white_noise",
     "wiener_phase",
@@ -219,20 +222,28 @@ def rrc_taps(rolloff: float, sps_per_sym: int, span: int) -> np.ndarray:
     return h / np.sqrt(np.sum(np.square(h)))
 
 
-def fir_lowpass(
-    cutoff: float,
-    rate: float,
-    transition_hz: float | None = None,
-    atten_db: float = 60.0,
-) -> np.ndarray:
-    """Linear-phase Kaiser low-pass, odd length.
+def samples_per_symbol(rate: float, baud: float) -> int:
+    """``rate / baud``; raises SignalError unless it is a whole number >= 1."""
+    ratio = rate / baud
+    if not 1.0 <= ratio < np.inf or abs(ratio - round(ratio)) > 1e-9:
+        raise SignalError(
+            f"rate {rate:g} Sa/s is not an integer multiple of the {baud:g} Bd baud"
+        )
+    return int(round(ratio))
 
-    The default transition band is 0.6 * cutoff wide and sits above the
-    cutoff, keeping content below 0.8 * cutoff flat within 0.5 dB and
-    rejecting everything above 1.4 * cutoff by at least 40 dB. Pass
-    ``transition_hz`` to pin the -6 dB point at ``cutoff`` with a chosen
-    width instead (used where band selection has to be surgical).
-    """
+
+# a transition band narrower than this fraction of Nyquist needs more
+# than 30,000 Kaiser taps: a cutoff typo, not a filter (the designs in
+# use need 50 to about 9,000)
+_MIN_TRANSITION = 1.0 / 4096
+
+
+def lowpass_band(
+    cutoff: float, rate: float, transition_hz: float | None = None
+) -> tuple[float, float]:
+    """Centre and width of the transition band ``fir_lowpass`` designs;
+    raises SignalError when that band does not fit between 0 and Nyquist
+    or is too narrow to design."""
     nyq = rate / 2.0
     if not 0.0 < cutoff < nyq:
         raise SignalError(f"cutoff {cutoff:g} Hz out of range for rate {rate:g} Sa/s")
@@ -247,7 +258,27 @@ def fir_lowpass(
             f"low-pass design does not fit below Nyquist: cutoff {cutoff:g} Hz "
             f"at rate {rate:g} Sa/s"
         )
-    numtaps, beta = sps.kaiserord(atten_db, width / nyq)
+    if not width >= _MIN_TRANSITION * nyq:
+        raise SignalError(f"a {width:g} Hz transition is too narrow at rate {rate:g} Sa/s")
+    return center, width
+
+
+def fir_lowpass(
+    cutoff: float,
+    rate: float,
+    transition_hz: float | None = None,
+    atten_db: float = 60.0,
+) -> np.ndarray:
+    """Linear-phase Kaiser low-pass, odd length.
+
+    The default transition band is 0.6 * cutoff wide and sits above the
+    cutoff, keeping content below 0.8 * cutoff flat within 0.5 dB and
+    rejecting everything above 1.4 * cutoff by at least 40 dB. Pass
+    ``transition_hz`` to pin the -6 dB point at ``cutoff`` with a chosen
+    width instead (used where band selection has to be surgical).
+    """
+    center, width = lowpass_band(cutoff, rate, transition_hz)
+    numtaps, beta = sps.kaiserord(atten_db, width / (rate / 2.0))
     numtaps += 1 - numtaps % 2
     return sps.firwin(numtaps, center, window=("kaiser", beta), fs=rate)
 
@@ -280,6 +311,20 @@ def spectral_tilt_taps(
     return sps.firwin2(numtaps, grid / nyq, gain)
 
 
+def resample_plan(rate: float, new_rate: float) -> tuple[int, int]:
+    """``(up, down)``, both at most 64, whose ratio is ``new_rate / rate``;
+    raises SignalError when the ratio does not reduce to such a fraction."""
+    ratio = new_rate / rate
+    frac = Fraction(ratio).limit_denominator(64) if 0.0 < ratio < np.inf else Fraction(0)
+    if frac.numerator > 64 or frac.numerator < 1:
+        raise SignalError(f"unsupported resampling ratio {ratio!r}")
+    if abs(float(frac) - ratio) > 1e-9 * ratio:
+        raise SignalError(
+            f"resampling ratio {ratio!r} does not reduce to a small fraction"
+        )
+    return frac.numerator, frac.denominator
+
+
 def resample_waveform(wave: SampledWaveform, new_rate: float) -> SampledWaveform:
     """Polyphase rate conversion for small rational ratios ``up/down``.
 
@@ -292,17 +337,9 @@ def resample_waveform(wave: SampledWaveform, new_rate: float) -> SampledWaveform
     removed), so downstream symbol indexing needs no offset hunting. The
     mean is carried around the filter so DC survives exactly.
     """
-    ratio = new_rate / wave.rate
-    frac = Fraction(ratio).limit_denominator(64)
-    if frac.numerator > 64 or frac.numerator < 1:
-        raise SignalError(f"unsupported resampling ratio {ratio!r}")
-    if abs(float(frac) - ratio) > 1e-9 * ratio:
-        raise SignalError(
-            f"resampling ratio {ratio!r} does not reduce to a small fraction"
-        )
-    if frac == 1:
+    up, down = resample_plan(wave.rate, new_rate)
+    if up == down:
         return wave.copy()
-    up, down = frac.numerator, frac.denominator
     x = wave.samples
     mean = x.mean()
     f_half = 0.5 * min(wave.rate, new_rate)

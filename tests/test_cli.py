@@ -94,3 +94,10 @@ def test_validate_rejects_runaway_sweep_grid(tmp_path, capsys):
     path.write_text("sweep.step = 1e-30ghz\n")
     assert main(["validate", "--config", str(path)]) == 1
     assert capsys.readouterr().err.startswith("config error: sweep-grid")
+
+
+def test_spectrum_channel_defaults_to_one(capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(["spectrum", "--help"])
+    assert stop.value.code == 0
+    assert "sub-band to capture (default: 1)" in " ".join(capsys.readouterr().out.split())

@@ -148,6 +148,9 @@ def test_lms_guards():
         ffe_lms(np.zeros(10000), np.zeros(50), taps=17)
     with pytest.raises(SignalError, match="more training"):
         ffe_lms(np.zeros(400), gen_pam4_symbols(300, 0), taps=17, sps=2)
+    # no pass count runs as one pass
+    with pytest.raises(SignalError, match="at least one LMS pass"):
+        ffe_lms(np.zeros(400), gen_pam4_symbols(170, 0), taps=17, sps=2, passes=0)
 
 
 # training spans on and off the 64-symbol block grid

@@ -1,4 +1,7 @@
 import dataclasses
+import os
+import re
+import tempfile
 
 import numpy as np
 import pytest
@@ -6,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from combadc.errors import ConfigError
+from combadc.runner import run_scm, run_sweep
 from combadc.scenario import (
     ImpairmentFlags,
     build_combs,
@@ -140,10 +144,44 @@ def test_syntax_errors_carry_line_numbers(text, fragment, lineno):
             # the tilt overflows to infinite tone amplitudes; numpy warns
             marks=pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning"),
         ),
+        # each of these loaded before, then failed or hung its run
+        ("adc.rate = 2.5ghz", "rate-consistency"),
+        ("adc.rate = 2.41ghz", "rate-consistency"),
+        ("demod.sps = 100", "rate-consistency"),
+        ("dac.lpf_cutoff = 15.5ghz", "dac-invariants"),
+        ("dac.lpf_cutoff = -1ghz", "dac-invariants"),
+        ("adc.aa_cutoff = -1ghz", "adc-invariants"),
+        ("adc.rate = 0.8ghz\nlink.pd_bandwidth = 0.4ghz\nadc.aa_cutoff = 0.4ghz", "rate-consistency"),
+        ("combs.delta_f = 2ghz", "rate-consistency"),
+        ("scm.n_channels = 1\ncombs.delta_f = 8ghz\nsweep.stop = 14ghz", "rate-consistency"),
+        ("demod.training_fraction = 0.95", "training-length"),
+        ("adc.ac_couple = -1mhz", "adc-invariants"),
+        ("demod.ffe_step = -1", "demod-invariants"),
+        ("link.tia_sat_dbm = 1e300", "link-invariants"),
+        ("link.sig_power_per_ch_dbm = 1e300", "link-invariants"),
+        ("link.lo_power_per_tone_dbm = 1e300", "link-invariants"),
+        ("link.osnr_db = -1e300", "link-invariants"),
+        ("link.cmrr_db = -1e300", "link-invariants"),
+        ("link.sine_backoff_db = -1e300", "link-invariants"),
+        ("demod.ffe_passes = -5", "demod-invariants"),
+        ("demod.ffe_passes = 0", "demod-invariants"),
+        ("demod.ffe_passes = 1e300", "demod-invariants"),
+        ("dac.residual_noise_db = 1e300", "dac-invariants"),
+        ("dac.full_scale = 1e300", "dac-invariants"),
+        ("adc.aa_cutoff = 1e-80", "adc-invariants"),
+        ("link.pd_bandwidth = 1hz", "rate-consistency"),
+        ("sweep.duration = 1", "capture-length"),
+        ("scm.duration = 1", "capture-length"),
     ],
 )
 def test_semantic_rules_are_named(text, rule):
-    with pytest.raises(ConfigError, match=rule):
+    with pytest.raises(ConfigError, match=f"^{rule}: "):
+        load_config(text)
+
+
+@pytest.mark.parametrize("text", ["sweep.step = 1e400", "adc.full_scale = 1e400"])
+def test_numbers_must_be_finite(text):
+    with pytest.raises(ConfigError, match="line 1: .*not a finite number"):
         load_config(text)
 
 
@@ -419,6 +457,55 @@ def test_every_key_loads_or_fails_a_named_rule(key, data):
         return
     dumped = dump_config(cfg)
     assert dump_config(load_config(dumped)) == dumped
+
+
+# one 20 us sweep point and a 0.5 us burst: short records, so that each
+# drawn config runs the whole chain in well under a second
+_SHORT_RUNS = (
+    "sweep.start = 5.5ghz\nsweep.stop = 5.5ghz\nsweep.duration = 20us\n"
+    "metrics.n_fft = 4096\nscm.duration = 0.5us\n"
+)
+# the draw leaves out the keys pinned above, and dac.rate, which scales
+# the sample count of every record
+_RUN_KEYS = sorted(
+    set(_DEFAULT_TEXT)
+    - {"sweep.start", "sweep.stop", "sweep.duration", "metrics.n_fft", "scm.duration"}
+    - {"dac.rate"}
+)
+# how a failed task reads when it raised an error from outside the package
+_FOREIGN_ERROR = re.compile(r"\[\w+\.py:\d+\]$")
+
+
+@st.composite
+def _short_runs(draw) -> str:
+    keys = draw(st.lists(st.sampled_from(_RUN_KEYS), min_size=1, max_size=3, unique=True))
+    return _SHORT_RUNS + "".join(f"{k} = {draw(_KEY_SPELLINGS[k])}\n" for k in keys)
+
+
+# the examples are fixed so that the suite's run time stays put; the
+# same test with more examples searches further
+@settings(max_examples=28, deadline=None, derandomize=True)
+@given(text=_short_runs())
+def test_every_loaded_config_runs_and_reruns_identically(text):
+    try:
+        cfg = load_config(text)
+    except ConfigError as exc:
+        assert str(exc).split(":")[0] in _RULES, text
+        return
+    with tempfile.TemporaryDirectory() as out:
+        for source, run in (("sweep", run_sweep), ("scm", run_scm)):
+            if cfg.run.source not in ("auto", source):
+                continue
+            first = run(cfg, os.path.join(out, source))
+            with open(os.path.join(out, source, "manifest.txt")) as fh:
+                again = run(load_config(fh.read()), os.path.join(out, source + "-again"))
+            assert again.artifacts == first.artifacts, text
+            assert again.config_text == first.config_text
+            outcomes = [(t.status, t.detail) for t in first.tasks]
+            assert [(t.status, t.detail) for t in again.tasks] == outcomes
+            # a task may fail on its physics (no tone above the floor, an
+            # equalizer that does not converge), never on a foreign error
+            assert not any(_FOREIGN_ERROR.search(detail) for _, detail in outcomes), text
 
 
 # ----------------------------------------------------------------- seed rule

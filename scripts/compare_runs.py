@@ -8,11 +8,16 @@ Each directory holds the `manifest.txt` of one `sweep-sine`, `run-scm` or
 whether its sha256 matches; lists every `# task` line that differs once
 `elapsed_s` is set aside, and whether the config payloads match; and
 prints, for every numeric column of every CSV artifact present in both
-runs, the largest absolute difference between the two. Exit status is 0
-when everything matches and 1 when anything differs.
+runs, the largest absolute difference between the two. For a spectrum
+(`freq_hz,power_db`) it also prints the difference of the 0-500 MHz
+in-band power and of the strongest bin, and whether the strongest bin is
+the same bin in both: a single bin deep in a notch can move by tenths of
+a dB while the band and the peak hold. Exit status is 0 when everything
+matches and 1 when anything differs.
 """
 
 import argparse
+import math
 import os
 import re
 import sys
@@ -59,7 +64,31 @@ def column_diffs(path_a: str, path_b: str) -> list[str]:
         except ValueError:
             continue  # not a numeric column
         out.append(f"  {name}: max |diff| {diff:.6g}")
+    if head_a == ["freq_hz", "power_db"] and rows_a and rows_b:
+        out += spectrum_diffs(rows_a, rows_b)
     return out
+
+
+_IN_BAND_HZ = 500e6
+
+
+def spectrum_figures(rows: list[list[str]]) -> tuple[float, float, float]:
+    """(0-500 MHz in-band power in dB, strongest bin in dB, its frequency)."""
+    freqs = [float(f) for f, _ in rows]
+    powers = [float(p) for _, p in rows]
+    in_band = sum(10.0 ** (p / 10.0) for f, p in zip(freqs, powers) if f <= _IN_BAND_HZ)
+    peak = max(range(len(powers)), key=powers.__getitem__)
+    return 10.0 * math.log10(in_band), powers[peak], freqs[peak]
+
+
+def spectrum_diffs(rows_a: list[list[str]], rows_b: list[list[str]]) -> list[str]:
+    band_a, peak_a, f_a = spectrum_figures(rows_a)
+    band_b, peak_b, f_b = spectrum_figures(rows_b)
+    where = f"same bin {f_a:g} Hz" if f_a == f_b else f"bins {f_a:g} vs {f_b:g} Hz"
+    return [
+        f"  in-band power (0-500 MHz): |diff| {abs(band_a - band_b):.6g} dB",
+        f"  strongest bin: |diff| {abs(peak_a - peak_b):.6g} dB, {where}",
+    ]
 
 
 def compare(dir_a: str, dir_b: str) -> tuple[list[str], bool]:

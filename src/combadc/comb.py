@@ -15,6 +15,13 @@ shorter record. Detector noise, the photodiode filter and the
 transimpedance stage then run at that reduced rate. The noise sources are
 specified as densities, so the physics does not depend on the rate.
 
+Precision: ``mzm_field`` keeps its drive's dtype, so a float32 drive
+gives a float32 field factor. The beat takes its two full-length FFTs
+(of mu and mu^2) with ``scipy.fft``, which transforms float32 in single
+precision (``numpy.fft`` would work in double and run slower), and
+writes the selected band into complex128: everything at the output rate
+is float64 whatever the input dtype.
+
 Phase bookkeeping: the seed laser's phase enters both beat terms
 identically and cancels in the difference, so it never appears in the
 differential phase track at all. What remains is the RF-synthesizer walk
@@ -28,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.constants import elementary_charge
-from scipy.fft import next_fast_len
+from scipy.fft import next_fast_len, rfft
 
 from .errors import ConfigError, SignalError
 from .seeding import derive_rng
@@ -284,7 +291,7 @@ def mzm_field(v: SampledWaveform, drive_scale: float) -> SampledWaveform:
     ``v`` must be normalized to unit peak; the realized drive is
     drive_scale * V_pi peak, giving mu = sin(pi/2 * drive_scale * v).
     At the null the carrier is suppressed and the field is an odd,
-    nearly linear function of the drive.
+    nearly linear function of the drive. The output keeps the drive's dtype.
     """
     peak = np.max(np.abs(v.samples))
     if peak > 1.0 + 1e-9:
@@ -415,7 +422,7 @@ def subband_beat(
         * combs.lo.tone_amps[n - 1]
     )
 
-    spectrum = np.fft.rfft(mu.samples)
+    spectrum = rfft(mu.samples)
     shift = shift_hz * n_in / rate  # downshift in bins
     k0 = int(round(shift))
     z = np.fft.ifft(_analytic_band(spectrum, n_in, k0, n_out)) * scale
@@ -431,7 +438,7 @@ def subband_beat(
 
     if np.isfinite(link.cmrr_db):
         kappa = db_to_amplitude_ratio(-link.cmrr_db)
-        leak = np.fft.rfft(np.square(mu.samples))[: n_out // 2 + 1]
+        leak = rfft(np.square(mu.samples))[: n_out // 2 + 1].astype(np.complex128)
         i = i + kappa * r * p_ch * np.fft.irfft(leak, n_out) * scale
 
     if link.thermal_noise_density > 0:

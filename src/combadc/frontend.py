@@ -18,6 +18,11 @@ an ordinary offset-carrier PAM signal instead of an irrecoverable
 self-overlapped one; the hole is what keeps the content clear of the
 receiver's AC-coupling notch. ``scm_waveform`` builds all channels as
 one spectrum, with every subcarrier on an FFT bin of the record.
+
+Both sources come out in float64. ``dac_model`` keeps its input's dtype
+(its quantizer decides in float64 and its noise is drawn in float64, and
+both are cast back), so the caller picks the precision of the DAC-rate
+chain by the dtype it hands in.
 """
 
 from __future__ import annotations
@@ -37,7 +42,6 @@ from .waveform import (
     rrc_taps,
     samples_per_symbol,
     spectral_tilt_taps,
-    time_vector,
 )
 
 __all__ = [
@@ -124,10 +128,15 @@ class DacConfig:
             raise SignalError("DAC needs at least 1 bit")
         if self.lpf_cutoff is not None:
             lowpass_band(self.lpf_cutoff, self.rate, _LPF_TRANSITION * self.lpf_cutoff)
-        # the residual noise power is full_scale**2 times a ratio of up to
-        # 300 dB; past these bounds it overflows, so the value is a typo
-        if not 0.0 < self.full_scale <= 1e100:
-            raise SignalError("full scale must lie in (0, 1e100]")
+        # no run's figures depend on the full scale (the sources, drive and
+        # quantizer all scale with it), but the DAC-rate chain runs in
+        # float32 (largest value 3.4e38, smallest normal 1.2e-38). On 1e3,
+        # 300 dB of residual noise and 300 dB of tilt gain (1e15 each in
+        # amplitude) give 1e33, and the FIR's block FFTs sum a few thousand
+        # of those; on 1e-3, -300 dB of noise through 300 dB of tilt loss
+        # (1e-33) stays a normal float32. Outside these bounds it is a typo.
+        if not 1e-3 <= self.full_scale <= 1e3:
+            raise SignalError("full scale must lie in 1e-3..1e3")
         if self.residual_noise_db is not None and abs(self.residual_noise_db) > 300.0:
             raise SignalError("residual noise must lie within -300..300 dB")
 
@@ -229,13 +238,17 @@ def scm_waveform(
             spectrum[start : start + head] += a[:head]
             spectrum[: n_half - head] += a[head:]
     burst = fft.ifft(spectrum, overwrite_x=True)
-    # the offset mix e^{jw(1024a + b)} as the outer product of e^{jw 1024a}
-    # and e^{jwb}: two short exponentials instead of one per sample
-    w = 2.0 * np.pi * cfg.baseband_offset / rate
+    burst *= _phasor(2.0 * np.pi * cfg.baseband_offset / rate, n)
+    return SampledWaveform(burst.real.copy(), rate)
+
+
+def _phasor(w: float, n: int) -> np.ndarray:
+    """``exp(1j * w * k)`` for ``k < n``: with k = 1024a + b, the outer
+    product of e^{jw 1024a} and e^{jwb}, two short exponentials instead of
+    one per sample."""
     coarse = np.exp(1j * w * 1024 * np.arange(-(-n // 1024)))
     fine = np.exp(1j * w * np.arange(1024))
-    burst *= np.outer(coarse, fine).ravel()[:n]
-    return SampledWaveform(burst.real.copy(), rate)
+    return np.outer(coarse, fine).ravel()[:n]
 
 
 def sine_waveform(
@@ -247,9 +260,7 @@ def sine_waveform(
     n = int(round(duration * rate))
     if n < 1:
         raise SignalError("duration shorter than one sample")
-    return SampledWaveform(
-        amplitude * np.cos(2.0 * np.pi * freq * time_vector(n, rate)), rate
-    )
+    return SampledWaveform(amplitude * _phasor(2.0 * np.pi * freq / rate, n).real, rate)
 
 
 def quantize_midrise(
@@ -291,22 +302,26 @@ def dac_model(
     ``quantize`` and ``clip`` isolate the first two stages;
     ``cfg.residual_noise_db = None``, ``cfg.lpf_cutoff = None`` and a zero
     roll-off drop the others. With all of them off this is the identity.
+    The output has the dtype of ``x.samples``.
     """
     if abs(x.rate - cfg.rate) > 1e-6 * cfg.rate:
         raise SignalError(
             f"waveform rate {x.rate:g} does not match DAC rate {cfg.rate:g}"
         )
+    dtype = x.samples.dtype
     y = x.samples
     if clip:
         y = np.clip(y, -cfg.full_scale, cfg.full_scale)
     if quantize:
         codes = quantize_midrise(y, cfg.bits, cfg.full_scale, clip=clip)
-        y = dequantize_midrise(codes, cfg.bits, cfg.full_scale)
+        y = dequantize_midrise(codes, cfg.bits, cfg.full_scale).astype(dtype, copy=False)
     if cfg.residual_noise_db is not None:
         rng = np.random.default_rng(seed)
         fs_sine_power = cfg.full_scale**2 / 2.0
         sigma = np.sqrt(fs_sine_power * 10.0 ** (cfg.residual_noise_db / 10.0))
-        y = y + rng.normal(0.0, sigma, y.size)
+        noise = rng.normal(0.0, sigma, y.size)
+        noise += y
+        y = noise.astype(dtype, copy=False)
     taps = np.ones(1)  # identity
     if cfg.lpf_cutoff is not None:
         taps = fir_lowpass(cfg.lpf_cutoff, cfg.rate, _LPF_TRANSITION * cfg.lpf_cutoff)

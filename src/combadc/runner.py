@@ -135,10 +135,17 @@ def snap_sweep_frequency(
 def _front_end(
     x: SampledWaveform, cfg: ScenarioConfig, dac_seed: int, post_gain: float
 ) -> SampledWaveform:
-    """Shared transmit chain: DAC with the analog roll-off, drive, modulator."""
+    """Shared transmit chain: DAC with the analog roll-off, drive, modulator.
+
+    The chain runs in float32, the one place a run picks single precision:
+    its rounding sits about 130 dB below full scale, far under the 14-bit
+    converter's 86 dB floor, and at the DAC rate it halves the memory
+    traffic. Every stage keeps its input's dtype, and the beat returns
+    to float64 at the sub-band rate.
+    """
     imp = cfg.impairments
     y = dac_model(
-        x,
+        SampledWaveform(x.samples.astype(np.float32), x.rate),
         cfg.dac,
         dac_seed,
         quantize=imp.dac_quantization,

@@ -29,7 +29,7 @@ from .demod import DemodConfig, capture_filters, symbol_budget
 from .errors import CombAdcError, ConfigError, SignalError
 from .frontend import DacConfig, ScmConfig, burst_sps, carrier_grid_fault
 from .metrics import ANALYSIS_RATE, analysis_grid_fault
-from .waveform import lowpass_band, resample_plan
+from .waveform import lowpass_band, resample_plan, spectral_tilt_taps
 
 __all__ = [
     "CombsSection",
@@ -445,6 +445,9 @@ def validate_scenario(cfg: ScenarioConfig) -> ScenarioCombs:
     _rule("comb-scaling", not scaling_fault, scaling_fault)
 
     _stage_rule("rate-consistency", burst_sps, cfg.scm, cfg.dac.rate)
+    # the electrical tilt is part of the DAC's one FIR
+    tilt_db = cfg.run.electrical_rolloff_db
+    _stage_rule("dac-invariants", spectral_tilt_taps, cfg.dac.rate, tilt_db)
     carrier_fault = carrier_grid_fault(cfg.scm, cfg.dac.rate)
     _rule("carrier-grid", not carrier_fault, f"scm.duration: {carrier_fault}")
     # the beat hands the converter its input at least this fast

@@ -22,6 +22,11 @@ Conventions the rest of the package depends on:
   keeps, never the zero-stuffed intermediate record. It only accepts
   ratios that reduce to small integer fractions; anything else is a
   configuration mistake, not something to approximate silently.
+* Samples are float64, or float32 where the caller chose it: a
+  ``SampledWaveform`` keeps float32 samples and casts anything else to
+  float64, and ``apply_fir`` filters in its input's precision. The runner
+  hands the DAC-rate chain float32; every stage keeps its input's dtype,
+  so float64 in still gives float64 out.
 """
 
 from __future__ import annotations
@@ -62,7 +67,7 @@ class SampledWaveform:
     rate: float
 
     def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.float64)
+        self.samples = _as_samples(self.samples)
         if self.samples.ndim != 1 or self.samples.size == 0:
             raise SignalError("waveform samples must be a non-empty 1-D sequence")
         if not np.all(np.isfinite(self.samples)):
@@ -80,6 +85,12 @@ class SampledWaveform:
 
     def copy(self) -> "SampledWaveform":
         return SampledWaveform(self.samples.copy(), self.rate)
+
+
+def _as_samples(x) -> np.ndarray:
+    """``x`` as a float array: float32 stays float32, anything else becomes float64."""
+    x = np.asarray(x)
+    return x if x.dtype == np.float32 else x.astype(np.float64, copy=False)
 
 
 # windows accepted by periodogram, mapped to scipy names
@@ -284,10 +295,12 @@ def fir_lowpass(
 
 
 def apply_fir(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    """Filter with group-delay compensation (odd-length linear-phase taps)."""
+    """Filter with group-delay compensation (odd-length linear-phase taps),
+    in the precision of ``x`` (float32 stays float32)."""
     if taps.size % 2 != 1:
         raise SignalError("zero-phase application needs an odd tap count")
-    return sps.oaconvolve(np.asarray(x, dtype=np.float64), taps, mode="same")
+    x = _as_samples(x)
+    return sps.oaconvolve(x, taps.astype(x.dtype, copy=False), mode="same")
 
 
 def spectral_tilt_taps(
@@ -301,8 +314,12 @@ def spectral_tilt_taps(
     ``-tilt_db`` at ``f_hi``, flat outside that span.
 
     Stands in for the aggregate electrical roll-off of cabling and
-    connectors with a single adjustable number.
+    connectors with a single adjustable number. A tilt past 300 dB either
+    way fails, as every other dB level does: it is a typo, and its gains
+    swamp the float32 DAC chain or, far enough out, overflow.
     """
+    if not abs(tilt_db) <= 300.0:
+        raise SignalError(f"electrical tilt {tilt_db:g} dB not in -300..300 dB")
     nyq = rate / 2.0
     grid = np.linspace(0.0, nyq, 129)
     frac = np.clip((grid - f_lo) / (f_hi - f_lo), 0.0, 1.0)

@@ -192,6 +192,16 @@ def test_sine_waveform():
         sine_waveform(17e9, 1.0, 1e-6, 32e9)
 
 
+@pytest.mark.parametrize("freq,n", [(5.5e9, 3000), (3.3e9, 5000), (0.0, 1500)])
+def test_sine_waveform_matches_cosine(freq, n):
+    # the tone is built from two short exponentials, not one cos per
+    # sample; over a few 1024-sample blocks it is the cosine to 1e-12
+    w = sine_waveform(freq, 0.8, n / 32e9, 32e9)
+    want = 0.8 * np.cos(2.0 * np.pi * freq * np.arange(n) / 32e9)
+    assert w.samples.dtype == np.float64
+    np.testing.assert_allclose(w.samples, want, rtol=0.0, atol=1e-12)
+
+
 # ---------------------------------------------------------------- quantizer
 
 

@@ -1,0 +1,72 @@
+"""Each stage keeps its input's dtype: float32 in gives float32 out at the
+DAC rate, and the sub-band beat hands float64 on to the receiver.
+
+The float64 oracles in the module tests pin float64-in, float64-out; these
+cases pin the float32 side and how far single precision moves a result.
+"""
+
+import numpy as np
+import pytest
+
+from combadc.comb import LinkConfig, mzm_field, subband_beat
+from combadc.frontend import DacConfig, dac_model, sine_waveform
+from combadc.waveform import SampledWaveform, apply_fir, fir_lowpass
+
+from conftest import make_combs
+
+RATE = 32e9
+
+
+def _f32(x: np.ndarray) -> np.ndarray:
+    return np.asarray(x, dtype=np.float32)
+
+
+def test_waveform_keeps_float32_and_casts_the_rest_to_float64():
+    assert SampledWaveform(_f32([0.5, -1.0]), RATE).samples.dtype == np.float32
+    for samples in ([1, 2], np.arange(3, dtype=np.int16), np.ones(2, dtype=np.float16)):
+        assert SampledWaveform(samples, RATE).samples.dtype == np.float64
+    assert SampledWaveform(_f32([0.25]), RATE).copy().samples.dtype == np.float32
+
+
+def test_apply_fir_filters_float32_in_float32(rng):
+    x = rng.normal(size=5000)
+    taps = fir_lowpass(2e9, RATE)
+    y32 = apply_fir(_f32(x), taps)
+    assert y32.dtype == np.float32
+    y64 = apply_fir(_f32(x).astype(np.float64), taps)
+    assert y64.dtype == np.float64
+    # float32 rounding: about 1e-7 of the signal
+    np.testing.assert_allclose(y32, y64, atol=1e-6 * np.max(np.abs(y64)))
+
+
+@pytest.mark.parametrize("quantize", [True, False])
+def test_dac_model_keeps_float32(quantize):
+    x = _f32(sine_waveform(5.25e9, 0.9, 65536 / RATE, RATE).samples)
+    opts = dict(quantize=quantize, electrical_rolloff_db=3.0)
+    y32 = dac_model(SampledWaveform(x, RATE), DacConfig(), 5, **opts)
+    assert y32.samples.dtype == np.float32
+    y64 = dac_model(SampledWaveform(x.astype(np.float64), RATE), DacConfig(), 5, **opts)
+    assert y64.samples.dtype == np.float64
+    # same codes and the same noise draw; only the rounding differs
+    np.testing.assert_allclose(y32.samples, y64.samples, atol=1e-5)
+
+
+def test_mzm_field_keeps_float32(rng):
+    v = _f32(rng.uniform(-1.0, 1.0, 4096))
+    mu32 = mzm_field(SampledWaveform(v, RATE), 0.3).samples
+    assert mu32.dtype == np.float32
+    mu64 = mzm_field(SampledWaveform(v.astype(np.float64), RATE), 0.3).samples
+    np.testing.assert_allclose(mu32, mu64, atol=1e-7)
+
+
+@pytest.mark.parametrize("out_rate", [None, 9.6e9])
+def test_beat_of_float32_field_is_float64_and_matches(out_rate):
+    x = sine_waveform(5.25e9, 0.2, 65536 / RATE, RATE).samples
+    mu32 = mzm_field(SampledWaveform(_f32(x), RATE), 0.3)
+    mu64 = SampledWaveform(mu32.samples.astype(np.float64), RATE)
+    combs = make_combs()
+    i32 = subband_beat(mu32, 5, combs, LinkConfig(), 7, out_rate=out_rate).samples
+    i64 = subband_beat(mu64, 5, combs, LinkConfig(), 7, out_rate=out_rate).samples
+    assert i32.dtype == np.float64
+    # the float32 transforms' rounding stays 120 dB under the current's peak
+    np.testing.assert_allclose(i32, i64, atol=1e-6 * np.max(np.abs(i64)))

@@ -329,3 +329,26 @@ def test_burst_failure_fails_every_channel_task(tmp_path, monkeypatch):
     with pytest.raises(CombAdcError, match="burst too large"):
         run_spectrum(load_config(SHORT_BURST), str(tmp_path / "sp"), channel=2)
     assert "status=failed" in _read(tmp_path / "sp/manifest.txt")
+
+
+# ------------------------------------------------------------ DAC full scale
+
+
+def _figures(text, out_dir):
+    """Sweep SFDR/SINAD/ENOB and channel 3's SNR of one config."""
+    cfg = load_config(text)
+    run_sweep(cfg, str(out_dir / "sweep"))
+    run_scm(cfg, str(out_dir / "scm"), channels=[3])
+    rows = _read(out_dir / "sweep/sweep.csv").splitlines()[1:]
+    rows += _read(out_dir / "scm/scm_snr.csv").splitlines()[1:]
+    return [float(v) for row in rows for v in row.split(",")[1:]]
+
+
+def test_both_ends_of_the_dac_full_scale_score_like_one(tmp_path):
+    # the sources, the drive and the quantizer all scale with the full
+    # scale; at the ends of its range only float32 rounding differs
+    want = _figures(FAST_SWEEP, tmp_path / "one")
+    assert len(want) == 3 * 3 + 1
+    for full_scale in ("1e-3", "1e3"):
+        got = _figures(FAST_SWEEP + f"dac.full_scale = {full_scale}\n", tmp_path / full_scale)
+        assert got == pytest.approx(want, abs=1e-3)

@@ -172,6 +172,18 @@ def test_syntax_errors_carry_line_numbers(text, fragment, lineno):
         ("link.pd_bandwidth = 1hz", "rate-consistency"),
         ("sweep.duration = 1", "capture-length"),
         ("scm.duration = 1", "capture-length"),
+        # these loaded before: the float32 DAC chain holds full scales in
+        # 1e-3..1e3 only, a -1e300 dB tilt overflowed its gains, and steps
+        # past 2 diverged the LMS on every channel
+        ("dac.full_scale = 1e100", "dac-invariants"),
+        ("dac.full_scale = 1e-100", "dac-invariants"),
+        ("dac.full_scale = 1.01e3", "dac-invariants"),
+        ("dac.full_scale = 0.99e-3", "dac-invariants"),
+        ("run.electrical_rolloff_db = -1e300", "dac-invariants"),
+        ("run.electrical_rolloff_db = 301", "dac-invariants"),
+        ("demod.ffe_step = 5", "demod-invariants"),
+        ("demod.ffe_step = 1e3", "demod-invariants"),
+        ("demod.ffe_step = 2.01", "demod-invariants"),
     ],
 )
 def test_semantic_rules_are_named(text, rule):

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal as sps
 
 from .errors import SignalError
 from .frontend import dequantize_midrise, quantize_midrise
@@ -102,7 +101,35 @@ def _dc_block(x: np.ndarray, cutoff: float, rate: float) -> np.ndarray:
     """First-order highpass (DC blocker) with -3 dB near ``cutoff``."""
     a = np.exp(-2.0 * np.pi * cutoff / rate)
     g = (1.0 + a) / 2.0  # unity gain at Nyquist
-    return sps.lfilter([g, -g], [1.0, -a], x)
+    return _first_order(np.asarray(x, dtype=np.float64), g, -g, a)
+
+
+def _first_order(x: np.ndarray, b0: float, b1: float, a: float) -> np.ndarray:
+    """``y[n] = b0 x[n] + b1 x[n-1] + a y[n-1]`` from rest, 32 outputs at a
+    time: each block is one row of a matrix product of its inputs, the
+    input and the output (the carry) before it with the filter's response
+    to each. The carries are the same recursion, with ``a**32``, on the
+    block ends."""
+    k = 32
+    n = x.size
+    n_blocks = -(-n // k)
+    j = np.arange(k)
+    lag = j - j[:, None]  # output index minus input index
+    resp = np.zeros((k + 2, k))
+    resp[:k] = np.where(lag >= 0, b0 * a ** np.maximum(lag, 0), 0.0) + np.where(
+        lag >= 1, b1 * a ** np.maximum(lag - 1, 0), 0.0
+    )
+    resp[k] = b1 * a**j  # the previous block's last input
+    resp[k + 1] = a ** (j + 1)  # the previous block's last output
+    rows = np.zeros((n_blocks, k + 2))
+    whole = (n_blocks - 1) * k
+    rows[:-1, :k] = x[:whole].reshape(-1, k)
+    rows[-1, : n - whole] = x[whole:]
+    rows[1:, k] = rows[:-1, k - 1]
+    if n_blocks > 1:
+        ends = rows[:, : k + 1] @ resp[: k + 1, k - 1]
+        rows[1:, k + 1] = _first_order(ends[:-1], 1.0, 0.0, a**k)
+    return (rows @ resp).reshape(-1)[:n]
 
 
 def _lagrange_sample(x: np.ndarray, positions: np.ndarray, order: int = 8) -> np.ndarray:

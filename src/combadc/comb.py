@@ -34,7 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import elementary_charge
 from scipy.fft import next_fast_len, rfft
 
 from .errors import ConfigError, SignalError
@@ -61,6 +60,9 @@ __all__ = [
     "mzm_field",
     "subband_beat",
 ]
+
+# the SI elementary charge in C (exact since 2019)
+_ELEMENTARY_CHARGE = 1.602176634e-19
 
 # reference bandwidth for optical SNR figures
 _OSNR_REF_BW = 12.5e9
@@ -446,7 +448,7 @@ def subband_beat(
             n_out, rate_out, link.thermal_noise_density, derive_rng(seed, "thermal")
         )
     if shot:
-        dens = np.sqrt(4.0 * elementary_charge * r * (p_lo + p_ch))
+        dens = np.sqrt(4.0 * _ELEMENTARY_CHARGE * r * (p_lo + p_ch))
         i = i + white_noise(n_out, rate_out, dens, derive_rng(seed, "shot"))
     if np.isfinite(link.osnr_db):
         s_ase = p_ch * 10.0 ** (-link.osnr_db / 10.0) / _OSNR_REF_BW

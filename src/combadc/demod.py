@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft as sfft
-from scipy import signal as sps_mod
 from scipy.linalg import solve_triangular
 
 from .adc import SubbandCapture
@@ -264,6 +263,16 @@ def symbol_budget(n_sym: int, cfg: DemodConfig) -> tuple[int, slice]:
     return n_train, slice(lo, hi)
 
 
+def _analytic(x: np.ndarray) -> np.ndarray:
+    """Analytic signal of ``x``, its Hilbert transform as the imaginary part:
+    one FFT round trip with negative frequencies dropped and positive ones
+    doubled (DC and Nyquist kept once)."""
+    spec = sfft.fft(x)
+    spec[1 : (x.size + 1) // 2] *= 2.0
+    spec[x.size // 2 + 1 :] = 0.0
+    return sfft.ifft(spec, overwrite_x=True)
+
+
 def demod_pam4(
     cap: SubbandCapture, cfg: DemodConfig, tx_symbols: np.ndarray
 ) -> DemodReport:
@@ -278,8 +287,8 @@ def demod_pam4(
     channel, matched = capture_filters(wave.rate, cfg)
     x = apply_fir(wave.samples, channel)
 
-    xa = sps_mod.hilbert(x)
-    bb = xa * np.exp(-2j * np.pi * cfg.baseband_offset * time_vector(x.size, wave.rate))
+    t = time_vector(x.size, wave.rate)
+    bb = _analytic(x) * np.exp(-2j * np.pi * cfg.baseband_offset * t)
 
     # fold-coherent sidebands put the data in the real part, so only it is
     # matched-filtered and resampled

@@ -31,7 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft
-from scipy.signal import upfirdn
 
 from .errors import SignalError
 from .waveform import (
@@ -39,6 +38,7 @@ from .waveform import (
     apply_fir,
     fir_lowpass,
     lowpass_band,
+    polyphase_fir,
     rrc_taps,
     samples_per_symbol,
     spectral_tilt_taps,
@@ -213,7 +213,6 @@ def scm_waveform(
     n_sym = cfg.symbols_per_burst
     # scaled so the matched receive filter sees unit symbol amplitude
     taps = rrc_taps(cfg.rolloff, sps, 16)
-    half = taps.size // 2
 
     n_half = n // 2 + 1  # rfft length
     spectrum = np.zeros(n, dtype=np.complex128)
@@ -225,8 +224,8 @@ def scm_waveform(
             raise SignalError(
                 f"channel {k}: expected {n_sym} symbols, got {sym.size}"
             )
-        # symbol m at sample m*sps: the slice removes the filter delay
-        shaped = upfirdn(taps, sym, up=sps)[half : half + n]
+        # symbol m at sample m*sps: the filter is applied zero-phase
+        shaped = polyphase_fir(sym, taps, sps, 1, n)
         # analytic-signal weights (DC and Nyquist once, positive bins
         # twice) times the 1/2 of the cosine's two exponentials
         a = fft.rfft(shaped)

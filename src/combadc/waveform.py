@@ -13,15 +13,18 @@ Conventions the rest of the package depends on:
   are placed on the bin grid (coherent sampling); Blackman-Harris 4-term
   is available for off-grid work.
 * FIR application is zero-phase: odd-length symmetric taps applied by
-  overlap-add convolution (``oaconvolve``) in ``same`` mode, so filtered
-  waveforms stay aligned with their time axis and timing recovery reduces
-  to a known delay of 0. Overlap-add transforms blocks a few times the
-  filter length instead of the whole record, which is what keeps long
-  captures cheap.
-* Rate conversion is polyphase: ``upfirdn`` computes only the outputs it
-  keeps, never the zero-stuffed intermediate record. It only accepts
-  ratios that reduce to small integer fractions; anything else is a
-  configuration mistake, not something to approximate silently.
+  overlap-add convolution in ``same`` mode, so filtered waveforms stay
+  aligned with their time axis and timing recovery reduces to a known
+  delay of 0. Overlap-add transforms blocks about eight times the filter
+  length instead of the whole record, which is what keeps long captures
+  cheap.
+* Rate conversion is polyphase: ``polyphase_fir`` computes only the
+  outputs it keeps, never the zero-stuffed intermediate record. It only
+  accepts ratios that reduce to small integer fractions; anything else is
+  a configuration mistake, not something to approximate silently.
+* Filter design is closed-form numpy, bit for bit the taps of SciPy's
+  ``kaiserord``/``firwin`` and ``firwin2``; the package never imports
+  ``scipy.signal``, which alone takes about 1 s to load.
 * Samples are float64, or float32 where the caller chose it: a
   ``SampledWaveform`` keeps float32 samples and casts anything else to
   float64, and ``apply_fir`` filters in its input's precision. The runner
@@ -35,7 +38,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy import signal as sps
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy import fft as sfft
+from scipy.special import i0
 
 from .errors import SignalError
 
@@ -51,6 +56,7 @@ __all__ = [
     "lowpass_band",
     "fir_lowpass",
     "apply_fir",
+    "polyphase_fir",
     "spectral_tilt_taps",
     "resample_plan",
     "resample_waveform",
@@ -93,10 +99,10 @@ def _as_samples(x) -> np.ndarray:
     return x if x.dtype == np.float32 else x.astype(np.float64, copy=False)
 
 
-# windows accepted by periodogram, mapped to scipy names
+# windows accepted by periodogram, as cosine-sum coefficients
 _WINDOWS = {
-    "rectangular": "boxcar",
-    "blackman-harris-4term": "blackmanharris",
+    "rectangular": (1.0,),
+    "blackman-harris-4term": (0.35875, 0.48829, 0.14128, 0.01168),
 }
 
 _DB_FLOOR = -400.0
@@ -157,14 +163,11 @@ def periodogram(
             f"need {n_fft}*{n_avg}"
         )
 
-    w = sps.get_window(_WINDOWS[window], n_fft, fftbins=True)
+    w = _cosine_window(_WINDOWS[window], n_fft, periodic=True)
     w = w / np.sqrt(np.mean(np.square(w)))
 
-    acc = np.zeros(n_fft // 2 + 1)
-    for k in range(n_avg):
-        seg = x[k * n_fft : (k + 1) * n_fft] * w
-        acc += np.square(np.abs(np.fft.rfft(seg)))
-    p = acc / (n_avg * n_fft**2)
+    segs = x[: n_avg * n_fft].reshape(n_avg, n_fft) * w
+    p = np.square(np.abs(np.fft.rfft(segs))).sum(axis=0) / (n_avg * n_fft**2)
 
     # fold negative frequencies onto the positive side; DC and Nyquist
     # have no mirror partner
@@ -274,44 +277,85 @@ def lowpass_band(
     return center, width
 
 
+def _cosine_window(coeffs, n: int, periodic: bool = False) -> np.ndarray:
+    """Cosine-sum window ``sum_k coeffs[k] cos(k t)``, ``t`` spanning -pi..pi
+    over ``n`` points (symmetric) or ``n + 1`` points less the last
+    (periodic, for spectral analysis)."""
+    t = np.linspace(-np.pi, np.pi, n + periodic)
+    w = np.zeros(t.size)
+    for k, c in enumerate(coeffs):
+        w += c * np.cos(k * t)
+    return w[:n]
+
+
 def fir_lowpass(
     cutoff: float,
     rate: float,
     transition_hz: float | None = None,
-    atten_db: float = 60.0,
 ) -> np.ndarray:
-    """Linear-phase Kaiser low-pass, odd length.
+    """Linear-phase Kaiser low-pass, odd length, 60 dB stopband.
 
     The default transition band is 0.6 * cutoff wide and sits above the
     cutoff, keeping content below 0.8 * cutoff flat within 0.5 dB and
     rejecting everything above 1.4 * cutoff by at least 40 dB. Pass
     ``transition_hz`` to pin the -6 dB point at ``cutoff`` with a chosen
     width instead (used where band selection has to be surgical).
+    Kaiser's formulas give the length and the window's beta (for over 50
+    dB); the taps are the windowed ideal low-pass scaled to unit DC gain.
     """
     center, width = lowpass_band(cutoff, rate, transition_hz)
-    numtaps, beta = sps.kaiserord(atten_db, width / (rate / 2.0))
+    nyq = rate / 2.0
+    numtaps = int(np.ceil((60.0 - 7.95) / 2.285 / (np.pi * (width / nyq)) + 1))
     numtaps += 1 - numtaps % 2
-    return sps.firwin(numtaps, center, window=("kaiser", beta), fs=rate)
+    beta = 0.1102 * (60.0 - 8.7)
+    half = (numtaps - 1) / 2.0
+    t = np.arange(numtaps) - half
+    kaiser = i0(beta * np.sqrt(1 - (t / half) ** 2.0)) / i0(beta)
+    fc = center / nyq
+    h = fc * np.sinc(fc * t) * kaiser
+    return h / np.sum(h)
+
+
+# the FIR kernels work through a record in chunks of about this many
+# bytes, so that every temporary stays small
+_CHUNK_BYTES = 1 << 20
 
 
 def apply_fir(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
     """Filter with group-delay compensation (odd-length linear-phase taps),
-    in the precision of ``x`` (float32 stays float32)."""
+    in the precision of ``x`` (float32 stays float32): the ``same``-mode
+    convolution, by overlap-add over blocks that fill an FFT of about eight
+    filter lengths, a chunk of blocks to each 2-D ``rfft``."""
     if taps.size % 2 != 1:
         raise SignalError("zero-phase application needs an odd tap count")
     x = _as_samples(x)
-    return sps.oaconvolve(x, taps.astype(x.dtype, copy=False), mode="same")
+    n, m = x.size, taps.size
+    n_fft = sfft.next_fast_len(min(n + m - 1, 8 * m), real=True)
+    # input samples per block; a record of more than one block has
+    # step >= m - 1, so a tail spills into the next block only
+    step = n_fft - m + 1
+    n_blocks = -(-n // step)
+    gain = sfft.rfft(taps.astype(x.dtype, copy=False), n_fft)
+    full = np.zeros(n_blocks * step + m - 1, x.dtype)
+    full[:n] = x
+    rows = full[: n_blocks * step].reshape(n_blocks, step)
+    per = max(1, _CHUNK_BYTES // (n_fft * x.itemsize))
+    tail = np.zeros(m - 1, x.dtype)
+    for b0 in range(0, n_blocks, per):
+        y = sfft.irfft(sfft.rfft(rows[b0 : b0 + per], n_fft) * gain, n_fft)
+        y[1:, : m - 1] += y[:-1, step:]
+        y[0, : m - 1] += tail
+        tail = y[-1, step:].copy()
+        rows[b0 : b0 + per] = y[:, :step]
+    full[n_blocks * step :] = tail
+    return full[m // 2 : m // 2 + n]
 
 
-def spectral_tilt_taps(
-    rate: float,
-    tilt_db: float,
-    f_lo: float = 0.1e9,
-    f_hi: float = 10.0e9,
-    numtaps: int = 257,
-) -> np.ndarray:
-    """FIR whose gain slopes linearly in dB from 0 at ``f_lo`` down to
-    ``-tilt_db`` at ``f_hi``, flat outside that span.
+def spectral_tilt_taps(rate: float, tilt_db: float) -> np.ndarray:
+    """257-tap FIR whose gain slopes linearly in dB from 0 at 0.1 GHz down
+    to ``-tilt_db`` at 10 GHz, flat outside that span: the gain on 129
+    points, interpolated onto 513, given a linear phase, inverse transformed
+    and Hamming-windowed.
 
     Stands in for the aggregate electrical roll-off of cabling and
     connectors with a single adjustable number. A tilt past 300 dB either
@@ -320,12 +364,15 @@ def spectral_tilt_taps(
     """
     if not abs(tilt_db) <= 300.0:
         raise SignalError(f"electrical tilt {tilt_db:g} dB not in -300..300 dB")
+    f_lo, f_hi, numtaps = 0.1e9, 10.0e9, 257
     nyq = rate / 2.0
     grid = np.linspace(0.0, nyq, 129)
     frac = np.clip((grid - f_lo) / (f_hi - f_lo), 0.0, 1.0)
     gain = 10.0 ** (-tilt_db * frac / 20.0)
-    numtaps += 1 - numtaps % 2
-    return sps.firwin2(numtaps, grid / nyq, gain)
+    mesh = np.linspace(0.0, 1.0, 513)  # 1 + 2**ceil(log2(numtaps)) points
+    shift = np.exp(-(numtaps - 1) / 2.0 * 1j * np.pi * mesh)
+    taps = sfft.irfft(np.interp(mesh, grid / nyq, gain) * shift)[:numtaps]
+    return taps * _cosine_window((0.54, 1.0 - 0.54), numtaps)
 
 
 def resample_plan(rate: float, new_rate: float) -> tuple[int, int]:
@@ -342,14 +389,53 @@ def resample_plan(rate: float, new_rate: float) -> tuple[int, int]:
     return frac.numerator, frac.denominator
 
 
+def polyphase_fir(
+    x: np.ndarray, taps: np.ndarray, up: int, down: int, n_out: int
+) -> np.ndarray:
+    """``y[k] = sum_i x[i] taps[k * down + taps.size // 2 - i * up]`` for
+    ``k < n_out``: odd-length ``taps`` applied zero-phase to ``x`` stuffed
+    with ``up - 1`` zeros, keeping one output in ``down``, in float64.
+
+    Only kept outputs are computed. Output ``k = r + up * s`` reads every
+    ``up``-th tap, from a phase set by r alone, against ``x`` at an offset
+    that moves ``down`` samples per s: row s of the outputs is one window
+    of ``x`` times a matrix with residue r's taps in column r."""
+    m = taps.size
+    n_phase = -(-m // up)  # taps per phase
+    r = np.arange(up)
+    q, p = np.divmod(r * down + m // 2, up)
+    width = n_phase + q[-1] - q[0]
+    padded = np.zeros(n_phase * up)
+    padded[:m] = taps
+    j = np.arange(n_phase)
+    phases = np.zeros((width, up))
+    # in column r, tap p_r + j * up meets x[q_r - j], which is window
+    # position q_r - q_0 + n_phase - 1 - j
+    at = (q - q[0] + n_phase - 1)[:, None] - j
+    phases[at, r[:, None]] = padded[p[:, None] + j * up]
+
+    # row s reads x[s * down + q[0] - n_phase + 1 :][:width], zeros outside x
+    n_rows = -(-n_out // up)
+    xp = np.zeros(max(n_phase - 1 + x.size, q[0] + (n_rows - 1) * down + width))
+    xp[n_phase - 1 : n_phase - 1 + x.size] = x
+    windows = sliding_window_view(xp[q[0] :], width)[::down][:n_rows]
+    out = np.empty((n_rows, up))
+    # a contiguous copy of 256 kB of windows keeps the product in BLAS and cache
+    per = max(1, _CHUNK_BYTES // 4 // (width * 8))
+    for s0 in range(0, n_rows, per):
+        rows = np.ascontiguousarray(windows[s0 : s0 + per])
+        np.matmul(rows, phases, out=out[s0 : s0 + per])
+    return out.reshape(-1)[:n_out]
+
+
 def resample_waveform(wave: SampledWaveform, new_rate: float) -> SampledWaveform:
     """Polyphase rate conversion for small rational ratios ``up/down``.
 
     The filter is a Kaiser low-pass at ``up`` times the input rate whose
     passband reaches 0.9 of the smaller Nyquist (flat within ~0.02 dB)
-    and whose stopband starts at that Nyquist (>= 60 dB). ``upfirdn``
-    applies it to the zero-stuffed input one kept output at a time, so
-    the ``down - 1`` discarded outputs and the stuffed zeros cost nothing.
+    and whose stopband starts at that Nyquist (>= 60 dB).
+    ``polyphase_fir`` applies it, computing only the kept outputs, so the
+    ``down - 1`` discarded outputs and the stuffed zeros cost nothing.
     Output sample k sits at time k / new_rate (the filter delay is
     removed), so downstream symbol indexing needs no offset hunting. The
     mean is carried around the filter so DC survives exactly.
@@ -361,15 +447,8 @@ def resample_waveform(wave: SampledWaveform, new_rate: float) -> SampledWaveform
     mean = x.mean()
     f_half = 0.5 * min(wave.rate, new_rate)
     taps = fir_lowpass(0.95 * f_half, wave.rate * up, transition_hz=0.1 * f_half)
-    # output k is the zero-phase filter's sample k * down on the stuffed
-    # grid, i.e. the full convolution's sample k * down + half; leading
-    # zeros on the taps move that onto upfirdn's own decimation phase
-    half = taps.size // 2
-    lead = (-half) % down
-    taps = np.concatenate((np.zeros(lead), taps))
-    first = (half + lead) // down
     n_out = -(-x.size * up // down)
-    y = sps.upfirdn(taps, (x - mean) * up, up, down)[first : first + n_out]
+    y = polyphase_fir((x - mean) * up, taps, up, down, n_out)
     return SampledWaveform(y + mean, new_rate)
 
 

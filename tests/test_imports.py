@@ -1,10 +1,14 @@
-"""Every imported name in the package and its tests is used.
+"""Every imported name in the package and its tests is used, and the
+package stays off scipy's slow-loading modules.
 
 Walks the syntax tree of each module: a name bound by an import must be
 read somewhere in the file, or listed in its ``__all__`` (a re-export).
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -37,3 +41,59 @@ def test_no_unused_imports():
         if (names := _unused_imports(ast.parse(path.read_text())))
     }
     assert unused == {}
+
+
+# modules the package keeps off its load path: scipy.signal alone costs
+# about 1 s of start-up, and it brings scipy.stats and scipy.interpolate
+HEAVY = {"scipy.signal", "scipy.constants", "scipy.stats", "scipy.interpolate"}
+
+
+def _heavy_imports(tree: ast.Module) -> list[str]:
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            names = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+        else:
+            continue
+        found += [n for n in names if any(n == h or n.startswith(h + ".") for h in HEAVY)]
+    return found
+
+
+def test_package_imports_no_heavy_scipy_module():
+    heavy = {
+        str(path.relative_to(ROOT)): names
+        for path in FILES
+        if path.parent.name == "combadc"
+        and (names := _heavy_imports(ast.parse(path.read_text())))
+    }
+    assert heavy == {}
+
+
+_RUNS = """
+import sys
+from combadc import load_config, run_scm, run_sweep
+
+load_config("")
+cfg = load_config(
+    "sweep.start = 5.5ghz\\nsweep.stop = 5.5ghz\\nsweep.duration = 20us\\n"
+    "metrics.n_fft = 4096\\nscm.duration = 0.5us\\n"
+)
+run_sweep(cfg, sys.argv[1], jobs=1)
+run_scm(cfg, sys.argv[2], jobs=1, channels=[5])
+print(" ".join(sorted(sys.modules)))
+"""
+
+
+def test_runs_never_load_heavy_scipy_modules(tmp_path):
+    """Not even deferred: a load, a sweep point and a demodulated burst
+    channel leave every one of them out of ``sys.modules``."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", _RUNS, str(tmp_path / "sweep"), str(tmp_path / "scm")],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    loaded = set(done.stdout.split())
+    assert "combadc.demod" in loaded
+    assert HEAVY & loaded == set()

@@ -6,8 +6,9 @@
 Each directory holds the `manifest.txt` of one `sweep-sine`, `run-scm` or
 `spectrum` run and the artifacts it names. The report says, per artifact,
 whether its sha256 matches; lists every `# task` line that differs once
-`elapsed_s` is set aside, and whether the config payloads match; and
-prints, for every numeric column of every CSV artifact present in both
+`elapsed_s` is set aside, and each config line found in only one
+payload, as `- key = value` (only in DIR_A) or `+ key = value` (only in
+DIR_B); and prints, for every numeric column of every CSV artifact present in both
 runs, the largest absolute difference between the two. For a spectrum
 (`freq_hz,power_db`) it also prints the difference of the 0-500 MHz
 in-band power and of the strongest bin, and whether the strongest bin is
@@ -25,8 +26,8 @@ import sys
 _ELAPSED = re.compile(r" elapsed_s=\S+")
 
 
-def read_manifest(run_dir: str) -> tuple[dict[str, str], list[str], str]:
-    """(artifact name -> sha256, task lines without elapsed_s, config payload)."""
+def read_manifest(run_dir: str) -> tuple[dict[str, str], list[str], list[str]]:
+    """(artifact name -> sha256, task lines without elapsed_s, config lines)."""
     artifacts, tasks, payload = {}, [], []
     with open(os.path.join(run_dir, "manifest.txt")) as fh:
         for line in fh.read().splitlines():
@@ -35,9 +36,9 @@ def read_manifest(run_dir: str) -> tuple[dict[str, str], list[str], str]:
                 artifacts[name] = sha
             elif line.startswith("# task "):
                 tasks.append(_ELAPSED.sub("", line))
-            elif not line.startswith("#"):
+            elif line and not line.startswith("#"):
                 payload.append(line)
-    return artifacts, tasks, "\n".join(payload)
+    return artifacts, tasks, payload
 
 
 def read_csv(path: str) -> tuple[list[str], list[list[str]]]:
@@ -114,6 +115,8 @@ def compare(dir_a: str, dir_b: str) -> tuple[list[str], bool]:
             differs = True
     if cfg_a != cfg_b:
         lines.append("config payload differs")
+        lines += [f"  - {line}" for line in cfg_a if line not in cfg_b]
+        lines += [f"  + {line}" for line in cfg_b if line not in cfg_a]
         differs = True
     lines.append(f"{'differ' if differs else 'match'}: {dir_a} vs {dir_b}")
     return lines, differs

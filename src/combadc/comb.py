@@ -55,7 +55,7 @@ __all__ = [
     "cascade_harmonics",
     "comb_from_cascade",
     "flat_comb",
-    "comb_scaling_fault",
+    "check_comb_scaling",
     "downshift_hz",
     "mzm_field",
     "subband_beat",
@@ -100,13 +100,6 @@ class CombSpec:
                 raise ConfigError("tone phase list does not match n_tones")
         if self.drive_linewidth < 0:
             raise ConfigError("drive linewidth must be non-negative")
-
-    @property
-    def flatness_db(self) -> float:
-        """Max-to-min tone power ratio in dB."""
-        return 20.0 * float(
-            np.log10(self.tone_amps.max() / self.tone_amps.min())
-        )
 
 
 @dataclass
@@ -256,9 +249,9 @@ def flat_comb(
     )
 
 
-def comb_scaling_fault(bandwidth: float, combs: ScenarioCombs, n_subbands: int) -> str:
-    """Why the comb pair cannot slice ``bandwidth`` into ``n_subbands``
-    sub-bands; "" when it can.
+def check_comb_scaling(bandwidth: float, combs: ScenarioCombs, n_subbands: int) -> None:
+    """Raise SignalError, naming every reason, when the comb pair cannot
+    slice ``bandwidth`` into ``n_subbands`` sub-bands.
 
     The sub-band grid must tile the band (delta_f at least B/N), half the
     signal-comb spacing must exceed the band so neighboring tone images
@@ -273,7 +266,8 @@ def comb_scaling_fault(bandwidth: float, combs: ScenarioCombs, n_subbands: int) 
         faults.append(f"tone-separation: f_sig/2 {f_sig / 2.0:g} Hz vs B {bandwidth:g} Hz")
     if n_subbands > combs.n_pairs:
         faults.append(f"{n_subbands} channels exceed {combs.n_pairs} usable tone pairs")
-    return "; ".join(faults)
+    if faults:
+        raise SignalError("; ".join(faults))
 
 
 def downshift_hz(n: int, delta_f: float, rate: float) -> float:

@@ -19,6 +19,9 @@ self-overlapped one; the hole is what keeps the content clear of the
 receiver's AC-coupling notch. ``scm_waveform`` builds all channels as
 one spectrum, with every subcarrier on an FFT bin of the record.
 
+The DAC's full scale is +-1: the testbench's figures are ratios, so
+every level (tone amplitude, burst drive, residual noise) is one of it.
+
 Both sources come out in float64. ``dac_model`` keeps its input's dtype
 (its quantizer decides in float64 and its noise is drawn in float64, and
 both are cast back), so the caller picks the precision of the DAC-rate
@@ -48,7 +51,7 @@ __all__ = [
     "ScmConfig",
     "DacConfig",
     "burst_sps",
-    "carrier_grid_fault",
+    "check_carrier_grid",
     "gen_pam4_symbols",
     "scm_waveform",
     "sine_waveform",
@@ -113,10 +116,11 @@ _LPF_TRANSITION = 0.08
 
 @dataclass
 class DacConfig:
+    """The coarse DAC; its full scale is +-1, and levels are fractions of it."""
+
     bits: int = 6
     rate: float = 32e9
     lpf_cutoff: float | None = 11e9
-    full_scale: float = 1.0
     # total added white noise, dB relative to a full-scale sine, integrated
     # over the whole output Nyquist band; None disables the term.
     # Calibration knob standing in for every converter imperfection the
@@ -128,15 +132,6 @@ class DacConfig:
             raise SignalError("DAC needs at least 1 bit")
         if self.lpf_cutoff is not None:
             lowpass_band(self.lpf_cutoff, self.rate, _LPF_TRANSITION * self.lpf_cutoff)
-        # no run's figures depend on the full scale (the sources, drive and
-        # quantizer all scale with it), but the DAC-rate chain runs in
-        # float32 (largest value 3.4e38, smallest normal 1.2e-38). On 1e3,
-        # 300 dB of residual noise and 300 dB of tilt gain (1e15 each in
-        # amplitude) give 1e33, and the FIR's block FFTs sum a few thousand
-        # of those; on 1e-3, -300 dB of noise through 300 dB of tilt loss
-        # (1e-33) stays a normal float32. Outside these bounds it is a typo.
-        if not 1e-3 <= self.full_scale <= 1e3:
-            raise SignalError("full scale must lie in 1e-3..1e3")
         if self.residual_noise_db is not None and abs(self.residual_noise_db) > 300.0:
             raise SignalError("residual noise must lie within -300..300 dB")
 
@@ -169,21 +164,20 @@ def burst_sps(cfg: ScmConfig, rate: float) -> int:
     return samples_per_symbol(rate, cfg.baud)
 
 
-def carrier_grid_fault(cfg: ScmConfig, rate: float) -> str:
-    """Why the ``round(duration * rate)``-sample burst cannot put every
-    subcarrier on an FFT bin (a fractional count of ``channel_spacing``
-    cycles); "" when it can."""
+def check_carrier_grid(cfg: ScmConfig, rate: float) -> None:
+    """Raise SignalError when the ``round(duration * rate)``-sample burst
+    cannot put every subcarrier on an FFT bin (a fractional count of
+    ``channel_spacing`` cycles)."""
     n = cfg.duration * rate
     if not np.isfinite(cfg.channel_spacing * n / rate):
-        return f"a {cfg.duration:g} s burst at {rate:g} Sa/s is too long to count"
+        raise SignalError(f"{cfg.duration:g} s at {rate:g} Sa/s is too long to count")
     n = int(round(n))
     cycles = cfg.channel_spacing * n / rate
     if abs(cycles - round(cycles)) > 1e-6:
-        return (
-            f"the {n}-sample burst holds {cycles:.6g} cycles of the "
-            f"{cfg.channel_spacing:g} Hz channel spacing, not a whole number"
+        raise SignalError(
+            f"the {n}-sample ({cfg.duration:g} s) burst holds {cycles:.6g} cycles "
+            f"of the {cfg.channel_spacing:g} Hz channel spacing, not a whole number"
         )
-    return ""
 
 
 def scm_waveform(
@@ -205,9 +199,7 @@ def scm_waveform(
     as from the time-domain construction; only the Hilbert step is circular.
     """
     sps = burst_sps(cfg, rate)
-    fault = carrier_grid_fault(cfg, rate)
-    if fault:
-        raise SignalError(fault)
+    check_carrier_grid(cfg, rate)
     n = int(round(cfg.duration * rate))
     s1 = int(round(cfg.channel_spacing * n / rate))  # subcarrier spacing in bins
     n_sym = cfg.symbols_per_burst
@@ -310,14 +302,14 @@ def dac_model(
     dtype = x.samples.dtype
     y = x.samples
     if clip:
-        y = np.clip(y, -cfg.full_scale, cfg.full_scale)
+        y = np.clip(y, -1.0, 1.0)
     if quantize:
-        codes = quantize_midrise(y, cfg.bits, cfg.full_scale, clip=clip)
-        y = dequantize_midrise(codes, cfg.bits, cfg.full_scale).astype(dtype, copy=False)
+        codes = quantize_midrise(y, cfg.bits, 1.0, clip=clip)
+        y = dequantize_midrise(codes, cfg.bits, 1.0).astype(dtype, copy=False)
     if cfg.residual_noise_db is not None:
         rng = np.random.default_rng(seed)
-        fs_sine_power = cfg.full_scale**2 / 2.0
-        sigma = np.sqrt(fs_sine_power * 10.0 ** (cfg.residual_noise_db / 10.0))
+        # relative to the full-scale sine's power of 1/2
+        sigma = np.sqrt(0.5 * 10.0 ** (cfg.residual_noise_db / 10.0))
         noise = rng.normal(0.0, sigma, y.size)
         noise += y
         y = noise.astype(dtype, copy=False)

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adc import SubbandCapture
-from .errors import MeasurementError
-from .waveform import SampledWaveform, SpectrumEstimate, periodogram, resample_waveform
+from .errors import MeasurementError, SignalError
+from .waveform import SampledWaveform, periodogram, resample_waveform
 
-__all__ = ["MetricsReport", "analysis_grid_fault", "sine_metrics"]
+__all__ = ["MetricsReport", "check_analysis_grid", "sine_metrics"]
 
 ANALYSIS_RATE = 1e9
 
@@ -37,32 +37,30 @@ class MetricsReport:
     sinad_db: float
     enob_bits: float
     fundamental_hz: float
-    spectrum: SpectrumEstimate
     analysis_band: tuple[float, float]
 
 
-def analysis_grid_fault(n_fft: int) -> str:
-    """Why an ``n_fft``-point analysis grid cannot score a folded tone.
+def check_analysis_grid(n_fft: int) -> None:
+    """Raise SignalError when ``n_fft`` analysis bins cannot score a folded tone.
 
-    Returns "" when it can. A snapped tone needs a grid bin inside
-    ``FOLD_WINDOW_HZ``, and SINAD needs analysis-band bins left once the
-    fundamental's peak and ``GUARD_BINS`` on each side of it are taken out.
+    A snapped tone needs a grid bin inside ``FOLD_WINDOW_HZ``, and SINAD
+    needs analysis-band bins left once the fundamental's peak and
+    ``GUARD_BINS`` on each side of it are taken out.
     """
     grid = ANALYSIS_RATE / n_fft
     lo, hi = FOLD_WINDOW_HZ
     if np.ceil(lo / grid) > np.floor(hi / grid):
-        return (
-            f"the {grid / 1e6:g} MHz analysis grid has no bin inside the "
-            f"{lo / 1e6:g}-{hi / 1e6:g} MHz fold window"
+        raise SignalError(
+            f"the {n_fft}-point, {grid / 1e6:g} MHz analysis grid has no bin "
+            f"inside the {lo / 1e6:g}-{hi / 1e6:g} MHz fold window"
         )
     band = n_fft // 2 - int(_NOTCH_HZ // grid)
     span = 2 * GUARD_BINS + 1
     if band <= span:
-        return (
-            f"the analysis band holds {band} bins of {grid / 1e6:g} MHz, no more "
-            f"than the {span} the fundamental and its guard bins take"
+        raise SignalError(
+            f"the {n_fft}-point analysis band holds {band} bins of {grid / 1e6:g} "
+            f"MHz, no more than the {span} the fundamental and its guard bins take"
         )
-    return ""
 
 
 def sine_metrics(
@@ -74,13 +72,12 @@ def sine_metrics(
     n_avg: int = 4,
     window: str = "rectangular",
     include_notch: bool = False,
-    guard_bins: int = GUARD_BINS,
 ) -> MetricsReport:
     """Tone quality figures from one sub-band capture.
 
     The capture is resampled to ``analysis_rate``, the fundamental is
     located within +-2 bins of the expected baseband frequency, and its
-    power is summed over ``guard_bins`` neighbors on each side. SINAD
+    power is summed over ``GUARD_BINS`` neighbors on each side. SINAD
     integrates everything else across the analysis band (default 10 to
     500 MHz, widened to 0 to 500 MHz by ``include_notch``); SFDR compares
     against the single largest non-fundamental bin in the same band.
@@ -117,8 +114,8 @@ def sine_metrics(
             f"{10 * np.log10(p[peak] / in_band_med):.1f} dB above the median floor"
         )
 
-    g_lo = max(peak - guard_bins, 0)
-    g_hi = min(peak + guard_bins, p.size - 1)
+    g_lo = max(peak - GUARD_BINS, 0)
+    g_hi = min(peak + GUARD_BINS, p.size - 1)
     p_fund = float(p[g_lo : g_hi + 1].sum())
 
     rest = band.copy()
@@ -134,6 +131,5 @@ def sine_metrics(
         sinad_db=sinad,
         enob_bits=(sinad - 1.76) / 6.02,
         fundamental_hz=peak * spec.rbw,
-        spectrum=spec,
         analysis_band=(f_lo, f_hi),
     )

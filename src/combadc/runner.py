@@ -7,7 +7,7 @@ alone, so outputs are byte-identical however the tasks are scheduled;
 burst once and hands it to every channel task, as the physical system
 sends one burst to all sub-band detectors. A failed task is recorded in
 the manifest with its reason and the run carries on, whether the task
-raised one of the package's own errors or anything else.
+raised any error or its worker process died.
 
 The manifest written next to the CSVs doubles as a config file: all
 bookkeeping lives in comment lines, the config snapshot is the payload,
@@ -23,6 +23,7 @@ import os
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -133,7 +134,7 @@ def snap_sweep_frequency(
 
 
 def _front_end(
-    x: SampledWaveform, cfg: ScenarioConfig, dac_seed: int, post_gain: float
+    x: SampledWaveform, cfg: ScenarioConfig, dac_seed: int, post_gain: float = 1.0
 ) -> SampledWaveform:
     """Shared transmit chain: DAC with the analog roll-off, drive, modulator.
 
@@ -190,12 +191,10 @@ def _sweep_point(args: tuple[ScenarioConfig, int, float]) -> tuple[TaskRecord, s
     seeds = _task_seeds(cfg.run.master_seed, "sweep", index, 3)
     combs = build_combs(cfg)
     f_actual, n, f_folded = snap_sweep_frequency(f_request, cfg, combs)
-    label = f"freq_ghz={f_request / 1e9:.6f} actual_hz={f_actual!r} subband={n}"
+    label = _sweep_label(f_request, f_actual, n)
     try:
-        x = sine_waveform(
-            f_actual, cfg.dac.full_scale, cfg.sweep.duration, cfg.dac.rate
-        )
-        gain = db_to_amplitude_ratio(-cfg.link.sine_backoff_db) / cfg.dac.full_scale
+        x = sine_waveform(f_actual, 1.0, cfg.sweep.duration, cfg.dac.rate)
+        gain = db_to_amplitude_ratio(-cfg.link.sine_backoff_db)
         mu = _front_end(x, cfg, seeds[0], gain)
         cap = _capture_subband(mu, n, cfg, combs, seeds[1], seeds[2])
         report = sine_metrics(
@@ -214,6 +213,18 @@ def _sweep_point(args: tuple[ScenarioConfig, int, float]) -> tuple[TaskRecord, s
         f"{report.sinad_db:.6f},{report.enob_bits:.6f}\n"
     )
     return _task(index, label, seeds[0], t0), row
+
+
+def _sweep_label(f_request: float, f_actual: float, n: int) -> str:
+    return f"freq_ghz={f_request / 1e9:.6f} actual_hz={f_actual!r} subband={n}"
+
+
+def _sweep_crashed(args, t0: float, exc: Exception) -> tuple[TaskRecord, str]:
+    """``_sweep_point``'s result for a point whose worker process died."""
+    cfg, index, f_request = args
+    f_actual, n, _ = snap_sweep_frequency(f_request, cfg, build_combs(cfg))
+    seed = _task_seeds(cfg.run.master_seed, "sweep", index, 3)[0]
+    return _task(index, _sweep_label(f_request, f_actual, n), seed, t0, exc), ""
 
 
 def _task(
@@ -243,11 +254,29 @@ def _failure_detail(exc: Exception) -> str:
     return f"{type(exc).__name__} {where}"
 
 
-def _run_tasks(worker, arg_list, jobs: int):
+def _run_tasks(worker, arg_list, jobs: int, crashed):
+    """``worker`` of each task in ``arg_list``, in list order.
+
+    A worker process that dies (an OOM kill, a segfault) breaks the pool;
+    each task left unfinished then runs alone in a fresh pool, to the same
+    bytes since its seeds come from its index. A task that breaks its own
+    pool too gets ``crashed(args, t0, exc)`` as its result.
+    """
     if jobs <= 1 or len(arg_list) <= 1:
         return [worker(a) for a in arg_list]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, arg_list))
+        futures = [pool.submit(worker, a) for a in arg_list]
+        results = [None if f.exception() else f.result() for f in futures]
+    for i, a in enumerate(arg_list):
+        if results[i] is None:
+            t0 = time.perf_counter()
+            with ProcessPoolExecutor(max_workers=1) as pool:
+                try:
+                    results[i] = pool.submit(worker, a).result()
+                except BrokenProcessPool:
+                    exc = CombAdcError("worker process exited abruptly")
+                    results[i] = crashed(a, t0, exc)
+    return results
 
 
 def run_sweep(cfg: ScenarioConfig, out_dir: str, jobs: int = 1) -> RunManifest:
@@ -258,7 +287,8 @@ def run_sweep(cfg: ScenarioConfig, out_dir: str, jobs: int = 1) -> RunManifest:
     os.makedirs(out_dir, exist_ok=True)
 
     freqs = cfg.sweep.frequencies()
-    results = _run_tasks(_sweep_point, [(cfg, i, fr) for i, fr in enumerate(freqs)], jobs)
+    args = [(cfg, i, fr) for i, fr in enumerate(freqs)]
+    results = _run_tasks(_sweep_point, args, jobs, _sweep_crashed)
 
     manifest = RunManifest(
         subcommand="sweep-sine",
@@ -305,14 +335,14 @@ def _scm_mu(cfg: ScenarioConfig, symbols: dict[int, np.ndarray]) -> SampledWavef
     """
     full_plan = dataclasses.replace(cfg.scm, active_channels=None)
     reference = scm_waveform(full_plan, symbols, cfg.dac.rate)
-    level = cfg.scm.drive_rms * cfg.dac.full_scale / rms(reference.samples)
+    level = cfg.scm.drive_rms / rms(reference.samples)
     if cfg.scm.active_set() == full_plan.active_set():
         burst = reference
     else:
         burst = scm_waveform(cfg.scm, symbols, cfg.dac.rate)
     x = SampledWaveform(burst.samples * level, burst.rate)
     dac_seed = _task_seeds(cfg.run.master_seed, "scm-dac", 0, 1)[0]
-    return _front_end(x, cfg, dac_seed, 1.0 / cfg.dac.full_scale)
+    return _front_end(x, cfg, dac_seed)
 
 
 def _spectrum_name(channel: int) -> str:
@@ -344,8 +374,15 @@ def _scm_channel(
         spec = periodogram(wave, n_fft=n_fft, n_avg=wave.n // n_fft)
         spectrum_to_csv(spec, os.path.join(out_dir, _spectrum_name(channel)))
     except Exception as exc:
-        return _task(index, f"channel={channel}", seeds[0], t0, exc), None
+        return _scm_failed(args, t0, exc)
     return _task(index, f"channel={channel}", seeds[0], t0), snr_db
+
+
+def _scm_failed(args, t0: float, exc: Exception) -> tuple[TaskRecord, None]:
+    """``_scm_channel``'s result for a channel that failed or whose worker died."""
+    cfg, index, channel = args[:3]
+    seed = _task_seeds(cfg.run.master_seed, "scm", channel, 2)[0]
+    return _task(index, f"channel={channel}", seed, t0, exc), None
 
 
 def _scm_results(
@@ -366,16 +403,12 @@ def _scm_results(
         symbols = _scm_symbols(cfg)
         mu = _scm_mu(cfg, symbols)
     except Exception as exc:
-        failed = []
-        for i, ch in enumerate(channels):
-            seed = _task_seeds(cfg.run.master_seed, "scm", ch, 2)[0]
-            failed.append((_task(i, f"channel={ch}", seed, t0, exc), None))
-        return failed
+        return [_scm_failed((cfg, i, ch), t0, exc) for i, ch in enumerate(channels)]
     args = [
         (cfg, i, ch, mu, symbols[ch] if demodulate else None, out_dir)
         for i, ch in enumerate(channels)
     ]
-    return _run_tasks(_scm_channel, args, jobs)
+    return _run_tasks(_scm_channel, args, jobs, _scm_failed)
 
 
 def run_scm(
@@ -449,8 +482,6 @@ def run_spectrum(cfg: ScenarioConfig, out_dir: str, channel: int) -> RunManifest
     return manifest
 
 
-def _write_manifest(manifest: RunManifest, out_dir: str) -> str:
-    path = os.path.join(out_dir, "manifest.txt")
-    with open(path, "w") as fh:
+def _write_manifest(manifest: RunManifest, out_dir: str) -> None:
+    with open(os.path.join(out_dir, "manifest.txt"), "w") as fh:
         fh.write(manifest.to_text())
-    return path

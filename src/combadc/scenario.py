@@ -20,15 +20,15 @@ from .adc import MIN_OVERSAMPLING, AdcConfig
 from .comb import (
     LinkConfig,
     ScenarioCombs,
+    check_comb_scaling,
     comb_from_cascade,
-    comb_scaling_fault,
     downshift_hz,
     flat_comb,
 )
 from .demod import DemodConfig, capture_filters, symbol_budget
 from .errors import CombAdcError, ConfigError, SignalError
-from .frontend import DacConfig, ScmConfig, burst_sps, carrier_grid_fault
-from .metrics import ANALYSIS_RATE, analysis_grid_fault
+from .frontend import DacConfig, ScmConfig, burst_sps, check_carrier_grid
+from .metrics import ANALYSIS_RATE, check_analysis_grid
 from .waveform import lowpass_band, resample_plan, spectral_tilt_taps
 
 __all__ = [
@@ -441,15 +441,15 @@ def validate_scenario(cfg: ScenarioConfig) -> ScenarioCombs:
         # comb_from_cascade raises ValueError for a drive that cannot
         # yield the requested lines
         raise ConfigError(f"comb-scaling: {exc}") from None
-    scaling_fault = comb_scaling_fault(cfg.bandwidth, combs, cfg.scm.n_channels)
-    _rule("comb-scaling", not scaling_fault, scaling_fault)
+    _stage_rule(
+        "comb-scaling", check_comb_scaling, cfg.bandwidth, combs, cfg.scm.n_channels
+    )
 
     _stage_rule("rate-consistency", burst_sps, cfg.scm, cfg.dac.rate)
     # the electrical tilt is part of the DAC's one FIR
     tilt_db = cfg.run.electrical_rolloff_db
     _stage_rule("dac-invariants", spectral_tilt_taps, cfg.dac.rate, tilt_db)
-    carrier_fault = carrier_grid_fault(cfg.scm, cfg.dac.rate)
-    _rule("carrier-grid", not carrier_fault, f"scm.duration: {carrier_fault}")
+    _stage_rule("carrier-grid", check_carrier_grid, cfg.scm, cfg.dac.rate)
     # the beat hands the converter its input at least this fast
     beat_rate = MIN_OVERSAMPLING * cfg.adc.rate
     _rule(
@@ -502,12 +502,7 @@ def validate_scenario(cfg: ScenarioConfig) -> ScenarioCombs:
         f"a {longest:.3g} s record at {cfg.dac.rate:.3g} Sa/s holds more than "
         f"{_MAX_RECORD_SAMPLES} samples",
     )
-    grid_fault = analysis_grid_fault(cfg.metrics.n_fft)
-    _rule(
-        "analysis-grid",
-        not grid_fault,
-        f"metrics.n_fft = {cfg.metrics.n_fft}: {grid_fault}",
-    )
+    _stage_rule("analysis-grid", check_analysis_grid, cfg.metrics.n_fft)
     _stage_rule("training-length", symbol_budget, cfg.scm.symbols_per_burst, demod)
     active = cfg.scm.active_set()
     _rule(

@@ -12,6 +12,11 @@ from combadc.comb import LinkConfig, ScenarioCombs, flat_comb
 from combadc.waveform import time_vector
 
 
+def flatness_db(spec) -> float:
+    """Max-to-min tone power ratio of a comb in dB."""
+    return 20.0 * float(np.log10(spec.tone_amps.max() / spec.tone_amps.min()))
+
+
 def make_combs(
     n_tones: int = 24,
     f_sig: float = 26e9,

@@ -84,9 +84,9 @@ def test_tone_mapping_into_subband_five():
         t0 = time.perf_counter()
         f_actual, n, folded = snap_sweep_frequency(f_request, cfg, combs)
         assert n == 5
-        x = sine_waveform(f_actual, cfg.dac.full_scale, cfg.sweep.duration, cfg.dac.rate)
+        x = sine_waveform(f_actual, 1.0, cfg.sweep.duration, cfg.dac.rate)
         y = dac_model(x, cfg.dac, seed=1)
-        v = np.clip(y.samples * backoff / cfg.dac.full_scale, -1.0, 1.0)
+        v = np.clip(y.samples * backoff / 1.0, -1.0, 1.0)
         mu = mzm_field(SampledWaveform(v, y.rate), cfg.link.drive_scale)
         cap = adc_capture(subband_beat(mu, n, combs, cfg.link, seed=2), n, cfg.adc, seed=3)
         rep = sine_metrics(cap, folded)
@@ -133,7 +133,7 @@ def test_quantization_law_end_to_end():
     dac_cfg = DacConfig(bits=6, residual_noise_db=None, lpf_cutoff=None)
     dac_rbw = dac_cfg.rate / N_FFT
     tone = sine_waveform(
-        2561 * dac_rbw, 0.999 * dac_cfg.full_scale, N_FFT * 4 / dac_cfg.rate, dac_cfg.rate
+        2561 * dac_rbw, 0.999 * 1.0, N_FFT * 4 / dac_cfg.rate, dac_cfg.rate
     )
     rep = sine_metrics(dac_model(tone, dac_cfg, 1), 2561 * dac_rbw, analysis_rate=dac_cfg.rate)
     assert rep.sinad_db == pytest.approx(37.9, abs=1.0)

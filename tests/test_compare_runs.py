@@ -91,3 +91,25 @@ def test_spectrum_band_power_and_strongest_bin(tmp_path):
     assert float(band.group(1)) == pytest.approx(10.0 * math.log10(0.15 / 0.11), abs=1e-5)
     assert "strongest bin: |diff| 1 dB, bins 7.5e+08 vs 1e+09 Hz\n" in moved.stdout
     assert moved.returncode == 1
+
+
+def test_config_lines_in_one_payload_are_named(tmp_path):
+    # the manifest of a run from before a key was removed, against one after
+    payloads = {
+        "old": "run.master_seed = 1\n\ndac.full_scale = 1.0\nsweep.snap = on\n",
+        "new": "run.master_seed = 1\n\nsweep.snap = off\n",
+    }
+    for name, payload in payloads.items():
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "manifest.txt").write_text(
+            "# combadc run manifest\n# subcommand = sweep-sine\n#\n" + payload
+        )
+    out = _compare(tmp_path / "old", tmp_path / "new")
+    assert out.returncode == 1
+    assert (
+        "config payload differs\n"
+        "  - dac.full_scale = 1.0\n"
+        "  - sweep.snap = on\n"
+        "  + sweep.snap = off\n"
+    ) in out.stdout
+    assert "master_seed" not in out.stdout

@@ -213,7 +213,6 @@ def test_demod_noise_doubling():
 def test_demod_report_bookkeeping():
     sym = gen_pam4_symbols(N_SYM, seed=11)
     rep = demod_pam4(_ssb_capture(sym, 0.02, seed=21), _cfg(), sym)
-    assert rep.converged
     assert rep.taps is not None and rep.taps.size == 17
     assert set(rep.level_histogram) == set(np.unique(sym).tolist())
     n_eval = (N_SYM - 48) - max(819, 48)

@@ -257,7 +257,7 @@ def test_dac_quantization_law_6bit():
     # handful of phases and off the phase-averaged law by over a dB.
     cfg = DacConfig(bits=6, residual_noise_db=None, lpf_cutoff=None)
     rbw = cfg.rate / 16384
-    tone = sine_waveform(2561 * rbw, 0.999 * cfg.full_scale, 16384 * 4 / cfg.rate, cfg.rate)
+    tone = sine_waveform(2561 * rbw, 0.999, 16384 * 4 / cfg.rate, cfg.rate)
     out = dac_model(tone, cfg, 1)
     rep = sine_metrics(out, 2561 * rbw, analysis_rate=cfg.rate)
     assert rep.sinad_db == pytest.approx(6.02 * 6 + 1.76, abs=1.0)
@@ -269,7 +269,7 @@ def test_dac_residual_noise_level(rng):
     cfg = DacConfig(residual_noise_db=-34.0, lpf_cutoff=None)
     x = SampledWaveform(np.zeros(400_000), cfg.rate)
     y = dac_model(x, cfg, 7, quantize=False, clip=False)
-    want = (cfg.full_scale**2 / 2) * 10 ** (-3.4)
+    want = 0.5 * 10 ** (-3.4)
     assert np.var(y.samples) == pytest.approx(want, rel=0.02)
     again = dac_model(x, cfg, 7, quantize=False, clip=False)
     assert np.array_equal(y.samples, again.samples)
@@ -317,7 +317,7 @@ def test_dac_clip_stage():
     cfg = DacConfig(lpf_cutoff=None, residual_noise_db=None)
     x = SampledWaveform(np.array([0.5, 1.5, -2.0, 0.0]), cfg.rate)
     y = dac_model(x, cfg, 1, quantize=False)
-    assert np.max(np.abs(y.samples)) <= cfg.full_scale
+    assert np.max(np.abs(y.samples)) <= 1.0
     assert y.samples[0] == 0.5
 
 
@@ -326,5 +326,3 @@ def test_dac_config_validation():
         DacConfig(bits=0)
     with pytest.raises(SignalError):
         DacConfig(lpf_cutoff=17e9)  # >= Nyquist of 32 GSa/s
-    with pytest.raises(SignalError):
-        DacConfig(full_scale=0.0)

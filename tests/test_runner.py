@@ -1,5 +1,8 @@
+import os
+
 import pytest
 
+from combadc import runner
 from combadc.errors import CombAdcError, ConfigError, EqualizerError, SignalError
 from combadc.runner import run_scm, run_spectrum, run_sweep, snap_sweep_frequency
 from combadc.scenario import build_combs, load_config
@@ -261,6 +264,57 @@ def test_unexpected_channel_error_is_recorded_not_fatal(tmp_path, monkeypatch):
     assert [ln.split(",")[0] for ln in lines[1:]] == ["1"]
 
 
+_REAL_SWEEP_POINT = runner._sweep_point
+_REAL_SCM_CHANNEL = runner._scm_channel
+
+
+def _sweep_point_dies_at_one(args):
+    """A sweep point whose worker process dies, as an OOM kill would."""
+    if args[1] == 1:
+        os._exit(3)
+    return _REAL_SWEEP_POINT(args)
+
+
+def _scm_channel_dies_at_one(args):
+    if args[1] == 1:
+        os._exit(3)
+    return _REAL_SCM_CHANNEL(args)
+
+
+def _three_tasks(kind, out_dir, jobs):
+    cfg = load_config(FAST_SWEEP + SHORT_BURST)
+    if kind == "sweep":
+        return run_sweep(cfg, str(out_dir), jobs), "sweep.csv"
+    return run_scm(cfg, str(out_dir), jobs, channels=[1, 3, 4]), "scm_snr.csv"
+
+
+@pytest.mark.parametrize(
+    "kind,name,worker",
+    [
+        ("sweep", "_sweep_point", _sweep_point_dies_at_one),
+        ("scm", "_scm_channel", _scm_channel_dies_at_one),
+    ],
+    ids=["sweep", "scm"],
+)
+def test_dead_worker_is_a_failed_task(kind, name, worker, tmp_path, monkeypatch):
+    clean, csv = _three_tasks(kind, tmp_path / "clean", jobs=1)
+    # patched before the pool forks, so its workers run the dying task
+    monkeypatch.setattr(runner, name, worker)
+    man, _ = _three_tasks(kind, tmp_path / "dead", jobs=2)
+
+    assert [t.status for t in man.tasks] == ["ok", "failed", "ok"]
+    assert man.tasks[1].detail == "worker process exited abruptly"
+    assert "status=failed detail=worker process exited abruptly" in _read(
+        tmp_path / "dead/manifest.txt"
+    )
+    # the failed task keeps its label and seed, and the others, whichever
+    # of them the broken pool left unfinished, write the same bytes
+    for got, want in zip(man.tasks, clean.tasks):
+        assert (got.index, got.label, got.seed) == (want.index, want.label, want.seed)
+    rows = _read(tmp_path / "clean" / csv).splitlines()
+    assert _read(tmp_path / "dead" / csv).splitlines() == rows[:2] + rows[3:]
+
+
 # ------------------------------------------------------------- burst sharing
 
 SHORT_BURST = "scm.duration = 0.512us\n"
@@ -329,26 +383,3 @@ def test_burst_failure_fails_every_channel_task(tmp_path, monkeypatch):
     with pytest.raises(CombAdcError, match="burst too large"):
         run_spectrum(load_config(SHORT_BURST), str(tmp_path / "sp"), channel=2)
     assert "status=failed" in _read(tmp_path / "sp/manifest.txt")
-
-
-# ------------------------------------------------------------ DAC full scale
-
-
-def _figures(text, out_dir):
-    """Sweep SFDR/SINAD/ENOB and channel 3's SNR of one config."""
-    cfg = load_config(text)
-    run_sweep(cfg, str(out_dir / "sweep"))
-    run_scm(cfg, str(out_dir / "scm"), channels=[3])
-    rows = _read(out_dir / "sweep/sweep.csv").splitlines()[1:]
-    rows += _read(out_dir / "scm/scm_snr.csv").splitlines()[1:]
-    return [float(v) for row in rows for v in row.split(",")[1:]]
-
-
-def test_both_ends_of_the_dac_full_scale_score_like_one(tmp_path):
-    # the sources, the drive and the quantizer all scale with the full
-    # scale; at the ends of its range only float32 rounding differs
-    want = _figures(FAST_SWEEP, tmp_path / "one")
-    assert len(want) == 3 * 3 + 1
-    for full_scale in ("1e-3", "1e3"):
-        got = _figures(FAST_SWEEP + f"dac.full_scale = {full_scale}\n", tmp_path / full_scale)
-        assert got == pytest.approx(want, abs=1e-3)

@@ -7,20 +7,28 @@ comb tone carries the same modulation, sub-band n can be simulated
 directly from the modulator field factor mu(t) on an electrical-rate grid;
 no THz-wide optical field is ever synthesized.
 
-The beat is computed as a digital down-converter. One forward FFT of mu
+The beat is computed as a digital down-converter. The spectrum of mu
 gives both the analytic signal (negative bins dropped, positive bins
 doubled) and, shifted by n * delta_f, the complex baseband of the
 sub-band; only the bins around it are kept and transformed back on a
-shorter record. Detector noise, the photodiode filter and the
-transimpedance stage then run at that reduced rate. The noise sources are
-specified as densities, so the physics does not depend on the rate.
+shorter record. The balanced-detection leak needs the spectrum of mu^2
+as well, and one complex FFT of mu + j mu^2 gives both: mu's spectrum is
+its Hermitian half and mu^2's its anti-Hermitian half, read only at the
+bins that are kept. Where the differential phase track is zero (a band
+on the bin grid, with no static phase between the pair, no drive noise
+and no drift) only the real part of the band is needed, and one real
+inverse transform returns it together with the leak. Detector noise,
+the photodiode filter and the transimpedance stage then run at the
+reduced rate. The noise sources are specified as densities, so the
+physics does not depend on the rate.
 
 Precision: ``mzm_field`` keeps its drive's dtype, so a float32 drive
-gives a float32 field factor. The beat takes its two full-length FFTs
-(of mu and mu^2) with ``scipy.fft``, which transforms float32 in single
-precision (``numpy.fft`` would work in double and run slower), and
-writes the selected band into complex128: everything at the output rate
-is float64 whatever the input dtype.
+gives a float32 field factor. The beat's one full-length transform (the
+complex FFT of mu + j mu^2, or the ``rfft`` of mu when the leak is off)
+runs in ``scipy.fft``, which transforms single precision in single
+precision (``numpy.fft`` would work in double and run slower). The bins
+it keeps are read into complex128: everything at the output rate is
+float64 whatever the input dtype.
 
 Phase bookkeeping: the seed laser's phase enters both beat terms
 identically and cancels in the difference, so it never appears in the
@@ -34,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import next_fast_len, rfft
+from scipy.fft import fft, ifft, irfft, next_fast_len, rfft
 
 from .errors import ConfigError, SignalError
 from .seeding import derive_rng
@@ -327,28 +335,43 @@ def _differential_phase(
     return theta
 
 
-def _analytic_band(
-    spectrum: np.ndarray, n_in: int, k0: int, n_out: int
-) -> np.ndarray:
-    """``n_out`` bins of an analytic signal's spectrum around bin ``k0``,
-    FFT-ordered.
+def _rfft_bins(z: np.ndarray, lo: int, hi: int, imag: bool = False) -> np.ndarray:
+    """Bins ``lo..hi-1`` of the ``rfft`` of the real part of the record
+    whose FFT is ``z`` (of its imaginary part with ``imag``), in complex128.
 
-    ``spectrum`` is the ``rfft`` of an ``n_in``-sample real record. Bin
-    ``k0`` lands on DC. Only the kept bins get the analytic weights: DC
-    and Nyquist once, every other positive bin twice. Output bins whose
-    source lies below DC or past the end of ``spectrum`` stay zero, which
-    is what drops the negative frequencies.
+    Both parts are real records, so their spectra are the Hermitian and
+    anti-Hermitian halves of ``z``: ``(Z[k] + conj Z[-k]) / 2`` and
+    ``(Z[k] - conj Z[-k]) / 2j``.
+    """
+    bins = z[lo:hi].astype(np.complex128)
+    mirror = np.conj(z[-np.arange(lo, hi)])
+    if imag:
+        bins -= mirror
+        bins *= -0.5j
+    else:
+        bins += mirror
+        bins *= 0.5
+    return bins
+
+
+def _analytic_band(src: np.ndarray, n_in: int, first: int, n_out: int) -> np.ndarray:
+    """``n_out`` bins of an analytic signal's spectrum from source bin
+    ``first`` on, FFT-ordered (source bin ``first + n_out // 2`` lands on DC).
+
+    ``src`` holds the ``rfft`` bins ``max(first, 0)`` up to at most
+    ``first + n_out`` of an ``n_in``-sample real record. Only these get the
+    analytic weights: DC and Nyquist once, every other positive bin twice.
+    Output bins whose source lies below DC or past the end of the ``rfft``
+    stay zero, which is what drops the negative frequencies.
     """
     centred = np.zeros(n_out, dtype=np.complex128)
-    first = k0 - n_out // 2  # source bin of centred[0]
     lo = max(first, 0)
-    src = spectrum[lo : first + n_out]
     kept = centred[lo - first : lo - first + src.size]
     np.multiply(src, 2.0, out=kept)
     if lo == 0:
-        kept[0] = spectrum[0]
-    if n_in % 2 == 0 and first + n_out >= spectrum.size:
-        kept[-1] = spectrum[-1]
+        kept[0] = src[0]
+    if n_in % 2 == 0 and lo + src.size == n_in // 2 + 1:
+        kept[-1] = src[-1]
     return np.fft.ifftshift(centred)
 
 
@@ -386,6 +409,12 @@ def subband_beat(
     realized rate (the returned waveform's ``rate``) can sit slightly
     above ``out_rate``. A downshift that is not a whole number of FFT bins
     is split into a bin shift and a residual mix at the output rate.
+
+    With the leak on, the spectra of mu and mu^2 come from one complex FFT
+    of mu + j mu^2. A band whose phase track is zero returns through one
+    real inverse FFT that carries the leak as well; any other band takes a
+    complex inverse and the factor exp(j theta), and the leak its own real
+    inverse.
     """
     if not 1 <= n <= combs.n_pairs:
         raise SignalError(
@@ -418,24 +447,41 @@ def subband_beat(
         * combs.lo.tone_amps[n - 1]
     )
 
-    spectrum = rfft(mu.samples)
     shift = shift_hz * n_in / rate  # downshift in bins
     k0 = int(round(shift))
-    z = np.fft.ifft(_analytic_band(spectrum, n_in, k0, n_out)) * scale
-
     theta = _differential_phase(n, combs, n_out, rate_out, seed)
     residual = (shift - k0) * rate / n_in  # Hz, under half a bin
     if residual != 0.0:
         theta = theta - 2.0 * np.pi * residual * time_vector(n_out, rate_out)
+
+    first = k0 - n_out // 2  # source bin of the band's first output bin
+    lo, hi = max(first, 0), min(first + n_out, n_in // 2 + 1)
+    n_half = n_out // 2 + 1  # rfft length at the output rate
+    leak = None
+    if np.isfinite(link.cmrr_db):
+        # one complex FFT for the two real records mu and mu^2
+        z = np.empty(n_in, dtype=np.result_type(mu.samples, np.complex64))
+        z.real = mu.samples
+        np.square(mu.samples, out=z.imag)
+        z = fft(z, overwrite_x=True)
+        band = _analytic_band(_rfft_bins(z, lo, hi), n_in, first, n_out)
+        kappa = db_to_amplitude_ratio(-link.cmrr_db)
+        leak = _rfft_bins(z, 0, n_half, imag=True) * (kappa * r * p_ch)
+        del z  # the full-length spectrum is not needed past here
+    else:
+        band = _analytic_band(rfft(mu.samples)[lo:hi], n_in, first, n_out)
+
     # the default track is zero on a band that sits on the bin grid
     if np.any(theta):
-        z = z * np.exp(1j * theta)
-    i = gain * z.real
-
-    if np.isfinite(link.cmrr_db):
-        kappa = db_to_amplitude_ratio(-link.cmrr_db)
-        leak = rfft(np.square(mu.samples))[: n_out // 2 + 1].astype(np.complex128)
-        i = i + kappa * r * p_ch * np.fft.irfft(leak, n_out) * scale
+        i = gain * scale * (ifft(band) * np.exp(1j * theta)).real
+        if leak is not None:
+            i += irfft(leak, n_out) * scale
+    else:
+        # Re(ifft(band)) is the real inverse of band's Hermitian half
+        half = _rfft_bins(band, 0, n_half) * gain
+        if leak is not None:
+            half += leak
+        i = irfft(half, n_out) * scale
 
     if link.thermal_noise_density > 0:
         i = i + white_noise(

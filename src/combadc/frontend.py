@@ -23,9 +23,9 @@ The DAC's full scale is +-1: the testbench's figures are ratios, so
 every level (tone amplitude, burst drive, residual noise) is one of it.
 
 Both sources come out in float64. ``dac_model`` keeps its input's dtype
-(its quantizer decides in float64 and its noise is drawn in float64, and
-both are cast back), so the caller picks the precision of the DAC-rate
-chain by the dtype it hands in.
+(its quantizer works in that dtype, exactly, since the step is a power
+of two; its noise is drawn in float64 and cast back), so the caller
+picks the precision of the DAC-rate chain by the dtype it hands in.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from scipy import fft
 from .errors import SignalError
 from .waveform import (
     SampledWaveform,
+    _as_samples,
     apply_fir,
     fir_lowpass,
     lowpass_band,
@@ -233,13 +234,20 @@ def scm_waveform(
     return SampledWaveform(burst.real.copy(), rate)
 
 
-def _phasor(w: float, n: int) -> np.ndarray:
-    """``exp(1j * w * k)`` for ``k < n``: with k = 1024a + b, the outer
-    product of e^{jw 1024a} and e^{jwb}, two short exponentials instead of
-    one per sample."""
+def _phasor(w: float, n: int, real: bool = False) -> np.ndarray:
+    """``exp(1j * w * k)`` for ``k < n``, or with ``real`` its real part:
+    with k = 1024a + b, the outer product of e^{jw 1024a} and e^{jwb}, two
+    short exponentials instead of one per sample. The real part is taken
+    256 rows at a time, the same products without a full-length complex
+    array (twice the float64 result, the run's largest transient)."""
     coarse = np.exp(1j * w * 1024 * np.arange(-(-n // 1024)))
     fine = np.exp(1j * w * np.arange(1024))
-    return np.outer(coarse, fine).ravel()[:n]
+    if not real:
+        return np.outer(coarse, fine).ravel()[:n]
+    out = np.empty((coarse.size, fine.size))
+    for row in range(0, coarse.size, 256):
+        out[row : row + 256] = np.outer(coarse[row : row + 256], fine).real
+    return out.ravel()[:n]
 
 
 def sine_waveform(
@@ -251,7 +259,9 @@ def sine_waveform(
     n = int(round(duration * rate))
     if n < 1:
         raise SignalError("duration shorter than one sample")
-    return SampledWaveform(amplitude * _phasor(2.0 * np.pi * freq / rate, n).real, rate)
+    tone = _phasor(2.0 * np.pi * freq / rate, n, real=True)
+    tone *= amplitude
+    return SampledWaveform(tone, rate)
 
 
 def quantize_midrise(
@@ -261,18 +271,26 @@ def quantize_midrise(
 
     Code c represents the interval [c*step, (c+1)*step); zero input maps
     to code 0. With ``clip`` the codes saturate at the rails; without it
-    the transfer stays linear beyond full scale (ideal headroom).
+    the transfer stays linear beyond full scale (ideal headroom). The
+    codes are whole numbers in the input's float dtype (float32 stays
+    float32, anything else becomes float64). With a full scale that is a
+    power of two, as the DAC's 1.0, the step is one too: float32 then
+    gives the float64 codes, and ``dequantize_midrise`` the float64
+    values rounded to float32, bit for bit.
     """
-    step = full_scale / 2 ** (bits - 1)
-    codes = np.floor(np.asarray(x, dtype=np.float64) / step)
+    codes = _as_samples(x) / (full_scale / 2 ** (bits - 1))
+    np.floor(codes, out=codes)
     if clip:
-        codes = np.clip(codes, -(2 ** (bits - 1)), 2 ** (bits - 1) - 1)
-    return codes.astype(np.int64)
+        np.clip(codes, -(2 ** (bits - 1)), 2 ** (bits - 1) - 1, out=codes)
+    return codes
 
 
 def dequantize_midrise(codes: np.ndarray, bits: int, full_scale: float) -> np.ndarray:
-    step = full_scale / 2 ** (bits - 1)
-    return (np.asarray(codes, dtype=np.float64) + 0.5) * step
+    """Interval centres of mid-rise ``codes``, in their float dtype
+    (float32 stays float32, integers and the rest become float64)."""
+    y = _as_samples(codes) + 0.5
+    y *= full_scale / 2 ** (bits - 1)
+    return y
 
 
 def dac_model(
@@ -304,8 +322,9 @@ def dac_model(
     if clip:
         y = np.clip(y, -1.0, 1.0)
     if quantize:
-        codes = quantize_midrise(y, cfg.bits, 1.0, clip=clip)
-        y = dequantize_midrise(codes, cfg.bits, 1.0).astype(dtype, copy=False)
+        y = dequantize_midrise(
+            quantize_midrise(y, cfg.bits, 1.0, clip=clip), cfg.bits, 1.0
+        )
     if cfg.residual_noise_db is not None:
         rng = np.random.default_rng(seed)
         # relative to the full-scale sine's power of 1/2
@@ -313,6 +332,7 @@ def dac_model(
         noise = rng.normal(0.0, sigma, y.size)
         noise += y
         y = noise.astype(dtype, copy=False)
+        del noise  # a float64 record: not held through the FIR
     taps = np.ones(1)  # identity
     if cfg.lpf_cutoff is not None:
         taps = fir_lowpass(cfg.lpf_cutoff, cfg.rate, _LPF_TRANSITION * cfg.lpf_cutoff)

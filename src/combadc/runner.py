@@ -196,6 +196,7 @@ def _sweep_point(args: tuple[ScenarioConfig, int, float]) -> tuple[TaskRecord, s
         x = sine_waveform(f_actual, 1.0, cfg.sweep.duration, cfg.dac.rate)
         gain = db_to_amplitude_ratio(-cfg.link.sine_backoff_db)
         mu = _front_end(x, cfg, seeds[0], gain)
+        del x  # free the float64 tone before the beat's full-length FFT
         cap = _capture_subband(mu, n, cfg, combs, seeds[1], seeds[2])
         report = sine_metrics(
             cap,

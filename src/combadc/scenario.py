@@ -402,9 +402,10 @@ _MAX_SWEEP_POINTS = 10_000
 # more comb lines than the cascade's harmonic grid holds span about
 # 100 THz at 26 GHz spacing, far past any optical band: a typo, not a comb
 _MAX_COMB_TONES = 4096
-# a run peaks near 65 (sweep point) to 100 (burst) bytes per sample of
-# its record at the DAC rate; 2**24 samples (0.52 ms at 32 GSa/s, 7.5x
-# the default sweep point) already take a burst near 1.7 GB
+# a run's peak memory grows by about 35 (sweep point) to 82 (burst)
+# bytes per sample of its record at the DAC rate (peak RSS from 2.24 M
+# to 8.96 M and from 0.52 M to 2.1 M samples); 2**24 samples (0.52 ms at
+# 32 GSa/s, 7.5x the default sweep point) take a burst near 1.4 GB
 _MAX_RECORD_SAMPLES = 2**24
 
 

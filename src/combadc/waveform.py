@@ -194,9 +194,9 @@ def spectrum_to_csv(spec: SpectrumEstimate, path) -> None:
         fh.write(f"# n_avg = {spec.n_avg}\n")
         fh.write(f"# window = {spec.window}\n")
         fh.write("freq_hz,power_db\n")
-        # Python floats format faster than numpy scalars; same digits
-        freqs, powers = spec.bin_freqs.tolist(), spec.power_db.tolist()
-        fh.write("".join(map("{:.6f},{:.6f}\n".format, freqs, powers)))
+        # one %-format over Python floats, frequency and power interleaved
+        rows = np.column_stack((spec.bin_freqs, spec.power_db)).ravel().tolist()
+        fh.write(("%.6f,%.6f\n" * spec.bin_freqs.size) % tuple(rows))
 
 
 def rrc_taps(rolloff: float, sps_per_sym: int, span: int) -> np.ndarray:

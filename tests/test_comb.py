@@ -451,3 +451,55 @@ def test_beat_thermal_noise_variance_at_output_rate():
 def test_beat_rejects_output_rate_above_input():
     with pytest.raises(SignalError):
         subband_beat(_mu_tone(1e9), 1, make_combs(), quiet_link(), 1, out_rate=64e9)
+
+
+# ------------------------------------------------- paired transform, inverse
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n_samples", [65536, 65537])
+@pytest.mark.parametrize("n", [1, 14])
+def test_beat_leak_matches_direct_detection_oracle(n, n_samples, dtype, rng):
+    # the leak is the direct-detection mu^2 term: with the heterodyne band
+    # the same in both runs, the difference of a finite and an infinite
+    # CMRR is that term alone, band-limited to the output grid and then
+    # filtered by the photodiode. At 9.6 GSa/s sub-band 1's band is clipped
+    # at DC and sub-band 14's reaches the record's Nyquist bin; 65537
+    # samples put the downshift off the bin grid.
+    from combadc.waveform import apply_fir, fir_lowpass
+
+    combs = make_combs()
+    mu = SampledWaveform((0.3 * rng.standard_normal(n_samples)).astype(dtype), 32e9)
+    link = quiet_link(cmrr_db=-20.0)  # a leak about as loud as the beat
+    leaky = subband_beat(mu, n, combs, link, 3, out_rate=9.6e9, **_ALL_OFF)
+    clean = subband_beat(mu, n, combs, quiet_link(), 3, out_rate=9.6e9, **_ALL_OFF)
+    n_out = leaky.n
+    mu64 = mu.samples.astype(np.float64)
+    half = np.fft.rfft(mu64**2)[: n_out // 2 + 1]
+    p_ch = dbm_to_watts(link.sig_power_per_ch_dbm)
+    kappa = 10.0 ** (-link.cmrr_db / 20.0)
+    leak = kappa * link.responsivity * p_ch * np.fft.irfft(half, n_out) * n_out / n_samples
+    want = apply_fir(leak, fir_lowpass(link.pd_bandwidth, leaky.rate))
+    # float64 rounding, or float32 rounding of a transform that also holds mu
+    tol = 1e-10 if dtype == np.float64 else 1e-5
+    got = leaky.samples - clean.samples
+    assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("cmrr_db", [np.inf, 35.0])
+@pytest.mark.parametrize("out_rate", [None, 9.6e9])
+@pytest.mark.parametrize("n", [1, 14])
+def test_beat_real_inverse_matches_complex_inverse(n, out_rate, cmrr_db, rng):
+    # a band on the bin grid with a zero phase track takes the real
+    # inverse; a drift too slow to move the phase by 1e-9 rad over the
+    # record sends the same band through the complex inverse and exp(j theta)
+    mu = SampledWaveform(0.3 * rng.standard_normal(65536), 32e9)
+    link = quiet_link(cmrr_db=cmrr_db)
+    drifting = make_combs(drift=1e-4)
+    theta = _differential_phase(n, drifting, mu.n, mu.rate, seed=3)
+    assert 0.0 < np.max(np.abs(theta)) < 1e-9
+    real = subband_beat(mu, n, make_combs(), link, 3, out_rate=out_rate, **_ALL_OFF)
+    cplx = subband_beat(mu, n, drifting, link, 3, out_rate=out_rate, **_ALL_OFF)
+    # exp(j theta) moves the output by at most max|theta| of its peak
+    peak = np.max(np.abs(real.samples))
+    assert np.max(np.abs(real.samples - cplx.samples)) <= 1e-9 * peak

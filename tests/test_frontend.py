@@ -202,6 +202,18 @@ def test_sine_waveform_matches_cosine(freq, n):
     np.testing.assert_allclose(w.samples, want, rtol=0.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("n", [1, 1024, 300_001])
+@pytest.mark.parametrize("freq", [0.5e9, 5.5e9, 10.37e9])
+def test_tone_taken_in_row_blocks_keeps_every_bit(freq, n):
+    # the tone's real part is formed 256 rows of 1024 samples at a time;
+    # 300,001 samples span two blocks and a partial row. Each product is
+    # the one the full-length complex phasor forms, so the bits agree.
+    from combadc.frontend import _phasor
+
+    w = 2.0 * np.pi * freq / 32e9
+    assert np.array_equal(_phasor(w, n, real=True), _phasor(w, n).real)
+
+
 # ---------------------------------------------------------------- quantizer
 
 

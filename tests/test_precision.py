@@ -51,6 +51,23 @@ def test_dac_model_keeps_float32(quantize):
     np.testing.assert_allclose(y32.samples, y64.samples, atol=1e-5)
 
 
+@pytest.mark.parametrize("clip", [True, False])
+@pytest.mark.parametrize("bits", [1, 6, 16])
+def test_dac_quantizer_in_float32_is_exact(bits, clip, rng):
+    # the DAC's step is a power of two, so the float32 quantizer must give
+    # the float64 result rounded to float32 bit for bit: on the code
+    # boundaries, at the rails, at signed zero, past the rails and between
+    half = 2 ** (bits - 1)
+    edges = np.arange(-half, half + 1) / half
+    special = [1.0, -1.0, 0.0, -0.0, 1.5, -1.5, 3.0, -7.25, 1e-30, -1e-30]
+    x = _f32(np.concatenate([edges, special, rng.uniform(-1.2, 1.2, 4096)]))
+    cfg = DacConfig(bits=bits, lpf_cutoff=None, residual_noise_db=None)
+    y32 = dac_model(SampledWaveform(x, RATE), cfg, 1, clip=clip).samples
+    y64 = dac_model(SampledWaveform(x.astype(np.float64), RATE), cfg, 1, clip=clip).samples
+    assert y32.dtype == np.float32
+    assert np.array_equal(y32.view(np.uint32), y64.astype(np.float32).view(np.uint32))
+
+
 def test_mzm_field_keeps_float32(rng):
     v = _f32(rng.uniform(-1.0, 1.0, 4096))
     mu32 = mzm_field(SampledWaveform(v, RATE), 0.3).samples

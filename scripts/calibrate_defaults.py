@@ -21,6 +21,8 @@ Run time is about 15 s per noise-budget cell; the comb grid is instant.
 """
 
 import argparse
+import os
+import tempfile
 import time
 
 from combadc import comb_from_cascade, load_config, run_scm, run_sweep
@@ -49,6 +51,12 @@ def comb_flatness_grid(n_tones: int = 24) -> None:
     print(f"   flattest: pm={best[1]}, im={best[2]} ({best[0]:.2f} dB)\n")
 
 
+def _rows(path: str) -> list[list[str]]:
+    """Data rows of a CSV artifact, header dropped."""
+    with open(path) as fh:
+        return [line.split(",") for line in fh.read().strip().splitlines()[1:]]
+
+
 def budget_cell(drive: float, thermal: float, tilt: float, jobs: int) -> None:
     base = (
         f"scm.drive_rms = {drive}\n"
@@ -57,24 +65,18 @@ def budget_cell(drive: float, thermal: float, tilt: float, jobs: int) -> None:
     )
     t0 = time.time()
 
-    cfg = load_config(base + "sweep.start = 0.5ghz\nsweep.stop = 10.5ghz\nsweep.step = 2.5ghz\n")
-    run_sweep(cfg, "/tmp/combadc_cal/sweep", jobs=jobs)
-    rows = [
-        line.split(",")
-        for line in open("/tmp/combadc_cal/sweep/sweep.csv").read().strip().splitlines()[1:]
-    ]
-    sinad = [float(r[2]) for r in rows]
-    sfdr = [float(r[1]) for r in rows]
+    with tempfile.TemporaryDirectory() as out:
+        sweep_dir, scm_dir, mute_dir = (os.path.join(out, d) for d in ("sweep", "scm", "mute"))
+        cfg = load_config(base + "sweep.start = 0.5ghz\nsweep.stop = 10.5ghz\nsweep.step = 2.5ghz\n")
+        run_sweep(cfg, sweep_dir, jobs=jobs)
+        rows = _rows(os.path.join(sweep_dir, "sweep.csv"))
+        sinad = [float(r[2]) for r in rows]
+        sfdr = [float(r[1]) for r in rows]
 
-    run_scm(load_config(base), "/tmp/combadc_cal/scm", jobs=jobs)
-    snr = dict(
-        line.split(",")
-        for line in open("/tmp/combadc_cal/scm/scm_snr.csv").read().strip().splitlines()[1:]
-    )
-    run_scm(load_config(base + "scm.active_channels = 1\n"), "/tmp/combadc_cal/mute", jobs=1)
-    alone = float(
-        open("/tmp/combadc_cal/mute/scm_snr.csv").read().strip().splitlines()[1].split(",")[1]
-    )
+        run_scm(load_config(base), scm_dir, jobs=jobs)
+        snr = dict(_rows(os.path.join(scm_dir, "scm_snr.csv")))
+        run_scm(load_config(base + "scm.active_channels = 1\n"), mute_dir, jobs=1)
+        alone = float(_rows(os.path.join(mute_dir, "scm_snr.csv"))[0][1])
 
     ch1, ch10 = float(snr["1"]), float(snr["10"])
     print(

@@ -93,8 +93,6 @@ class DemodConfig:
 @dataclass
 class DemodReport:
     snr_db: float
-    level_histogram: dict[float, int]
-    taps: np.ndarray | None = None
 
 
 def _symbol_windows(y: np.ndarray, n_sym: int, taps: int, sps: int) -> np.ndarray:
@@ -310,19 +308,17 @@ def demod_pam4(
     raw = _symbol_windows(z, n_sym, 1, cfg.sps)[:, 0]
 
     if cfg.equalizer == "lms":
-        taps, eq = ffe_lms(
+        _, eq = ffe_lms(
             z, tx[:n_train], cfg.ffe_taps, cfg.ffe_step, cfg.sps, cfg.ffe_passes
         )
     elif cfg.equalizer == "wiener":
-        taps, eq = wiener_ffe(z, tx[:n_train], cfg.ffe_taps, cfg.sps)
+        _, eq = wiener_ffe(z, tx[:n_train], cfg.ffe_taps, cfg.sps)
     else:
-        taps, eq = None, raw.copy()
+        eq = raw
     eq = eq[:n_sym]
 
     # score on symbols the filter never trained on, clear of burst edges
-    eq_gain = _ls_gain(eq[sel], tx[sel])
-    y_eval = eq[sel] * eq_gain
-    err = y_eval - tx[sel]
+    err = eq[sel] * _ls_gain(eq[sel], tx[sel]) - tx[sel]
     snr = 10.0 * np.log10(float(tx[sel] @ tx[sel]) / float(err @ err))
 
     if cfg.equalizer != "none":
@@ -338,8 +334,4 @@ def demod_pam4(
                 "training did not converge"
             )
 
-    levels = np.unique(tx)
-    decisions = levels[np.argmin(np.abs(y_eval[:, None] - levels[None, :]), axis=1)]
-    hist = {float(lv): int(np.sum(decisions == lv)) for lv in levels}
-
-    return DemodReport(snr_db=float(snr), level_histogram=hist, taps=taps)
+    return DemodReport(snr_db=float(snr))

@@ -37,7 +37,6 @@ class MetricsReport:
     sinad_db: float
     enob_bits: float
     fundamental_hz: float
-    analysis_band: tuple[float, float]
 
 
 def check_analysis_grid(n_fft: int) -> None:
@@ -131,5 +130,4 @@ def sine_metrics(
         sinad_db=sinad,
         enob_bits=(sinad - 1.76) / 6.02,
         fundamental_hz=peak * spec.rbw,
-        analysis_band=(f_lo, f_hi),
     )

@@ -5,9 +5,11 @@ per channel). Task seeds derive from (master_seed, task kind, index)
 alone, so outputs are byte-identical however the tasks are scheduled;
 ``--jobs`` only changes wall time. A channelized run builds its transmit
 burst once and hands it to every channel task, as the physical system
-sends one burst to all sub-band detectors. A failed task is recorded in
-the manifest with its reason and the run carries on, whether the task
-raised any error or its worker process died.
+sends one burst to all sub-band detectors. The parent builds each task's
+label, seed and arguments once; a worker returns only its CSV row or
+SNR, and ``_run_tasks`` times every task and writes every manifest
+record. A failed task is recorded with its reason and the run carries
+on, whether the task raised any error or its worker process died.
 
 The manifest written next to the CSVs doubles as a config file: all
 bookkeeping lives in comment lines, the config snapshot is the payload,
@@ -34,13 +36,7 @@ from .demod import demod_pam4
 from .errors import CombAdcError, ConfigError
 from .frontend import dac_model, gen_pam4_symbols, scm_waveform, sine_waveform
 from .metrics import ANALYSIS_RATE, FOLD_WINDOW_HZ, sine_metrics
-from .scenario import (
-    ScenarioConfig,
-    build_combs,
-    build_demod,
-    dump_config,
-    validate_scenario,
-)
+from .scenario import ScenarioConfig, build_demod, dump_config, validate_scenario
 from .seeding import derive_seed_sequence
 from .units import db_to_amplitude_ratio
 from .waveform import SampledWaveform, periodogram, rms, spectrum_to_csv
@@ -181,61 +177,7 @@ def _capture_subband(
 
 
 # ---------------------------------------------------------------------------
-# sine sweep
-
-
-def _sweep_point(args: tuple[ScenarioConfig, int, float]) -> tuple[TaskRecord, str]:
-    """One sweep point: its task record and its CSV row ("" if it failed)."""
-    cfg, index, f_request = args
-    t0 = time.perf_counter()
-    seeds = _task_seeds(cfg.run.master_seed, "sweep", index, 3)
-    combs = build_combs(cfg)
-    f_actual, n, f_folded = snap_sweep_frequency(f_request, cfg, combs)
-    label = _sweep_label(f_request, f_actual, n)
-    try:
-        x = sine_waveform(f_actual, 1.0, cfg.sweep.duration, cfg.dac.rate)
-        gain = db_to_amplitude_ratio(-cfg.link.sine_backoff_db)
-        mu = _front_end(x, cfg, seeds[0], gain)
-        del x  # free the float64 tone before the beat's full-length FFT
-        cap = _capture_subband(mu, n, cfg, combs, seeds[1], seeds[2])
-        report = sine_metrics(
-            cap,
-            f_folded,
-            analysis_rate=ANALYSIS_RATE,
-            n_fft=cfg.metrics.n_fft,
-            n_avg=cfg.metrics.n_avg,
-            window=_window_name(cfg),
-            include_notch=cfg.metrics.include_notch_band,
-        )
-    except Exception as exc:
-        return _task(index, label, seeds[0], t0, exc), ""
-    row = (
-        f"{f_request / 1e9:.4f},{report.sfdr_db:.6f},"
-        f"{report.sinad_db:.6f},{report.enob_bits:.6f}\n"
-    )
-    return _task(index, label, seeds[0], t0), row
-
-
-def _sweep_label(f_request: float, f_actual: float, n: int) -> str:
-    return f"freq_ghz={f_request / 1e9:.6f} actual_hz={f_actual!r} subband={n}"
-
-
-def _sweep_crashed(args, t0: float, exc: Exception) -> tuple[TaskRecord, str]:
-    """``_sweep_point``'s result for a point whose worker process died."""
-    cfg, index, f_request = args
-    f_actual, n, _ = snap_sweep_frequency(f_request, cfg, build_combs(cfg))
-    seed = _task_seeds(cfg.run.master_seed, "sweep", index, 3)[0]
-    return _task(index, _sweep_label(f_request, f_actual, n), seed, t0, exc), ""
-
-
-def _task(
-    index: int, label: str, seed: int, t0: float, exc: Exception | None = None
-) -> TaskRecord:
-    """Manifest record of a task started at ``t0``; failed if ``exc`` is given."""
-    elapsed_s = time.perf_counter() - t0
-    if exc is None:
-        return TaskRecord(index, label, seed, elapsed_s, "ok")
-    return TaskRecord(index, label, seed, elapsed_s, "failed", _failure_detail(exc))
+# task protocol
 
 
 def _failure_detail(exc: Exception) -> str:
@@ -255,51 +197,108 @@ def _failure_detail(exc: Exception) -> str:
     return f"{type(exc).__name__} {where}"
 
 
-def _run_tasks(worker, arg_list, jobs: int, crashed):
-    """``worker`` of each task in ``arg_list``, in list order.
+def _attempt(work, args: tuple):
+    """``work(*args)`` as (result, elapsed_s, failure detail); the detail
+    is "" on success, and the result None on failure."""
+    t0 = time.perf_counter()
+    try:
+        result, detail = work(*args), ""
+    except Exception as exc:
+        result, detail = None, _failure_detail(exc)
+    return result, time.perf_counter() - t0, detail
 
-    A worker process that dies (an OOM kill, a segfault) breaks the pool;
-    each task left unfinished then runs alone in a fresh pool, to the same
-    bytes since its seeds come from its index. A task that breaks its own
-    pool too gets ``crashed(args, t0, exc)`` as its result.
+
+def _settle(tasks: list[tuple], outcomes: list[tuple]) -> tuple[list[TaskRecord], list]:
+    """Manifest records and results of ``tasks`` from their outcomes."""
+    records = [
+        TaskRecord(i, label, seed, elapsed_s, "failed" if detail else "ok", detail)
+        for i, ((label, seed, _), (_, elapsed_s, detail)) in enumerate(
+            zip(tasks, outcomes)
+        )
+    ]
+    return records, [result for result, _, _ in outcomes]
+
+
+def _run_tasks(work, tasks: list[tuple], jobs: int) -> tuple[list[TaskRecord], list]:
+    """Run ``work(*args)`` for each ``(label, seed, args)`` task, in list order.
+
+    Returns each task's manifest record and its result (None if it
+    failed). A worker process that dies (an OOM kill, a segfault) breaks
+    the pool; each task left unfinished then runs alone in a fresh pool,
+    to the same bytes since its seeds travel in its arguments. A task that
+    breaks its own pool too is recorded as failed.
     """
-    if jobs <= 1 or len(arg_list) <= 1:
-        return [worker(a) for a in arg_list]
+    if jobs <= 1 or len(tasks) <= 1:
+        return _settle(tasks, [_attempt(work, args) for _, _, args in tasks])
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(worker, a) for a in arg_list]
-        results = [None if f.exception() else f.result() for f in futures]
-    for i, a in enumerate(arg_list):
-        if results[i] is None:
+        futures = [pool.submit(_attempt, work, args) for _, _, args in tasks]
+        outcomes = [None if f.exception() else f.result() for f in futures]
+    for i, (_, _, args) in enumerate(tasks):
+        if outcomes[i] is None:
             t0 = time.perf_counter()
             with ProcessPoolExecutor(max_workers=1) as pool:
                 try:
-                    results[i] = pool.submit(worker, a).result()
+                    outcomes[i] = pool.submit(_attempt, work, args).result()
                 except BrokenProcessPool:
-                    exc = CombAdcError("worker process exited abruptly")
-                    results[i] = crashed(a, t0, exc)
-    return results
+                    elapsed_s = time.perf_counter() - t0
+                    outcomes[i] = None, elapsed_s, "worker process exited abruptly"
+    return _settle(tasks, outcomes)
+
+
+# ---------------------------------------------------------------------------
+# sine sweep
+
+
+def _sweep_point(
+    cfg: ScenarioConfig,
+    combs: ScenarioCombs,
+    f_request: float,
+    snapped: tuple[float, int, float],
+    seeds: list[int],
+) -> str:
+    """One sweep point's CSV row."""
+    f_actual, n, f_folded = snapped
+    x = sine_waveform(f_actual, 1.0, cfg.sweep.duration, cfg.dac.rate)
+    gain = db_to_amplitude_ratio(-cfg.link.sine_backoff_db)
+    mu = _front_end(x, cfg, seeds[0], gain)
+    del x  # free the float64 tone before the beat's full-length FFT
+    cap = _capture_subband(mu, n, cfg, combs, seeds[1], seeds[2])
+    report = sine_metrics(
+        cap,
+        f_folded,
+        analysis_rate=ANALYSIS_RATE,
+        n_fft=cfg.metrics.n_fft,
+        n_avg=cfg.metrics.n_avg,
+        window=_window_name(cfg),
+        include_notch=cfg.metrics.include_notch_band,
+    )
+    return (
+        f"{f_request / 1e9:.4f},{report.sfdr_db:.6f},"
+        f"{report.sinad_db:.6f},{report.enob_bits:.6f}\n"
+    )
 
 
 def run_sweep(cfg: ScenarioConfig, out_dir: str, jobs: int = 1) -> RunManifest:
     """Single-tone sweep: one CSV row per requested frequency."""
-    validate_scenario(cfg)
-    if cfg.run.source == "scm":
-        raise ConfigError("source: config selects the channelized source, not sine")
+    combs = validate_scenario(cfg)
     os.makedirs(out_dir, exist_ok=True)
 
-    freqs = cfg.sweep.frequencies()
-    args = [(cfg, i, fr) for i, fr in enumerate(freqs)]
-    results = _run_tasks(_sweep_point, args, jobs, _sweep_crashed)
+    tasks = []
+    for i, f_request in enumerate(cfg.sweep.frequencies()):
+        snapped = snap_sweep_frequency(f_request, cfg, combs)
+        f_actual, n, _ = snapped
+        seeds = _task_seeds(cfg.run.master_seed, "sweep", i, 3)
+        label = f"freq_ghz={f_request / 1e9:.6f} actual_hz={f_actual!r} subband={n}"
+        tasks.append((label, seeds[0], (cfg, combs, f_request, snapped, seeds)))
+    records, rows = _run_tasks(_sweep_point, tasks, jobs)
 
     manifest = RunManifest(
-        subcommand="sweep-sine",
-        config_text=dump_config(cfg),
-        tasks=[record for record, _ in results],
+        subcommand="sweep-sine", config_text=dump_config(cfg), tasks=records
     )
     csv_path = os.path.join(out_dir, "sweep.csv")
     with open(csv_path, "w") as fh:
         fh.write("freq_ghz,sfdr_db,sinad_db,enob_bits\n")
-        fh.writelines(row for _, row in results)
+        fh.writelines(row for row in rows if row is not None)
     manifest.artifacts["sweep.csv"] = _sha256(csv_path)
     _write_manifest(manifest, out_dir)
     return manifest
@@ -309,31 +308,24 @@ def run_sweep(cfg: ScenarioConfig, out_dir: str, jobs: int = 1) -> RunManifest:
 # channelized run
 
 
-def _scm_symbols(cfg: ScenarioConfig) -> dict[int, np.ndarray]:
-    """Symbol streams for every channel in the plan, muted or not.
+def _scm_burst(cfg: ScenarioConfig) -> tuple[dict[int, np.ndarray], SampledWaveform]:
+    """Every channel's symbols and the burst's transmit-side field factor.
 
-    Generating the full plan keeps channel k's symbols identical whatever
-    subset is active, so mute experiments change nothing but the sum.
+    Symbols are drawn for every channel in the plan, muted or not, so
+    channel k's symbols are identical whatever subset is active and mute
+    experiments change nothing but the sum. The drive level is calibrated
+    once against the full channel plan; muting channels removes their
+    power from the composite instead of re-normalizing, the way a
+    transmitter with fixed per-channel gain behaves.
     """
-    n_sym = cfg.scm.symbols_per_burst
-    return {
+    symbols = {
         ch: gen_pam4_symbols(
-            n_sym,
+            cfg.scm.symbols_per_burst,
             _task_seeds(cfg.run.master_seed, "scm-symbols", ch, 1)[0],
             cfg.scm.levels,
         )
         for ch in range(1, cfg.scm.n_channels + 1)
     }
-
-
-def _scm_mu(cfg: ScenarioConfig, symbols: dict[int, np.ndarray]) -> SampledWaveform:
-    """Transmit-side field factor for the burst, channel-independent.
-
-    The drive level is calibrated once against the full channel plan;
-    muting channels removes their power from the composite instead of
-    re-normalizing, the way a transmitter with fixed per-channel gain
-    behaves.
-    """
     full_plan = dataclasses.replace(cfg.scm, active_channels=None)
     reference = scm_waveform(full_plan, symbols, cfg.dac.rate)
     level = cfg.scm.drive_rms / rms(reference.samples)
@@ -343,7 +335,7 @@ def _scm_mu(cfg: ScenarioConfig, symbols: dict[int, np.ndarray]) -> SampledWavef
         burst = scm_waveform(cfg.scm, symbols, cfg.dac.rate)
     x = SampledWaveform(burst.samples * level, burst.rate)
     dac_seed = _task_seeds(cfg.run.master_seed, "scm-dac", 0, 1)[0]
-    return _front_end(x, cfg, dac_seed)
+    return symbols, _front_end(x, cfg, dac_seed)
 
 
 def _spectrum_name(channel: int) -> str:
@@ -351,65 +343,58 @@ def _spectrum_name(channel: int) -> str:
 
 
 def _scm_channel(
-    args: tuple[ScenarioConfig, int, int, SampledWaveform, np.ndarray | None, str],
-) -> tuple[TaskRecord, float | None]:
-    """One channel: its task record and its SNR (None if failed or not asked).
+    cfg: ScenarioConfig,
+    combs: ScenarioCombs,
+    channel: int,
+    seeds: list[int],
+    mu: SampledWaveform,
+    tx: np.ndarray | None,
+    out_dir: str,
+) -> float | None:
+    """One channel's SNR (None if not asked).
 
     The channel is captured and its spectrum written. Given the channel's
     transmitted symbols it is demodulated first, and a channel whose
     demodulation fails writes no spectrum; without them (a spectrum run)
     the equalizer never runs.
     """
-    cfg, index, channel, mu, tx, out_dir = args
-    t0 = time.perf_counter()
-    seeds = _task_seeds(cfg.run.master_seed, "scm", channel, 2)
-    try:
-        combs = build_combs(cfg)
-        cap = _capture_subband(mu, channel, cfg, combs, seeds[0], seeds[1])
-        snr_db = None
-        if tx is not None:
-            snr_db = demod_pam4(cap, build_demod(cfg, channel), tx).snr_db
+    cap = _capture_subband(mu, channel, cfg, combs, seeds[0], seeds[1])
+    snr_db = None
+    if tx is not None:
+        snr_db = demod_pam4(cap, build_demod(cfg, channel), tx).snr_db
 
-        wave = cap.to_waveform()
-        n_fft = 1 << int(np.log2(wave.n))
-        spec = periodogram(wave, n_fft=n_fft, n_avg=wave.n // n_fft)
-        spectrum_to_csv(spec, os.path.join(out_dir, _spectrum_name(channel)))
-    except Exception as exc:
-        return _scm_failed(args, t0, exc)
-    return _task(index, f"channel={channel}", seeds[0], t0), snr_db
-
-
-def _scm_failed(args, t0: float, exc: Exception) -> tuple[TaskRecord, None]:
-    """``_scm_channel``'s result for a channel that failed or whose worker died."""
-    cfg, index, channel = args[:3]
-    seed = _task_seeds(cfg.run.master_seed, "scm", channel, 2)[0]
-    return _task(index, f"channel={channel}", seed, t0, exc), None
+    wave = cap.to_waveform()
+    n_fft = 1 << int(np.log2(wave.n))
+    spec = periodogram(wave, n_fft=n_fft, n_avg=wave.n // n_fft)
+    spectrum_to_csv(spec, os.path.join(out_dir, _spectrum_name(channel)))
+    return snr_db
 
 
 def _scm_results(
     cfg: ScenarioConfig,
+    combs: ScenarioCombs,
     channels: list[int],
     out_dir: str,
     jobs: int,
     demodulate: bool,
-) -> list[tuple[TaskRecord, float | None]]:
+) -> tuple[list[TaskRecord], list[float | None]]:
     """Capture ``channels`` of one transmit burst, built once per run.
 
     Every channel task gets the same field factor and, when
     ``demodulate``, its own symbols; if the burst itself cannot be built,
     each channel records that failure.
     """
-    t0 = time.perf_counter()
-    try:
-        symbols = _scm_symbols(cfg)
-        mu = _scm_mu(cfg, symbols)
-    except Exception as exc:
-        return [_scm_failed((cfg, i, ch), t0, exc) for i, ch in enumerate(channels)]
-    args = [
-        (cfg, i, ch, mu, symbols[ch] if demodulate else None, out_dir)
-        for i, ch in enumerate(channels)
+    seeds = [_task_seeds(cfg.run.master_seed, "scm", ch, 2) for ch in channels]
+    burst, elapsed_s, detail = _attempt(_scm_burst, (cfg,))
+    symbols, mu = burst or ({}, None)  # a failed burst's tasks never run
+    tx = symbols if demodulate else {}
+    tasks = [
+        (f"channel={ch}", s[0], (cfg, combs, ch, s, mu, tx.get(ch), out_dir))
+        for ch, s in zip(channels, seeds)
     ]
-    return _run_tasks(_scm_channel, args, jobs, _scm_failed)
+    if detail:
+        return _settle(tasks, [(None, elapsed_s, detail)] * len(tasks))
+    return _run_tasks(_scm_channel, tasks, jobs)
 
 
 def run_scm(
@@ -424,9 +409,7 @@ def run_scm(
     channel still transmits, so a narrowed run sees the same interference
     as the full one.
     """
-    validate_scenario(cfg)
-    if cfg.run.source == "sweep":
-        raise ConfigError("source: config selects the sine source, not channels")
+    combs = validate_scenario(cfg)
     os.makedirs(out_dir, exist_ok=True)
 
     active = sorted(cfg.scm.active_set())
@@ -437,17 +420,15 @@ def run_scm(
         if missing:
             raise ConfigError(f"channel-set: channel {missing[0]} is not active")
         channels = sorted(set(channels))
-    results = _scm_results(cfg, channels, out_dir, jobs, demodulate=True)
+    records, snrs = _scm_results(cfg, combs, channels, out_dir, jobs, demodulate=True)
 
     manifest = RunManifest(
-        subcommand="run-scm",
-        config_text=dump_config(cfg),
-        tasks=[record for record, _ in results],
+        subcommand="run-scm", config_text=dump_config(cfg), tasks=records
     )
     csv_path = os.path.join(out_dir, "scm_snr.csv")
     with open(csv_path, "w") as fh:
         fh.write("channel,snr_db\n")
-        for channel, (_, snr_db) in zip(channels, results):
+        for channel, snr_db in zip(channels, snrs):
             if snr_db is not None:
                 fh.write(f"{channel},{snr_db:.6f}\n")
                 name = _spectrum_name(channel)
@@ -463,14 +444,14 @@ def run_spectrum(cfg: ScenarioConfig, out_dir: str, channel: int) -> RunManifest
     The channel is not demodulated, so an equalizer that would diverge on
     it does not fail the run.
     """
-    validate_scenario(cfg)
-    if cfg.run.source == "sweep":
-        raise ConfigError("source: config selects the sine source, not channels")
+    combs = validate_scenario(cfg)
     if channel not in cfg.scm.active_set():
         raise ConfigError(f"channel-set: channel {channel} is not active")
     os.makedirs(out_dir, exist_ok=True)
 
-    ((record, _),) = _scm_results(cfg, [channel], out_dir, jobs=1, demodulate=False)
+    (record,), _ = _scm_results(
+        cfg, combs, [channel], out_dir, jobs=1, demodulate=False
+    )
     manifest = RunManifest(
         subcommand="spectrum", config_text=dump_config(cfg), tasks=[record]
     )

@@ -49,8 +49,6 @@ __all__ = [
 @dataclass
 class RunSection:
     master_seed: int = 12345
-    # which source a run may consume; "auto" allows either subcommand
-    source: str = "auto"
     # analog-chain tilt, linear in dB across 0.1-10 GHz
     electrical_rolloff_db: float = 3.0
 
@@ -68,7 +66,9 @@ class SweepSection:
     @property
     def n_points(self) -> int:
         """Number of requested frequencies, start and stop included."""
-        return int((self.stop - self.start) / self.step + 1e-9) + 1
+        # the clamp keeps a typo'd step (1e-300 Hz) countable: the ratio
+        # overflows to inf, which int() refuses
+        return int(min((self.stop - self.start) / self.step, 2.0**53) + 1e-9) + 1
 
     def frequencies(self) -> list[float]:
         return [self.start + i * self.step for i in range(self.n_points)]
@@ -249,7 +249,6 @@ def _fmt(value) -> str:
 
 # keys whose spelling the type of their default does not give
 _SPELLINGS = {
-    "run.source": _p_choice("auto", "sweep", "scm"),
     "combs.source": _p_choice("flat", "cascade"),
     "demod.equalizer": _p_choice("lms", "wiener", "none"),
     "metrics.window": _p_choice("auto", "rectangular", "blackman-harris-4term"),
@@ -363,24 +362,18 @@ def _stage_rule(name: str, check, *args):
 def build_combs(cfg: ScenarioConfig) -> ScenarioCombs:
     """Materialize the comb pair the config describes."""
     c = cfg.combs
-    if c.source == "cascade":
-        sig = comb_from_cascade(
-            c.cascade_pm, c.cascade_im, c.n_tones, c.f_sig, c.drive_linewidth
-        )
-        lo = comb_from_cascade(
-            c.cascade_pm,
-            c.cascade_im,
-            c.n_tones,
-            c.f_sig + c.delta_f,
-            c.drive_linewidth,
-        )
-    else:
-        sig = flat_comb(c.n_tones, c.f_sig, c.tone_tilt_db, c.drive_linewidth)
-        lo = flat_comb(c.n_tones, c.f_sig + c.delta_f, 0.0, c.drive_linewidth)
-    if c.source == "cascade" and c.tone_tilt_db != 0.0 and c.n_tones > 1:
-        ramp = np.arange(c.n_tones) / (c.n_tones - 1)
-        amps = sig.tone_amps * 10.0 ** (-c.tone_tilt_db * ramp / 20.0)
-        sig = dataclasses.replace(sig, tone_amps=amps)
+
+    def untilted(spacing: float):
+        if c.source == "cascade":
+            return comb_from_cascade(
+                c.cascade_pm, c.cascade_im, c.n_tones, spacing, c.drive_linewidth
+            )
+        return flat_comb(c.n_tones, spacing, 0.0, c.drive_linewidth)
+
+    # the tilt applies to the signal comb only; the LO comb stays untilted
+    sig, lo = untilted(c.f_sig), untilted(c.f_sig + c.delta_f)
+    tilt = flat_comb(c.n_tones, c.f_sig, c.tone_tilt_db).tone_amps
+    sig = dataclasses.replace(sig, tone_amps=sig.tone_amps * tilt)
     return ScenarioCombs(
         signal=sig, lo=lo, differential_phase_drift=c.differential_drift
     )
@@ -476,19 +469,21 @@ def validate_scenario(cfg: ScenarioConfig) -> ScenarioCombs:
     )
     _rule(
         "sweep-grid",
-        cfg.sweep.stop - cfg.sweep.start < _MAX_SWEEP_POINTS * cfg.sweep.step,
+        cfg.sweep.n_points <= _MAX_SWEEP_POINTS,
         f"sweep.step {cfg.sweep.step:.3g} Hz gives more than "
         f"{_MAX_SWEEP_POINTS} sweep points",
     )
+    # the last frequency the sweep requests, which may fall short of stop
+    last = cfg.sweep.frequencies()[-1]
     _rule(
         "sweep-grid",
-        round(cfg.sweep.stop / combs.delta_f) <= combs.n_pairs,
-        f"sweep.stop {cfg.sweep.stop:.3g} Hz lands past the last tone pair",
+        round(last / combs.delta_f) <= combs.n_pairs,
+        f"sweep point {last:.3g} Hz lands past the last tone pair",
     )
     _rule(
         "sweep-grid",
-        cfg.sweep.stop < 0.45 * cfg.dac.rate,
-        "sweep.stop too close to the DAC Nyquist edge",
+        last < 0.45 * cfg.dac.rate,
+        f"sweep point {last:.3g} Hz too close to the DAC Nyquist edge",
     )
     _rule(
         "capture-length",
@@ -512,6 +507,6 @@ def validate_scenario(cfg: ScenarioConfig) -> ScenarioCombs:
         f"active channels {sorted(active)} outside 1..{cfg.scm.n_channels}",
     )
     # the highest sub-band a sweep point or an active channel reaches
-    top = max(round(cfg.sweep.stop / combs.delta_f), *active)
+    top = max(round(last / combs.delta_f), *active)
     _stage_rule("rate-consistency", downshift_hz, top, combs.delta_f, cfg.dac.rate)
     return combs

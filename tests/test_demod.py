@@ -4,7 +4,7 @@ import scipy.fft as sfft
 from scipy import signal as sps_mod
 
 from combadc.adc import AdcConfig, SubbandCapture
-from combadc.demod import DemodConfig, demod_pam4, ffe_lms, wiener_ffe
+from combadc.demod import DemodConfig, demod_pam4, ffe_lms, symbol_budget, wiener_ffe
 from combadc.errors import EqualizerError, SignalError
 from combadc.frontend import gen_pam4_symbols
 from combadc.waveform import apply_fir, rrc_taps, time_vector
@@ -210,18 +210,17 @@ def test_demod_noise_doubling():
     assert a.snr_db - b.snr_db == pytest.approx(3.01, abs=0.3)
 
 
-def test_demod_report_bookkeeping():
-    sym = gen_pam4_symbols(N_SYM, seed=11)
-    rep = demod_pam4(_ssb_capture(sym, 0.02, seed=21), _cfg(), sym)
-    assert rep.taps is not None and rep.taps.size == 17
-    assert set(rep.level_histogram) == set(np.unique(sym).tolist())
-    n_eval = (N_SYM - 48) - max(819, 48)
-    assert sum(rep.level_histogram.values()) == n_eval
-    # at 30+ dB SNR every decision is correct, so the histogram matches
-    # the transmitted census on the evaluation span
-    tx_eval = sym[819 : N_SYM - 48]
-    for level, count in rep.level_histogram.items():
-        assert count == int(np.sum(tx_eval == level))
+@pytest.mark.parametrize(
+    "n_sym,kw,n_train,span",
+    [
+        (N_SYM, {}, 819, (819, N_SYM - 48)),
+        # training shorter than the edge discard: scoring starts at the edge
+        (400, dict(ffe_taps=3, training_fraction=0.1), 40, (48, 352)),
+    ],
+    ids=["training-first", "edge-first"],
+)
+def test_symbol_budget_scores_after_training_and_edges(n_sym, kw, n_train, span):
+    assert symbol_budget(n_sym, _cfg(**kw)) == (n_train, slice(*span))
 
 
 def test_ffe_recovers_rolled_off_channel():

@@ -72,8 +72,6 @@ def test_notch_flag_widens_band():
     x = SampledWaveform(wave.samples + low, RATE)
     narrow = sine_metrics(x, 2561 * RBW)
     wide = sine_metrics(x, 2561 * RBW, include_notch=True)
-    assert narrow.analysis_band == (10e6, 5e8)
-    assert wide.analysis_band == (0.0, 5e8)
     assert narrow.sinad_db - wide.sinad_db > 10.0
 
 

@@ -148,15 +148,6 @@ def test_spectrum_artifact(tmp_path):
 # ------------------------------------------------------------- failure paths
 
 
-def test_source_pinning():
-    with pytest.raises(ConfigError, match="source"):
-        run_sweep(load_config("run.source = scm"), "/tmp/unused")
-    with pytest.raises(ConfigError, match="source"):
-        run_scm(load_config("run.source = sweep"), "/tmp/unused")
-    with pytest.raises(ConfigError, match="source"):
-        run_spectrum(load_config("run.source = sweep"), "/tmp/unused", 1)
-
-
 def test_channel_narrowing_validated(tmp_path):
     cfg = load_config("")
     with pytest.raises(ConfigError, match="channel-set"):
@@ -268,17 +259,17 @@ _REAL_SWEEP_POINT = runner._sweep_point
 _REAL_SCM_CHANNEL = runner._scm_channel
 
 
-def _sweep_point_dies_at_one(args):
+def _sweep_point_dies_at_4ghz(cfg, combs, f_request, *rest):
     """A sweep point whose worker process dies, as an OOM kill would."""
-    if args[1] == 1:
+    if f_request == 4e9:
         os._exit(3)
-    return _REAL_SWEEP_POINT(args)
+    return _REAL_SWEEP_POINT(cfg, combs, f_request, *rest)
 
 
-def _scm_channel_dies_at_one(args):
-    if args[1] == 1:
+def _scm_channel_dies_at_3(cfg, combs, channel, *rest):
+    if channel == 3:
         os._exit(3)
-    return _REAL_SCM_CHANNEL(args)
+    return _REAL_SCM_CHANNEL(cfg, combs, channel, *rest)
 
 
 def _three_tasks(kind, out_dir, jobs):
@@ -291,8 +282,8 @@ def _three_tasks(kind, out_dir, jobs):
 @pytest.mark.parametrize(
     "kind,name,worker",
     [
-        ("sweep", "_sweep_point", _sweep_point_dies_at_one),
-        ("scm", "_scm_channel", _scm_channel_dies_at_one),
+        ("sweep", "_sweep_point", _sweep_point_dies_at_4ghz),
+        ("scm", "_scm_channel", _scm_channel_dies_at_3),
     ],
     ids=["sweep", "scm"],
 )

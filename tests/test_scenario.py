@@ -319,7 +319,6 @@ def _configs(draw):
     run = dataclasses.replace(
         base.run,
         master_seed=draw(st.integers(0, 2**32 - 1)),
-        source=draw(st.sampled_from(["auto", "sweep", "scm"])),
         electrical_rolloff_db=draw(st.floats(0.0, 6.0, **_FINITE)),
     )
     sweep = dataclasses.replace(
@@ -386,7 +385,6 @@ _DEFAULT_TEXT = dict(
 )
 # spellings a key's default does not show (README "Configs")
 _CHOICES = {
-    "run.source": ["auto", "sweep", "scm"],
     "combs.source": ["flat", "cascade"],
     "demod.equalizer": ["lms", "wiener", "none"],
     "metrics.window": ["auto", "rectangular", "blackman-harris-4term"],
@@ -509,8 +507,6 @@ def test_every_loaded_config_runs_and_reruns_identically(text):
         return
     with tempfile.TemporaryDirectory() as out:
         for source, run in (("sweep", run_sweep), ("scm", run_scm)):
-            if cfg.run.source not in ("auto", source):
-                continue
             first = run(cfg, os.path.join(out, source))
             with open(os.path.join(out, source, "manifest.txt")) as fh:
                 again = run(load_config(fh.read()), os.path.join(out, source + "-again"))
@@ -556,3 +552,27 @@ def test_sweep_grid_is_shared():
     sweep = load_config("sweep.step = 2.5ghz").sweep
     assert sweep.n_points == 5
     assert sweep.frequencies() == [0.5e9, 3.0e9, 5.5e9, 8.0e9, 10.5e9]
+
+
+def test_sweep_grid_rules_read_the_last_requested_point(tmp_path):
+    # stop lies past the 12-tone comb's last pair, but the 2.5 GHz grid
+    # from 0.5 GHz requests nothing beyond 10.5 GHz
+    cfg = load_config(
+        """
+        combs.n_tones = 12
+        sweep.step = 2.5ghz
+        sweep.stop = 12.6ghz
+        sweep.duration = 20us
+        metrics.n_avg = 1
+        """
+    )
+    man = run_sweep(cfg, str(tmp_path), jobs=1)
+    assert [t.status for t in man.tasks] == ["ok"] * 5
+    lines = (tmp_path / "sweep.csv").read_text().splitlines()
+    assert [ln.split(",")[0] for ln in lines[1:]] == [
+        "0.5000",
+        "3.0000",
+        "5.5000",
+        "8.0000",
+        "10.5000",
+    ]

@@ -23,12 +23,11 @@ reduced rate. The noise sources are specified as densities, so the
 physics does not depend on the rate.
 
 Precision: ``mzm_field`` keeps its drive's dtype, so a float32 drive
-gives a float32 field factor. The beat's one full-length transform (the
-complex FFT of mu + j mu^2, or the ``rfft`` of mu when the leak is off)
-runs in ``scipy.fft``, which transforms single precision in single
-precision (``numpy.fft`` would work in double and run slower). The bins
-it keeps are read into complex128: everything at the output rate is
-float64 whatever the input dtype.
+gives a float32 field factor. The beat's one full-length transform, the
+complex FFT of mu + j mu^2, runs in ``scipy.fft``, which transforms
+single precision in single precision (``numpy.fft`` would work in double
+and run slower). The bins it keeps are read into complex128: everything
+at the output rate is float64 whatever the input dtype.
 
 Phase bookkeeping: the seed laser's phase enters both beat terms
 identically and cancels in the difference, so it never appears in the
@@ -42,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import fft, ifft, irfft, next_fast_len, rfft
+from scipy.fft import fft, ifft, irfft, next_fast_len
 
 from .errors import ConfigError, SignalError
 from .seeding import derive_rng
@@ -410,11 +409,10 @@ def subband_beat(
     above ``out_rate``. A downshift that is not a whole number of FFT bins
     is split into a bin shift and a residual mix at the output rate.
 
-    With the leak on, the spectra of mu and mu^2 come from one complex FFT
-    of mu + j mu^2. A band whose phase track is zero returns through one
-    real inverse FFT that carries the leak as well; any other band takes a
-    complex inverse and the factor exp(j theta), and the leak its own real
-    inverse.
+    The spectra of mu and mu^2 come from one complex FFT of mu + j mu^2.
+    A band whose phase track is zero returns through one real inverse FFT
+    that carries the leak as well; any other band takes a complex inverse
+    and the factor exp(j theta), and the leak its own real inverse.
     """
     if not 1 <= n <= combs.n_pairs:
         raise SignalError(
@@ -457,30 +455,25 @@ def subband_beat(
     first = k0 - n_out // 2  # source bin of the band's first output bin
     lo, hi = max(first, 0), min(first + n_out, n_in // 2 + 1)
     n_half = n_out // 2 + 1  # rfft length at the output rate
-    leak = None
-    if np.isfinite(link.cmrr_db):
-        # one complex FFT for the two real records mu and mu^2
-        z = np.empty(n_in, dtype=np.result_type(mu.samples, np.complex64))
-        z.real = mu.samples
-        np.square(mu.samples, out=z.imag)
-        z = fft(z, overwrite_x=True)
-        band = _analytic_band(_rfft_bins(z, lo, hi), n_in, first, n_out)
-        kappa = db_to_amplitude_ratio(-link.cmrr_db)
-        leak = _rfft_bins(z, 0, n_half, imag=True) * (kappa * r * p_ch)
-        del z  # the full-length spectrum is not needed past here
-    else:
-        band = _analytic_band(rfft(mu.samples)[lo:hi], n_in, first, n_out)
+    # one complex FFT for the two real records mu and mu^2
+    z = np.empty(n_in, dtype=np.result_type(mu.samples, np.complex64))
+    z.real = mu.samples
+    np.square(mu.samples, out=z.imag)
+    z = fft(z, overwrite_x=True)
+    band = _analytic_band(_rfft_bins(z, lo, hi), n_in, first, n_out)
+    # an infinite cmrr_db gives kappa = 0: no leak
+    kappa = db_to_amplitude_ratio(-link.cmrr_db)
+    leak = _rfft_bins(z, 0, n_half, imag=True) * (kappa * r * p_ch)
+    del z  # the full-length spectrum is not needed past here
 
     # the default track is zero on a band that sits on the bin grid
     if np.any(theta):
         i = gain * scale * (ifft(band) * np.exp(1j * theta)).real
-        if leak is not None:
-            i += irfft(leak, n_out) * scale
+        i += irfft(leak, n_out) * scale
     else:
         # Re(ifft(band)) is the real inverse of band's Hermitian half
         half = _rfft_bins(band, 0, n_half) * gain
-        if leak is not None:
-            half += leak
+        half += leak
         i = irfft(half, n_out) * scale
 
     if link.thermal_noise_density > 0:

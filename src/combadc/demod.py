@@ -62,7 +62,6 @@ _LMS_BLOCK = 64
 
 @dataclass
 class DemodConfig:
-    channel_index: int = 1
     baseband_offset: float = 40e6
     baud: float = 800e6
     rolloff: float = 0.1

@@ -98,6 +98,11 @@ class ScmConfig:
             )
         if not 0.0 < self.baseband_offset < self.channel_spacing / 2.0:
             raise SignalError("baseband offset must lie inside half a channel slot")
+        # a drive far past full scale only clips harder; 1e6 (120 dB past
+        # it) keeps the burst, unclipped and through a +300 dB tilt, far
+        # inside float32's 3.4e38, where 1e38 overflows the runner's cast
+        if not 0.0 < self.drive_rms <= 1e6:
+            raise SignalError("drive rms must lie in (0, 1e6]")
 
     @property
     def symbols_per_burst(self) -> int:

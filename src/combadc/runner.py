@@ -10,6 +10,8 @@ label, seed and arguments once; a worker returns only its CSV row or
 SNR, and ``_run_tasks`` times every task and writes every manifest
 record. A failed task is recorded with its reason and the run carries
 on, whether the task raised any error or its worker process died.
+``spectrum`` is the channelized run for one channel, without
+demodulation.
 
 The manifest written next to the CSVs doubles as a config file: all
 bookkeeping lives in comment lines, the config snapshot is the payload,
@@ -85,11 +87,17 @@ class RunManifest:
         return "\n".join(lines) + "\n"
 
 
-def _sha256(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        h.update(fh.read())
-    return h.hexdigest()
+def _finish_run(
+    cfg: ScenarioConfig, out_dir: str, subcommand: str, tasks: list, names: list[str]
+) -> RunManifest:
+    """Hash the artifacts ``names`` in ``out_dir`` and write its manifest.txt."""
+    manifest = RunManifest(subcommand, dump_config(cfg), tasks=tasks)
+    for name in names:
+        with open(os.path.join(out_dir, name), "rb") as fh:
+            manifest.artifacts[name] = hashlib.sha256(fh.read()).hexdigest()
+    with open(os.path.join(out_dir, "manifest.txt"), "w") as fh:
+        fh.write(manifest.to_text())
+    return manifest
 
 
 def _task_seeds(master_seed: int, kind: str, index: int, count: int) -> list[int]:
@@ -292,16 +300,10 @@ def run_sweep(cfg: ScenarioConfig, out_dir: str, jobs: int = 1) -> RunManifest:
         tasks.append((label, seeds[0], (cfg, combs, f_request, snapped, seeds)))
     records, rows = _run_tasks(_sweep_point, tasks, jobs)
 
-    manifest = RunManifest(
-        subcommand="sweep-sine", config_text=dump_config(cfg), tasks=records
-    )
-    csv_path = os.path.join(out_dir, "sweep.csv")
-    with open(csv_path, "w") as fh:
+    with open(os.path.join(out_dir, "sweep.csv"), "w") as fh:
         fh.write("freq_ghz,sfdr_db,sinad_db,enob_bits\n")
         fh.writelines(row for row in rows if row is not None)
-    manifest.artifacts["sweep.csv"] = _sha256(csv_path)
-    _write_manifest(manifest, out_dir)
-    return manifest
+    return _finish_run(cfg, out_dir, "sweep-sine", records, ["sweep.csv"])
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +363,7 @@ def _scm_channel(
     cap = _capture_subband(mu, channel, cfg, combs, seeds[0], seeds[1])
     snr_db = None
     if tx is not None:
-        snr_db = demod_pam4(cap, build_demod(cfg, channel), tx).snr_db
+        snr_db = demod_pam4(cap, build_demod(cfg), tx).snr_db
 
     wave = cap.to_waveform()
     n_fft = 1 << int(np.log2(wave.n))
@@ -370,20 +372,28 @@ def _scm_channel(
     return snr_db
 
 
-def _scm_results(
+def _channel_run(
     cfg: ScenarioConfig,
-    combs: ScenarioCombs,
-    channels: list[int],
     out_dir: str,
+    channels: list[int] | None,
     jobs: int,
     demodulate: bool,
-) -> tuple[list[TaskRecord], list[float | None]]:
-    """Capture ``channels`` of one transmit burst, built once per run.
+) -> RunManifest:
+    """Capture ``channels`` (every active one if None) of one transmit
+    burst, built once per run.
 
     Every channel task gets the same field factor and, when
     ``demodulate``, its own symbols; if the burst itself cannot be built,
     each channel records that failure.
     """
+    combs = validate_scenario(cfg)
+    active = cfg.scm.active_set()
+    channels = sorted(set(active if channels is None else channels))
+    missing = sorted(set(channels) - set(active))
+    if missing:
+        raise ConfigError(f"channel-set: channel {missing[0]} is not active")
+    os.makedirs(out_dir, exist_ok=True)
+
     seeds = [_task_seeds(cfg.run.master_seed, "scm", ch, 2) for ch in channels]
     burst, elapsed_s, detail = _attempt(_scm_burst, (cfg,))
     symbols, mu = burst or ({}, None)  # a failed burst's tasks never run
@@ -393,8 +403,21 @@ def _scm_results(
         for ch, s in zip(channels, seeds)
     ]
     if detail:
-        return _settle(tasks, [(None, elapsed_s, detail)] * len(tasks))
-    return _run_tasks(_scm_channel, tasks, jobs)
+        records, snrs = _settle(tasks, [(None, elapsed_s, detail)] * len(tasks))
+    else:
+        records, snrs = _run_tasks(_scm_channel, tasks, jobs)
+
+    ok = [ch for ch, t in zip(channels, records) if t.status == "ok"]
+    artifacts = [_spectrum_name(ch) for ch in ok]
+    if demodulate:
+        with open(os.path.join(out_dir, "scm_snr.csv"), "w") as fh:
+            fh.write("channel,snr_db\n")
+            for ch, snr_db in zip(channels, snrs):
+                if snr_db is not None:
+                    fh.write(f"{ch},{snr_db:.6f}\n")
+        artifacts.append("scm_snr.csv")
+    subcommand = "run-scm" if demodulate else "spectrum"
+    return _finish_run(cfg, out_dir, subcommand, records, artifacts)
 
 
 def run_scm(
@@ -409,61 +432,18 @@ def run_scm(
     channel still transmits, so a narrowed run sees the same interference
     as the full one.
     """
-    combs = validate_scenario(cfg)
-    os.makedirs(out_dir, exist_ok=True)
-
-    active = sorted(cfg.scm.active_set())
-    if channels is None:
-        channels = active
-    else:
-        missing = sorted(set(channels) - set(active))
-        if missing:
-            raise ConfigError(f"channel-set: channel {missing[0]} is not active")
-        channels = sorted(set(channels))
-    records, snrs = _scm_results(cfg, combs, channels, out_dir, jobs, demodulate=True)
-
-    manifest = RunManifest(
-        subcommand="run-scm", config_text=dump_config(cfg), tasks=records
-    )
-    csv_path = os.path.join(out_dir, "scm_snr.csv")
-    with open(csv_path, "w") as fh:
-        fh.write("channel,snr_db\n")
-        for channel, snr_db in zip(channels, snrs):
-            if snr_db is not None:
-                fh.write(f"{channel},{snr_db:.6f}\n")
-                name = _spectrum_name(channel)
-                manifest.artifacts[name] = _sha256(os.path.join(out_dir, name))
-    manifest.artifacts["scm_snr.csv"] = _sha256(csv_path)
-    _write_manifest(manifest, out_dir)
-    return manifest
+    return _channel_run(cfg, out_dir, channels, jobs, demodulate=True)
 
 
 def run_spectrum(cfg: ScenarioConfig, out_dir: str, channel: int) -> RunManifest:
     """Capture one sub-band of the channelized burst and dump its spectrum.
 
     The channel is not demodulated, so an equalizer that would diverge on
-    it does not fail the run.
+    it does not fail the run. A failed capture raises, once the manifest
+    that records it is written.
     """
-    combs = validate_scenario(cfg)
-    if channel not in cfg.scm.active_set():
-        raise ConfigError(f"channel-set: channel {channel} is not active")
-    os.makedirs(out_dir, exist_ok=True)
-
-    (record,), _ = _scm_results(
-        cfg, combs, [channel], out_dir, jobs=1, demodulate=False
-    )
-    manifest = RunManifest(
-        subcommand="spectrum", config_text=dump_config(cfg), tasks=[record]
-    )
+    manifest = _channel_run(cfg, out_dir, [channel], 1, demodulate=False)
+    (record,) = manifest.tasks
     if record.status == "failed":
-        _write_manifest(manifest, out_dir)
         raise CombAdcError(record.detail)
-    name = _spectrum_name(channel)
-    manifest.artifacts[name] = _sha256(os.path.join(out_dir, name))
-    _write_manifest(manifest, out_dir)
     return manifest
-
-
-def _write_manifest(manifest: RunManifest, out_dir: str) -> None:
-    with open(os.path.join(out_dir, "manifest.txt"), "w") as fh:
-        fh.write(manifest.to_text())

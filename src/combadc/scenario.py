@@ -26,7 +26,7 @@ from .comb import (
     flat_comb,
 )
 from .demod import DemodConfig, capture_filters, symbol_budget
-from .errors import CombAdcError, ConfigError, SignalError
+from .errors import CombAdcError, ConfigError
 from .frontend import DacConfig, ScmConfig, burst_sps, check_carrier_grid
 from .metrics import ANALYSIS_RATE, check_analysis_grid
 from .waveform import lowpass_band, resample_plan, spectral_tilt_taps
@@ -264,7 +264,7 @@ _SPELLINGS = {
 # the one key not spelled like its field
 _RENAMED = {"adc.ac_couple_hz": "adc.ac_couple"}
 # build_demod fills these from the scm section; they are not config keys
-_DERIVED = {"demod.channel_index", "demod.baseband_offset", "demod.baud", "demod.rolloff"}
+_DERIVED = {"demod.baseband_offset", "demod.baud", "demod.rolloff"}
 
 
 def _parser_for(default):
@@ -352,10 +352,15 @@ def _rule(name: str, ok: bool, detail: str):
 
 
 def _stage_rule(name: str, check, *args):
-    """Run a stage's own precondition; the SignalError it raises fails rule ``name``."""
+    """``check(*args)``: a stage's own precondition, whose value it returns.
+
+    The error the check raises fails rule ``name``: a package error, or
+    the ValueError of ``comb_from_cascade`` for a drive that cannot yield
+    the requested lines.
+    """
     try:
-        check(*args)
-    except SignalError as exc:
+        return check(*args)
+    except (CombAdcError, ValueError) as exc:
         raise ConfigError(f"{name}: {exc}") from None
 
 
@@ -379,11 +384,10 @@ def build_combs(cfg: ScenarioConfig) -> ScenarioCombs:
     )
 
 
-def build_demod(cfg: ScenarioConfig, channel: int) -> DemodConfig:
-    """Per-channel demod config; baseband geometry comes from the source."""
+def build_demod(cfg: ScenarioConfig) -> DemodConfig:
+    """Demod config of every channel; baseband geometry comes from the source."""
     return dataclasses.replace(
         cfg.demod,
-        channel_index=channel,
         baseband_offset=cfg.scm.baseband_offset,
         baud=cfg.scm.baud,
         rolloff=cfg.scm.rolloff,
@@ -414,10 +418,7 @@ def validate_scenario(cfg: ScenarioConfig) -> ScenarioCombs:
 
     # remaining section-local invariants (re-run the dataclass checks)
     for name in ("scm", "dac", "adc", "demod", "link", "metrics"):
-        try:
-            dataclasses.replace(getattr(cfg, name))
-        except CombAdcError as exc:
-            raise ConfigError(f"{name}-invariants: {exc}") from None
+        _stage_rule(f"{name}-invariants", dataclasses.replace, getattr(cfg, name))
     _rule(
         "pam-order",
         cfg.scm.levels in (2, 4, 8),
@@ -429,12 +430,7 @@ def validate_scenario(cfg: ScenarioConfig) -> ScenarioCombs:
         1 <= cfg.combs.n_tones <= _MAX_COMB_TONES,
         f"combs.n_tones = {cfg.combs.n_tones:.3g} not in 1..{_MAX_COMB_TONES}",
     )
-    try:
-        combs = build_combs(cfg)
-    except (CombAdcError, ValueError) as exc:
-        # comb_from_cascade raises ValueError for a drive that cannot
-        # yield the requested lines
-        raise ConfigError(f"comb-scaling: {exc}") from None
+    combs = _stage_rule("comb-scaling", build_combs, cfg)
     _stage_rule(
         "comb-scaling", check_comb_scaling, cfg.bandwidth, combs, cfg.scm.n_channels
     )
@@ -457,8 +453,7 @@ def validate_scenario(cfg: ScenarioConfig) -> ScenarioCombs:
         "link.pd_bandwidth beyond the converter Nyquist band would alias",
     )
     _stage_rule("rate-consistency", lowpass_band, cfg.link.pd_bandwidth, beat_rate)
-    # the demod geometry is the same for every channel
-    demod = build_demod(cfg, 1)
+    demod = build_demod(cfg)
     _stage_rule("rate-consistency", capture_filters, cfg.adc.rate, demod)
     _stage_rule("rate-consistency", resample_plan, cfg.adc.rate, ANALYSIS_RATE)
     _rule(

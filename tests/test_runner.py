@@ -165,7 +165,7 @@ def test_failed_task_is_recorded_not_fatal(tmp_path, monkeypatch):
     real = runner_mod.demod_pam4
 
     def sabotaged(cap, dcfg, tx):
-        if dcfg.channel_index == 3:
+        if cap.subband_index == 3:
             raise EqualizerError("forced failure for the test")
         return real(cap, dcfg, tx)
 
@@ -240,7 +240,7 @@ def test_unexpected_channel_error_is_recorded_not_fatal(tmp_path, monkeypatch):
     real = runner_mod.demod_pam4
 
     def broken(cap, dcfg, tx):
-        if dcfg.channel_index == 3:
+        if cap.subband_index == 3:
             raise ZeroDivisionError()
         return real(cap, dcfg, tx)
 

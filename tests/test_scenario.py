@@ -2,10 +2,11 @@ import dataclasses
 import os
 import re
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from combadc.errors import ConfigError
@@ -180,6 +181,10 @@ def test_syntax_errors_carry_line_numbers(text, fragment, lineno):
         ("demod.ffe_step = 5", "demod-invariants"),
         ("demod.ffe_step = 1e3", "demod-invariants"),
         ("demod.ffe_step = 2.01", "demod-invariants"),
+        # loaded before; the float32 cast of the burst overflowed and
+        # every channel failed on non-finite samples
+        ("scm.drive_rms = 1.0e38", "scm-invariants"),
+        ("scm.drive_rms = 0", "scm-invariants"),
     ],
 )
 def test_semantic_rules_are_named(text, rule):
@@ -291,8 +296,7 @@ def test_validate_scenario_returns_combs():
 
 def test_build_demod_copies_channel_geometry():
     cfg = load_config("scm.baseband_offset = 30mhz")
-    d = build_demod(cfg, channel=7)
-    assert d.channel_index == 7
+    d = build_demod(cfg)
     assert d.baseband_offset == 30e6
     assert d.baud == cfg.scm.baud
     assert d.rolloff == cfg.scm.rolloff
@@ -495,10 +499,23 @@ def _short_runs(draw) -> str:
     return _SHORT_RUNS + "".join(f"{k} = {draw(_KEY_SPELLINGS[k])}\n" for k in keys)
 
 
+def _numerically_strict(run, cfg, out_dir):
+    """``run(cfg, out_dir)`` with numpy's RuntimeWarnings (an overflow, an
+    invalid value) raised, so that its task fails on a foreign error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        return run(cfg, out_dir)
+
+
 # the examples are fixed so that the suite's run time stays put; the
-# same test with more examples searches further
+# same test with more examples searches further. The explicit example
+# loaded once, then overflowed the float32 burst on every channel.
 @settings(max_examples=28, deadline=None, derandomize=True)
 @given(text=_short_runs())
+@example(
+    text=_SHORT_RUNS
+    + "scm.drive_rms = 1.0e38\nadc.jitter_rms = 0\ncombs.cascade_im = 0\n"
+)
 def test_every_loaded_config_runs_and_reruns_identically(text):
     try:
         cfg = load_config(text)
@@ -507,9 +524,10 @@ def test_every_loaded_config_runs_and_reruns_identically(text):
         return
     with tempfile.TemporaryDirectory() as out:
         for source, run in (("sweep", run_sweep), ("scm", run_scm)):
-            first = run(cfg, os.path.join(out, source))
+            first = _numerically_strict(run, cfg, os.path.join(out, source))
             with open(os.path.join(out, source, "manifest.txt")) as fh:
-                again = run(load_config(fh.read()), os.path.join(out, source + "-again"))
+                rerun = load_config(fh.read())
+            again = _numerically_strict(run, rerun, os.path.join(out, source + "-again"))
             assert again.artifacts == first.artifacts, text
             assert again.config_text == first.config_text
             outcomes = [(t.status, t.detail) for t in first.tasks]

@@ -14,13 +14,15 @@ sub-band; only the bins around it are kept and transformed back on a
 shorter record. The balanced-detection leak needs the spectrum of mu^2
 as well, and one complex FFT of mu + j mu^2 gives both: mu's spectrum is
 its Hermitian half and mu^2's its anti-Hermitian half, read only at the
-bins that are kept. Where the differential phase track is zero (a band
-on the bin grid, with no static phase between the pair, no drive noise
-and no drift) only the real part of the band is needed, and one real
-inverse transform returns it together with the leak. Detector noise,
-the photodiode filter and the transimpedance stage then run at the
-reduced rate. The noise sources are specified as densities, so the
-physics does not depend on the rate.
+bins that are kept. That transform (``beat_spectrum``) is the burst's
+half of the channelizer: a channelized run takes it once and every
+sub-band reads its own bins from it. Where the differential phase track
+is zero (a band on the bin grid, with no static phase between the pair,
+no drive noise and no drift) only the real part of the band is needed,
+and one real inverse transform returns it together with the leak.
+Detector noise, the photodiode filter and the transimpedance stage then
+run at the reduced rate. The noise sources are specified as densities,
+so the physics does not depend on the rate.
 
 Precision: ``mzm_field`` keeps its drive's dtype, so a float32 drive
 gives a float32 field factor. The beat's one full-length transform, the
@@ -56,6 +58,7 @@ from .waveform import (
 )
 
 __all__ = [
+    "BeatSpectrum",
     "CombSpec",
     "ScenarioCombs",
     "LinkConfig",
@@ -64,6 +67,7 @@ __all__ = [
     "flat_comb",
     "check_comb_scaling",
     "downshift_hz",
+    "beat_spectrum",
     "mzm_field",
     "subband_beat",
 ]
@@ -374,8 +378,30 @@ def _analytic_band(src: np.ndarray, n_in: int, first: int, n_out: int) -> np.nda
     return np.fft.ifftshift(centred)
 
 
+@dataclass(frozen=True)
+class BeatSpectrum:
+    """The FFT of mu + j mu^2 of a modulation record mu at ``rate``, one
+    complex bin per sample of mu: the burst's half of the beat, which
+    every sub-band's ``subband_beat`` can read its own bins from."""
+
+    samples: np.ndarray
+    rate: float
+
+    @property
+    def n(self) -> int:
+        return self.samples.size
+
+
+def beat_spectrum(mu: SampledWaveform) -> BeatSpectrum:
+    """The one full-length transform of the beat: the FFT of mu + j mu^2."""
+    z = np.empty(mu.n, dtype=np.result_type(mu.samples, np.complex64))
+    z.real = mu.samples
+    np.square(mu.samples, out=z.imag)
+    return BeatSpectrum(fft(z, overwrite_x=True), mu.rate)
+
+
 def subband_beat(
-    mu: SampledWaveform,
+    mu: SampledWaveform | BeatSpectrum,
     n: int,
     combs: ScenarioCombs,
     link: LinkConfig,
@@ -409,10 +435,13 @@ def subband_beat(
     above ``out_rate``. A downshift that is not a whole number of FFT bins
     is split into a bin shift and a residual mix at the output rate.
 
-    The spectra of mu and mu^2 come from one complex FFT of mu + j mu^2.
-    A band whose phase track is zero returns through one real inverse FFT
-    that carries the leak as well; any other band takes a complex inverse
-    and the factor exp(j theta), and the leak its own real inverse.
+    The spectra of mu and mu^2 come from one complex FFT of mu + j mu^2,
+    ``beat_spectrum(mu)``. ``mu`` is either the record, whose spectrum is
+    taken here and freed once the band is read, or that spectrum, taken
+    once for every sub-band of a burst. A band whose phase track is zero
+    returns through one real inverse FFT that carries the leak as well;
+    any other band takes a complex inverse and the factor exp(j theta),
+    and the leak its own real inverse.
     """
     if not 1 <= n <= combs.n_pairs:
         raise SignalError(
@@ -455,16 +484,13 @@ def subband_beat(
     first = k0 - n_out // 2  # source bin of the band's first output bin
     lo, hi = max(first, 0), min(first + n_out, n_in // 2 + 1)
     n_half = n_out // 2 + 1  # rfft length at the output rate
-    # one complex FFT for the two real records mu and mu^2
-    z = np.empty(n_in, dtype=np.result_type(mu.samples, np.complex64))
-    z.real = mu.samples
-    np.square(mu.samples, out=z.imag)
-    z = fft(z, overwrite_x=True)
+    spectrum = mu if isinstance(mu, BeatSpectrum) else beat_spectrum(mu)
+    z = spectrum.samples
     band = _analytic_band(_rfft_bins(z, lo, hi), n_in, first, n_out)
     # an infinite cmrr_db gives kappa = 0: no leak
     kappa = db_to_amplitude_ratio(-link.cmrr_db)
     leak = _rfft_bins(z, 0, n_half, imag=True) * (kappa * r * p_ch)
-    del z  # the full-length spectrum is not needed past here
+    del z, spectrum  # a spectrum taken here is not needed past here
 
     # the default track is zero on a band that sits on the bin grid
     if np.any(theta):

@@ -4,9 +4,12 @@ Every run decomposes into independent tasks (one per sweep frequency or
 per channel). Task seeds derive from (master_seed, task kind, index)
 alone, so outputs are byte-identical however the tasks are scheduled;
 ``--jobs`` only changes wall time. A channelized run builds its transmit
-burst once and hands it to every channel task, as the physical system
-sends one burst to all sub-band detectors. The parent builds each task's
-label, seed and arguments once; a worker returns only its CSV row or
+burst once, as the physical system sends one burst to all sub-band
+detectors, and takes the burst's one beat transform (the FFT of
+mu + j mu^2) once too: every channel task reads its sub-band's bins from
+that spectrum. A sweep point is one burst with one channel, and its
+spectrum is freed as soon as its band is read. The parent builds each
+task's label, seed and arguments once; a worker returns only its CSV row or
 SNR, and ``_run_tasks`` times every task and writes every manifest
 record. A failed task is recorded with its reason and the run carries
 on, whether the task raised any error or its worker process died.
@@ -33,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .adc import MIN_OVERSAMPLING, SubbandCapture, adc_capture
-from .comb import ScenarioCombs, mzm_field, subband_beat
+from .comb import BeatSpectrum, ScenarioCombs, beat_spectrum, mzm_field, subband_beat
 from .demod import demod_pam4
 from .errors import CombAdcError, ConfigError
 from .frontend import dac_model, gen_pam4_symbols, scm_waveform, sine_waveform
@@ -163,13 +166,16 @@ def _front_end(
 
 
 def _capture_subband(
-    mu: SampledWaveform,
+    mu: SampledWaveform | BeatSpectrum,
     n: int,
     cfg: ScenarioConfig,
     combs: ScenarioCombs,
     beat_seed: int,
     adc_seed: int,
 ) -> SubbandCapture:
+    """Sub-band ``n`` through the beat and the ADC. ``mu`` is a sweep
+    point's record, whose spectrum the beat takes and frees, or a burst's
+    beat spectrum, shared by every channel."""
     imp = cfg.impairments
     current = subband_beat(
         mu,
@@ -310,8 +316,9 @@ def run_sweep(cfg: ScenarioConfig, out_dir: str, jobs: int = 1) -> RunManifest:
 # channelized run
 
 
-def _scm_burst(cfg: ScenarioConfig) -> tuple[dict[int, np.ndarray], SampledWaveform]:
-    """Every channel's symbols and the burst's transmit-side field factor.
+def _scm_burst(cfg: ScenarioConfig) -> tuple[dict[int, np.ndarray], BeatSpectrum]:
+    """Every channel's symbols and the beat spectrum of the burst's
+    transmit-side field factor.
 
     Symbols are drawn for every channel in the plan, muted or not, so
     channel k's symbols are identical whatever subset is active and mute
@@ -337,7 +344,7 @@ def _scm_burst(cfg: ScenarioConfig) -> tuple[dict[int, np.ndarray], SampledWavef
         burst = scm_waveform(cfg.scm, symbols, cfg.dac.rate)
     x = SampledWaveform(burst.samples * level, burst.rate)
     dac_seed = _task_seeds(cfg.run.master_seed, "scm-dac", 0, 1)[0]
-    return symbols, _front_end(x, cfg, dac_seed)
+    return symbols, beat_spectrum(_front_end(x, cfg, dac_seed))
 
 
 def _spectrum_name(channel: int) -> str:
@@ -349,7 +356,7 @@ def _scm_channel(
     combs: ScenarioCombs,
     channel: int,
     seeds: list[int],
-    mu: SampledWaveform,
+    spectrum: BeatSpectrum,
     tx: np.ndarray | None,
     out_dir: str,
 ) -> float | None:
@@ -360,7 +367,7 @@ def _scm_channel(
     demodulation fails writes no spectrum; without them (a spectrum run)
     the equalizer never runs.
     """
-    cap = _capture_subband(mu, channel, cfg, combs, seeds[0], seeds[1])
+    cap = _capture_subband(spectrum, channel, cfg, combs, seeds[0], seeds[1])
     snr_db = None
     if tx is not None:
         snr_db = demod_pam4(cap, build_demod(cfg), tx).snr_db
@@ -382,7 +389,7 @@ def _channel_run(
     """Capture ``channels`` (every active one if None) of one transmit
     burst, built once per run.
 
-    Every channel task gets the same field factor and, when
+    Every channel task gets the same beat spectrum and, when
     ``demodulate``, its own symbols; if the burst itself cannot be built,
     each channel records that failure.
     """
@@ -396,10 +403,10 @@ def _channel_run(
 
     seeds = [_task_seeds(cfg.run.master_seed, "scm", ch, 2) for ch in channels]
     burst, elapsed_s, detail = _attempt(_scm_burst, (cfg,))
-    symbols, mu = burst or ({}, None)  # a failed burst's tasks never run
+    symbols, spectrum = burst or ({}, None)  # a failed burst's tasks never run
     tx = symbols if demodulate else {}
     tasks = [
-        (f"channel={ch}", s[0], (cfg, combs, ch, s, mu, tx.get(ch), out_dir))
+        (f"channel={ch}", s[0], (cfg, combs, ch, s, spectrum, tx.get(ch), out_dir))
         for ch, s in zip(channels, seeds)
     ]
     if detail:

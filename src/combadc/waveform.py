@@ -34,6 +34,7 @@ Conventions the rest of the package depends on:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -199,6 +200,13 @@ def spectrum_to_csv(spec: SpectrumEstimate, path) -> None:
         fh.write(("%.6f,%.6f\n" * spec.bin_freqs.size) % tuple(rows))
 
 
+# filter designs kept per process: a run uses seven (five low-pass, two
+# root-raised-cosine), and one design is at most about 240 kB. A kept
+# design is read-only, so no caller can change it in place.
+_DESIGNS_KEPT = 16
+
+
+@functools.lru_cache(maxsize=_DESIGNS_KEPT)
 def rrc_taps(rolloff: float, sps_per_sym: int, span: int) -> np.ndarray:
     """Root-raised-cosine taps, ``span * sps_per_sym + 1`` long, unit energy.
 
@@ -208,7 +216,7 @@ def rrc_taps(rolloff: float, sps_per_sym: int, span: int) -> np.ndarray:
         such filters satisfies the Nyquist ISI criterion to ~1e-3.
 
     Unit tap energy means the matched cascade has unit gain at the symbol
-    instants.
+    instants. Designs are made once per process and returned read-only.
     """
     if not 0.0 <= rolloff <= 1.0:
         raise ValueError("roll-off must lie in [0, 1]")
@@ -233,7 +241,9 @@ def rrc_taps(rolloff: float, sps_per_sym: int, span: int) -> np.ndarray:
             )
             den = np.pi * ti * (1.0 - (4.0 * rolloff * ti) ** 2)
             h[i] = num / den
-    return h / np.sqrt(np.sum(np.square(h)))
+    h /= np.sqrt(np.sum(np.square(h)))
+    h.setflags(write=False)
+    return h
 
 
 def samples_per_symbol(rate: float, baud: float) -> int:
@@ -288,6 +298,7 @@ def _cosine_window(coeffs, n: int, periodic: bool = False) -> np.ndarray:
     return w[:n]
 
 
+@functools.lru_cache(maxsize=_DESIGNS_KEPT)
 def fir_lowpass(
     cutoff: float,
     rate: float,
@@ -302,6 +313,7 @@ def fir_lowpass(
     width instead (used where band selection has to be surgical).
     Kaiser's formulas give the length and the window's beta (for over 50
     dB); the taps are the windowed ideal low-pass scaled to unit DC gain.
+    Designs are made once per process and returned read-only.
     """
     center, width = lowpass_band(cutoff, rate, transition_hz)
     nyq = rate / 2.0
@@ -313,7 +325,9 @@ def fir_lowpass(
     kaiser = i0(beta * np.sqrt(1 - (t / half) ** 2.0)) / i0(beta)
     fc = center / nyq
     h = fc * np.sinc(fc * t) * kaiser
-    return h / np.sum(h)
+    h /= np.sum(h)
+    h.setflags(write=False)
+    return h
 
 
 # the FIR kernels work through a record in chunks of about this many

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from combadc.adc import AdcConfig, adc_capture
+from combadc.adc import AdcConfig, _lagrange_sample, adc_capture
 from combadc.errors import SignalError
 from combadc.metrics import sine_metrics
 from combadc.waveform import SampledWaveform, time_vector
@@ -73,6 +73,45 @@ def test_jitter_law_400mhz():
     cap = adc_capture(_tone_input(f, amp=0.99), 1, cfg, seed=3, quantize=False)
     rep = sine_metrics(cap, f)
     assert rep.sinad_db == pytest.approx(40.0, abs=1.0)
+
+
+def _lagrange_8(x, positions):
+    """The 8-point Lagrange interpolation written out for every position."""
+    pos = np.clip(positions, 0.0, x.size - 1.0)
+    base = np.clip(np.floor(pos).astype(np.int64) - 3, 0, x.size - 8)
+    out = np.zeros(pos.size)
+    for j in range(8):
+        w = np.ones(pos.size)
+        for m in range(8):
+            if m != j:
+                w *= (pos - base - m) / (j - m)
+        out += w * x[base + j]
+    return out
+
+
+def test_whole_sample_positions_read_the_samples(rng):
+    x = rng.standard_normal(4000)
+    x[[0, 8, 3999]] = -0.0
+    # every fourth sample, as an integer rate ratio without jitter reads
+    # them, and positions past both ends, which clamp to the end samples
+    for positions in (np.arange(1000) * 4.0, np.arange(-3.0, 4004.0)):
+        got = _lagrange_sample(x, positions)
+        want = _lagrange_8(x, positions)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert np.array_equal(_lagrange_sample(x, np.arange(1000) * 4.0), x[::4])
+
+
+def test_fractional_positions_interpolate():
+    n = 4000
+    t = np.arange(n)
+    x = np.cos(2 * np.pi * 0.05 * t)
+    positions = np.arange(1, 999) * 4.0 + 0.37
+    got = _lagrange_sample(x, positions)
+    assert np.array_equal(got, _lagrange_8(x, positions))
+    # an eight-point fit of a tone at a tenth of the Nyquist rate
+    assert np.max(np.abs(got - np.cos(2 * np.pi * 0.05 * positions))) < 1e-6
+    assert np.max(np.abs(got - x[np.round(positions).astype(int)])) > 0.05
 
 
 def test_capture_determinism():

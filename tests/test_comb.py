@@ -10,6 +10,7 @@ from combadc.comb import (
     comb_from_cascade,
     flat_comb,
     _differential_phase,
+    beat_spectrum,
     mzm_field,
     subband_beat,
 )
@@ -503,3 +504,24 @@ def test_beat_real_inverse_matches_complex_inverse(n, out_rate, cmrr_db, rng):
     # exp(j theta) moves the output by at most max|theta| of its peak
     peak = np.max(np.abs(real.samples))
     assert np.max(np.abs(real.samples - cplx.samples)) <= 1e-9 * peak
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("drift", [0.0, 2e5])
+@pytest.mark.parametrize("cmrr_db", [35.0, np.inf])
+@pytest.mark.parametrize("n", [1, 10])
+def test_beat_from_shared_spectrum_is_bit_identical(n, cmrr_db, drift, dtype, rng):
+    # a channelized run takes the burst's spectrum once and every sub-band
+    # reads its bins from it; that must be the beat of the record itself,
+    # noise, photodiode filter and TIA included
+    mu = SampledWaveform((0.3 * rng.standard_normal(65536)).astype(dtype), 32e9)
+    combs = make_combs(drift=drift)
+    link = LinkConfig(cmrr_db=cmrr_db)
+    spectrum = beat_spectrum(mu)
+    assert spectrum.samples.dtype == np.result_type(dtype, np.complex64)
+    assert np.any(_differential_phase(n, combs, 100, mu.rate, 3)) == (drift != 0.0)
+    for out_rate in (None, 9.6e9):
+        want = subband_beat(mu, n, combs, link, 3, out_rate=out_rate)
+        got = subband_beat(spectrum, n, combs, link, 3, out_rate=out_rate)
+        assert got.rate == want.rate
+        assert np.array_equal(got.samples, want.samples)

@@ -164,6 +164,20 @@ def test_lms_matches_per_symbol_reference(n_train, passes, step):
     assert np.max(np.abs(taps - ref)) <= 1e-12
 
 
+# a pass is one affine map of the taps; these reach past the grid above:
+# two passes (the first whose sum map is the full one), 48 passes, and a
+# training span of exactly three blocks
+@pytest.mark.parametrize(
+    "n_train,passes", [(300, 2), (1000, 2), (300, 48), (192, 1), (192, 2), (192, 12)]
+)
+@pytest.mark.parametrize("step", [0.5, 1.5])
+def test_lms_pass_map_matches_per_symbol_reference(n_train, passes, step):
+    sym, y = _shaped_isi_sequence(1100, seed=8)
+    ref = _lms_reference(y, sym[:n_train], 17, step, 2, passes)
+    taps, _ = ffe_lms(y, sym[:n_train], taps=17, step=step, sps=2, passes=passes)
+    assert np.max(np.abs(taps - ref)) <= 1e-12
+
+
 def test_lms_approaches_wiener_with_more_passes():
     # excess training MSE over the direct least-squares solve: measured
     # 3.7, 2.1, 1.8 and 1.2 % at 1, 4, 12 and 48 passes

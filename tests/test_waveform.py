@@ -191,6 +191,18 @@ def test_fir_lowpass_default_transition():
     assert taps.size % 2 == 1
 
 
+@pytest.mark.parametrize(
+    "design", [lambda: fir_lowpass(1.2e9, 32e9), lambda: rrc_taps(0.1, 4, 16)]
+)
+def test_filter_designs_are_made_once_and_read_only(design):
+    taps = design()
+    assert design() is taps
+    with pytest.raises(ValueError, match="read-only"):
+        taps[0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        taps *= 2.0
+
+
 def test_fir_lowpass_rejects_impossible_design():
     with pytest.raises(SignalError):
         fir_lowpass(0.6e9, 1e9)  # above Nyquist

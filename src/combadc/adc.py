@@ -138,15 +138,9 @@ def _lagrange_sample(x: np.ndarray, positions: np.ndarray, order: int = 8) -> np
     Uses a sliding ``order``-point Lagrange polynomial; with the analog
     input oversampled 4x or more the interpolation error sits far below
     every modeled noise source. Positions are clamped to the valid span.
-    On whole-sample positions (no jitter and an integer rate ratio) every
-    weight is exactly 0 or 1, and the samples are read directly.
     """
     n = x.size
     pos = np.clip(positions, 0.0, n - 1.0)
-    idx = pos.astype(np.int64)
-    if np.array_equal(idx, pos):
-        # + 0.0: the weighted sum turns a -0.0 sample into +0.0
-        return x[idx].astype(np.float64, copy=False) + 0.0
     base = np.clip(np.floor(pos).astype(np.int64) - (order // 2 - 1), 0, n - order)
     d = pos - base
     offsets = [d - m for m in range(order)]

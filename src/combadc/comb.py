@@ -393,11 +393,14 @@ class BeatSpectrum:
 
 
 def beat_spectrum(mu: SampledWaveform) -> BeatSpectrum:
-    """The one full-length transform of the beat: the FFT of mu + j mu^2."""
+    """The one full-length transform of the beat: the FFT of mu + j mu^2,
+    read-only, since one spectrum serves every sub-band of a burst."""
     z = np.empty(mu.n, dtype=np.result_type(mu.samples, np.complex64))
     z.real = mu.samples
     np.square(mu.samples, out=z.imag)
-    return BeatSpectrum(fft(z, overwrite_x=True), mu.rate)
+    z = fft(z, overwrite_x=True)
+    z.setflags(write=False)
+    return BeatSpectrum(z, mu.rate)
 
 
 def subband_beat(

@@ -89,19 +89,6 @@ def _lagrange_8(x, positions):
     return out
 
 
-def test_whole_sample_positions_read_the_samples(rng):
-    x = rng.standard_normal(4000)
-    x[[0, 8, 3999]] = -0.0
-    # every fourth sample, as an integer rate ratio without jitter reads
-    # them, and positions past both ends, which clamp to the end samples
-    for positions in (np.arange(1000) * 4.0, np.arange(-3.0, 4004.0)):
-        got = _lagrange_sample(x, positions)
-        want = _lagrange_8(x, positions)
-        assert np.array_equal(got, want)
-        assert np.array_equal(np.signbit(got), np.signbit(want))
-    assert np.array_equal(_lagrange_sample(x, np.arange(1000) * 4.0), x[::4])
-
-
 def test_fractional_positions_interpolate():
     n = 4000
     t = np.arange(n)

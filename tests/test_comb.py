@@ -519,6 +519,9 @@ def test_beat_from_shared_spectrum_is_bit_identical(n, cmrr_db, drift, dtype, rn
     link = LinkConfig(cmrr_db=cmrr_db)
     spectrum = beat_spectrum(mu)
     assert spectrum.samples.dtype == np.result_type(dtype, np.complex64)
+    # every sub-band reads the one spectrum, so none may write into it
+    with pytest.raises(ValueError):
+        spectrum.samples[0] = 0.0
     assert np.any(_differential_phase(n, combs, 100, mu.rate, 3)) == (drift != 0.0)
     for out_rate in (None, 9.6e9):
         want = subband_beat(mu, n, combs, link, 3, out_rate=out_rate)

@@ -191,12 +191,9 @@ def test_fir_lowpass_default_transition():
     assert taps.size % 2 == 1
 
 
-@pytest.mark.parametrize(
-    "design", [lambda: fir_lowpass(1.2e9, 32e9), lambda: rrc_taps(0.1, 4, 16)]
-)
-def test_filter_designs_are_made_once_and_read_only(design):
-    taps = design()
-    assert design() is taps
+def test_rrc_designs_are_made_once_and_read_only():
+    taps = rrc_taps(0.1, 4, 16)
+    assert rrc_taps(0.1, 4, 16) is taps
     with pytest.raises(ValueError, match="read-only"):
         taps[0] = 0.0
     with pytest.raises(ValueError, match="read-only"):

@@ -14,9 +14,11 @@ sub-band; only the bins around it are kept and transformed back on a
 shorter record. The balanced-detection leak needs the spectrum of mu^2
 as well, and one complex FFT of mu + j mu^2 gives both: mu's spectrum is
 its Hermitian half and mu^2's its anti-Hermitian half, read only at the
-bins that are kept. That transform (``beat_spectrum``) is the burst's
-half of the channelizer: a channelized run takes it once and every
-sub-band reads its own bins from it. Where the differential phase track
+bins that are kept. That split is ``_rfft_bins``, which lives in
+waveform.py because ``frontend.scm_waveform`` splits its channel pairs
+with it too. The complex FFT (``beat_spectrum``) is the burst's half of
+the channelizer: a channelized run takes it once and every sub-band
+reads its own bins from it. Where the differential phase track
 is zero (a band on the bin grid, with no static phase between the pair,
 no drive noise and no drift) only the real part of the band is needed,
 and one real inverse transform returns it together with the leak.
@@ -50,6 +52,7 @@ from .seeding import derive_rng
 from .units import db_to_amplitude_ratio, dbm_to_watts
 from .waveform import (
     SampledWaveform,
+    _rfft_bins,
     apply_fir,
     fir_lowpass,
     time_vector,
@@ -336,25 +339,6 @@ def _differential_phase(
     if static != 0.0:
         theta = theta + static
     return theta
-
-
-def _rfft_bins(z: np.ndarray, lo: int, hi: int, imag: bool = False) -> np.ndarray:
-    """Bins ``lo..hi-1`` of the ``rfft`` of the real part of the record
-    whose FFT is ``z`` (of its imaginary part with ``imag``), in complex128.
-
-    Both parts are real records, so their spectra are the Hermitian and
-    anti-Hermitian halves of ``z``: ``(Z[k] + conj Z[-k]) / 2`` and
-    ``(Z[k] - conj Z[-k]) / 2j``.
-    """
-    bins = z[lo:hi].astype(np.complex128)
-    mirror = np.conj(z[-np.arange(lo, hi)])
-    if imag:
-        bins -= mirror
-        bins *= -0.5j
-    else:
-        bins += mirror
-        bins *= 0.5
-    return bins
 
 
 def _analytic_band(src: np.ndarray, n_in: int, first: int, n_out: int) -> np.ndarray:

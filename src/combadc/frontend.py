@@ -17,7 +17,12 @@ sidebands fold onto each other coherently, so the recovered baseband is
 an ordinary offset-carrier PAM signal instead of an irrecoverable
 self-overlapped one; the hole is what keeps the content clear of the
 receiver's AC-coupling notch. ``scm_waveform`` builds all channels as
-one spectrum, with every subcarrier on an FFT bin of the record.
+one spectrum, with every subcarrier on an FFT bin of the record. The
+channels' shaped records go two to a complex FFT, one as its real and
+one as its imaginary part, and each channel's spectrum is read back as
+the Hermitian or anti-Hermitian half of the result by
+``waveform._rfft_bins``, the same split the beat uses for mu and mu^2:
+one full-length forward transform per pair of channels, not per channel.
 
 The DAC's full scale is +-1: the testbench's figures are ratios, so
 every level (tone amplitude, burst drive, residual noise) is one of it.
@@ -39,6 +44,7 @@ from .errors import SignalError
 from .waveform import (
     SampledWaveform,
     _as_samples,
+    _rfft_bins,
     apply_fir,
     fir_lowpass,
     lowpass_band,
@@ -186,6 +192,10 @@ def check_carrier_grid(cfg: ScmConfig, rate: float) -> None:
         )
 
 
+# bins of a pair's spectrum that ``scm_waveform`` splits and adds at once
+_SPLIT_BLOCK = 1 << 14
+
+
 def scm_waveform(
     cfg: ScmConfig, per_channel_symbols: dict[int, np.ndarray], rate: float
 ) -> SampledWaveform:
@@ -194,27 +204,31 @@ def scm_waveform(
     ``per_channel_symbols`` maps 1-based channel index to its unit-power
     symbol sequence. The output is the plain sum of channels (no level
     scaling here; drive normalization happens at the DAC boundary), so the
-    waveform is linear in any one channel's symbols.
+    waveform is linear in any one channel's symbols. Every active
+    channel's symbols are checked before any transform is taken.
 
     Built in the frequency domain: ``Re(a) cos(w_k t)`` is
     ``Re(a (e^{j w_k t} + e^{-j w_k t}) / 2)`` and ``w_k`` sits on bin
-    ``k * s1``, so each channel's analytic spectrum (one ``rfft``) is added
-    circularly shifted by ``+-k * s1`` bins, and one inverse FFT and the
-    common ``baseband_offset`` mix give the burst. The RRC shaping stays a
-    linear convolution (zeros outside the record), so edge symbols come out
-    as from the time-domain construction; only the Hilbert step is circular.
+    ``k * s1``, so each channel's analytic spectrum is added circularly
+    shifted by ``+-k * s1`` bins, and one inverse FFT and the common
+    ``baseband_offset`` mix give the burst. The active channels go in
+    pairs, one shaped record as the real and one as the imaginary part of
+    a single complex FFT (an odd count's last channel with a zero
+    partner); ``_rfft_bins``, the beat's split, reads each channel's
+    ``rfft`` bins back from it as the Hermitian or anti-Hermitian half, a
+    block of ``_SPLIT_BLOCK`` bins at a time, each block weighted and
+    added at both shifts. The RRC shaping stays a linear convolution
+    (zeros outside the record), so edge symbols come out as from the
+    time-domain construction; only the Hilbert step is circular.
     """
     sps = burst_sps(cfg, rate)
     check_carrier_grid(cfg, rate)
     n = int(round(cfg.duration * rate))
     s1 = int(round(cfg.channel_spacing * n / rate))  # subcarrier spacing in bins
     n_sym = cfg.symbols_per_burst
-    # scaled so the matched receive filter sees unit symbol amplitude
-    taps = rrc_taps(cfg.rolloff, sps, 16)
-
-    n_half = n // 2 + 1  # rfft length
-    spectrum = np.zeros(n, dtype=np.complex128)
-    for k in cfg.active_set():
+    active = cfg.active_set()
+    symbols = []
+    for k in active:
         if k not in per_channel_symbols:
             raise SignalError(f"missing symbols for channel {k}")
         sym = np.asarray(per_channel_symbols[k], dtype=np.float64)
@@ -222,37 +236,63 @@ def scm_waveform(
             raise SignalError(
                 f"channel {k}: expected {n_sym} symbols, got {sym.size}"
             )
+        symbols.append(sym)
+    # scaled so the matched receive filter sees unit symbol amplitude
+    taps = rrc_taps(cfg.rolloff, sps, 16)
+
+    n_half = n // 2 + 1  # rfft length
+    spectrum = np.zeros(n, dtype=np.complex128)
+    z = np.empty(n, dtype=np.complex128)  # one pair of channels at a time
+    for i in range(0, len(active), 2):
         # symbol m at sample m*sps: the filter is applied zero-phase
-        shaped = polyphase_fir(sym, taps, sps, 1, n)
-        # analytic-signal weights (DC and Nyquist once, positive bins
-        # twice) times the 1/2 of the cosine's two exponentials
-        a = fft.rfft(shaped)
-        a[0] *= 0.5
-        if n % 2 == 0:
-            a[-1] *= 0.5
-        for start in (k * s1 % n, -k * s1 % n):  # circular shift by +-k*s1
-            head = min(n_half, n - start)
-            spectrum[start : start + head] += a[:head]
-            spectrum[: n_half - head] += a[head:]
+        z.real = polyphase_fir(symbols[i], taps, sps, 1, n)
+        if i + 1 < len(active):
+            z.imag = polyphase_fir(symbols[i + 1], taps, sps, 1, n)
+        else:
+            z.imag = 0.0  # an odd count's last channel has a zero partner
+        z = fft.fft(z, overwrite_x=True)
+        for imag, k in enumerate(active[i : i + 2]):
+            for lo in range(0, n_half, _SPLIT_BLOCK):
+                hi = min(lo + _SPLIT_BLOCK, n_half)
+                # analytic-signal weights (DC and Nyquist once, positive
+                # bins twice) times the 1/2 of the cosine's two exponentials
+                a = _rfft_bins(z, lo, hi, imag=bool(imag))
+                if lo == 0:
+                    a[0] *= 0.5
+                if n % 2 == 0 and hi == n_half:
+                    a[-1] *= 0.5
+                for shift in (k * s1, -k * s1):  # circular shift by +-k*s1
+                    start = (shift + lo) % n
+                    head = min(a.size, n - start)
+                    spectrum[start : start + head] += a[:head]
+                    spectrum[: a.size - head] += a[head:]
+    del z  # the pair buffer is not held through the inverse and the mix
     burst = fft.ifft(spectrum, overwrite_x=True)
-    burst *= _phasor(2.0 * np.pi * cfg.baseband_offset / rate, n)
-    return SampledWaveform(burst.real.copy(), rate)
+    w = 2.0 * np.pi * cfg.baseband_offset / rate
+    return SampledWaveform(_phasor(w, n, times=burst), rate)
 
 
-def _phasor(w: float, n: int, real: bool = False) -> np.ndarray:
-    """``exp(1j * w * k)`` for ``k < n``, or with ``real`` its real part:
-    with k = 1024a + b, the outer product of e^{jw 1024a} and e^{jwb}, two
-    short exponentials instead of one per sample. The real part is taken
-    256 rows at a time, the same products without a full-length complex
-    array (twice the float64 result, the run's largest transient)."""
+def _phasor(
+    w: float, n: int, real: bool = False, times: np.ndarray | None = None
+) -> np.ndarray:
+    """``exp(1j * w * k)`` for ``k < n``; with ``real`` its real part, and
+    with ``times`` the real part of ``times * exp(1j * w * k)``. With
+    k = 1024a + b, the phasor is the outer product of e^{jw 1024a} and
+    e^{jwb}, two short exponentials instead of one per sample. A real part
+    is taken 256 rows at a time, the same products without a full-length
+    complex array (twice the float64 result, the run's largest transient)."""
     coarse = np.exp(1j * w * 1024 * np.arange(-(-n // 1024)))
     fine = np.exp(1j * w * np.arange(1024))
-    if not real:
+    if not real and times is None:
         return np.outer(coarse, fine).ravel()[:n]
-    out = np.empty((coarse.size, fine.size))
-    for row in range(0, coarse.size, 256):
-        out[row : row + 256] = np.outer(coarse[row : row + 256], fine).real
-    return out.ravel()[:n]
+    out = np.empty(n)
+    for a in range(0, n, 256 * 1024):
+        b = min(a + 256 * 1024, n)
+        block = np.outer(coarse[a // 1024 : -(-b // 1024)], fine).ravel()[: b - a]
+        if times is not None:
+            block *= times[a:b]
+        out[a:b] = block.real
+    return out
 
 
 def sine_waveform(

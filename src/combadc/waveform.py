@@ -100,6 +100,31 @@ def _as_samples(x) -> np.ndarray:
     return x if x.dtype == np.float32 else x.astype(np.float64, copy=False)
 
 
+def _rfft_bins(z: np.ndarray, lo: int, hi: int, imag: bool = False) -> np.ndarray:
+    """Bins ``lo..hi-1`` (``0 <= lo < hi <= z.size``) of the ``rfft`` of
+    the real part of the record whose FFT is ``z`` (of its imaginary part
+    with ``imag``), in complex128.
+
+    Both parts are real records, so their spectra are the Hermitian and
+    anti-Hermitian halves of ``z``: ``(Z[k] + conj Z[-k]) / 2`` and
+    ``(Z[k] - conj Z[-k]) / 2j``.
+    """
+    n = z.size
+    # conj Z[-k] for k = lo..hi-1: Z[n - k] read backwards, Z[0] at k = 0
+    bins = np.empty(hi - lo, dtype=np.complex128)
+    first = max(lo, 1)
+    np.conjugate(z[n - hi + 1 : n - first + 1][::-1], out=bins[first - lo :])
+    if lo == 0:
+        bins[0] = np.conj(z[0])
+    if imag:
+        np.subtract(z[lo:hi], bins, out=bins)
+        bins *= -0.5j
+    else:
+        bins += z[lo:hi]
+        bins *= 0.5
+    return bins
+
+
 # windows accepted by periodogram, as cosine-sum coefficients
 _WINDOWS = {
     "rectangular": (1.0,),

@@ -5,6 +5,7 @@ from scipy.signal import hilbert
 
 from combadc.errors import SignalError
 from combadc.frontend import (
+    _SPLIT_BLOCK,
     DacConfig,
     ScmConfig,
     dac_model,
@@ -17,6 +18,7 @@ from combadc.frontend import (
 from combadc.metrics import sine_metrics
 from combadc.waveform import (
     SampledWaveform,
+    _rfft_bins,
     apply_fir,
     fir_lowpass,
     periodogram,
@@ -148,7 +150,12 @@ def _assert_matches_reference(cfg, rate):
 
 
 @pytest.mark.parametrize("duration", [0.512e-6, 2.048e-6])
-@pytest.mark.parametrize("active", [None, (1, 4, 9)])
+@pytest.mark.parametrize(
+    "active",
+    # a lone channel, one pair, a pair and a channel with a zero partner,
+    # and nine of ten (four pairs and an odd one out)
+    [None, (1, 4, 9), (5,), (1, 2), (1, 2, 3), (1, 2, 3, 5, 6, 7, 8, 9, 10)],
+)
 def test_scm_matches_time_domain_reference(duration, active):
     cfg = ScmConfig(duration=duration, active_channels=active)
     _assert_matches_reference(cfg, 32e9)
@@ -160,6 +167,55 @@ def test_scm_matches_reference_on_odd_record():
     cfg = ScmConfig(baud=900e6, duration=1.022e-6, active_channels=(2, 7, 10))
     assert round(cfg.duration * 22.5e9) % 2 == 1
     _assert_matches_reference(cfg, 22.5e9)
+
+
+def test_scm_odd_record_past_one_split_block_matches_reference():
+    # 1.458 us at 22.5 GSa/s is 32,805 samples: odd, and its 16,403 rfft
+    # bins fill one split block and spill into a second
+    cfg = ScmConfig(baud=900e6, duration=1.458e-6, active_channels=(3, 6, 9))
+    n = round(cfg.duration * 22.5e9)
+    assert n % 2 == 1 and n // 2 + 1 > _SPLIT_BLOCK
+    _assert_matches_reference(cfg, 22.5e9)
+
+
+def test_scm_pair_is_the_sum_of_its_channels():
+    # channels 3 and 8 share one complex FFT; each alone rides with a zero
+    # partner, and the pair's burst is the sum of the two
+    symbols = {
+        k: gen_pam4_symbols(ScmConfig().symbols_per_burst, 40 + k) for k in (3, 8)
+    }
+    pair = scm_waveform(ScmConfig(active_channels=(3, 8)), symbols, 32e9).samples
+    alone = [
+        scm_waveform(ScmConfig(active_channels=(k,)), symbols, 32e9).samples
+        for k in (3, 8)
+    ]
+    assert np.max(np.abs(pair - (alone[0] + alone[1]))) < 1e-12
+
+
+@pytest.mark.parametrize("n", [2 * _SPLIT_BLOCK + 8, 2 * _SPLIT_BLOCK + 9])
+@pytest.mark.parametrize(
+    "lo,hi",
+    # DC, the edge between the first two split blocks, and the last bins
+    # (the Nyquist bin when n is even)
+    [(0, 5), (_SPLIT_BLOCK - 3, _SPLIT_BLOCK + 4), (_SPLIT_BLOCK, _SPLIT_BLOCK + 5)],
+)
+def test_rfft_bins_split_one_complex_fft_into_two_real_ones(n, lo, hi):
+    rng = np.random.default_rng(n)
+    x, y = rng.standard_normal(n), rng.standard_normal(n)
+    z = np.fft.fft(x + 1j * y)
+    np.testing.assert_allclose(
+        _rfft_bins(z, lo, hi), np.fft.rfft(x)[lo:hi], rtol=0.0, atol=1e-10
+    )
+    np.testing.assert_allclose(
+        _rfft_bins(z, lo, hi, imag=True), np.fft.rfft(y)[lo:hi], rtol=0.0, atol=1e-10
+    )
+    # the mirror bins Z[-k] are read as a reversed slice; gathered by index
+    # instead, the same sums give the same bits, in either input precision
+    for zz in (z, z.astype(np.complex64)):
+        bins = zz[lo:hi].astype(np.complex128)
+        mirror = np.conj(zz[-np.arange(lo, hi)])
+        assert np.array_equal(_rfft_bins(zz, lo, hi), (bins + mirror) * 0.5)
+        assert np.array_equal(_rfft_bins(zz, lo, hi, imag=True), (bins - mirror) * -0.5j)
 
 
 def test_scm_off_carrier_grid_is_rejected():
@@ -212,6 +268,18 @@ def test_tone_taken_in_row_blocks_keeps_every_bit(freq, n):
 
     w = 2.0 * np.pi * freq / 32e9
     assert np.array_equal(_phasor(w, n, real=True), _phasor(w, n).real)
+
+
+@pytest.mark.parametrize("n", [1024, 300_001])
+def test_offset_mix_in_row_blocks_keeps_every_bit(n):
+    # the burst's offset mix Re(x * phasor) is formed in the same row
+    # blocks, each product the one the full-length phasor forms
+    from combadc.frontend import _phasor
+
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    w = 2.0 * np.pi * 40e6 / 32e9
+    assert np.array_equal(_phasor(w, n, times=x), (x * _phasor(w, n)).real)
 
 
 # ---------------------------------------------------------------- quantizer

@@ -25,7 +25,7 @@ import os
 import tempfile
 import time
 
-from combadc import comb_from_cascade, load_config, run_scm, run_sweep
+from combadc import SignalError, comb_from_cascade, load_config, run_scm, run_sweep
 
 
 def comb_flatness_grid(n_tones: int = 24) -> None:
@@ -38,7 +38,7 @@ def comb_flatness_grid(n_tones: int = 24) -> None:
         for im in (0.0, 1.25, 1.5, 1.6):
             try:
                 spec = comb_from_cascade(pm, im, n_tones)
-            except ValueError:
+            except SignalError:
                 print(f"   {pm:5.2f}    {im:5.2f}      too few usable lines")
                 continue
             p = 20 * np.log10(np.abs(spec.tone_amps))

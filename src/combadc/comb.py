@@ -1,11 +1,14 @@
 """Comb pair, modulator, and per-sub-band beat model.
 
-The two combs share a seed laser and differ only in line spacing, so the
-tone pair with index n beats optical content near n times the signal-comb
-spacing down to an electrical band centered at n * delta_f. Because every
-comb tone carries the same modulation, sub-band n can be simulated
-directly from the modulator field factor mu(t) on an electrical-rate grid;
-no THz-wide optical field is ever synthesized.
+The two combs share a seed laser and differ only in line spacing, by
+delta_f, so the tone pair with index n beats the optical content of its
+signal-comb line down to an electrical band centered at n * delta_f.
+Because every comb tone carries the same modulation, sub-band n can be
+simulated directly from the modulator field factor mu(t) on an
+electrical-rate grid; no THz-wide optical field is ever synthesized. The
+model assumes, and does not simulate, that the signal-comb spacing clears
+twice the band, so the images of neighbouring tones never overlap; the
+absolute spacing then enters no sub-band, and only delta_f is held.
 
 The beat is computed as a digital down-converter. The spectrum of mu
 gives both the analytic signal (negative bins dropped, positive bins
@@ -84,65 +87,49 @@ _OSNR_REF_BW = 12.5e9
 
 @dataclass
 class CombSpec:
-    """One comb: line spacing plus per-tone field amplitudes and phases.
+    """One comb: per-tone field amplitudes and phases.
 
     Amplitudes are linear field units normalized so the strongest tone is
     1.0; absolute power scaling lives in LinkConfig.
     """
 
-    spacing: float
-    n_tones: int
     tone_amps: np.ndarray
     tone_phases: np.ndarray = None
     drive_linewidth: float = 0.0
 
     def __post_init__(self):
-        if self.spacing <= 0:
-            raise ConfigError("comb spacing must be positive")
-        if self.n_tones < 1:
-            raise ConfigError("comb needs at least one tone")
         self.tone_amps = np.asarray(self.tone_amps, dtype=np.float64)
-        if self.tone_amps.size != self.n_tones:
-            raise ConfigError("tone amplitude list does not match n_tones")
+        if self.tone_amps.size < 1:
+            raise ConfigError("comb needs at least one tone")
         if not np.all((self.tone_amps > 0) & np.isfinite(self.tone_amps)):
             raise ConfigError("tone amplitudes must be positive and finite")
         if self.tone_phases is None:
-            self.tone_phases = np.zeros(self.n_tones)
+            self.tone_phases = np.zeros(self.tone_amps.size)
         else:
             self.tone_phases = np.asarray(self.tone_phases, dtype=np.float64)
-            if self.tone_phases.size != self.n_tones:
-                raise ConfigError("tone phase list does not match n_tones")
+            if self.tone_phases.size != self.tone_amps.size:
+                raise ConfigError("tone phase list does not match the tone amplitudes")
         if self.drive_linewidth < 0:
             raise ConfigError("drive linewidth must be non-negative")
 
 
 @dataclass
 class ScenarioCombs:
-    """The mutually coherent comb pair of one scenario."""
+    """The mutually coherent comb pair of one scenario, whose line
+    spacings differ by ``delta_f``."""
 
     signal: CombSpec
     lo: CombSpec
-    # Hz; the seed laser is shared, so its phase cancels in every beat and
-    # no output depends on this (the tests pin that invariance)
-    seed_linewidth: float = 5e3
+    delta_f: float  # Hz, LO-comb spacing minus signal-comb spacing
     differential_phase_drift: float = 0.0  # rad/s, slow thermal path drift
 
     def __post_init__(self):
-        if self.lo.spacing <= self.signal.spacing:
-            raise ConfigError(
-                "LO comb must be spaced wider than the signal comb "
-                "(delta_f would not be positive)"
-            )
-        if self.seed_linewidth < 0:
-            raise ConfigError("seed linewidth must be non-negative")
-
-    @property
-    def delta_f(self) -> float:
-        return self.lo.spacing - self.signal.spacing
+        if not self.delta_f > 0:
+            raise ConfigError("delta_f must be positive")
 
     @property
     def n_pairs(self) -> int:
-        return min(self.signal.n_tones, self.lo.n_tones)
+        return min(self.signal.tone_amps.size, self.lo.tone_amps.size)
 
 
 @dataclass
@@ -193,7 +180,7 @@ def cascade_harmonics(
     ordered: index n_grid//2 is the carrier (0th harmonic).
     """
     if pm_index <= 0:
-        raise ValueError("phase-modulation index must be positive")
+        raise SignalError("phase-modulation index must be positive")
     theta = 2.0 * np.pi * np.arange(n_grid) / n_grid
     drive = np.sin(theta)
     g = np.exp(1j * pm_index * drive)
@@ -206,7 +193,6 @@ def comb_from_cascade(
     pm_index: float,
     im_depth: float,
     n_tones: int,
-    spacing: float = 26e9,
     drive_linewidth: float = 0.0,
 ) -> CombSpec:
     """Comb lines from a sinusoidally driven modulator cascade.
@@ -224,15 +210,13 @@ def comb_from_cascade(
     if n_tones <= amps.size:
         weakest = np.lib.stride_tricks.sliding_window_view(amps, n_tones).min(axis=1)
     if not np.any(weakest > floor):
-        raise ValueError(
+        raise SignalError(
             f"modulator cascade (pm={pm_index}, im={im_depth}) does not yield "
             f"{n_tones} usable lines"
         )
     start = int(np.argmax(weakest))
     window = slice(start, start + n_tones)
     return CombSpec(
-        spacing=spacing,
-        n_tones=n_tones,
         tone_amps=amps[window] / amps[window].max(),
         tone_phases=np.angle(c[window]),
         drive_linewidth=drive_linewidth,
@@ -241,7 +225,6 @@ def comb_from_cascade(
 
 def flat_comb(
     n_tones: int,
-    spacing: float,
     tilt_db: float = 0.0,
     drive_linewidth: float = 0.0,
 ) -> CombSpec:
@@ -255,29 +238,20 @@ def flat_comb(
     else:
         ramp = np.arange(n_tones) / (n_tones - 1)
         amps = db_to_amplitude_ratio(-tilt_db * ramp)
-    return CombSpec(
-        spacing=spacing,
-        n_tones=n_tones,
-        tone_amps=amps,
-        drive_linewidth=drive_linewidth,
-    )
+    return CombSpec(tone_amps=amps, drive_linewidth=drive_linewidth)
 
 
 def check_comb_scaling(bandwidth: float, combs: ScenarioCombs, n_subbands: int) -> None:
     """Raise SignalError, naming every reason, when the comb pair cannot
     slice ``bandwidth`` into ``n_subbands`` sub-bands.
 
-    The sub-band grid must tile the band (delta_f at least B/N), half the
-    signal-comb spacing must exceed the band so neighboring tone images
-    stay clear, and every sub-band needs a tone pair of its own.
+    The sub-band grid must tile the band (delta_f at least B/N), and every
+    sub-band needs a tone pair of its own.
     """
     faults = []
     need = bandwidth / n_subbands
     if combs.delta_f < need:
         faults.append(f"subband-tiling: delta_f {combs.delta_f:g} Hz vs B/N {need:g} Hz")
-    f_sig = combs.signal.spacing
-    if f_sig <= 2.0 * bandwidth:
-        faults.append(f"tone-separation: f_sig/2 {f_sig / 2.0:g} Hz vs B {bandwidth:g} Hz")
     if n_subbands > combs.n_pairs:
         faults.append(f"{n_subbands} channels exceed {combs.n_pairs} usable tone pairs")
     if faults:
@@ -320,10 +294,10 @@ def _differential_phase(
     """Differential beat phase for tone pair n.
 
     The seed-laser contribution is common to both combs and cancels
-    identically, so it is structurally absent here regardless of
-    seed_linewidth. The RF-synthesizer walk scales by n; path drift does
-    not (it is an optical path-length effect shared by all pairs). A zero
-    drive linewidth or drift leaves its term out.
+    identically, so it is structurally absent here. The RF-synthesizer
+    walk, whose linewidth is the sum of the two combs', scales by n; path
+    drift does not (it is an optical path-length effect shared by all
+    pairs). A zero drive linewidth or drift leaves its term out.
     """
     theta = np.zeros(n_samples)
     lw = combs.signal.drive_linewidth + combs.lo.drive_linewidth

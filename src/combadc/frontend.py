@@ -272,19 +272,15 @@ def scm_waveform(
     return SampledWaveform(_phasor(w, n, times=burst), rate)
 
 
-def _phasor(
-    w: float, n: int, real: bool = False, times: np.ndarray | None = None
-) -> np.ndarray:
-    """``exp(1j * w * k)`` for ``k < n``; with ``real`` its real part, and
-    with ``times`` the real part of ``times * exp(1j * w * k)``. With
-    k = 1024a + b, the phasor is the outer product of e^{jw 1024a} and
-    e^{jwb}, two short exponentials instead of one per sample. A real part
-    is taken 256 rows at a time, the same products without a full-length
-    complex array (twice the float64 result, the run's largest transient)."""
+def _phasor(w: float, n: int, times: np.ndarray | None = None) -> np.ndarray:
+    """The real part of ``times * exp(1j * w * k)`` for ``k < n``, with
+    ``times`` omitted meaning 1. With k = 1024a + b, the phasor is the
+    outer product of e^{jw 1024a} and e^{jwb}, two short exponentials
+    instead of one per sample. It is taken 256 rows at a time, without a
+    full-length complex array (twice the float64 result, the run's largest
+    transient)."""
     coarse = np.exp(1j * w * 1024 * np.arange(-(-n // 1024)))
     fine = np.exp(1j * w * np.arange(1024))
-    if not real and times is None:
-        return np.outer(coarse, fine).ravel()[:n]
     out = np.empty(n)
     for a in range(0, n, 256 * 1024):
         b = min(a + 256 * 1024, n)
@@ -304,7 +300,7 @@ def sine_waveform(
     n = int(round(duration * rate))
     if n < 1:
         raise SignalError("duration shorter than one sample")
-    tone = _phasor(2.0 * np.pi * freq / rate, n, real=True)
+    tone = _phasor(2.0 * np.pi * freq / rate, n)
     tone *= amplitude
     return SampledWaveform(tone, rate)
 

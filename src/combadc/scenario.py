@@ -76,9 +76,12 @@ class SweepSection:
 
 @dataclass
 class CombsSection:
-    f_sig: float = 26e9
+    # LO-comb line spacing minus signal-comb line spacing: sub-band n is
+    # centred at n * delta_f
     delta_f: float = 1e9
     n_tones: int = 24
+    # Hz, the RF-synthesizer linewidth of each comb: pair 1's differential
+    # phase walks with the sum (2x), and pair n's phase is n times that walk
     drive_linewidth: float = 0.0
     differential_drift: float = 0.0
     # applied to the signal comb only; the LO comb stays flat
@@ -354,33 +357,29 @@ def _rule(name: str, ok: bool, detail: str):
 def _stage_rule(name: str, check, *args):
     """``check(*args)``: a stage's own precondition, whose value it returns.
 
-    The error the check raises fails rule ``name``: a package error, or
-    the ValueError of ``comb_from_cascade`` for a drive that cannot yield
-    the requested lines.
+    The package error the check raises fails rule ``name``.
     """
     try:
         return check(*args)
-    except (CombAdcError, ValueError) as exc:
+    except CombAdcError as exc:
         raise ConfigError(f"{name}: {exc}") from None
 
 
 def build_combs(cfg: ScenarioConfig) -> ScenarioCombs:
-    """Materialize the comb pair the config describes."""
+    """Materialize the comb pair the config describes: one comb, which the
+    signal side takes times the tilt while the LO side stays untilted."""
     c = cfg.combs
-
-    def untilted(spacing: float):
-        if c.source == "cascade":
-            return comb_from_cascade(
-                c.cascade_pm, c.cascade_im, c.n_tones, spacing, c.drive_linewidth
-            )
-        return flat_comb(c.n_tones, spacing, 0.0, c.drive_linewidth)
-
-    # the tilt applies to the signal comb only; the LO comb stays untilted
-    sig, lo = untilted(c.f_sig), untilted(c.f_sig + c.delta_f)
-    tilt = flat_comb(c.n_tones, c.f_sig, c.tone_tilt_db).tone_amps
-    sig = dataclasses.replace(sig, tone_amps=sig.tone_amps * tilt)
+    if c.source == "cascade":
+        lo = comb_from_cascade(c.cascade_pm, c.cascade_im, c.n_tones, c.drive_linewidth)
+    else:
+        lo = flat_comb(c.n_tones, 0.0, c.drive_linewidth)
+    tilt = flat_comb(c.n_tones, c.tone_tilt_db).tone_amps
+    sig = dataclasses.replace(lo, tone_amps=lo.tone_amps * tilt)
     return ScenarioCombs(
-        signal=sig, lo=lo, differential_phase_drift=c.differential_drift
+        signal=sig,
+        lo=lo,
+        delta_f=c.delta_f,
+        differential_phase_drift=c.differential_drift,
     )
 
 
@@ -396,8 +395,8 @@ def build_demod(cfg: ScenarioConfig) -> DemodConfig:
 
 # a sweep beyond this many points is a typo in sweep.step, not a plan
 _MAX_SWEEP_POINTS = 10_000
-# more comb lines than the cascade's harmonic grid holds span about
-# 100 THz at 26 GHz spacing, far past any optical band: a typo, not a comb
+# more comb lines than the cascade's 4096-point harmonic grid holds, where
+# the reference comb has 24: a typo, not a comb
 _MAX_COMB_TONES = 4096
 # a run's peak memory grows by about 35 (sweep point) to 82 (burst)
 # bytes per sample of its record at the DAC rate (peak RSS from 2.24 M

@@ -247,11 +247,11 @@ def rrc_taps(rolloff: float, sps_per_sym: int, span: int) -> np.ndarray:
     instants. Designs are made once per process and returned read-only.
     """
     if not 0.0 <= rolloff <= 1.0:
-        raise ValueError("roll-off must lie in [0, 1]")
+        raise SignalError("roll-off must lie in [0, 1]")
     if sps_per_sym < 2:
-        raise ValueError("need at least 2 samples per symbol")
+        raise SignalError("need at least 2 samples per symbol")
     if span < 8 or span % 2 != 0:
-        raise ValueError("span must be even and >= 8 symbols")
+        raise SignalError("span must be even and >= 8 symbols")
     n = span * sps_per_sym + 1
     t = (np.arange(n) - (n - 1) / 2) / sps_per_sym
     h = np.empty(n)
@@ -508,7 +508,7 @@ def wiener_phase(linewidth: float, n: int, rate: float, seed) -> np.ndarray:
     starts at zero. linewidth == 0 returns all zeros.
     """
     if linewidth < 0:
-        raise ValueError("linewidth must be non-negative")
+        raise SignalError("linewidth must be non-negative")
     if linewidth == 0.0:
         return np.zeros(n)
     rng = np.random.default_rng(seed)

@@ -19,17 +19,15 @@ def flatness_db(spec) -> float:
 
 def make_combs(
     n_tones: int = 24,
-    f_sig: float = 26e9,
     delta_f: float = 1e9,
     tilt_db: float = 0.0,
     drive_linewidth: float = 0.0,
-    seed_linewidth: float = 5e3,
     drift: float = 0.0,
 ) -> ScenarioCombs:
     return ScenarioCombs(
-        signal=flat_comb(n_tones, f_sig, tilt_db, drive_linewidth),
-        lo=flat_comb(n_tones, f_sig + delta_f),
-        seed_linewidth=seed_linewidth,
+        signal=flat_comb(n_tones, tilt_db, drive_linewidth),
+        lo=flat_comb(n_tones),
+        delta_f=delta_f,
         differential_phase_drift=drift,
     )
 

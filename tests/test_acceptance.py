@@ -22,7 +22,6 @@ from combadc.scenario import build_combs, load_config
 from combadc.units import db_to_amplitude_ratio
 from combadc.waveform import SampledWaveform, periodogram, time_vector
 
-from conftest import make_combs
 from test_demod import _cfg as demod_cfg
 from test_demod import _ssb_capture
 
@@ -213,20 +212,6 @@ def test_jitter_sensitivity_law():
     lo = capture(1639, 0.0, True).sinad_db
     hi = capture(7373, 0.0, True).sinad_db
     assert abs(lo - hi) < 0.2
-
-
-def test_seed_phase_immunity():
-    # the shared seed laser's linewidth must not reach the beat product:
-    # captures with 0 and 5 kHz are bit for bit identical
-    cfg = load_config("")
-    t = time_vector(65536, 32e9)
-    mu = SampledWaveform(0.1 * np.cos(2 * np.pi * 5.25e9 * t), 32e9)
-    caps = []
-    for lw in (0.0, 5e3):
-        combs = make_combs(drive_linewidth=300.0, seed_linewidth=lw)
-        beat = subband_beat(mu, 5, combs, cfg.link, seed=42)
-        caps.append(adc_capture(beat, 5, cfg.adc, seed=43))
-    assert np.array_equal(caps[0].codes, caps[1].codes)
 
 
 def test_deterministic_artifacts_across_jobs(scm_run, tmp_path):

@@ -33,7 +33,6 @@ def test_empty_config_is_the_reference_system():
     assert cfg.dac.bits == 6
     assert cfg.dac.rate == 32e9
     assert cfg.dac.residual_noise_db == -34.0
-    assert cfg.combs.f_sig == 26e9
     assert cfg.combs.delta_f == 1e9
     assert cfg.combs.n_tones == 24
     assert cfg.combs.tone_tilt_db == 2.0
@@ -211,13 +210,27 @@ def test_numbers_must_be_finite(text):
             "jitter",
             "dac_residual_noise",
         )
-    ]
-    # no figure depends on the DAC's full scale, so it is fixed at +-1;
-    # manifests written while it was a key hold this line
-    + [pytest.param("dac.full_scale = 1.0", id="dac.full_scale")],
+    ],
 )
 def test_terms_with_a_physical_off_value_have_no_flag(line):
     # each of these terms is switched off through its own physical key
+    key = line.split(" = ")[0]
+    with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+        load_config(line)
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        # no figure depends on the DAC's full scale, so it is fixed at +-1
+        "dac.full_scale = 1.0",
+        # only delta_f, not the absolute line spacing, reaches a sub-band
+        "combs.f_sig = 26000000000.0",
+    ],
+    ids=lambda line: line.split(" = ")[0],
+)
+def test_keys_that_changed_no_output_are_retired(line):
+    # manifests written while these were keys hold these lines
     key = line.split(" = ")[0]
     with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
         load_config(line)
@@ -535,6 +548,84 @@ def test_every_loaded_config_runs_and_reruns_identically(text):
             # a task may fail on its physics (no tone above the floor, an
             # equalizer that does not converge), never on a foreign error
             assert not any(_FOREIGN_ERROR.search(detail) for _, detail in outcomes), text
+
+
+# ------------------------------------------------- every key changes an output
+
+# a two-point sweep and a 1 us burst: about 0.2 s for both runs
+_FAST = (
+    "sweep.start = 5.5ghz\nsweep.stop = 6ghz\nsweep.step = 0.5ghz\n"
+    "sweep.duration = 4.2us\nmetrics.n_fft = 1024\nscm.duration = 1.024us\n"
+)
+# keys that act only when another key selects them
+_SELECTED_BY = {
+    "combs.cascade_pm": {"combs.source": "cascade"},
+    "combs.cascade_im": {"combs.source": "cascade"},
+}
+
+
+def _candidates(key: str, text: str) -> list[str]:
+    """Values near ``text``, the spelling of ``key`` in the fast base."""
+    if key in _CHOICES:
+        return [c for c in _CHOICES[key] if c != text]
+    if key == "scm.active_channels":
+        return ["1"]
+    if text in ("on", "off"):
+        return ["off" if text == "on" else "on"]
+    words = [w for w in _WORDS.get(key, []) if w != text]
+    if text in _WORDS.get(key, []) or float(text) == 0.0:
+        return words + ["1"]
+    if text.lstrip("-").isdigit():
+        # the next odd value and the next power of two are among these
+        v = int(text)
+        return words + [str(v + d) for d in (1, -1, 2, -2)] + [str(2 * v), str(v // 2)]
+    # 15/16 and 17/16 keep a binary-fraction grid, which the burst's
+    # whole number of carrier cycles needs
+    v = float(text)
+    return words + [repr(v * k) for k in (1.05, 0.95, 2.0, 0.5, 15 / 16, 17 / 16)]
+
+
+def _load(settings: dict[str, str]):
+    return load_config("".join(f"{k} = {v}\n" for k, v in settings.items()))
+
+
+def _output(run, cfg, out: str):
+    """Artifact sha256s and task statuses of one run."""
+    manifest = run(cfg, os.path.join(out, run.__name__))
+    return manifest.artifacts, [t.status for t in manifest.tasks]
+
+
+def test_every_key_changes_an_output(tmp_path):
+    # a key that changes no artifact and no task status at any nearby value
+    # is a knob that is not wired to anything
+    dumped = dump_config(load_config(_FAST))
+    base = dict(line.split(" = ") for line in dumped.splitlines() if line)
+    references = {}
+    inert = []
+    for key, text in base.items():
+        # the sweep is the faster run, so it goes first unless the key
+        # belongs to the burst alone
+        runs = (run_sweep, run_scm)
+        if key.startswith(("scm.", "demod.")):
+            runs = runs[::-1]
+        settings = {**base, **_SELECTED_BY.get(key, {})}
+        loaded = []
+        for value in _candidates(key, text):
+            try:
+                loaded.append(_load({**settings, key: value}))
+            except ConfigError as exc:
+                assert str(exc).split(":")[0] in _RULES, f"{key} = {value}: {exc}"
+        frozen = tuple(settings.items())
+        if frozen not in references:
+            cfg = _load(settings)
+            references[frozen] = {run: _output(run, cfg, str(tmp_path)) for run in runs}
+        if not any(
+            _output(run, cfg, str(tmp_path)) != references[frozen][run]
+            for cfg in loaded
+            for run in runs
+        ):
+            inert.append(key)
+    assert inert == []
 
 
 # ----------------------------------------------------------------- seed rule

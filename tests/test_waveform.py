@@ -159,11 +159,11 @@ def test_rrc_symmetry_and_sinc_limit():
 
 
 def test_rrc_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(SignalError):
         rrc_taps(1.2, 4, 16)
-    with pytest.raises(ValueError):
+    with pytest.raises(SignalError):
         rrc_taps(0.1, 1, 16)
-    with pytest.raises(ValueError):
+    with pytest.raises(SignalError):
         rrc_taps(0.1, 4, 7)
 
 
@@ -345,7 +345,7 @@ def test_wiener_phase_increment_law():
     inc = np.diff(theta)
     assert np.var(inc) == pytest.approx(2 * np.pi * lw / rate, rel=0.02)
     assert np.array_equal(wiener_phase(0.0, 64, rate, 17), np.zeros(64))
-    with pytest.raises(ValueError):
+    with pytest.raises(SignalError):
         wiener_phase(-1.0, 64, rate, 17)
 
 

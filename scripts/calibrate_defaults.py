@@ -28,7 +28,8 @@ import time
 from combadc import SignalError, comb_from_cascade, load_config, run_scm, run_sweep
 
 
-def comb_flatness_grid(n_tones: int = 24) -> None:
+def comb_flatness_grid(n_tones: int = 24) -> tuple[float, float, float]:
+    """Print the grid; return the flattest cell as (flatness_db, pm, im)."""
     print(f"A. cascade comb flatness over the first {n_tones} tones")
     print("   pm_rad   im_depth   flatness_db")
     import numpy as np
@@ -37,11 +38,11 @@ def comb_flatness_grid(n_tones: int = 24) -> None:
     for pm in (12.0, 15.0, 17.2, 18.2, 19.0):
         for im in (0.0, 1.25, 1.5, 1.6):
             try:
-                spec = comb_from_cascade(pm, im, n_tones)
+                amps = comb_from_cascade(pm, im, n_tones)
             except SignalError:
                 print(f"   {pm:5.2f}    {im:5.2f}      too few usable lines")
                 continue
-            p = 20 * np.log10(np.abs(spec.tone_amps))
+            p = 20 * np.log10(amps)
             flat = float(p.max() - p.min())
             mark = ""
             if best is None or flat < best[0]:
@@ -49,6 +50,7 @@ def comb_flatness_grid(n_tones: int = 24) -> None:
                 mark = "  <- best so far"
             print(f"   {pm:5.2f}    {im:5.2f}      {flat:6.2f}{mark}")
     print(f"   flattest: pm={best[1]}, im={best[2]} ({best[0]:.2f} dB)\n")
+    return best
 
 
 def _rows(path: str) -> list[list[str]]:

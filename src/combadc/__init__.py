@@ -15,7 +15,6 @@ blocks are exported for scripting and tests.
 
 from .adc import AdcConfig, SubbandCapture, adc_capture
 from .comb import (
-    CombSpec,
     LinkConfig,
     ScenarioCombs,
     comb_from_cascade,
@@ -57,7 +56,6 @@ __all__ = [
     "AdcConfig",
     "SubbandCapture",
     "adc_capture",
-    "CombSpec",
     "LinkConfig",
     "ScenarioCombs",
     "comb_from_cascade",

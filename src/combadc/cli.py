@@ -92,7 +92,8 @@ def main(argv: list[str] | None = None) -> int:
                 metavar="N",
                 type=int,
                 default=1,
-                help="worker processes (default 1; results identical)",
+                help="worker processes (default 1; at most one per task and "
+                "max(2, CPUs); results identical)",
             )
 
     p_val = sub.add_parser("validate", help="parse and check a scenario file")

@@ -21,10 +21,10 @@ bins that are kept. That split is ``_rfft_bins``, which lives in
 waveform.py because ``frontend.scm_waveform`` splits its channel pairs
 with it too. The complex FFT (``beat_spectrum``) is the burst's half of
 the channelizer: a channelized run takes it once and every sub-band
-reads its own bins from it. Where the differential phase track
-is zero (a band on the bin grid, with no static phase between the pair,
-no drive noise and no drift) only the real part of the band is needed,
-and one real inverse transform returns it together with the leak.
+reads its own bins from it. Where the differential phase track is zero
+(a band on the bin grid, with no drive noise and no drift) only the real
+part of the band is needed, and one real inverse transform returns it
+together with the leak.
 Detector noise, the photodiode filter and the transimpedance stage then
 run at the reduced rate. The noise sources are specified as densities,
 so the physics does not depend on the rate.
@@ -38,9 +38,12 @@ at the output rate is float64 whatever the input dtype.
 
 Phase bookkeeping: the seed laser's phase enters both beat terms
 identically and cancels in the difference, so it never appears in the
-differential phase track at all. What remains is the RF-synthesizer walk
-(scaled by n, since tone n sits n harmonics out) and a slow thermal path
-drift.
+differential phase track at all. Both combs come from one generator
+shape, so their line phases are equal pair by pair and cancel too; a
+pair is held as its two amplitudes alone. What remains is the
+RF-synthesizer walk, which carries both synthesizers' linewidths summed
+and is scaled by n (tone n sits n harmonics out), and a slow thermal
+path drift.
 """
 
 from __future__ import annotations
@@ -65,7 +68,6 @@ from .waveform import (
 
 __all__ = [
     "BeatSpectrum",
-    "CombSpec",
     "ScenarioCombs",
     "LinkConfig",
     "cascade_harmonics",
@@ -86,50 +88,34 @@ _OSNR_REF_BW = 12.5e9
 
 
 @dataclass
-class CombSpec:
-    """One comb: per-tone field amplitudes and phases.
-
-    Amplitudes are linear field units normalized so the strongest tone is
-    1.0; absolute power scaling lives in LinkConfig.
-    """
-
-    tone_amps: np.ndarray
-    tone_phases: np.ndarray = None
-    drive_linewidth: float = 0.0
-
-    def __post_init__(self):
-        self.tone_amps = np.asarray(self.tone_amps, dtype=np.float64)
-        if self.tone_amps.size < 1:
-            raise ConfigError("comb needs at least one tone")
-        if not np.all((self.tone_amps > 0) & np.isfinite(self.tone_amps)):
-            raise ConfigError("tone amplitudes must be positive and finite")
-        if self.tone_phases is None:
-            self.tone_phases = np.zeros(self.tone_amps.size)
-        else:
-            self.tone_phases = np.asarray(self.tone_phases, dtype=np.float64)
-            if self.tone_phases.size != self.tone_amps.size:
-                raise ConfigError("tone phase list does not match the tone amplitudes")
-        if self.drive_linewidth < 0:
-            raise ConfigError("drive linewidth must be non-negative")
-
-
-@dataclass
 class ScenarioCombs:
-    """The mutually coherent comb pair of one scenario, whose line
-    spacings differ by ``delta_f``."""
+    """The mutually coherent comb pair of one scenario, as the beat reads it:
+    pair n's two field amplitudes (linear, normalized so the strongest LO
+    tone is 1.0; absolute power lives in LinkConfig), its offset
+    n * delta_f, and the differential phase walk and drift."""
 
-    signal: CombSpec
-    lo: CombSpec
+    signal_amps: np.ndarray
+    lo_amps: np.ndarray
     delta_f: float  # Hz, LO-comb spacing minus signal-comb spacing
+    linewidth: float = 0.0  # Hz, the two synthesizer linewidths summed
     differential_phase_drift: float = 0.0  # rad/s, slow thermal path drift
 
     def __post_init__(self):
+        self.signal_amps = np.asarray(self.signal_amps, dtype=np.float64)
+        self.lo_amps = np.asarray(self.lo_amps, dtype=np.float64)
+        if self.lo_amps.size < 1 or self.signal_amps.shape != self.lo_amps.shape:
+            raise ConfigError("comb pair needs at least one tone, as many on each side")
+        amps = np.concatenate([self.signal_amps, self.lo_amps])
+        if not np.all((amps > 0) & np.isfinite(amps)):
+            raise ConfigError("tone amplitudes must be positive and finite")
+        if self.linewidth < 0:
+            raise ConfigError("linewidth must be non-negative")
         if not self.delta_f > 0:
             raise ConfigError("delta_f must be positive")
 
     @property
     def n_pairs(self) -> int:
-        return min(self.signal.tone_amps.size, self.lo.tone_amps.size)
+        return self.lo_amps.size
 
 
 @dataclass
@@ -161,11 +147,17 @@ class LinkConfig:
             raise ConfigError("thermal noise density must be non-negative")
         # past 300 dB a level's power ratio, and the products of them the
         # beat forms, overflow or vanish: a typo, not a level. inf is how
-        # the two noise ratios drop their term.
-        levels = [self.sig_power_per_ch_dbm, self.lo_power_per_tone_dbm, self.tia_sat_dbm]
-        levels += [self.sine_backoff_db, self.osnr_db, self.cmrr_db]
-        if not all(-300.0 <= db <= 300.0 or db == np.inf for db in levels):
-            raise ConfigError("dB and dBm levels must lie within -300..300")
+        # the two noise ratios drop their term; no other level has an off
+        # value, and an infinite one leaves every beat non-finite (or, as
+        # the sine backoff, silent).
+        levels = [self.sig_power_per_ch_dbm, self.lo_power_per_tone_dbm]
+        levels += [self.tia_sat_dbm, self.sine_backoff_db]
+        levels += [db for db in (self.osnr_db, self.cmrr_db) if db != np.inf]
+        if not all(-300.0 <= db <= 300.0 for db in levels):
+            raise ConfigError(
+                "dB and dBm levels must lie within -300..300; only osnr_db "
+                "and cmrr_db may be inf"
+            )
 
 
 def cascade_harmonics(
@@ -189,21 +181,15 @@ def cascade_harmonics(
     return np.fft.fftshift(np.fft.fft(g)) / n_grid
 
 
-def comb_from_cascade(
-    pm_index: float,
-    im_depth: float,
-    n_tones: int,
-    drive_linewidth: float = 0.0,
-) -> CombSpec:
-    """Comb lines from a sinusoidally driven modulator cascade.
+def comb_from_cascade(pm_index: float, im_depth: float, n_tones: int) -> np.ndarray:
+    """Line amplitudes of a sinusoidally driven modulator cascade.
 
     Picks the flattest run of ``n_tones`` consecutive harmonics (the
     window maximizing the weakest line) and normalizes its peak to 1.
     Raises if no window keeps every line above -40 dBc of the global
     maximum - that means the drive does not generate enough usable lines.
     """
-    c = cascade_harmonics(pm_index, im_depth)
-    amps = np.abs(c)
+    amps = np.abs(cascade_harmonics(pm_index, im_depth))
     floor = amps.max() * db_to_amplitude_ratio(-40.0)
     # weakest line of every run of n_tones consecutive harmonics
     weakest = amps[:0]
@@ -215,30 +201,20 @@ def comb_from_cascade(
             f"{n_tones} usable lines"
         )
     start = int(np.argmax(weakest))
-    window = slice(start, start + n_tones)
-    return CombSpec(
-        tone_amps=amps[window] / amps[window].max(),
-        tone_phases=np.angle(c[window]),
-        drive_linewidth=drive_linewidth,
-    )
+    window = amps[start : start + n_tones]
+    return window / window.max()
 
 
-def flat_comb(
-    n_tones: int,
-    tilt_db: float = 0.0,
-    drive_linewidth: float = 0.0,
-) -> CombSpec:
-    """Idealized comb: equal tones, optionally with a linear power tilt.
+def flat_comb(n_tones: int, tilt_db: float = 0.0) -> np.ndarray:
+    """Idealized comb amplitudes: equal tones, optionally with a linear tilt.
 
     ``tilt_db`` is total power drop from the first to the last tone;
     0 keeps the comb perfectly flat.
     """
     if n_tones == 1 or tilt_db == 0.0:
-        amps = np.ones(n_tones)
-    else:
-        ramp = np.arange(n_tones) / (n_tones - 1)
-        amps = db_to_amplitude_ratio(-tilt_db * ramp)
-    return CombSpec(tone_amps=amps, drive_linewidth=drive_linewidth)
+        return np.ones(n_tones)
+    ramp = np.arange(n_tones) / (n_tones - 1)
+    return db_to_amplitude_ratio(-tilt_db * ramp)
 
 
 def check_comb_scaling(bandwidth: float, combs: ScenarioCombs, n_subbands: int) -> None:
@@ -297,21 +273,15 @@ def _differential_phase(
     identically, so it is structurally absent here. The RF-synthesizer
     walk, whose linewidth is the sum of the two combs', scales by n; path
     drift does not (it is an optical path-length effect shared by all
-    pairs). A zero drive linewidth or drift leaves its term out.
+    pairs). A zero linewidth or drift leaves its term out.
     """
     theta = np.zeros(n_samples)
-    lw = combs.signal.drive_linewidth + combs.lo.drive_linewidth
-    if lw > 0:
+    if combs.linewidth > 0:
         theta = theta + n * wiener_phase(
-            lw, n_samples, rate, derive_rng(seed, "drive-phase")
+            combs.linewidth, n_samples, rate, derive_rng(seed, "drive-phase")
         )
     if combs.differential_phase_drift != 0.0:
         theta = theta + combs.differential_phase_drift * time_vector(n_samples, rate)
-    static = (
-        combs.signal.tone_phases[n - 1] - combs.lo.tone_phases[n - 1]
-    )
-    if static != 0.0:
-        theta = theta + static
     return theta
 
 
@@ -431,8 +401,8 @@ def subband_beat(
         2.0
         * r
         * np.sqrt(p_ch * p_lo)
-        * combs.signal.tone_amps[n - 1]
-        * combs.lo.tone_amps[n - 1]
+        * combs.signal_amps[n - 1]
+        * combs.lo_amps[n - 1]
     )
 
     shift = shift_hz * n_in / rate  # downshift in bins

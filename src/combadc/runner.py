@@ -244,7 +244,14 @@ def _run_tasks(work, tasks: list[tuple], jobs: int) -> tuple[list[TaskRecord], l
     """
     if jobs <= 1 or len(tasks) <= 1:
         return _settle(tasks, [_attempt(work, args) for _, _, args in tasks])
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # the pool forks all its workers at the first submit: no more than
+    # there are tasks, nor than the CPUs this process may run on (but two,
+    # so that jobs > 1 still runs in workers)
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks), max(2, cpus))) as pool:
         futures = [pool.submit(_attempt, work, args) for _, _, args in tasks]
         outcomes = [None if f.exception() else f.result() for f in futures]
     for i, (_, _, args) in enumerate(tasks):

@@ -366,19 +366,19 @@ def _stage_rule(name: str, check, *args):
 
 
 def build_combs(cfg: ScenarioConfig) -> ScenarioCombs:
-    """Materialize the comb pair the config describes: one comb, which the
-    signal side takes times the tilt while the LO side stays untilted."""
+    """Materialize the comb pair the config describes: one comb shape,
+    which the signal side takes times the tilt while the LO side stays
+    untilted, and one synthesizer linewidth per comb."""
     c = cfg.combs
     if c.source == "cascade":
-        lo = comb_from_cascade(c.cascade_pm, c.cascade_im, c.n_tones, c.drive_linewidth)
+        lo = comb_from_cascade(c.cascade_pm, c.cascade_im, c.n_tones)
     else:
-        lo = flat_comb(c.n_tones, 0.0, c.drive_linewidth)
-    tilt = flat_comb(c.n_tones, c.tone_tilt_db).tone_amps
-    sig = dataclasses.replace(lo, tone_amps=lo.tone_amps * tilt)
+        lo = flat_comb(c.n_tones)
     return ScenarioCombs(
-        signal=sig,
-        lo=lo,
+        signal_amps=lo * flat_comb(c.n_tones, c.tone_tilt_db),
+        lo_amps=lo,
         delta_f=c.delta_f,
+        linewidth=2.0 * c.drive_linewidth,
         differential_phase_drift=c.differential_drift,
     )
 

@@ -12,22 +12,23 @@ from combadc.comb import LinkConfig, ScenarioCombs, flat_comb
 from combadc.waveform import time_vector
 
 
-def flatness_db(spec) -> float:
-    """Max-to-min tone power ratio of a comb in dB."""
-    return 20.0 * float(np.log10(spec.tone_amps.max() / spec.tone_amps.min()))
+def flatness_db(amps) -> float:
+    """Max-to-min tone power ratio of a comb's amplitudes in dB."""
+    return 20.0 * float(np.log10(amps.max() / amps.min()))
 
 
 def make_combs(
     n_tones: int = 24,
     delta_f: float = 1e9,
     tilt_db: float = 0.0,
-    drive_linewidth: float = 0.0,
+    linewidth: float = 0.0,
     drift: float = 0.0,
 ) -> ScenarioCombs:
     return ScenarioCombs(
-        signal=flat_comb(n_tones, tilt_db, drive_linewidth),
-        lo=flat_comb(n_tones),
+        signal_amps=flat_comb(n_tones, tilt_db),
+        lo_amps=flat_comb(n_tones),
         delta_f=delta_f,
+        linewidth=linewidth,
         differential_phase_drift=drift,
     )
 

@@ -1,8 +1,10 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from combadc.comb import (
-    CombSpec,
     LinkConfig,
     ScenarioCombs,
     cascade_harmonics,
@@ -15,6 +17,7 @@ from combadc.comb import (
     subband_beat,
 )
 from combadc.errors import ConfigError, SignalError
+from combadc.scenario import CombsSection
 from combadc.units import dbm_to_watts
 from combadc.waveform import SampledWaveform, periodogram, time_vector
 
@@ -37,10 +40,10 @@ def test_cascade_energy_conservation():
 
 
 def test_cascade_comb_default_operating_point():
-    spec = comb_from_cascade(18.2, 1.6, 24)
-    assert spec.tone_amps.size == 24
-    assert spec.tone_amps.max() == pytest.approx(1.0)
-    assert flatness_db(spec) < 3.0
+    amps = comb_from_cascade(18.2, 1.6, 24)
+    assert amps.size == 24
+    assert amps.max() == pytest.approx(1.0)
+    assert flatness_db(amps) < 3.0
 
 
 def _flattest_window_loop(amps, n_tones, floor):
@@ -57,17 +60,14 @@ def _flattest_window_loop(amps, n_tones, floor):
 @pytest.mark.parametrize("pm,im", [(18.2, 1.6), (18.2, 0.0), (5.0, 0.8), (1.45, 0.0)])
 @pytest.mark.parametrize("n_tones", [1, 7, 24, 40])
 def test_cascade_comb_picks_the_flattest_window(pm, im, n_tones):
-    c = cascade_harmonics(pm, im)
-    amps = np.abs(c)
+    amps = np.abs(cascade_harmonics(pm, im))
     start = _flattest_window_loop(amps, n_tones, amps.max() * 10 ** (-40 / 20))
     if start is None:
         with pytest.raises(SignalError, match="usable lines"):
             comb_from_cascade(pm, im, n_tones)
         return
-    spec = comb_from_cascade(pm, im, n_tones)
     window = amps[start : start + n_tones]
-    assert np.array_equal(spec.tone_amps, window / window.max())
-    assert np.array_equal(spec.tone_phases, np.angle(c[start : start + n_tones]))
+    assert np.array_equal(comb_from_cascade(pm, im, n_tones), window / window.max())
 
 
 def test_cascade_comb_too_weak_drive():
@@ -75,29 +75,56 @@ def test_cascade_comb_too_weak_drive():
         comb_from_cascade(1.45, 0.0, 24)
 
 
+def test_calibration_script_picks_the_shipped_cascade():
+    path = Path(__file__).resolve().parent.parent / "scripts" / "calibrate_defaults.py"
+    spec = importlib.util.spec_from_file_location("calibrate_defaults", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    flatness, pm, im = script.comb_flatness_grid()
+    shipped = CombsSection()
+    assert (pm, im) == (shipped.cascade_pm, shipped.cascade_im)
+    assert flatness == pytest.approx(2.06, abs=0.005)
+
+
 def test_flat_comb_tilt():
-    spec = flat_comb(24, tilt_db=2.0)
-    assert spec.tone_amps[0] == 1.0
-    assert 20 * np.log10(spec.tone_amps[0] / spec.tone_amps[-1]) == pytest.approx(2.0)
-    assert flatness_db(spec) == pytest.approx(2.0)
+    amps = flat_comb(24, tilt_db=2.0)
+    assert amps[0] == 1.0
+    assert 20 * np.log10(amps[0] / amps[-1]) == pytest.approx(2.0)
+    assert flatness_db(amps) == pytest.approx(2.0)
     assert flatness_db(flat_comb(24)) == 0.0
 
 
-def test_comb_spec_validation():
-    with pytest.raises(ConfigError):
-        CombSpec(tone_amps=np.ones(0))
-    with pytest.raises(ConfigError):
-        CombSpec(tone_amps=np.ones(2), tone_phases=np.zeros(3))
-    with pytest.raises(ConfigError):
-        CombSpec(tone_amps=np.array([1.0, 0.0]))
+def test_scenario_combs_validation():
+    pair = dict(signal_amps=flat_comb(2), lo_amps=flat_comb(2), delta_f=1e9)
+    assert ScenarioCombs(**pair).n_pairs == 2
+    for change in [
+        dict(signal_amps=np.ones(0), lo_amps=np.ones(0)),
+        dict(signal_amps=np.ones(3)),
+        dict(signal_amps=np.array([1.0, 0.0])),
+        dict(lo_amps=np.array([1.0, np.inf])),
+        dict(linewidth=-1.0),
+        dict(delta_f=0.0),
+        dict(delta_f=-1e9),
+    ]:
+        with pytest.raises(ConfigError):
+            ScenarioCombs(**{**pair, **change})
+
+
+@pytest.mark.parametrize(
+    "key", ["sig_power_per_ch_dbm", "lo_power_per_tone_dbm", "tia_sat_dbm", "sine_backoff_db"]
+)
+def test_only_the_noise_ratios_may_be_infinite(key):
+    # inf drops the ASE beat and the leak; any other infinite level would
+    # leave every beat non-finite, or the sweep tone silent
+    LinkConfig(osnr_db=np.inf, cmrr_db=np.inf)
+    with pytest.raises(ConfigError, match="only osnr_db and cmrr_db may be inf"):
+        LinkConfig(**{key: np.inf})
 
 
 def test_scenario_combs_geometry():
     combs = make_combs()
     assert combs.delta_f == pytest.approx(1e9)
     assert combs.n_pairs == 24
-    with pytest.raises(ConfigError):
-        ScenarioCombs(signal=flat_comb(4), lo=flat_comb(4), delta_f=-1e9)
 
 
 # ----------------------------------------------------------------- coverage
@@ -178,7 +205,7 @@ def test_beat_gain_matches_link_budget():
     link = quiet_link(tia_sat_dbm=100.0)
     n = 65536
     out = subband_beat(_mu_tone(5.25e9, n=n, amp=0.05), 5, combs, link, 3, **_ALL_OFF)
-    a_sig = combs.signal.tone_amps[4]
+    a_sig = combs.signal_amps[4]
     want = (
         2.0
         * link.responsivity
@@ -267,7 +294,7 @@ def test_beat_index_and_rate_guards():
 def test_drive_phase_noise_scales_with_pair_index():
     # the synthesizer walk enters multiplied by n: same seed, so the
     # phase track for pair 3 is exactly 3x the track for pair 1
-    combs = make_combs(drive_linewidth=300.0)
+    combs = make_combs(linewidth=300.0)
     t1 = _differential_phase(1, combs, 10_000, 1e9, seed=5)
     t3 = _differential_phase(3, combs, 10_000, 1e9, seed=5)
     assert np.allclose(t3, 3.0 * t1, atol=1e-12)
@@ -304,8 +331,8 @@ def _link_gain(link, combs, n):
             dbm_to_watts(link.sig_power_per_ch_dbm)
             * dbm_to_watts(link.lo_power_per_tone_dbm)
         )
-        * combs.signal.tone_amps[n - 1]
-        * combs.lo.tone_amps[n - 1]
+        * combs.signal_amps[n - 1]
+        * combs.lo_amps[n - 1]
     )
 
 
@@ -326,8 +353,8 @@ def _check_hilbert_mix_oracle(n_samples, n, phased, rng):
 
     if phased:
         combs = ScenarioCombs(
-            signal=comb_from_cascade(18.2, 1.6, 24),
-            lo=flat_comb(24),
+            signal_amps=comb_from_cascade(18.2, 1.6, 24),
+            lo_amps=flat_comb(24),
             delta_f=1e9,
             differential_phase_drift=3e5,
         )
@@ -338,9 +365,8 @@ def _check_hilbert_mix_oracle(n_samples, n, phased, rng):
     mu = SampledWaveform(0.05 * rng.standard_normal(n_samples), rate)
     out = subband_beat(mu, n, combs, link, seed=3, **_ALL_OFF)
     t = time_vector(n_samples, rate)
-    static = combs.signal.tone_phases[n - 1] - combs.lo.tone_phases[n - 1]
-    assert (static != 0.0) == phased
-    theta = static + combs.differential_phase_drift * t
+    theta = combs.differential_phase_drift * t
+    assert np.any(theta) == phased
     lo = np.exp(1j * (theta - 2 * np.pi * n * combs.delta_f * t))
     mixed = _link_gain(link, combs, n) * np.real(sps.hilbert(mu.samples) * lo)
     want = apply_fir(mixed, fir_lowpass(link.pd_bandwidth, rate))

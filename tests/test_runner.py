@@ -1,4 +1,5 @@
 import os
+from concurrent.futures import Future
 
 import pytest
 
@@ -304,6 +305,39 @@ def test_dead_worker_is_a_failed_task(kind, name, worker, tmp_path, monkeypatch)
         assert (got.index, got.label, got.seed) == (want.index, want.label, want.seed)
     rows = _read(tmp_path / "clean" / csv).splitlines()
     assert _read(tmp_path / "dead" / csv).splitlines() == rows[:2] + rows[3:]
+
+
+@pytest.mark.parametrize("jobs,n_tasks", [(5000, 41), (2, 3), (3, 2), (5000, 2)])
+def test_worker_pool_is_capped(jobs, n_tasks, monkeypatch):
+    # the pool forks every worker at its first submit: it gets no more
+    # workers than tasks or available CPUs, but two whenever jobs > 1
+    sizes = []
+
+    class InlinePool:
+        """Records its size and runs each task as it is submitted."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", InlinePool)
+    tasks = [(f"t{i}", i, (i,)) for i in range(n_tasks)]
+    records, results = runner._run_tasks(lambda i: 2 * i, tasks, jobs)
+    assert results == [2 * i for i in range(n_tasks)]
+    assert [r.status for r in records] == ["ok"] * n_tasks
+    cpus = len(os.sched_getaffinity(0))
+    assert sizes == [min(jobs, n_tasks, max(2, cpus))]
+    assert 2 <= sizes[0] <= n_tasks
 
 
 # ------------------------------------------------------------- burst sharing

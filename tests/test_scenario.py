@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from combadc.comb import flat_comb
 from combadc.errors import ConfigError
 from combadc.runner import run_scm, run_sweep
 from combadc.scenario import (
@@ -134,6 +135,10 @@ def test_syntax_errors_carry_line_numbers(text, fragment, lineno):
         ("combs.source = cascade\ncombs.cascade_pm = 0", "comb-scaling"),
         ("combs.source = cascade\ncombs.n_tones = 0", "comb-scaling"),
         ("combs.n_tones = 1e300", "comb-scaling"),
+        # the tilt underflows to zero amplitudes on the last tones
+        ("combs.tone_tilt_db = 1e5", "comb-scaling"),
+        ("combs.drive_linewidth = -1", "comb-scaling"),
+        ("combs.delta_f = 0", "comb-scaling"),
         ("scm.baud = 0", "scm-invariants"),
         ("scm.rolloff = -5", "scm-invariants"),
         ("scm.baud = 400mhz\nscm.rolloff = 1.5", "scm-invariants"),
@@ -287,18 +292,19 @@ def test_listing_every_channel_is_the_full_plan():
 
 
 def test_build_combs_flat_vs_cascade():
-    flat = build_combs(load_config(""))
-    assert flat.n_pairs == 24
-    assert flat.delta_f == 1e9
-    # signal comb carries the tilt, LO stays flat
-    assert flatness_db(flat.signal) == pytest.approx(2.0)
-    assert flatness_db(flat.lo) == 0.0
-
-    casc = build_combs(load_config("combs.source = cascade"))
-    assert casc.n_pairs == 24
-    # cascade shape plus the same deliberate tilt on the signal side
-    assert flatness_db(casc.signal) > flatness_db(casc.lo)
-    assert np.all(casc.signal.tone_amps <= casc.lo.tone_amps + 1e-12)
+    for source in ("flat", "cascade"):
+        cfg = load_config(f"combs.source = {source}\ncombs.drive_linewidth = 300\n")
+        c = cfg.combs
+        combs = build_combs(cfg)
+        assert combs.n_pairs == c.n_tones == 24
+        assert combs.delta_f == 1e9
+        # one comb shape: the signal side carries the tilt, the LO none
+        tilt = flat_comb(c.n_tones, c.tone_tilt_db)
+        assert np.array_equal(combs.signal_amps, combs.lo_amps * tilt)
+        assert (flatness_db(combs.lo_amps) == 0.0) == (source == "flat")
+        assert flatness_db(combs.signal_amps) > flatness_db(combs.lo_amps)
+        # the walk carries both combs' synthesizer linewidths
+        assert combs.linewidth == 2 * c.drive_linewidth
 
 
 def test_validate_scenario_returns_combs():

@@ -47,10 +47,6 @@ _EDGE_DISCARD = 48
 # training symbols the equalizer needs per tap
 _TRAINING_PER_TAP = 10
 
-# LMS sweeps past this only hold the run: by 48 the taps already sit
-# within about 1 % excess MSE of the direct solve
-_MAX_LMS_PASSES = 1000
-
 # tap-energy bound beyond which LMS is declared divergent
 _TAP_NORM_BOUND = 1e6
 
@@ -68,13 +64,10 @@ class DemodConfig:
     baseband_offset: float = 40e6
     baud: float = 800e6
     rolloff: float = 0.1
-    equalizer: str = "lms"  # lms | wiener | none
+    equalizer: str = "wiener"  # wiener | lms | none
     ffe_taps: int = 17
     sps: int = 2
-    ffe_step: float = 0.5
     training_fraction: float = 0.5
-    # extra LMS sweeps over the training span; short bursts need a few
-    ffe_passes: int = 12
 
     def __post_init__(self):
         if self.ffe_taps % 2 != 1 or self.ffe_taps < 1:
@@ -83,11 +76,6 @@ class DemodConfig:
             raise SignalError("need at least 2 samples per symbol")
         if not 0.0 < self.training_fraction < 1.0:
             raise SignalError("training fraction must be in (0, 1)")
-        # normalized LMS is stable only for steps below 2 (see ffe_lms)
-        if not 0.0 < self.ffe_step <= 2.0:
-            raise SignalError("LMS step must lie in (0, 2]")
-        if not 1 <= self.ffe_passes <= _MAX_LMS_PASSES:
-            raise SignalError(f"LMS passes must be in 1..{_MAX_LMS_PASSES}")
         if self.equalizer not in ("lms", "wiener", "none"):
             raise SignalError("equalizer must be lms, wiener or none")
 
@@ -111,7 +99,7 @@ def ffe_lms(
     taps: int = 17,
     step: float = 0.5,
     sps: int = 2,
-    passes: int = 1,
+    passes: int = 12,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Transform-domain LMS feed-forward equalizer, data-aided then frozen.
 
@@ -126,13 +114,15 @@ def ffe_lms(
     region is barely excited), and plain sample-normalized LMS leaves
     those slow modes stuck partway for any realistic training length.
     Whitening bin by bin makes the convergence rate spectrum-independent;
-    the fitted point is the same Wiener solution either way. Normalized
-    LMS is stable only below a step of 2, and noise in the per-bin power
-    estimates lowers that edge by seed and burst. Over seeds 1, 2, 3, 7
-    and 12345 of the 10-channel run, the default 0.5 converged on every
-    channel; on the default burst 1.25 failed 0-2 channels and 1.5 failed
-    9-10, and on a 16.384 us burst 1.0 failed one on two seeds and 1.25
-    failed 1-4. Divergence surfaces as an EqualizerError, not garbage.
+    the fitted point is the same Wiener solution either way. The defaults,
+    step 0.5 and 12 passes, are the measured operating point that
+    ``demod.equalizer = lms`` runs at. Normalized LMS is stable only below
+    a step of 2, and noise in the per-bin power estimates lowers that edge
+    by seed and burst. Over seeds 1, 2, 3, 7 and 12345 of the 10-channel
+    run, 0.5 converged on every channel; on the default burst 1.25 failed
+    0-2 channels and 1.5 failed 9-10, and on a 16.384 us burst 1.0 failed
+    one on two seeds and 1.25 failed 1-4. Divergence surfaces as an
+    EqualizerError, not garbage.
 
     Training runs as blocked forward substitution, not one Python step
     per symbol. Step m is ``w += e_m g_m`` with ``e_m = t_m - u_m . w``
@@ -231,11 +221,9 @@ def wiener_ffe(
     taps: int = 17,
     sps: int = 2,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Direct least-squares solve of the same equalization problem.
-
-    Serves as the closed-form reference the adaptive filter is judged
-    against.
-    """
+    """Direct least-squares solve of the equalization problem, with a
+    relative ridge of 1e-9: the default equalizer, and the point that
+    ``ffe_lms`` converges to."""
     if taps % 2 != 1:
         raise SignalError("equalizer length must be odd")
     training = np.asarray(training, dtype=np.float64)
@@ -326,9 +314,7 @@ def demod_pam4(
     raw = _symbol_windows(z, n_sym, 1, cfg.sps)[:, 0]
 
     if cfg.equalizer == "lms":
-        _, eq = ffe_lms(
-            z, tx[:n_train], cfg.ffe_taps, cfg.ffe_step, cfg.sps, cfg.ffe_passes
-        )
+        _, eq = ffe_lms(z, tx[:n_train], cfg.ffe_taps, sps=cfg.sps)
     elif cfg.equalizer == "wiener":
         _, eq = wiener_ffe(z, tx[:n_train], cfg.ffe_taps, cfg.sps)
     else:

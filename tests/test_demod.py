@@ -114,6 +114,35 @@ def test_wiener_solves_known_channel():
     assert 10 * np.log10(np.mean(sym[500:950] ** 2) / np.mean(err**2)) > 30.0
 
 
+def _windows_by_hand(y, taps, sps):
+    """Row m holds y[m*sps - half + k] for k < taps, zero off the record."""
+    half = (taps - 1) // 2
+    rows = []
+    for m in range(y.size // sps):
+        start = m * sps - half
+        rows.append([y[i] if 0 <= i < y.size else 0.0 for i in range(start, start + taps)])
+    return np.array(rows)
+
+
+# band-limited input, so the training correlation is ill-conditioned
+# (condition number 190 to 4,000), on and off the 10-per-tap floor
+@pytest.mark.parametrize("n_train,taps", [(170, 17), (819, 17), (300, 5)])
+def test_wiener_matches_least_squares_on_hand_built_windows(n_train, taps):
+    sym, y = _shaped_isi_sequence(1100, seed=8)
+    x = _windows_by_hand(y, taps, 2)
+    w_ls = np.linalg.lstsq(x[:n_train], sym[:n_train], rcond=None)[0]
+    w, eq = wiener_ffe(y, sym[:n_train], taps=taps, sps=2)
+    # the ridge lam = 1e-9 trace(R) / taps moves the solve by
+    # lam (R + lam I)^-1 w_ls, at most lam / eig_min(R) of |w_ls|; 1e-10
+    # of |w_ls| covers the round-off of the normal equations (cond * eps
+    # is below 1e-12 here)
+    r = x[:n_train].T @ x[:n_train]
+    lam = 1e-9 * np.trace(r) / taps
+    tol = (lam / np.linalg.eigvalsh(r)[0] + 1e-10) * np.linalg.norm(w_ls)
+    assert np.linalg.norm(w - w_ls) <= tol
+    np.testing.assert_allclose(eq[: x.shape[0]], x @ w, rtol=0.0, atol=1e-12)
+
+
 def test_lms_tracks_wiener_on_isi_channel():
     sym = gen_pam4_symbols(1638, seed=3)
     y = np.zeros(sym.size * 2)

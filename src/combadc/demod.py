@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft as sfft
-from scipy.linalg import solve_triangular
 
 from .adc import SubbandCapture
 from .errors import EqualizerError, SignalError
@@ -49,14 +48,6 @@ _TRAINING_PER_TAP = 10
 
 # tap-energy bound beyond which LMS is declared divergent
 _TAP_NORM_BOUND = 1e6
-
-# training symbols per LMS block: fewer blocks to compose into the pass
-# map against a triangular solve whose cost grows with the block. 64 was
-# the knee of the earlier per-pass loop (17 taps, 819 to 6,554 training
-# symbols). Under the pass map (2-vCPU x86 host, one BLAS thread), 128
-# takes 0.93 ms against 1.02 on 819 symbols and 8.1 against 11.5 on
-# 6,554; a new size reorders the sums, so the taps move by about 1e-15
-_LMS_BLOCK = 64
 
 
 @dataclass
@@ -93,6 +84,24 @@ def _symbol_windows(y: np.ndarray, n_sym: int, taps: int, sps: int) -> np.ndarra
     return pad[idx]
 
 
+def _training_windows(
+    y: np.ndarray, training: np.ndarray, taps: int, sps: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Input windows of every symbol ``y`` covers and the float64 training;
+    raises SignalError when the training does not fit the taps or record."""
+    if taps % 2 != 1:
+        raise SignalError("equalizer length must be odd")
+    training = np.asarray(training, dtype=np.float64)
+    if training.size < _TRAINING_PER_TAP * taps:
+        raise SignalError(
+            f"training too short: {training.size} symbols for {taps} taps"
+        )
+    n_sym = y.size // sps
+    if training.size > n_sym:
+        raise SignalError("more training symbols than received symbols")
+    return _symbol_windows(y, n_sym, taps, sps), training
+
+
 def ffe_lms(
     y: np.ndarray,
     training: np.ndarray,
@@ -124,46 +133,30 @@ def ffe_lms(
     one on two seeds and 1.25 failed 1-4. Divergence surfaces as an
     EqualizerError, not garbage.
 
-    Training runs as blocked forward substitution, not one Python step
-    per symbol. Step m is ``w += e_m g_m`` with ``e_m = t_m - u_m . w``
-    and ``g_m = step u_m / denom``, so the errors of a block of
-    ``_LMS_BLOCK`` consecutive symbols solve the unit lower triangular
-    system ``(I + tril(U G^T, -1)) e = t - U w``. A block is therefore an
-    affine map of the taps, and so is a pass, their composition:
-    ``w -> M w + c``. The sum of the taps over a pass's averaged updates
-    is one more affine map of the taps at the pass's start, and a run
-    needs only one, since a single pass averages from its middle while
-    pass 0 of a multi-pass run averages nothing and every later pass
-    averages all of it. The windows repeat on every pass, so both maps are
-    built once, from each block's ``L^-1 [U | -t]``, and a pass is two
-    small matrix-vector products. This is the same recurrence as the
-    per-symbol loop, only summed in a different order: over 1 to 48
-    passes, steps 0.5 and 1.5 and 170 to 1,000 training symbols the taps
-    agree with it to 3e-14 at most.
+    Step m, ``w += g_m (t_m - u_m . w)`` with ``g_m = step u_m / denom``,
+    is an affine map of ``[w; 1]``, and the windows repeat on every pass.
+    So one loop over the training symbols composes the map of a pass and
+    the map of the taps' sum over its averaged updates, and a pass is two
+    small matrix-vector products. Only the summation order differs from
+    the per-symbol recurrence: over 1 to 48 passes, steps 0.5 and 1.5 and
+    170 to 1,000 training symbols the taps agree with it to 5e-15.
     """
-    if taps % 2 != 1:
-        raise SignalError("equalizer length must be odd")
-    training = np.asarray(training, dtype=np.float64)
-    if training.size < _TRAINING_PER_TAP * taps:
-        raise SignalError(
-            f"training too short: {training.size} symbols for {taps} taps"
-        )
-    n_sym = y.size // sps
-    if training.size > n_sym:
-        raise SignalError("more training symbols than received symbols")
+    windows, training = _training_windows(y, training, taps, sps)
     if passes < 1:
         raise SignalError(f"need at least one LMS pass, got {passes}")
-    windows = _symbol_windows(y, n_sym, taps, sps)
+    n_train = training.size
 
     # orthonormal transform: inner products (and the divergence norm
     # check) carry over unchanged between domains
-    u_train = sfft.dct(windows[: training.size], type=2, axis=1, norm="ortho")
+    u_train = sfft.dct(windows[:n_train], type=2, axis=1, norm="ortho")
     denom = np.mean(u_train**2, axis=0) * taps + 1e-12
+    gain = step * u_train / denom
+    # step m as a row acting on [w; 1]: the error is -(u_m . w - t_m)
+    err_row = np.column_stack([u_train, -training])
 
     spike = np.zeros(taps)
     spike[(taps - 1) // 2] = 1.0
     w = sfft.dct(spike, type=2, norm="ortho")
-    n_train = training.size
     # burn-in, then Polyak-average the taps: washes out the stochastic
     # gradient wiggle so the frozen filter sits at the converged mean.
     # A single pass averages from its middle; pass 0 of a multi-pass run
@@ -171,36 +164,16 @@ def ffe_lms(
     burn = n_train // 2 if passes == 1 else n_train
     avg_from = burn if passes == 1 else 0  # first averaged symbol of a pass
     # affine maps of the taps, as matrices acting on [w; 1]
-    eye = np.eye(taps + 1)
-    h_pass = eye  # one pass
+    h_pass = np.eye(taps + 1)  # one pass
     h_sum = np.zeros((taps, taps + 1))  # the sum of w over a pass's averaged updates
     w_sum = np.zeros(taps)
     # overflow inside a diverging run is expected right up until the norm
     # check turns it into a loud error, so keep numpy quiet about it
     with np.errstate(over="ignore", invalid="ignore"):
-        for s in range(0, n_train, _LMS_BLOCK):
-            u_b = u_train[s : s + _LMS_BLOCK]
-            g_b = step * u_b / denom
-            # the block is e = t - U w, then w -> w + G^T e; with
-            # sol = L^-1 [U | -t] that is w -> w - G^T sol [w; 1]. Only
-            # the strict lower triangle of U G^T is read.
-            sol = solve_triangular(
-                u_b @ g_b.T,
-                np.column_stack([u_b, -training[s : s + _LMS_BLOCK]]),
-                lower=True,
-                unit_diagonal=True,
-                check_finite=False,
-            )
-            n = u_b.shape[0]
-            n_avg = n - min(max(avg_from - s, 0), n)
-            if n_avg:
-                # the block's last n_avg updates: update i shows in the
-                # taps after the block's last n - i updates
-                g_d = g_b.T * np.minimum(n - np.arange(n), n_avg)
-                h_sum += (n_avg * eye[:taps] - g_d @ sol) @ h_pass
-            h_block = eye.copy()
-            h_block[:taps] -= g_b.T @ sol
-            h_pass = h_block @ h_pass
+        for m in range(n_train):
+            h_pass[:taps] -= np.outer(gain[m], err_row[m] @ h_pass)
+            if m >= avg_from:
+                h_sum += h_pass[:taps]
         v = np.append(w, 1.0)
         for p in range(passes):
             if p or passes == 1:
@@ -224,11 +197,7 @@ def wiener_ffe(
     """Direct least-squares solve of the equalization problem, with a
     relative ridge of 1e-9: the default equalizer, and the point that
     ``ffe_lms`` converges to."""
-    if taps % 2 != 1:
-        raise SignalError("equalizer length must be odd")
-    training = np.asarray(training, dtype=np.float64)
-    n_sym = y.size // sps
-    windows = _symbol_windows(y, n_sym, taps, sps)
+    windows, training = _training_windows(y, training, taps, sps)
     x_train = windows[: training.size]
     r = x_train.T @ x_train
     ridge = 1e-9 * np.trace(r) / taps

@@ -86,10 +86,6 @@ class SampledWaveform:
     def n(self) -> int:
         return self.samples.size
 
-    @property
-    def duration(self) -> float:
-        return self.n / self.rate
-
     def copy(self) -> "SampledWaveform":
         return SampledWaveform(self.samples.copy(), self.rate)
 

@@ -170,37 +170,31 @@ def test_lms_divergence_is_loud():
         _lms_reference(y, sym[:300], 17, 60.0, 2, 8)
 
 
-def test_lms_guards():
+@pytest.mark.parametrize("equalize", [ffe_lms, wiener_ffe])
+def test_training_guards(equalize):
     with pytest.raises(SignalError):
-        ffe_lms(np.zeros(100), np.zeros(20), taps=16)
+        equalize(np.zeros(100), np.zeros(20), taps=16)
     with pytest.raises(SignalError, match="training too short"):
-        ffe_lms(np.zeros(10000), np.zeros(50), taps=17)
+        equalize(np.zeros(10000), np.zeros(50), taps=17)
     with pytest.raises(SignalError, match="more training"):
-        ffe_lms(np.zeros(400), gen_pam4_symbols(300, 0), taps=17, sps=2)
+        equalize(np.zeros(400), gen_pam4_symbols(300, 0), taps=17, sps=2)
+
+
+def test_lms_guards():
     # no pass count runs as one pass
     with pytest.raises(SignalError, match="at least one LMS pass"):
         ffe_lms(np.zeros(400), gen_pam4_symbols(170, 0), taps=17, sps=2, passes=0)
 
 
-# training spans on and off the 64-symbol block grid
-@pytest.mark.parametrize("n_train", [170, 300, 819, 1000])
-@pytest.mark.parametrize("passes", [1, 4, 12])
-@pytest.mark.parametrize("step", [0.5, 1.5])
-def test_lms_matches_per_symbol_reference(n_train, passes, step):
-    sym, y = _shaped_isi_sequence(1100, seed=8)
-    ref = _lms_reference(y, sym[:n_train], 17, step, 2, passes)
-    taps, _ = ffe_lms(y, sym[:n_train], taps=17, step=step, sps=2, passes=passes)
-    assert np.max(np.abs(taps - ref)) <= 1e-12
-
-
-# a pass is one affine map of the taps; these reach past the grid above:
-# two passes (the first whose sum map is the full one), 48 passes, and a
-# training span of exactly three blocks
+# a grid of training spans, pass counts and steps, then two passes (the
+# first whose sum map is the full one) and 48 passes
 @pytest.mark.parametrize(
-    "n_train,passes", [(300, 2), (1000, 2), (300, 48), (192, 1), (192, 2), (192, 12)]
+    "passes,n_train",
+    [(p, n) for p in (1, 4, 12) for n in (170, 300, 819, 1000)]
+    + [(2, 300), (2, 1000), (48, 300), (1, 192), (2, 192), (12, 192)],
 )
 @pytest.mark.parametrize("step", [0.5, 1.5])
-def test_lms_pass_map_matches_per_symbol_reference(n_train, passes, step):
+def test_lms_matches_per_symbol_reference(n_train, passes, step):
     sym, y = _shaped_isi_sequence(1100, seed=8)
     ref = _lms_reference(y, sym[:n_train], 17, step, 2, passes)
     taps, _ = ffe_lms(y, sym[:n_train], taps=17, step=step, sps=2, passes=passes)

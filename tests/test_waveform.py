@@ -37,7 +37,6 @@ def test_waveform_rejects_bad_input():
 def test_waveform_basics():
     w = SampledWaveform(np.ones(1000), 1e6)
     assert w.n == 1000
-    assert w.duration == pytest.approx(1e-3)
     c = w.copy()
     c.samples[0] = 5.0
     assert w.samples[0] == 1.0

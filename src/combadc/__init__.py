@@ -15,8 +15,10 @@ blocks are exported for scripting and tests.
 
 from .adc import AdcConfig, SubbandCapture, adc_capture
 from .comb import (
+    BeatSpectrum,
     LinkConfig,
     ScenarioCombs,
+    beat_spectrum,
     comb_from_cascade,
     flat_comb,
     mzm_field,
@@ -56,8 +58,10 @@ __all__ = [
     "AdcConfig",
     "SubbandCapture",
     "adc_capture",
+    "BeatSpectrum",
     "LinkConfig",
     "ScenarioCombs",
+    "beat_spectrum",
     "comb_from_cascade",
     "flat_comb",
     "mzm_field",

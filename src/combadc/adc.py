@@ -33,7 +33,7 @@ class AdcConfig:
     full_scale: float | str = "auto"
     jitter_rms: float = 0.0
     aa_cutoff: float | None = 1.2e9
-    ac_couple_hz: float | None = 10e6
+    ac_couple: float | None = 10e6
 
     def __post_init__(self):
         if not 1 <= self.bits <= 24:
@@ -45,7 +45,7 @@ class AdcConfig:
                 raise SignalError("anti-alias cutoff cannot exceed Nyquist")
             # the filter runs at the input rate, at least MIN_OVERSAMPLING x rate
             lowpass_band(self.aa_cutoff, MIN_OVERSAMPLING * self.rate)
-        if self.ac_couple_hz is not None and self.ac_couple_hz <= 0.0:
+        if self.ac_couple is not None and self.ac_couple <= 0.0:
             # a negative corner puts the DC blocker's pole outside the unit circle
             raise SignalError("AC-coupling corner must be positive")
         if self.jitter_rms < 0:
@@ -70,7 +70,6 @@ class SubbandCapture:
 
     codes: np.ndarray | None
     cfg: AdcConfig
-    subband_index: int
     full_scale_used: float
     analog: np.ndarray | None = None
 
@@ -157,7 +156,6 @@ def _lagrange_sample(x: np.ndarray, positions: np.ndarray, order: int = 8) -> np
 
 def adc_capture(
     x: SampledWaveform,
-    n: int,
     cfg: AdcConfig,
     seed: int,
     *,
@@ -181,8 +179,8 @@ def adc_capture(
     n_out = int(np.ceil(x.n / ratio - 1e-9))
 
     y = x.samples
-    if cfg.ac_couple_hz is not None:
-        y = _dc_block(y, cfg.ac_couple_hz, x.rate)
+    if cfg.ac_couple is not None:
+        y = _dc_block(y, cfg.ac_couple, x.rate)
     if cfg.aa_cutoff is not None:
         y = apply_fir(y, fir_lowpass(cfg.aa_cutoff, x.rate))
 
@@ -203,13 +201,11 @@ def adc_capture(
         return SubbandCapture(
             codes=quantize_midrise(sampled, cfg.bits, fs, clip=True),
             cfg=cfg,
-            subband_index=n,
             full_scale_used=fs,
         )
     return SubbandCapture(
         codes=None,
         cfg=cfg,
-        subband_index=n,
         full_scale_used=fs,
         analog=np.clip(sampled, -fs, fs),
     )

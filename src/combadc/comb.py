@@ -19,9 +19,9 @@ as well, and one complex FFT of mu + j mu^2 gives both: mu's spectrum is
 its Hermitian half and mu^2's its anti-Hermitian half, read only at the
 bins that are kept. That split is ``_rfft_bins``, which lives in
 waveform.py because ``frontend.scm_waveform`` splits its channel pairs
-with it too. The complex FFT (``beat_spectrum``) is the burst's half of
-the channelizer: a channelized run takes it once and every sub-band
-reads its own bins from it. Where the differential phase track is zero
+with it too. The complex FFT (``beat_spectrum``) is the record's half of
+the channelizer: every run takes it once, and each sub-band reads its
+own bins from it. Where the differential phase track is zero
 (a band on the bin grid, with no drive noise and no drift) only the real
 part of the band is needed, and one real inverse transform returns it
 together with the leak.
@@ -332,13 +332,13 @@ def beat_spectrum(mu: SampledWaveform) -> BeatSpectrum:
 
 
 def subband_beat(
-    mu: SampledWaveform | BeatSpectrum,
+    mu: BeatSpectrum,
     n: int,
     combs: ScenarioCombs,
     link: LinkConfig,
     seed: int,
     *,
-    out_rate: float | None = None,
+    out_rate: float,
     shot: bool = True,
     tia_saturation: bool = True,
 ) -> SampledWaveform:
@@ -359,20 +359,17 @@ def subband_beat(
 
     The down-conversion is exact band selection in the frequency domain:
     the output keeps the spectrum within half its rate of the sub-band
-    centre and covers the same time span as ``mu``. ``out_rate=None``
-    keeps the rate of ``mu``. Otherwise the output length is the smallest
-    fast FFT length at or above ``out_rate`` times the duration, so the
-    realized rate (the returned waveform's ``rate``) can sit slightly
-    above ``out_rate``. A downshift that is not a whole number of FFT bins
-    is split into a bin shift and a residual mix at the output rate.
+    centre and covers the same time span as ``mu``. The output length is
+    the smallest fast FFT length at or above ``out_rate`` times the
+    duration, so the realized rate (the returned waveform's ``rate``) can
+    sit slightly above ``out_rate``. A downshift that is not a whole
+    number of FFT bins is split into a bin shift and a residual mix at the
+    output rate.
 
-    The spectra of mu and mu^2 come from one complex FFT of mu + j mu^2,
-    ``beat_spectrum(mu)``. ``mu`` is either the record, whose spectrum is
-    taken here and freed once the band is read, or that spectrum, taken
-    once for every sub-band of a burst. A band whose phase track is zero
-    returns through one real inverse FFT that carries the leak as well;
-    any other band takes a complex inverse and the factor exp(j theta),
-    and the leak its own real inverse.
+    ``mu`` is the record's ``beat_spectrum``, read by every sub-band. A
+    band whose phase track is zero returns through one real inverse FFT
+    that carries the leak as well; any other band takes a complex inverse
+    and the factor exp(j theta), and the leak its own real inverse.
     """
     if not 1 <= n <= combs.n_pairs:
         raise SignalError(
@@ -381,9 +378,7 @@ def subband_beat(
     rate = mu.rate
     shift_hz = downshift_hz(n, combs.delta_f, rate)
     n_in = mu.n
-    if out_rate is None:
-        n_out = n_in
-    elif 0.0 < out_rate <= rate:
+    if 0.0 < out_rate <= rate:
         n_out = min(n_in, next_fast_len(int(np.ceil(n_in * out_rate / rate - 1e-6))))
     else:
         raise SignalError(
@@ -415,13 +410,11 @@ def subband_beat(
     first = k0 - n_out // 2  # source bin of the band's first output bin
     lo, hi = max(first, 0), min(first + n_out, n_in // 2 + 1)
     n_half = n_out // 2 + 1  # rfft length at the output rate
-    spectrum = mu if isinstance(mu, BeatSpectrum) else beat_spectrum(mu)
-    z = spectrum.samples
+    z = mu.samples
     band = _analytic_band(_rfft_bins(z, lo, hi), n_in, first, n_out)
     # an infinite cmrr_db gives kappa = 0: no leak
     kappa = db_to_amplitude_ratio(-link.cmrr_db)
     leak = _rfft_bins(z, 0, n_half, imag=True) * (kappa * r * p_ch)
-    del z, spectrum  # a spectrum taken here is not needed past here
 
     # the default track is zero on a band that sits on the bin grid
     if np.any(theta):

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft as sfft
 
-from .adc import SubbandCapture
 from .errors import EqualizerError, SignalError
 from .waveform import (
     SampledWaveform,
@@ -247,16 +246,16 @@ def _analytic(x: np.ndarray) -> np.ndarray:
 
 
 def demod_pam4(
-    cap: SubbandCapture, cfg: DemodConfig, tx_symbols: np.ndarray
+    wave: SampledWaveform, cfg: DemodConfig, tx_symbols: np.ndarray
 ) -> DemodReport:
-    """Recover one channel's PAM4 symbols and score them data-aided.
+    """Recover one channel's PAM4 symbols from its captured waveform and
+    score them data-aided.
 
     Raises EqualizerError when the adapted filter ends up worse than no
     equalizer at all (non-convergence); callers doing batch runs catch it
     and record the channel as failed.
     """
     tx = np.asarray(tx_symbols, dtype=np.float64)
-    wave = cap.to_waveform()
     channel, matched = capture_filters(wave.rate, cfg)
     x = apply_fir(wave.samples, channel)
 
@@ -280,7 +279,7 @@ def demod_pam4(
 
     n_sym = tx.size
     n_train, sel = symbol_budget(n_sym, cfg)
-    raw = _symbol_windows(z, n_sym, 1, cfg.sps)[:, 0]
+    raw = z[: n_sym * cfg.sps : cfg.sps]
 
     if cfg.equalizer == "lms":
         _, eq = ffe_lms(z, tx[:n_train], cfg.ffe_taps, sps=cfg.sps)

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adc import SubbandCapture
 from .errors import MeasurementError, SignalError
 from .waveform import SampledWaveform, periodogram, resample_waveform
 
@@ -63,7 +62,7 @@ def check_analysis_grid(n_fft: int) -> None:
 
 
 def sine_metrics(
-    cap: SubbandCapture | SampledWaveform,
+    wave: SampledWaveform,
     expected_baseband_hz: float,
     *,
     analysis_rate: float = ANALYSIS_RATE,
@@ -72,16 +71,15 @@ def sine_metrics(
     window: str = "rectangular",
     include_notch: bool = False,
 ) -> MetricsReport:
-    """Tone quality figures from one sub-band capture.
+    """Tone quality figures from one sub-band capture's waveform.
 
-    The capture is resampled to ``analysis_rate``, the fundamental is
+    The waveform is resampled to ``analysis_rate``, the fundamental is
     located within +-2 bins of the expected baseband frequency, and its
     power is summed over ``GUARD_BINS`` neighbors on each side. SINAD
     integrates everything else across the analysis band (default 10 to
     500 MHz, widened to 0 to 500 MHz by ``include_notch``); SFDR compares
     against the single largest non-fundamental bin in the same band.
     """
-    wave = cap.to_waveform() if isinstance(cap, SubbandCapture) else cap
     stream = resample_waveform(wave, analysis_rate)
 
     need = n_fft * n_avg

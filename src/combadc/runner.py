@@ -5,16 +5,14 @@ per channel). Task seeds derive from (master_seed, task kind, index)
 alone, so outputs are byte-identical however the tasks are scheduled;
 ``--jobs`` only changes wall time. A channelized run builds its transmit
 burst once, as the physical system sends one burst to all sub-band
-detectors, and takes the burst's one beat transform (the FFT of
-mu + j mu^2) once too: every channel task reads its sub-band's bins from
-that spectrum. A sweep point is one burst with one channel, and its
-spectrum is freed as soon as its band is read. The parent builds each
-task's label, seed and arguments once; a worker returns only its CSV row or
-SNR, and ``_run_tasks`` times every task and writes every manifest
-record. A failed task is recorded with its reason and the run carries
-on, whether the task raised any error or its worker process died.
-``spectrum`` is the channelized run for one channel, without
-demodulation.
+detectors. Each run takes its record's beat spectrum (the FFT of
+mu + j mu^2) once, and each sub-band reads its bins from it; a sweep
+point is a one-channel burst. The parent builds each task's label, seed
+and arguments once; a worker returns only its CSV row or SNR, and
+``_run_tasks`` times every task and writes every manifest record. A
+failed task is recorded with its reason and the run carries on, whether
+the task raised any error or its worker process died. ``spectrum`` is
+the channelized run for one channel, without demodulation.
 
 The manifest written next to the CSVs doubles as a config file: all
 bookkeeping lives in comment lines, the config snapshot is the payload,
@@ -166,19 +164,17 @@ def _front_end(
 
 
 def _capture_subband(
-    mu: SampledWaveform | BeatSpectrum,
+    spectrum: BeatSpectrum,
     n: int,
     cfg: ScenarioConfig,
     combs: ScenarioCombs,
     beat_seed: int,
     adc_seed: int,
 ) -> SubbandCapture:
-    """Sub-band ``n`` through the beat and the ADC. ``mu`` is a sweep
-    point's record, whose spectrum the beat takes and frees, or a burst's
-    beat spectrum, shared by every channel."""
+    """Sub-band ``n`` of a record's beat spectrum through the beat and the ADC."""
     imp = cfg.impairments
     current = subband_beat(
-        mu,
+        spectrum,
         n,
         combs,
         cfg.link,
@@ -187,7 +183,7 @@ def _capture_subband(
         shot=imp.shot,
         tia_saturation=imp.tia_saturation,
     )
-    return adc_capture(current, n, cfg.adc, adc_seed, quantize=imp.adc_quantization)
+    return adc_capture(current, cfg.adc, adc_seed, quantize=imp.adc_quantization)
 
 
 # ---------------------------------------------------------------------------
@@ -283,9 +279,11 @@ def _sweep_point(
     gain = db_to_amplitude_ratio(-cfg.link.sine_backoff_db)
     mu = _front_end(x, cfg, seeds[0], gain)
     del x  # free the float64 tone before the beat's full-length FFT
-    cap = _capture_subband(mu, n, cfg, combs, seeds[1], seeds[2])
+    spectrum = beat_spectrum(mu)
+    del mu  # the beat reads only the spectrum
+    cap = _capture_subband(spectrum, n, cfg, combs, seeds[1], seeds[2])
     report = sine_metrics(
-        cap,
+        cap.to_waveform(),
         f_folded,
         analysis_rate=ANALYSIS_RATE,
         n_fft=cfg.metrics.n_fft,
@@ -375,11 +373,11 @@ def _scm_channel(
     the equalizer never runs.
     """
     cap = _capture_subband(spectrum, channel, cfg, combs, seeds[0], seeds[1])
+    wave = cap.to_waveform()
     snr_db = None
     if tx is not None:
-        snr_db = demod_pam4(cap, build_demod(cfg), tx).snr_db
+        snr_db = demod_pam4(wave, build_demod(cfg), tx).snr_db
 
-    wave = cap.to_waveform()
     n_fft = 1 << int(np.log2(wave.n))
     spec = periodogram(wave, n_fft=n_fft, n_avg=wave.n // n_fft)
     spectrum_to_csv(spec, os.path.join(out_dir, _spectrum_name(channel)))

@@ -264,8 +264,6 @@ _SPELLINGS = {
     "adc.full_scale": _p_float_or_auto,
     "scm.active_channels": _p_channels,
 }
-# the one key not spelled like its field
-_RENAMED = {"adc.ac_couple_hz": "adc.ac_couple"}
 # build_demod fills these from the scm section; they are not config keys
 _DERIVED = {"demod.baseband_offset", "demod.baud", "demod.rolloff"}
 
@@ -283,7 +281,6 @@ def _key_table() -> dict[str, tuple[str, str, object]]:
         defaults = section.default_factory()
         for f in dataclasses.fields(defaults):
             key = f"{section.name}.{f.name}"
-            key = _RENAMED.get(key, key)
             if key not in _DERIVED:
                 parse = _SPELLINGS.get(key) or _parser_for(getattr(defaults, f.name))
                 table[key] = (section.name, f.name, parse)

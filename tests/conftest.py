@@ -69,7 +69,6 @@ def tone_capture(
     return SubbandCapture(
         codes=codes,
         cfg=cfg,
-        subband_index=1,
         full_scale_used=full_scale,
     )
 

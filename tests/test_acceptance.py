@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from combadc.adc import AdcConfig, adc_capture
-from combadc.comb import mzm_field, subband_beat
+from combadc.comb import beat_spectrum, mzm_field, subband_beat
 from combadc.demod import demod_pam4
 from combadc.frontend import DacConfig, dac_model, gen_pam4_symbols, sine_waveform
 from combadc.metrics import sine_metrics
@@ -87,8 +87,11 @@ def test_tone_mapping_into_subband_five():
         y = dac_model(x, cfg.dac, seed=1)
         v = np.clip(y.samples * backoff / 1.0, -1.0, 1.0)
         mu = mzm_field(SampledWaveform(v, y.rate), cfg.link.drive_scale)
-        cap = adc_capture(subband_beat(mu, n, combs, cfg.link, seed=2), n, cfg.adc, seed=3)
-        rep = sine_metrics(cap, folded)
+        current = subband_beat(
+            beat_spectrum(mu), n, combs, cfg.link, seed=2, out_rate=mu.rate
+        )
+        cap = adc_capture(current, cfg.adc, seed=3)
+        rep = sine_metrics(cap.to_waveform(), folded)
         assert time.perf_counter() - t0 < 10.0
         assert rep.fundamental_hz == pytest.approx(250e6, abs=RBW)
         peaks.append(rep.fundamental_hz)
@@ -122,12 +125,12 @@ def test_quantization_law_end_to_end():
     n_out = N_FFT * 4 + 2048
     t = time_vector(n_out * 8, 8e9)
     adc_cfg = AdcConfig(
-        bits=14, rate=1e9, full_scale=1.0, jitter_rms=0.0, aa_cutoff=None, ac_couple_hz=None
+        bits=14, rate=1e9, full_scale=1.0, jitter_rms=0.0, aa_cutoff=None, ac_couple=None
     )
     cap = adc_capture(
-        SampledWaveform(0.9999 * np.cos(2 * np.pi * f * t), 8e9), 1, adc_cfg, seed=1
+        SampledWaveform(0.9999 * np.cos(2 * np.pi * f * t), 8e9), adc_cfg, seed=1
     )
-    assert sine_metrics(cap, f).sinad_db == pytest.approx(86.0, abs=1.0)
+    assert sine_metrics(cap.to_waveform(), f).sinad_db == pytest.approx(86.0, abs=1.0)
 
     dac_cfg = DacConfig(bits=6, residual_noise_db=None, lpf_cutoff=None)
     dac_rbw = dac_cfg.rate / N_FFT
@@ -197,7 +200,7 @@ def test_jitter_sensitivity_law():
     # at 400 MHz reads SINAD 40 +-1; with jitter at zero the readout is
     # frequency independent within 0.2 dB
     sigma = 10 ** (-40.0 / 20.0) / (2.0 * np.pi * 400e6)
-    base = dict(bits=14, rate=1e9, full_scale=1.0, aa_cutoff=None, ac_couple_hz=None)
+    base = dict(bits=14, rate=1e9, full_scale=1.0, aa_cutoff=None, ac_couple=None)
     n_out = N_FFT * 4 + 2048
     t = time_vector(n_out * 8, 8e9)
 
@@ -205,7 +208,8 @@ def test_jitter_sensitivity_law():
         f = k * RBW
         x = SampledWaveform(0.99 * np.cos(2 * np.pi * f * t), 8e9)
         cfg = AdcConfig(jitter_rms=jitter_rms, **base)
-        return sine_metrics(adc_capture(x, 1, cfg, seed=3, quantize=quantize), f)
+        cap = adc_capture(x, cfg, seed=3, quantize=quantize)
+        return sine_metrics(cap.to_waveform(), f)
 
     assert capture(6554, sigma, False).sinad_db == pytest.approx(40.0, abs=1.0)
 

@@ -17,7 +17,7 @@ def _law_cfg(**kw):
         full_scale=1.0,
         jitter_rms=0.0,
         aa_cutoff=None,
-        ac_couple_hz=None,
+        ac_couple=None,
     )
     base.update(kw)
     return AdcConfig(**base)
@@ -34,7 +34,7 @@ def _bin_freq(k, n_fft=16384, analysis_rate=1e9):
 
 
 def test_zero_input_zero_codes():
-    cap = adc_capture(SampledWaveform(np.zeros(8192), RATE_IN), 1, _law_cfg(), 0)
+    cap = adc_capture(SampledWaveform(np.zeros(8192), RATE_IN), _law_cfg(), 0)
     assert np.all(cap.codes == 0)
     assert cap.n == 1024  # floor((8192-1)/8) + 1
     assert cap.full_scale_used == 1.0
@@ -42,7 +42,7 @@ def test_zero_input_zero_codes():
 
 def test_auto_full_scale_is_capture_peak():
     x = _tone_input(_bin_freq(2561), amp=0.37, n_out=4096)
-    cap = adc_capture(x, 1, _law_cfg(full_scale="auto"), 0, quantize=False)
+    cap = adc_capture(x, _law_cfg(full_scale="auto"), 0, quantize=False)
     assert cap.full_scale_used == pytest.approx(np.max(np.abs(cap.analog)))
     assert cap.full_scale_used == pytest.approx(0.37, rel=1e-4)
 
@@ -51,15 +51,18 @@ def test_quantization_law_14bit():
     # odd analysis bin, so the sampled sine visits 16384 distinct phases
     # and the quantization error is properly averaged
     f = _bin_freq(2561)
-    cap = adc_capture(_tone_input(f), 5, _law_cfg(), seed=1)
-    rep = sine_metrics(cap, f)
+    cap = adc_capture(_tone_input(f), _law_cfg(), seed=1)
+    rep = sine_metrics(cap.to_waveform(), f)
     assert rep.sinad_db == pytest.approx(6.02 * 14 + 1.76, abs=1.0)
     assert rep.enob_bits == pytest.approx((rep.sinad_db - 1.76) / 6.02)
 
 
 def test_quantization_noise_frequency_independent():
     reps = [
-        sine_metrics(adc_capture(_tone_input(_bin_freq(k)), 1, _law_cfg(), 1), _bin_freq(k))
+        sine_metrics(
+            adc_capture(_tone_input(_bin_freq(k)), _law_cfg(), 1).to_waveform(),
+            _bin_freq(k),
+        )
         for k in (1639, 7373)  # ~100 MHz and ~450 MHz, both odd bins
     ]
     assert abs(reps[0].sinad_db - reps[1].sinad_db) < 0.2
@@ -70,8 +73,8 @@ def test_jitter_law_400mhz():
     f = _bin_freq(6554)  # nearest grid line to 400 MHz
     sigma = 10 ** (-40.0 / 20.0) / (2.0 * np.pi * 400e6)
     cfg = _law_cfg(jitter_rms=sigma)
-    cap = adc_capture(_tone_input(f, amp=0.99), 1, cfg, seed=3, quantize=False)
-    rep = sine_metrics(cap, f)
+    cap = adc_capture(_tone_input(f, amp=0.99), cfg, seed=3, quantize=False)
+    rep = sine_metrics(cap.to_waveform(), f)
     assert rep.sinad_db == pytest.approx(40.0, abs=1.0)
 
 
@@ -105,17 +108,17 @@ def test_capture_determinism():
     f = _bin_freq(2561)
     x = _tone_input(f, n_out=4096)
     cfg = _law_cfg(jitter_rms=2e-12)
-    a = adc_capture(x, 1, cfg, seed=7)
-    b = adc_capture(x, 1, cfg, seed=7)
-    c = adc_capture(x, 1, cfg, seed=8)
+    a = adc_capture(x, cfg, seed=7)
+    b = adc_capture(x, cfg, seed=7)
+    c = adc_capture(x, cfg, seed=8)
     assert np.array_equal(a.codes, b.codes)
     assert not np.array_equal(a.codes, c.codes)
 
 
 def test_ac_coupling_removes_offset():
     x = SampledWaveform(0.25 * np.ones(65536), RATE_IN)
-    cfg = _law_cfg(ac_couple_hz=10e6, full_scale=1.0)
-    cap = adc_capture(x, 1, cfg, 0)
+    cfg = _law_cfg(ac_couple=10e6, full_scale=1.0)
+    cap = adc_capture(x, cfg, 0)
     tail = cap.values()[cap.n // 2 :]
     assert np.max(np.abs(tail)) < 1e-3
 
@@ -124,14 +127,14 @@ def test_anti_alias_filter_guards_the_band():
     in_band = _tone_input(_bin_freq(2561), amp=0.5, n_out=8192)
     out_band = _tone_input(0.8e9, amp=0.5, n_out=8192)
     cfg = _law_cfg(aa_cutoff=0.45e9)
-    p_in = np.var(adc_capture(in_band, 1, cfg, 0).values())
-    p_out = np.var(adc_capture(out_band, 1, cfg, 0).values())
+    p_in = np.var(adc_capture(in_band, cfg, 0).values())
+    p_out = np.var(adc_capture(out_band, cfg, 0).values())
     assert 10 * np.log10(p_out / p_in) < -50.0
 
 
 def test_oversampling_precondition():
     with pytest.raises(SignalError):
-        adc_capture(SampledWaveform(np.zeros(4096), 2e9), 1, _law_cfg(), 0)
+        adc_capture(SampledWaveform(np.zeros(4096), 2e9), _law_cfg(), 0)
 
 
 def test_config_validation():

@@ -193,7 +193,8 @@ def test_beat_downconverts_to_folded_frequency():
     combs = make_combs()
     link = quiet_link(tia_sat_dbm=100.0)
     for f in (5.25e9, 4.75e9):
-        out = subband_beat(_mu_tone(f), 5, combs, link, seed=3, **_ALL_OFF)
+        spectrum = beat_spectrum(_mu_tone(f))
+        out = subband_beat(spectrum, 5, combs, link, 3, out_rate=32e9, **_ALL_OFF)
         spec = periodogram(out, n_fft=16384)
         peak_hz = spec.bin_freqs[np.argmax(spec.power_linear)]
         assert peak_hz == pytest.approx(250e6, abs=2 * spec.rbw)
@@ -204,7 +205,8 @@ def test_beat_gain_matches_link_budget():
     combs = make_combs(tilt_db=2.0)
     link = quiet_link(tia_sat_dbm=100.0)
     n = 65536
-    out = subband_beat(_mu_tone(5.25e9, n=n, amp=0.05), 5, combs, link, 3, **_ALL_OFF)
+    spectrum = beat_spectrum(_mu_tone(5.25e9, n=n, amp=0.05))
+    out = subband_beat(spectrum, 5, combs, link, 3, out_rate=32e9, **_ALL_OFF)
     a_sig = combs.signal_amps[4]
     want = (
         2.0
@@ -224,8 +226,13 @@ def test_beat_gain_matches_link_budget():
 def test_beat_linear_in_modulation():
     combs = make_combs()
     link = quiet_link(tia_sat_dbm=100.0)
-    a = subband_beat(_mu_tone(5.25e9, amp=0.02), 5, combs, link, 3, **_ALL_OFF)
-    b = subband_beat(_mu_tone(5.25e9, amp=0.06), 5, combs, link, 3, **_ALL_OFF)
+    a, b = (
+        subband_beat(
+            beat_spectrum(_mu_tone(5.25e9, amp=amp)), 5, combs, link, 3,
+            out_rate=32e9, **_ALL_OFF,
+        )
+        for amp in (0.02, 0.06)
+    )
     assert np.allclose(b.samples, 3.0 * a.samples, atol=1e-12)
 
 
@@ -235,9 +242,8 @@ def test_beat_thermal_noise_variance():
     combs = make_combs()
     link = quiet_link(thermal_noise_density=4.4e-11, tia_sat_dbm=100.0)
     n = 400_000
-    out = subband_beat(
-        SampledWaveform(np.zeros(n), 32e9), 1, combs, link, seed=9, **_ALL_OFF
-    )
+    spectrum = beat_spectrum(SampledWaveform(np.zeros(n), 32e9))
+    out = subband_beat(spectrum, 1, combs, link, seed=9, out_rate=32e9, **_ALL_OFF)
     from combadc.waveform import fir_lowpass
 
     taps = fir_lowpass(link.pd_bandwidth, 32e9)
@@ -249,13 +255,13 @@ def test_beat_thermal_noise_variance():
 def test_beat_cmrr_leak_scales():
     combs = make_combs()
     n = 32768
-    mu = _mu_tone(0.3e9, n=n, amp=0.2)
-    base = subband_beat(mu, 1, combs, quiet_link(tia_sat_dbm=100.0), 3, **_ALL_OFF)
-    leak35 = subband_beat(
-        mu, 1, combs, quiet_link(cmrr_db=35.0, tia_sat_dbm=100.0), 3, **_ALL_OFF
-    )
-    leak29 = subband_beat(
-        mu, 1, combs, quiet_link(cmrr_db=29.0, tia_sat_dbm=100.0), 3, **_ALL_OFF
+    spectrum = beat_spectrum(_mu_tone(0.3e9, n=n, amp=0.2))
+    base, leak35, leak29 = (
+        subband_beat(
+            spectrum, 1, combs, quiet_link(cmrr_db=cmrr_db, tia_sat_dbm=100.0), 3,
+            out_rate=32e9, **_ALL_OFF,
+        )
+        for cmrr_db in (np.inf, 35.0, 29.0)
     )
     d35 = leak35.samples - base.samples
     d29 = leak29.samples - base.samples
@@ -269,7 +275,8 @@ def test_beat_tia_soft_limit():
     link = quiet_link(tia_sat_dbm=-60.0)
     flags = dict(_ALL_OFF)
     flags["tia_saturation"] = True
-    out = subband_beat(_mu_tone(1.25e9, amp=0.9), 1, combs, link, 3, **flags)
+    spectrum = beat_spectrum(_mu_tone(1.25e9, amp=0.9))
+    out = subband_beat(spectrum, 1, combs, link, 3, out_rate=32e9, **flags)
     sat = 2.0 * link.responsivity * np.sqrt(
         dbm_to_watts(link.lo_power_per_tone_dbm) * dbm_to_watts(link.tia_sat_dbm)
     )
@@ -280,12 +287,14 @@ def test_beat_tia_soft_limit():
 def test_beat_index_and_rate_guards():
     combs = make_combs()
     link = quiet_link()
+    spectrum = beat_spectrum(_mu_tone(1e9))
     with pytest.raises(SignalError):
-        subband_beat(_mu_tone(1e9), 0, combs, link, 1)
+        subband_beat(spectrum, 0, combs, link, 1, out_rate=32e9)
     with pytest.raises(SignalError):
-        subband_beat(_mu_tone(1e9), 25, combs, link, 1)
+        subband_beat(spectrum, 25, combs, link, 1, out_rate=32e9)
+    slow = beat_spectrum(_mu_tone(1e9, rate=2e9, n=4096))
     with pytest.raises(SignalError):
-        subband_beat(_mu_tone(1e9, rate=2e9, n=4096), 5, combs, link, 1)
+        subband_beat(slow, 5, combs, link, 1, out_rate=2e9)
 
 
 # -------------------------------------------------------- phase bookkeeping
@@ -312,10 +321,10 @@ def test_path_drift_is_common_to_all_pairs():
 def test_beat_determinism():
     combs = make_combs()
     link = LinkConfig()
-    mu = _mu_tone(5.25e9, amp=0.1)
-    a = subband_beat(mu, 5, combs, link, seed=42)
-    b = subband_beat(mu, 5, combs, link, seed=42)
-    c = subband_beat(mu, 5, combs, link, seed=43)
+    spectrum = beat_spectrum(_mu_tone(5.25e9, amp=0.1))
+    a = subband_beat(spectrum, 5, combs, link, seed=42, out_rate=32e9)
+    b = subband_beat(spectrum, 5, combs, link, seed=42, out_rate=32e9)
+    c = subband_beat(spectrum, 5, combs, link, seed=43, out_rate=32e9)
     assert np.array_equal(a.samples, b.samples)
     assert not np.array_equal(a.samples, c.samples)
 
@@ -363,7 +372,7 @@ def _check_hilbert_mix_oracle(n_samples, n, phased, rng):
     link = quiet_link()
     rate = 32e9
     mu = SampledWaveform(0.05 * rng.standard_normal(n_samples), rate)
-    out = subband_beat(mu, n, combs, link, seed=3, **_ALL_OFF)
+    out = subband_beat(beat_spectrum(mu), n, combs, link, 3, out_rate=rate, **_ALL_OFF)
     t = time_vector(n_samples, rate)
     theta = combs.differential_phase_drift * t
     assert np.any(theta) == phased
@@ -391,7 +400,7 @@ def test_beat_matches_hilbert_mix_oracle_phased(n_samples, n, rng):
     _check_hilbert_mix_oracle(n_samples, n, True, rng)
 
 
-@pytest.mark.parametrize("out_rate", [None, 9.6e9])
+@pytest.mark.parametrize("out_rate", [None, 9.6e9])  # None: the 32 GSa/s input rate
 def test_beat_subband_one_mirror_rejected(out_rate):
     # 0.7 GHz seen by pair 1 lands at 0.3 GHz; a leaky Hilbert transform
     # would also put its -0.7 GHz image at 1.7 GHz. The photodiode band is
@@ -399,10 +408,10 @@ def test_beat_subband_one_mirror_rejected(out_rate):
     combs = make_combs()
     link = quiet_link(pd_bandwidth=3e9)
     n_in = 64000  # 0.5 MHz bins at 32 GSa/s and at 9.6 GSa/s
-    mu = _mu_tone(0.7e9, n=n_in)
-    out = subband_beat(mu, 1, combs, link, 3, out_rate=out_rate, **_ALL_OFF)
-    want_rate = 32e9 if out_rate is None else out_rate
-    assert out.rate == want_rate
+    out_rate = out_rate or 32e9
+    spectrum = beat_spectrum(_mu_tone(0.7e9, n=n_in))
+    out = subband_beat(spectrum, 1, combs, link, 3, out_rate=out_rate, **_ALL_OFF)
+    assert out.rate == out_rate
     body = out.samples[1000:-1000]
     spec = np.abs(np.fft.rfft(body * np.blackman(body.size)))
     freqs = np.fft.rfftfreq(body.size, 1.0 / out.rate)
@@ -430,8 +439,9 @@ def test_beat_decimated_matches_full_rate_in_band(n, n_samples):
     mu = SampledWaveform(
         sum(0.02 * np.cos(2 * np.pi * (n * 1e9 + df) * t) for df in offsets), rate
     )
-    full = subband_beat(mu, n, combs, link, 3, **_ALL_OFF)
-    dec = subband_beat(mu, n, combs, link, 3, out_rate=9.6e9, **_ALL_OFF)
+    spectrum = beat_spectrum(mu)
+    full = subband_beat(spectrum, n, combs, link, 3, out_rate=rate, **_ALL_OFF)
+    dec = subband_beat(spectrum, n, combs, link, 3, out_rate=9.6e9, **_ALL_OFF)
     assert 9.6e9 <= dec.rate < 9.7e9
     assert dec.n / dec.rate == pytest.approx(full.n / full.rate, rel=1e-12)
     folded = np.abs(offsets)
@@ -449,17 +459,21 @@ def test_beat_thermal_noise_variance_at_output_rate():
 
     combs = make_combs()
     link = quiet_link(thermal_noise_density=4.4e-11, tia_sat_dbm=100.0)
-    mu = SampledWaveform(np.zeros(1_600_000), 32e9)
-    out = subband_beat(mu, 1, combs, link, 9, out_rate=9.6e9, **_ALL_OFF)
+    spectrum = beat_spectrum(SampledWaveform(np.zeros(1_600_000), 32e9))
+    out = subband_beat(spectrum, 1, combs, link, 9, out_rate=9.6e9, **_ALL_OFF)
     assert out.rate == 9.6e9 and out.n == 480_000
     taps = fir_lowpass(link.pd_bandwidth, out.rate)
     want = link.thermal_noise_density**2 * out.rate / 2.0 * np.sum(taps**2)
     assert np.var(out.samples) == pytest.approx(want, rel=0.03)
 
 
-def test_beat_rejects_output_rate_above_input():
-    with pytest.raises(SignalError):
-        subband_beat(_mu_tone(1e9), 1, make_combs(), quiet_link(), 1, out_rate=64e9)
+@pytest.mark.parametrize("out_rate", [64e9, 0.0, -9.6e9, np.nan])
+def test_beat_rejects_output_rate_above_input(out_rate):
+    # out_rate has no default, and the guard takes only a rate in
+    # (0, the 32 GSa/s modulation rate]
+    spectrum = beat_spectrum(_mu_tone(1e9))
+    with pytest.raises(SignalError, match="output rate"):
+        subband_beat(spectrum, 1, make_combs(), quiet_link(), 1, out_rate=out_rate)
 
 
 # ------------------------------------------------- paired transform, inverse
@@ -480,8 +494,9 @@ def test_beat_leak_matches_direct_detection_oracle(n, n_samples, dtype, rng):
     combs = make_combs()
     mu = SampledWaveform((0.3 * rng.standard_normal(n_samples)).astype(dtype), 32e9)
     link = quiet_link(cmrr_db=-20.0)  # a leak about as loud as the beat
-    leaky = subband_beat(mu, n, combs, link, 3, out_rate=9.6e9, **_ALL_OFF)
-    clean = subband_beat(mu, n, combs, quiet_link(), 3, out_rate=9.6e9, **_ALL_OFF)
+    spectrum = beat_spectrum(mu)
+    leaky = subband_beat(spectrum, n, combs, link, 3, out_rate=9.6e9, **_ALL_OFF)
+    clean = subband_beat(spectrum, n, combs, quiet_link(), 3, out_rate=9.6e9, **_ALL_OFF)
     n_out = leaky.n
     mu64 = mu.samples.astype(np.float64)
     half = np.fft.rfft(mu64**2)[: n_out // 2 + 1]
@@ -496,7 +511,7 @@ def test_beat_leak_matches_direct_detection_oracle(n, n_samples, dtype, rng):
 
 
 @pytest.mark.parametrize("cmrr_db", [np.inf, 35.0])
-@pytest.mark.parametrize("out_rate", [None, 9.6e9])
+@pytest.mark.parametrize("out_rate", [None, 9.6e9])  # None: the 32 GSa/s input rate
 @pytest.mark.parametrize("n", [1, 14])
 def test_beat_real_inverse_matches_complex_inverse(n, out_rate, cmrr_db, rng):
     # a band on the bin grid with a zero phase track takes the real
@@ -507,8 +522,10 @@ def test_beat_real_inverse_matches_complex_inverse(n, out_rate, cmrr_db, rng):
     drifting = make_combs(drift=1e-4)
     theta = _differential_phase(n, drifting, mu.n, mu.rate, seed=3)
     assert 0.0 < np.max(np.abs(theta)) < 1e-9
-    real = subband_beat(mu, n, make_combs(), link, 3, out_rate=out_rate, **_ALL_OFF)
-    cplx = subband_beat(mu, n, drifting, link, 3, out_rate=out_rate, **_ALL_OFF)
+    out_rate = out_rate or mu.rate
+    spectrum = beat_spectrum(mu)
+    real = subband_beat(spectrum, n, make_combs(), link, 3, out_rate=out_rate, **_ALL_OFF)
+    cplx = subband_beat(spectrum, n, drifting, link, 3, out_rate=out_rate, **_ALL_OFF)
     # exp(j theta) moves the output by at most max|theta| of its peak
     peak = np.max(np.abs(real.samples))
     assert np.max(np.abs(real.samples - cplx.samples)) <= 1e-9 * peak
@@ -519,9 +536,10 @@ def test_beat_real_inverse_matches_complex_inverse(n, out_rate, cmrr_db, rng):
 @pytest.mark.parametrize("cmrr_db", [35.0, np.inf])
 @pytest.mark.parametrize("n", [1, 10])
 def test_beat_from_shared_spectrum_is_bit_identical(n, cmrr_db, drift, dtype, rng):
-    # a channelized run takes the burst's spectrum once and every sub-band
-    # reads its bins from it; that must be the beat of the record itself,
-    # noise, photodiode filter and TIA included
+    # a run takes its record's spectrum once and every sub-band reads its
+    # bins from it: a sub-band read after another must be bit-identical to
+    # the same sub-band read from a fresh spectrum, noise, photodiode filter
+    # and TIA included
     mu = SampledWaveform((0.3 * rng.standard_normal(65536)).astype(dtype), 32e9)
     combs = make_combs(drift=drift)
     link = LinkConfig(cmrr_db=cmrr_db)
@@ -531,8 +549,10 @@ def test_beat_from_shared_spectrum_is_bit_identical(n, cmrr_db, drift, dtype, rn
     with pytest.raises(ValueError):
         spectrum.samples[0] = 0.0
     assert np.any(_differential_phase(n, combs, 100, mu.rate, 3)) == (drift != 0.0)
-    for out_rate in (None, 9.6e9):
-        want = subband_beat(mu, n, combs, link, 3, out_rate=out_rate)
+    other = 14 if n == 1 else 1
+    for out_rate in (32e9, 9.6e9):
+        want = subband_beat(beat_spectrum(mu), n, combs, link, 3, out_rate=out_rate)
+        subband_beat(spectrum, other, combs, link, 3, out_rate=out_rate)
         got = subband_beat(spectrum, n, combs, link, 3, out_rate=out_rate)
         assert got.rate == want.rate
         assert np.array_equal(got.samples, want.samples)

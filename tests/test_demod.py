@@ -3,11 +3,10 @@ import pytest
 import scipy.fft as sfft
 from scipy import signal as sps_mod
 
-from combadc.adc import AdcConfig, SubbandCapture
 from combadc.demod import DemodConfig, demod_pam4, ffe_lms, symbol_budget, wiener_ffe
 from combadc.errors import EqualizerError, SignalError
 from combadc.frontend import gen_pam4_symbols
-from combadc.waveform import apply_fir, rrc_taps, time_vector
+from combadc.waveform import SampledWaveform, apply_fir, rrc_taps, time_vector
 
 RATE = 2.4e9
 BAUD = 800e6
@@ -17,8 +16,8 @@ N_SYM = 1638
 
 
 def _ssb_capture(sym, noise_rms=0.0, seed=5, droop_a=None):
-    """Shaped PAM4 on a 40 MHz offset carrier, the way a folded sub-band
-    carries it: single-sideband, data in the in-phase rail."""
+    """Captured waveform of shaped PAM4 on a 40 MHz offset carrier, the way
+    a folded sub-band carries it: single-sideband, data in the in-phase rail."""
     train = np.zeros(sym.size * SPS_IN)
     train[::SPS_IN] = sym
     m = apply_fir(train, rrc_taps(0.1, SPS_IN, 16))
@@ -28,14 +27,7 @@ def _ssb_capture(sym, noise_rms=0.0, seed=5, droop_a=None):
         x = sps_mod.filtfilt([1.0 - droop_a], [1.0, -droop_a], x)
     if noise_rms > 0.0:
         x = x + np.random.default_rng(seed).normal(0.0, noise_rms, x.size)
-    cfg = AdcConfig(bits=14, rate=RATE, full_scale=1.0, aa_cutoff=None, ac_couple_hz=None)
-    return SubbandCapture(
-        codes=None,
-        cfg=cfg,
-        subband_index=1,
-        full_scale_used=1.0,
-        analog=x,
-    )
+    return SampledWaveform(x, RATE)
 
 
 def _cfg(**kw):
@@ -274,14 +266,7 @@ def test_ffe_recovers_rolled_off_channel():
 
 def test_demod_rate_must_fit_baud():
     sym = gen_pam4_symbols(200, seed=1)
-    cap = _ssb_capture(sym[:200], 0.0)
-    bad = SubbandCapture(
-        codes=None,
-        cfg=AdcConfig(bits=14, rate=2.0e9, full_scale=1.0, aa_cutoff=None, ac_couple_hz=None),
-        subband_index=1,
-        full_scale_used=1.0,
-        analog=cap.analog[:4000],
-    )
+    bad = SampledWaveform(_ssb_capture(sym[:200], 0.0).samples[:4000], 2.0e9)
     with pytest.raises(SignalError, match="integer multiple"):
         demod_pam4(bad, _cfg(), sym)
 

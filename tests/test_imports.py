@@ -109,3 +109,12 @@ def test_runs_never_load_heavy_scipy_modules(tmp_path):
     loaded = set(done.stdout.split())
     assert "combadc.demod" in loaded
     assert HEAVY & loaded == set()
+
+
+def test_metrics_and_demod_read_a_waveform_not_a_capture():
+    """Each stage takes one input type: the scoring stages read only a
+    waveform, so they import nothing from the ADC's module."""
+    for name in ("metrics.py", "demod.py"):
+        tree = ast.parse((ROOT / "src" / "combadc" / name).read_text())
+        sources = {n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)}
+        assert not sources & {"adc", "combadc.adc"}, name

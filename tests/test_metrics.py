@@ -59,7 +59,7 @@ def test_metrics_gain_invariant():
 def test_metrics_accepts_quantized_capture():
     f = 2561 * RBW
     cap = tone_capture(f)
-    rep = sine_metrics(cap, f)
+    rep = sine_metrics(cap.to_waveform(), f)
     assert rep.sinad_db == pytest.approx(6.02 * 14 + 1.76, abs=1.0)
 
 
@@ -135,7 +135,7 @@ def _fit_figures(y, rate, f_start, full_scale_range):
 def test_sine_fit_oracle_on_quantized_tone():
     f = 2561 * RBW
     cap = tone_capture(f, amplitude=0.999, n=N_FFT * 4, bits=8)
-    rep = sine_metrics(cap, f, include_notch=True)
+    rep = sine_metrics(cap.to_waveform(), f, include_notch=True)
     freq, sinad, enob = _fit_figures(cap.values(), RATE, f + 0.05 * RBW, 2.0)
     assert freq == pytest.approx(f, abs=1e-6 * RBW)
     assert rep.sinad_db == pytest.approx(sinad, abs=0.02)

@@ -8,7 +8,7 @@ cases pin the float32 side and how far single precision moves a result.
 import numpy as np
 import pytest
 
-from combadc.comb import LinkConfig, mzm_field, subband_beat
+from combadc.comb import LinkConfig, beat_spectrum, mzm_field, subband_beat
 from combadc.frontend import DacConfig, dac_model, sine_waveform
 from combadc.waveform import SampledWaveform, apply_fir, fir_lowpass
 
@@ -76,14 +76,16 @@ def test_mzm_field_keeps_float32(rng):
     np.testing.assert_allclose(mu32, mu64, atol=1e-7)
 
 
-@pytest.mark.parametrize("out_rate", [None, 9.6e9])
+@pytest.mark.parametrize("out_rate", [None, 9.6e9])  # None: the 32 GSa/s input rate
 def test_beat_of_float32_field_is_float64_and_matches(out_rate):
+    out_rate = out_rate or RATE
     x = sine_waveform(5.25e9, 0.2, 65536 / RATE, RATE).samples
     mu32 = mzm_field(SampledWaveform(_f32(x), RATE), 0.3)
     mu64 = SampledWaveform(mu32.samples.astype(np.float64), RATE)
     combs = make_combs()
-    i32 = subband_beat(mu32, 5, combs, LinkConfig(), 7, out_rate=out_rate).samples
-    i64 = subband_beat(mu64, 5, combs, LinkConfig(), 7, out_rate=out_rate).samples
+    link = LinkConfig()
+    i32 = subband_beat(beat_spectrum(mu32), 5, combs, link, 7, out_rate=out_rate).samples
+    i64 = subband_beat(beat_spectrum(mu64), 5, combs, link, 7, out_rate=out_rate).samples
     assert i32.dtype == np.float64
     # the float32 transforms' rounding stays 120 dB under the current's peak
     np.testing.assert_allclose(i32, i64, atol=1e-6 * np.max(np.abs(i64)))

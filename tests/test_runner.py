@@ -25,6 +25,20 @@ def _read(path):
         return fh.read()
 
 
+def _beat_subbands(monkeypatch):
+    """The sub-band of every beat the runner takes, in call order; with
+    jobs=1 the last one is the sub-band of the task at hand."""
+    subbands = []
+    real = runner.subband_beat
+
+    def tracked(mu, n, *args, **kwargs):
+        subbands.append(n)
+        return real(mu, n, *args, **kwargs)
+
+    monkeypatch.setattr(runner, "subband_beat", tracked)
+    return subbands
+
+
 # ------------------------------------------------------------ tone placement
 
 
@@ -164,11 +178,12 @@ def test_failed_task_is_recorded_not_fatal(tmp_path, monkeypatch):
     import combadc.runner as runner_mod
 
     real = runner_mod.demod_pam4
+    subbands = _beat_subbands(monkeypatch)
 
-    def sabotaged(cap, dcfg, tx):
-        if cap.subband_index == 3:
+    def sabotaged(wave, dcfg, tx):
+        if subbands[-1] == 3:
             raise EqualizerError("forced failure for the test")
-        return real(cap, dcfg, tx)
+        return real(wave, dcfg, tx)
 
     monkeypatch.setattr(runner_mod, "demod_pam4", sabotaged)
     man = run_scm(load_config(""), str(tmp_path), jobs=1, channels=[1, 3])
@@ -184,7 +199,7 @@ def test_failed_task_is_recorded_not_fatal(tmp_path, monkeypatch):
 def test_spectrum_failure_still_writes_manifest(tmp_path, monkeypatch):
     import combadc.runner as runner_mod
 
-    def always_fails(x, n, cfg, seed, **kwargs):
+    def always_fails(x, cfg, seed, **kwargs):
         raise SignalError("forced failure for the test")
 
     monkeypatch.setattr(runner_mod, "adc_capture", always_fails)
@@ -199,7 +214,7 @@ def test_spectrum_run_does_not_demodulate(tmp_path, monkeypatch):
     cfg = load_config("")
     run_scm(cfg, str(tmp_path / "scm"), channels=[5])
 
-    def diverges(cap, dcfg, tx):
+    def diverges(wave, dcfg, tx):
         raise EqualizerError("LMS diverged")
 
     monkeypatch.setattr(runner_mod, "demod_pam4", diverges)
@@ -216,11 +231,12 @@ def test_unexpected_sweep_error_is_recorded_not_fatal(tmp_path, monkeypatch):
     import combadc.runner as runner_mod
 
     real = runner_mod.sine_metrics
+    subbands = _beat_subbands(monkeypatch)
 
-    def singular(cap, f_folded, **kwargs):
-        if cap.subband_index == 4:
+    def singular(wave, f_folded, **kwargs):
+        if subbands[-1] == 4:
             raise np.linalg.LinAlgError("Singular matrix")
-        return real(cap, f_folded, **kwargs)
+        return real(wave, f_folded, **kwargs)
 
     monkeypatch.setattr(runner_mod, "sine_metrics", singular)
     man = run_sweep(load_config(FAST_SWEEP), str(tmp_path), jobs=1)
@@ -239,11 +255,12 @@ def test_unexpected_channel_error_is_recorded_not_fatal(tmp_path, monkeypatch):
     import combadc.runner as runner_mod
 
     real = runner_mod.demod_pam4
+    subbands = _beat_subbands(monkeypatch)
 
-    def broken(cap, dcfg, tx):
-        if cap.subband_index == 3:
+    def broken(wave, dcfg, tx):
+        if subbands[-1] == 3:
             raise ZeroDivisionError()
-        return real(cap, dcfg, tx)
+        return real(wave, dcfg, tx)
 
     monkeypatch.setattr(runner_mod, "demod_pam4", broken)
     man = run_scm(load_config(""), str(tmp_path), jobs=1, channels=[1, 3])

@@ -371,7 +371,7 @@ def _configs(draw):
         ),
         jitter_rms=draw(st.floats(0.0, 1e-12, **_FINITE)),
         aa_cutoff=draw(st.one_of(st.none(), st.floats(0.5e9, 1.2e9, **_FINITE))),
-        ac_couple_hz=draw(st.one_of(st.none(), st.floats(1e3, 50e6, **_FINITE))),
+        ac_couple=draw(st.one_of(st.none(), st.floats(1e3, 50e6, **_FINITE))),
     )
     flags = {f.name: draw(st.booleans()) for f in dataclasses.fields(ImpairmentFlags)}
     metrics = dataclasses.replace(

@@ -26,7 +26,8 @@ MIN_OVERSAMPLING = 4.0
 
 @dataclass
 class AdcConfig:
-    bits: int = 14
+    # None: no quantizer, the capture holds its clipped analog samples
+    bits: int | None = 14
     rate: float = 2.4e9
     # "auto" scales full range to each capture's peak, as the default
     # scenario does; a number pins an absolute full scale instead
@@ -36,7 +37,7 @@ class AdcConfig:
     ac_couple: float | None = 10e6
 
     def __post_init__(self):
-        if not 1 <= self.bits <= 24:
+        if self.bits is not None and not 1 <= self.bits <= 24:
             raise SignalError("ADC resolution must be between 1 and 24 bits")
         if self.rate <= 0:
             raise SignalError("sample rate must be positive")
@@ -62,10 +63,9 @@ class SubbandCapture:
     """Digitized record of one sub-band.
 
     ``codes`` holds integer samples when quantization ran; otherwise
-    ``analog`` holds the continuous-valued samples (used by tests that
-    isolate non-quantization effects). ``full_scale_used`` is the realized
-    full scale (resolved from "auto" if needed) so dequantization is
-    self-contained.
+    (``cfg.bits`` None) ``analog`` holds the continuous-valued samples.
+    ``full_scale_used`` is the realized full scale (resolved from "auto"
+    if needed) so dequantization is self-contained.
     """
 
     codes: np.ndarray | None
@@ -158,15 +158,14 @@ def adc_capture(
     x: SampledWaveform,
     cfg: AdcConfig,
     seed: int,
-    *,
-    quantize: bool = True,
 ) -> SubbandCapture:
     """Digitize an oversampled analog sub-band waveform.
 
     Pipeline: AC-couple, anti-alias filter (both at the input rate),
-    interpolate at the jittered sampling instants, clip, quantize. The
-    capture holds one sample per converter period of the record, so its
-    length does not depend on how far above 4x the input is oversampled.
+    interpolate at the jittered sampling instants, clip, quantize (unless
+    ``cfg.bits`` is None). The capture holds one sample per converter
+    period of the record, so its length does not depend on how far above
+    4x the input is oversampled.
     """
     if x.rate < MIN_OVERSAMPLING * cfg.rate:
         raise SignalError(
@@ -197,7 +196,7 @@ def adc_capture(
     else:
         fs = float(cfg.full_scale)
 
-    if quantize:
+    if cfg.bits is not None:
         return SubbandCapture(
             codes=quantize_midrise(sampled, cfg.bits, fs, clip=True),
             cfg=cfg,

@@ -127,10 +127,12 @@ class LinkConfig:
     lo_power_per_tone_dbm: float = -4.0  # 8 dBm comb minus 12 dB attenuation
     osnr_db: float = 55.0
     pd_bandwidth: float = 1.2e9
-    tia_sat_dbm: float = -13.0
+    tia_sat_dbm: float = -13.0  # inf: a linear transimpedance stage
     cmrr_db: float = 35.0
     responsivity: float = 0.8
     thermal_noise_density: float = 4.4e-11  # A/sqrt(Hz), calibrated
+    # photocurrent shot noise, which has no level of its own to zero
+    shot: bool = True
     # post-DAC attenuation applied only in the sine-test path, dB. Keeps
     # the DAC itself fully exercised while the modulator sees a small
     # drive; calibrated so sine and multi-channel runs share one link.
@@ -147,16 +149,16 @@ class LinkConfig:
             raise ConfigError("thermal noise density must be non-negative")
         # past 300 dB a level's power ratio, and the products of them the
         # beat forms, overflow or vanish: a typo, not a level. inf is how
-        # the two noise ratios drop their term; no other level has an off
-        # value, and an infinite one leaves every beat non-finite (or, as
-        # the sine backoff, silent).
+        # the two noise ratios and the TIA saturation drop their term; no
+        # other level has an off value, and an infinite one leaves every
+        # beat non-finite (or, as the sine backoff, silent).
+        switched = (self.osnr_db, self.cmrr_db, self.tia_sat_dbm)
         levels = [self.sig_power_per_ch_dbm, self.lo_power_per_tone_dbm]
-        levels += [self.tia_sat_dbm, self.sine_backoff_db]
-        levels += [db for db in (self.osnr_db, self.cmrr_db) if db != np.inf]
+        levels += [self.sine_backoff_db] + [db for db in switched if db != np.inf]
         if not all(-300.0 <= db <= 300.0 for db in levels):
             raise ConfigError(
-                "dB and dBm levels must lie within -300..300; only osnr_db "
-                "and cmrr_db may be inf"
+                "dB and dBm levels must lie within -300..300; only osnr_db, "
+                "cmrr_db and tia_sat_dbm may be inf"
             )
 
 
@@ -339,8 +341,6 @@ def subband_beat(
     seed: int,
     *,
     out_rate: float,
-    shot: bool = True,
-    tia_saturation: bool = True,
 ) -> SampledWaveform:
     """Balanced photocurrent of sub-band n, at ``out_rate`` or above.
 
@@ -353,9 +353,9 @@ def subband_beat(
 
     Each link term is off when its own value says so: an infinite
     ``link.cmrr_db`` drops the leak, an infinite ``link.osnr_db`` the ASE
-    beat, and a zero ``link.thermal_noise_density`` the thermal current.
-    Only ``shot`` and ``tia_saturation`` have no such value and keep a
-    keyword switch.
+    beat, a zero ``link.thermal_noise_density`` the thermal current, an
+    infinite ``link.tia_sat_dbm`` the saturation, and ``link.shot`` off
+    the shot noise.
 
     The down-conversion is exact band selection in the frequency domain:
     the output keeps the spectrum within half its rate of the sub-band
@@ -430,7 +430,7 @@ def subband_beat(
         i = i + white_noise(
             n_out, rate_out, link.thermal_noise_density, derive_rng(seed, "thermal")
         )
-    if shot:
+    if link.shot:
         dens = np.sqrt(4.0 * _ELEMENTARY_CHARGE * r * (p_lo + p_ch))
         i = i + white_noise(n_out, rate_out, dens, derive_rng(seed, "shot"))
     if np.isfinite(link.osnr_db):
@@ -440,7 +440,7 @@ def subband_beat(
 
     i = apply_fir(i, fir_lowpass(link.pd_bandwidth, rate_out))
 
-    if tia_saturation:
+    if np.isfinite(link.tia_sat_dbm):
         sat = 2.0 * r * np.sqrt(p_lo * dbm_to_watts(link.tia_sat_dbm))
         i = sat * np.tanh(i / sat)
     return SampledWaveform(i, rate_out)

@@ -130,7 +130,10 @@ _LPF_TRANSITION = 0.08
 class DacConfig:
     """The coarse DAC; its full scale is +-1, and levels are fractions of it."""
 
-    bits: int = 6
+    # None: no quantizer, the DAC passes its input through unrounded
+    bits: int | None = 6
+    # saturate at full scale; off, the DAC has ideal headroom
+    clip: bool = True
     rate: float = 32e9
     lpf_cutoff: float | None = 11e9
     # total added white noise, dB relative to a full-scale sine, integrated
@@ -140,7 +143,7 @@ class DacConfig:
     residual_noise_db: float | None = -34.0
 
     def __post_init__(self):
-        if self.bits < 1:
+        if self.bits is not None and self.bits < 1:
             raise SignalError("DAC needs at least 1 bit")
         if self.lpf_cutoff is not None:
             lowpass_band(self.lpf_cutoff, self.rate, _LPF_TRANSITION * self.lpf_cutoff)
@@ -339,8 +342,6 @@ def dac_model(
     cfg: DacConfig,
     seed,
     *,
-    quantize: bool = True,
-    clip: bool = True,
     electrical_rolloff_db: float = 0.0,
 ) -> SampledWaveform:
     """Convert an ideal waveform into what the coarse DAC actually emits,
@@ -349,10 +350,10 @@ def dac_model(
     Stage order: clip, quantize, add the residual-noise calibration term,
     then one FIR that is the reconstruction low-pass convolved with the
     ``electrical_rolloff_db`` spectral tilt of the cabling and connectors.
-    ``quantize`` and ``clip`` isolate the first two stages;
-    ``cfg.residual_noise_db = None``, ``cfg.lpf_cutoff = None`` and a zero
-    roll-off drop the others. With all of them off this is the identity.
-    The output has the dtype of ``x.samples``.
+    ``cfg.clip = False``, ``cfg.bits = None``, ``cfg.residual_noise_db =
+    None``, ``cfg.lpf_cutoff = None`` and a zero roll-off drop one stage
+    each. With all of them off this is the identity. The output has the
+    dtype of ``x.samples``.
     """
     if abs(x.rate - cfg.rate) > 1e-6 * cfg.rate:
         raise SignalError(
@@ -360,11 +361,11 @@ def dac_model(
         )
     dtype = x.samples.dtype
     y = x.samples
-    if clip:
+    if cfg.clip:
         y = np.clip(y, -1.0, 1.0)
-    if quantize:
+    if cfg.bits is not None:
         y = dequantize_midrise(
-            quantize_midrise(y, cfg.bits, 1.0, clip=clip), cfg.bits, 1.0
+            quantize_midrise(y, cfg.bits, 1.0, clip=cfg.clip), cfg.bits, 1.0
         )
     if cfg.residual_noise_db is not None:
         rng = np.random.default_rng(seed)

@@ -15,7 +15,7 @@ import numpy as np
 from .errors import MeasurementError, SignalError
 from .waveform import SampledWaveform, periodogram, resample_waveform
 
-__all__ = ["MetricsReport", "check_analysis_grid", "sine_metrics"]
+__all__ = ["MetricsReport", "check_analysis_grid", "fold_bins", "sine_metrics"]
 
 ANALYSIS_RATE = 1e9
 
@@ -38,6 +38,15 @@ class MetricsReport:
     fundamental_hz: float
 
 
+def fold_bins(n_fft: int) -> tuple[float, int, int]:
+    """The ``n_fft``-point analysis grid's bin spacing in Hz, and its first
+    and last bin inside ``FOLD_WINDOW_HZ`` (the last below the first when
+    no bin falls inside)."""
+    grid = ANALYSIS_RATE / n_fft
+    lo, hi = FOLD_WINDOW_HZ
+    return grid, int(np.ceil(lo / grid)), int(np.floor(hi / grid))
+
+
 def check_analysis_grid(n_fft: int) -> None:
     """Raise SignalError when ``n_fft`` analysis bins cannot score a folded tone.
 
@@ -45,9 +54,9 @@ def check_analysis_grid(n_fft: int) -> None:
     needs analysis-band bins left once the fundamental's peak and
     ``GUARD_BINS`` on each side of it are taken out.
     """
-    grid = ANALYSIS_RATE / n_fft
-    lo, hi = FOLD_WINDOW_HZ
-    if np.ceil(lo / grid) > np.floor(hi / grid):
+    grid, bin_lo, bin_hi = fold_bins(n_fft)
+    if bin_lo > bin_hi:
+        lo, hi = FOLD_WINDOW_HZ
         raise SignalError(
             f"the {n_fft}-point, {grid / 1e6:g} MHz analysis grid has no bin "
             f"inside the {lo / 1e6:g}-{hi / 1e6:g} MHz fold window"

@@ -38,7 +38,7 @@ from .comb import BeatSpectrum, ScenarioCombs, beat_spectrum, mzm_field, subband
 from .demod import demod_pam4
 from .errors import CombAdcError, ConfigError
 from .frontend import dac_model, gen_pam4_symbols, scm_waveform, sine_waveform
-from .metrics import ANALYSIS_RATE, FOLD_WINDOW_HZ, sine_metrics
+from .metrics import ANALYSIS_RATE, FOLD_WINDOW_HZ, fold_bins, sine_metrics
 from .scenario import ScenarioConfig, build_demod, dump_config, validate_scenario
 from .seeding import derive_seed_sequence
 from .units import db_to_amplitude_ratio
@@ -131,9 +131,7 @@ def snap_sweep_frequency(
     if cfg.sweep.snap:
         # clamp on the grid-aligned window so rounding cannot push the
         # tone back past either edge
-        grid = ANALYSIS_RATE / cfg.metrics.n_fft
-        bin_lo = int(np.ceil(fold_lo / grid))
-        bin_hi = int(np.floor(fold_hi / grid))
+        grid, bin_lo, bin_hi = fold_bins(cfg.metrics.n_fft)
         folded = int(np.clip(round(folded / grid), bin_lo, bin_hi)) * grid
     return n * delta_f + side * folded, n, folded
 
@@ -149,13 +147,10 @@ def _front_end(
     traffic. Every stage keeps its input's dtype, and the beat returns
     to float64 at the sub-band rate.
     """
-    imp = cfg.impairments
     y = dac_model(
         SampledWaveform(x.samples.astype(np.float32), x.rate),
         cfg.dac,
         dac_seed,
-        quantize=imp.dac_quantization,
-        clip=imp.dac_clip,
         electrical_rolloff_db=cfg.run.electrical_rolloff_db,
     )
     # drive conditioner: filters may overshoot a little past full scale
@@ -172,18 +167,9 @@ def _capture_subband(
     adc_seed: int,
 ) -> SubbandCapture:
     """Sub-band ``n`` of a record's beat spectrum through the beat and the ADC."""
-    imp = cfg.impairments
-    current = subband_beat(
-        spectrum,
-        n,
-        combs,
-        cfg.link,
-        beat_seed,
-        out_rate=MIN_OVERSAMPLING * cfg.adc.rate,
-        shot=imp.shot,
-        tia_saturation=imp.tia_saturation,
-    )
-    return adc_capture(current, cfg.adc, adc_seed, quantize=imp.adc_quantization)
+    out_rate = MIN_OVERSAMPLING * cfg.adc.rate
+    current = subband_beat(spectrum, n, combs, cfg.link, beat_seed, out_rate=out_rate)
+    return adc_capture(current, cfg.adc, adc_seed)
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,6 @@ from .waveform import lowpass_band, resample_plan, spectral_tilt_taps
 
 __all__ = [
     "CombsSection",
-    "ImpairmentFlags",
     "MetricsSection",
     "RunSection",
     "ScenarioConfig",
@@ -92,24 +91,6 @@ class CombsSection:
 
 
 @dataclass
-class ImpairmentFlags:
-    """Switches for the terms no physical key can turn off.
-
-    Every other noise term is switched off through its own value:
-    ``link.thermal_noise_density = 0``, ``link.osnr_db = inf``,
-    ``link.cmrr_db = inf``, ``combs.drive_linewidth = 0``,
-    ``combs.differential_drift = 0``, ``adc.jitter_rms = 0`` and
-    ``dac.residual_noise_db = off``.
-    """
-
-    shot: bool = True
-    tia_saturation: bool = True
-    dac_quantization: bool = True
-    dac_clip: bool = True
-    adc_quantization: bool = True
-
-
-@dataclass
 class MetricsSection:
     n_fft: int = 16384
     n_avg: int = 4
@@ -134,7 +115,6 @@ class ScenarioConfig:
     adc: AdcConfig = field(default_factory=lambda: AdcConfig(jitter_rms=50e-15))
     demod: DemodConfig = field(default_factory=DemodConfig)
     metrics: MetricsSection = field(default_factory=MetricsSection)
-    impairments: ImpairmentFlags = field(default_factory=ImpairmentFlags)
 
     @property
     def bandwidth(self) -> float:
@@ -198,14 +178,16 @@ def _p_bool(tok: str):
     raise ValueError(f"expected on/off, got {tok!r}")
 
 
-def _p_float_or_off(tok: str):
-    if tok.strip().lower() == "off":
-        return None
-    return _number(tok)
+def _p_or_off(parse):
+    # None, spelled off, drops the term the key sets
+    def parse_or_off(tok: str):
+        return None if tok.strip().lower() == "off" else parse(tok)
+
+    return parse_or_off
 
 
 def _p_db_or_inf(tok: str):
-    # an infinite ratio is how a link term is switched off
+    # an infinite ratio or level is how a link term is switched off
     if tok.strip().lower() in ("inf", "off"):
         return float("inf")
     return _number(tok)
@@ -255,12 +237,15 @@ _SPELLINGS = {
     "combs.source": _p_choice("flat", "cascade"),
     "demod.equalizer": _p_choice("lms", "wiener", "none"),
     "metrics.window": _p_choice("auto", "rectangular", "blackman-harris-4term"),
-    "dac.lpf_cutoff": _p_float_or_off,
-    "dac.residual_noise_db": _p_float_or_off,
-    "adc.aa_cutoff": _p_float_or_off,
-    "adc.ac_couple": _p_float_or_off,
+    "dac.bits": _p_or_off(_p_int),
+    "dac.lpf_cutoff": _p_or_off(_number),
+    "dac.residual_noise_db": _p_or_off(_number),
+    "adc.bits": _p_or_off(_p_int),
+    "adc.aa_cutoff": _p_or_off(_number),
+    "adc.ac_couple": _p_or_off(_number),
     "link.osnr_db": _p_db_or_inf,
     "link.cmrr_db": _p_db_or_inf,
+    "link.tia_sat_dbm": _p_db_or_inf,
     "adc.full_scale": _p_float_or_auto,
     "scm.active_channels": _p_channels,
 }
@@ -404,13 +389,21 @@ _MAX_RECORD_SAMPLES = 2**24
 
 def validate_scenario(cfg: ScenarioConfig) -> ScenarioCombs:
     """Cross-section consistency checks; returns the validated comb pair."""
+    # a NaN slips past every check for a bad value (x < 0), and its dump
+    # does not load again
+    for key, (section, attr, _) in _KEYS.items():
+        value = getattr(getattr(cfg, section), attr)
+        nan = isinstance(value, float) and np.isnan(value)
+        _rule("not-a-number", not nan, f"{key} is NaN")
     _rule(
         "seed-range",
         0 <= cfg.run.master_seed < 2**32,
         f"run.master_seed = {cfg.run.master_seed} not in 0..2**32-1",
     )
-    _rule("bits-range", 1 <= cfg.adc.bits <= 24, f"adc.bits = {cfg.adc.bits} not in 1..24")
-    _rule("bits-range", 1 <= cfg.dac.bits <= 16, f"dac.bits = {cfg.dac.bits} not in 1..16")
+    for name, top in (("adc", 24), ("dac", 16)):
+        bits = getattr(cfg, name).bits  # None: the converter does not quantize
+        in_range = bits is None or 1 <= bits <= top
+        _rule("bits-range", in_range, f"{name}.bits = {bits} not in 1..{top}")
 
     # remaining section-local invariants (re-run the dataclass checks)
     for name in ("scm", "dac", "adc", "demod", "link", "metrics"):

@@ -9,6 +9,7 @@ import pytest
 
 from combadc.adc import AdcConfig, SubbandCapture
 from combadc.comb import LinkConfig, ScenarioCombs, flat_comb
+from combadc.frontend import quantize_midrise
 from combadc.waveform import time_vector
 
 
@@ -35,12 +36,14 @@ def make_combs(
 
 def quiet_link(**overrides) -> LinkConfig:
     """Link with its noise terms off: no ASE beat, no CMRR leak, no thermal
-    current. Tests switch a term back on by overriding its value; shot
-    noise and TIA saturation are keyword switches of ``subband_beat``."""
+    current, no shot noise and no TIA saturation. Tests switch a term back
+    on by overriding its value."""
     base = dict(
         osnr_db=np.inf,
         cmrr_db=np.inf,
         thermal_noise_density=0.0,
+        shot=False,
+        tia_sat_dbm=np.inf,
     )
     base.update(overrides)
     return LinkConfig(**base)
@@ -61,13 +64,9 @@ def tone_capture(
     x = amplitude * np.cos(2.0 * np.pi * freq * t)
     if noise_rms > 0.0:
         x = x + np.random.default_rng(seed).normal(0.0, noise_rms, n)
-    step = full_scale / 2 ** (bits - 1)
-    codes = np.clip(
-        np.floor(x / step), -(2 ** (bits - 1)), 2 ** (bits - 1) - 1
-    ).astype(np.int64)
     cfg = AdcConfig(bits=bits, rate=rate, full_scale=full_scale, aa_cutoff=None)
     return SubbandCapture(
-        codes=codes,
+        codes=quantize_midrise(x, bits, full_scale),
         cfg=cfg,
         full_scale_used=full_scale,
     )

@@ -42,7 +42,7 @@ def test_zero_input_zero_codes():
 
 def test_auto_full_scale_is_capture_peak():
     x = _tone_input(_bin_freq(2561), amp=0.37, n_out=4096)
-    cap = adc_capture(x, _law_cfg(full_scale="auto"), 0, quantize=False)
+    cap = adc_capture(x, _law_cfg(bits=None, full_scale="auto"), 0)
     assert cap.full_scale_used == pytest.approx(np.max(np.abs(cap.analog)))
     assert cap.full_scale_used == pytest.approx(0.37, rel=1e-4)
 
@@ -72,8 +72,8 @@ def test_jitter_law_400mhz():
     # sigma chosen so -20 log10(2 pi f sigma) = 40 dB at the test tone
     f = _bin_freq(6554)  # nearest grid line to 400 MHz
     sigma = 10 ** (-40.0 / 20.0) / (2.0 * np.pi * 400e6)
-    cfg = _law_cfg(jitter_rms=sigma)
-    cap = adc_capture(_tone_input(f, amp=0.99), cfg, seed=3, quantize=False)
+    cfg = _law_cfg(bits=None, jitter_rms=sigma)
+    cap = adc_capture(_tone_input(f, amp=0.99), cfg, seed=3)
     rep = sine_metrics(cap.to_waveform(), f)
     assert rep.sinad_db == pytest.approx(40.0, abs=1.0)
 

@@ -23,9 +23,6 @@ from combadc.waveform import SampledWaveform, periodogram, time_vector
 
 from conftest import flatness_db, make_combs, quiet_link
 
-# the beat's two keyword switches; quiet_link() silences the link terms
-_ALL_OFF = dict(shot=False, tia_saturation=False)
-
 
 # ----------------------------------------------------------------- comb gen
 
@@ -111,13 +108,14 @@ def test_scenario_combs_validation():
 
 
 @pytest.mark.parametrize(
-    "key", ["sig_power_per_ch_dbm", "lo_power_per_tone_dbm", "tia_sat_dbm", "sine_backoff_db"]
+    "key", ["sig_power_per_ch_dbm", "lo_power_per_tone_dbm", "sine_backoff_db"]
 )
 def test_only_the_noise_ratios_may_be_infinite(key):
-    # inf drops the ASE beat and the leak; any other infinite level would
-    # leave every beat non-finite, or the sweep tone silent
-    LinkConfig(osnr_db=np.inf, cmrr_db=np.inf)
-    with pytest.raises(ConfigError, match="only osnr_db and cmrr_db may be inf"):
+    # inf drops the ASE beat, the leak and (a level, not a ratio) the TIA
+    # saturation; any other infinite level would leave every beat
+    # non-finite, or the sweep tone silent
+    LinkConfig(osnr_db=np.inf, cmrr_db=np.inf, tia_sat_dbm=np.inf)
+    with pytest.raises(ConfigError, match="only osnr_db, cmrr_db and tia_sat_dbm"):
         LinkConfig(**{key: np.inf})
 
 
@@ -191,10 +189,10 @@ def test_beat_downconverts_to_folded_frequency():
     # content at 5.25 GHz seen by pair 5 lands at 250 MHz; 4.75 GHz folds
     # onto the same bin
     combs = make_combs()
-    link = quiet_link(tia_sat_dbm=100.0)
+    link = quiet_link()
     for f in (5.25e9, 4.75e9):
         spectrum = beat_spectrum(_mu_tone(f))
-        out = subband_beat(spectrum, 5, combs, link, 3, out_rate=32e9, **_ALL_OFF)
+        out = subband_beat(spectrum, 5, combs, link, 3, out_rate=32e9)
         spec = periodogram(out, n_fft=16384)
         peak_hz = spec.bin_freqs[np.argmax(spec.power_linear)]
         assert peak_hz == pytest.approx(250e6, abs=2 * spec.rbw)
@@ -203,10 +201,10 @@ def test_beat_downconverts_to_folded_frequency():
 def test_beat_gain_matches_link_budget():
     # heterodyne amplitude = 2 R sqrt(P_ch P_lo) a_sig a_lo for a unit tone
     combs = make_combs(tilt_db=2.0)
-    link = quiet_link(tia_sat_dbm=100.0)
+    link = quiet_link()
     n = 65536
     spectrum = beat_spectrum(_mu_tone(5.25e9, n=n, amp=0.05))
-    out = subband_beat(spectrum, 5, combs, link, 3, out_rate=32e9, **_ALL_OFF)
+    out = subband_beat(spectrum, 5, combs, link, 3, out_rate=32e9)
     a_sig = combs.signal_amps[4]
     want = (
         2.0
@@ -225,14 +223,9 @@ def test_beat_gain_matches_link_budget():
 
 def test_beat_linear_in_modulation():
     combs = make_combs()
-    link = quiet_link(tia_sat_dbm=100.0)
-    a, b = (
-        subband_beat(
-            beat_spectrum(_mu_tone(5.25e9, amp=amp)), 5, combs, link, 3,
-            out_rate=32e9, **_ALL_OFF,
-        )
-        for amp in (0.02, 0.06)
-    )
+    link = quiet_link()
+    spectra = (beat_spectrum(_mu_tone(5.25e9, amp=amp)) for amp in (0.02, 0.06))
+    a, b = (subband_beat(s, 5, combs, link, 3, out_rate=32e9) for s in spectra)
     assert np.allclose(b.samples, 3.0 * a.samples, atol=1e-12)
 
 
@@ -240,10 +233,10 @@ def test_beat_thermal_noise_variance():
     # with only thermal noise on and zero modulation, the output variance
     # equals the density law filtered by the photodiode response
     combs = make_combs()
-    link = quiet_link(thermal_noise_density=4.4e-11, tia_sat_dbm=100.0)
+    link = quiet_link(thermal_noise_density=4.4e-11)
     n = 400_000
     spectrum = beat_spectrum(SampledWaveform(np.zeros(n), 32e9))
-    out = subband_beat(spectrum, 1, combs, link, seed=9, out_rate=32e9, **_ALL_OFF)
+    out = subband_beat(spectrum, 1, combs, link, seed=9, out_rate=32e9)
     from combadc.waveform import fir_lowpass
 
     taps = fir_lowpass(link.pd_bandwidth, 32e9)
@@ -257,10 +250,7 @@ def test_beat_cmrr_leak_scales():
     n = 32768
     spectrum = beat_spectrum(_mu_tone(0.3e9, n=n, amp=0.2))
     base, leak35, leak29 = (
-        subband_beat(
-            spectrum, 1, combs, quiet_link(cmrr_db=cmrr_db, tia_sat_dbm=100.0), 3,
-            out_rate=32e9, **_ALL_OFF,
-        )
+        subband_beat(spectrum, 1, combs, quiet_link(cmrr_db=cmrr_db), 3, out_rate=32e9)
         for cmrr_db in (np.inf, 35.0, 29.0)
     )
     d35 = leak35.samples - base.samples
@@ -273,10 +263,8 @@ def test_beat_tia_soft_limit():
     combs = make_combs()
     # huge drive against a low saturation point: output pinned near the rail
     link = quiet_link(tia_sat_dbm=-60.0)
-    flags = dict(_ALL_OFF)
-    flags["tia_saturation"] = True
     spectrum = beat_spectrum(_mu_tone(1.25e9, amp=0.9))
-    out = subband_beat(spectrum, 1, combs, link, 3, out_rate=32e9, **flags)
+    out = subband_beat(spectrum, 1, combs, link, 3, out_rate=32e9)
     sat = 2.0 * link.responsivity * np.sqrt(
         dbm_to_watts(link.lo_power_per_tone_dbm) * dbm_to_watts(link.tia_sat_dbm)
     )
@@ -372,7 +360,7 @@ def _check_hilbert_mix_oracle(n_samples, n, phased, rng):
     link = quiet_link()
     rate = 32e9
     mu = SampledWaveform(0.05 * rng.standard_normal(n_samples), rate)
-    out = subband_beat(beat_spectrum(mu), n, combs, link, 3, out_rate=rate, **_ALL_OFF)
+    out = subband_beat(beat_spectrum(mu), n, combs, link, 3, out_rate=rate)
     t = time_vector(n_samples, rate)
     theta = combs.differential_phase_drift * t
     assert np.any(theta) == phased
@@ -410,7 +398,7 @@ def test_beat_subband_one_mirror_rejected(out_rate):
     n_in = 64000  # 0.5 MHz bins at 32 GSa/s and at 9.6 GSa/s
     out_rate = out_rate or 32e9
     spectrum = beat_spectrum(_mu_tone(0.7e9, n=n_in))
-    out = subband_beat(spectrum, 1, combs, link, 3, out_rate=out_rate, **_ALL_OFF)
+    out = subband_beat(spectrum, 1, combs, link, 3, out_rate=out_rate)
     assert out.rate == out_rate
     body = out.samples[1000:-1000]
     spec = np.abs(np.fft.rfft(body * np.blackman(body.size)))
@@ -440,8 +428,8 @@ def test_beat_decimated_matches_full_rate_in_band(n, n_samples):
         sum(0.02 * np.cos(2 * np.pi * (n * 1e9 + df) * t) for df in offsets), rate
     )
     spectrum = beat_spectrum(mu)
-    full = subband_beat(spectrum, n, combs, link, 3, out_rate=rate, **_ALL_OFF)
-    dec = subband_beat(spectrum, n, combs, link, 3, out_rate=9.6e9, **_ALL_OFF)
+    full = subband_beat(spectrum, n, combs, link, 3, out_rate=rate)
+    dec = subband_beat(spectrum, n, combs, link, 3, out_rate=9.6e9)
     assert 9.6e9 <= dec.rate < 9.7e9
     assert dec.n / dec.rate == pytest.approx(full.n / full.rate, rel=1e-12)
     folded = np.abs(offsets)
@@ -458,9 +446,9 @@ def test_beat_thermal_noise_variance_at_output_rate():
     from combadc.waveform import fir_lowpass
 
     combs = make_combs()
-    link = quiet_link(thermal_noise_density=4.4e-11, tia_sat_dbm=100.0)
+    link = quiet_link(thermal_noise_density=4.4e-11)
     spectrum = beat_spectrum(SampledWaveform(np.zeros(1_600_000), 32e9))
-    out = subband_beat(spectrum, 1, combs, link, 9, out_rate=9.6e9, **_ALL_OFF)
+    out = subband_beat(spectrum, 1, combs, link, 9, out_rate=9.6e9)
     assert out.rate == 9.6e9 and out.n == 480_000
     taps = fir_lowpass(link.pd_bandwidth, out.rate)
     want = link.thermal_noise_density**2 * out.rate / 2.0 * np.sum(taps**2)
@@ -495,8 +483,8 @@ def test_beat_leak_matches_direct_detection_oracle(n, n_samples, dtype, rng):
     mu = SampledWaveform((0.3 * rng.standard_normal(n_samples)).astype(dtype), 32e9)
     link = quiet_link(cmrr_db=-20.0)  # a leak about as loud as the beat
     spectrum = beat_spectrum(mu)
-    leaky = subband_beat(spectrum, n, combs, link, 3, out_rate=9.6e9, **_ALL_OFF)
-    clean = subband_beat(spectrum, n, combs, quiet_link(), 3, out_rate=9.6e9, **_ALL_OFF)
+    leaky = subband_beat(spectrum, n, combs, link, 3, out_rate=9.6e9)
+    clean = subband_beat(spectrum, n, combs, quiet_link(), 3, out_rate=9.6e9)
     n_out = leaky.n
     mu64 = mu.samples.astype(np.float64)
     half = np.fft.rfft(mu64**2)[: n_out // 2 + 1]
@@ -524,8 +512,8 @@ def test_beat_real_inverse_matches_complex_inverse(n, out_rate, cmrr_db, rng):
     assert 0.0 < np.max(np.abs(theta)) < 1e-9
     out_rate = out_rate or mu.rate
     spectrum = beat_spectrum(mu)
-    real = subband_beat(spectrum, n, make_combs(), link, 3, out_rate=out_rate, **_ALL_OFF)
-    cplx = subband_beat(spectrum, n, drifting, link, 3, out_rate=out_rate, **_ALL_OFF)
+    real = subband_beat(spectrum, n, make_combs(), link, 3, out_rate=out_rate)
+    cplx = subband_beat(spectrum, n, drifting, link, 3, out_rate=out_rate)
     # exp(j theta) moves the output by at most max|theta| of its peak
     peak = np.max(np.abs(real.samples))
     assert np.max(np.abs(real.samples - cplx.samples)) <= 1e-9 * peak

@@ -325,9 +325,9 @@ def test_midrise_roundtrip_error_bound(bits, x):
 
 
 def test_dac_all_switches_off_is_identity(rng):
-    cfg = DacConfig(residual_noise_db=None, lpf_cutoff=None)
+    cfg = DacConfig(bits=None, clip=False, residual_noise_db=None, lpf_cutoff=None)
     x = SampledWaveform(rng.uniform(-2, 2, 4096), cfg.rate)
-    y = dac_model(x, cfg, 1, quantize=False, clip=False)
+    y = dac_model(x, cfg, 1)
     assert np.array_equal(y.samples, x.samples)
 
 
@@ -353,25 +353,25 @@ def test_dac_quantization_law_6bit():
 def test_dac_residual_noise_level(rng):
     # the calibration term alone: white, variance relative to a
     # full-scale sine as configured
-    cfg = DacConfig(residual_noise_db=-34.0, lpf_cutoff=None)
+    cfg = DacConfig(bits=None, clip=False, residual_noise_db=-34.0, lpf_cutoff=None)
     x = SampledWaveform(np.zeros(400_000), cfg.rate)
-    y = dac_model(x, cfg, 7, quantize=False, clip=False)
+    y = dac_model(x, cfg, 7)
     want = 0.5 * 10 ** (-3.4)
     assert np.var(y.samples) == pytest.approx(want, rel=0.02)
-    again = dac_model(x, cfg, 7, quantize=False, clip=False)
+    again = dac_model(x, cfg, 7)
     assert np.array_equal(y.samples, again.samples)
 
 
 def test_dac_reconstruction_lpf_flat_in_band():
     # the filter must not shave tones near the top of the sweep band;
     # compare rms over the interior (clear of the filter edge transients)
-    cfg = DacConfig(bits=6, residual_noise_db=None)
+    cfg = DacConfig(bits=None, clip=False, residual_noise_db=None)
     n = 16384 * 2
     body = slice(2048, n - 2048)
 
     def drop_db(f):
         tone = sine_waveform(f, 0.2, n / cfg.rate, cfg.rate)
-        out = dac_model(tone, cfg, 1, quantize=False, clip=False)
+        out = dac_model(tone, cfg, 1)
         from combadc.waveform import rms
 
         return 20 * np.log10(rms(out.samples[body]) / rms(tone.samples[body]))
@@ -401,9 +401,9 @@ def test_dac_one_fir_matches_reconstruction_then_tilt(lpf_cutoff, rng):
 
 
 def test_dac_clip_stage():
-    cfg = DacConfig(lpf_cutoff=None, residual_noise_db=None)
+    cfg = DacConfig(bits=None, lpf_cutoff=None, residual_noise_db=None)
     x = SampledWaveform(np.array([0.5, 1.5, -2.0, 0.0]), cfg.rate)
-    y = dac_model(x, cfg, 1, quantize=False)
+    y = dac_model(x, cfg, 1)
     assert np.max(np.abs(y.samples)) <= 1.0
     assert y.samples[0] == 0.5
 

@@ -1,15 +1,21 @@
-"""Every imported name in the package and its tests is used, and the
-package stays off scipy's slow-loading modules.
+"""Every imported name in the package and its tests is used, the
+package stays off scipy's slow-loading modules, and the stages keep the
+shape of their inputs.
 
 Walks the syntax tree of each module: a name bound by an import must be
 read somewhere in the file, or listed in its ``__all__`` (a re-export).
 """
 
 import ast
+import inspect
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from combadc.adc import adc_capture
+from combadc.comb import subband_beat
+from combadc.frontend import dac_model
 
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted((ROOT / "src" / "combadc").glob("*.py")) + sorted(
@@ -118,3 +124,12 @@ def test_metrics_and_demod_read_a_waveform_not_a_capture():
         tree = ast.parse((ROOT / "src" / "combadc" / name).read_text())
         sources = {n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)}
         assert not sources & {"adc", "combadc.adc"}, name
+
+
+def test_stages_take_no_switch_keywords():
+    """Each stage reads every on/off switch from its own config, so the
+    runner passes it no flag of its own: no stage takes a bool."""
+    for stage in (dac_model, subband_beat, adc_capture):
+        for p in inspect.signature(stage).parameters.values():
+            is_bool = p.annotation in (bool, "bool") or isinstance(p.default, bool)
+            assert not is_bool, f"{stage.__name__}({p.name})"

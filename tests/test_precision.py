@@ -42,10 +42,11 @@ def test_apply_fir_filters_float32_in_float32(rng):
 @pytest.mark.parametrize("quantize", [True, False])
 def test_dac_model_keeps_float32(quantize):
     x = _f32(sine_waveform(5.25e9, 0.9, 65536 / RATE, RATE).samples)
-    opts = dict(quantize=quantize, electrical_rolloff_db=3.0)
-    y32 = dac_model(SampledWaveform(x, RATE), DacConfig(), 5, **opts)
+    cfg = DacConfig(bits=6 if quantize else None)
+    y32 = dac_model(SampledWaveform(x, RATE), cfg, 5, electrical_rolloff_db=3.0)
     assert y32.samples.dtype == np.float32
-    y64 = dac_model(SampledWaveform(x.astype(np.float64), RATE), DacConfig(), 5, **opts)
+    x64 = SampledWaveform(x.astype(np.float64), RATE)
+    y64 = dac_model(x64, cfg, 5, electrical_rolloff_db=3.0)
     assert y64.samples.dtype == np.float64
     # same codes and the same noise draw; only the rounding differs
     np.testing.assert_allclose(y32.samples, y64.samples, atol=1e-5)
@@ -61,9 +62,9 @@ def test_dac_quantizer_in_float32_is_exact(bits, clip, rng):
     edges = np.arange(-half, half + 1) / half
     special = [1.0, -1.0, 0.0, -0.0, 1.5, -1.5, 3.0, -7.25, 1e-30, -1e-30]
     x = _f32(np.concatenate([edges, special, rng.uniform(-1.2, 1.2, 4096)]))
-    cfg = DacConfig(bits=bits, lpf_cutoff=None, residual_noise_db=None)
-    y32 = dac_model(SampledWaveform(x, RATE), cfg, 1, clip=clip).samples
-    y64 = dac_model(SampledWaveform(x.astype(np.float64), RATE), cfg, 1, clip=clip).samples
+    cfg = DacConfig(bits=bits, clip=clip, lpf_cutoff=None, residual_noise_db=None)
+    y32 = dac_model(SampledWaveform(x, RATE), cfg, 1).samples
+    y64 = dac_model(SampledWaveform(x.astype(np.float64), RATE), cfg, 1).samples
     assert y32.dtype == np.float32
     assert np.array_equal(y32.view(np.uint32), y64.astype(np.float32).view(np.uint32))
 

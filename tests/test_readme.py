@@ -28,7 +28,7 @@ def test_noise_term_table_keys_load():
     body = README.split("\n## Configs\n", 1)[1]
     table = body.split("| noise term | off when |", 1)[1].split("\n\n", 1)[0]
     settings = re.findall(r"`([a-z_]+\.[a-z_]+) = ([^`]+)`", table)
-    assert len(settings) == 7
+    assert len(settings) == 12
     for key, value in settings:
         load_config(f"{key} = {value}")
 

@@ -13,7 +13,7 @@ from combadc.comb import flat_comb
 from combadc.errors import ConfigError
 from combadc.runner import run_scm, run_sweep
 from combadc.scenario import (
-    ImpairmentFlags,
+    ScenarioConfig,
     build_combs,
     build_demod,
     dump_config,
@@ -43,7 +43,7 @@ def test_empty_config_is_the_reference_system():
     assert cfg.adc.rate == 2.4e9
     assert cfg.adc.jitter_rms == 50e-15
     assert cfg.run.electrical_rolloff_db == 3.0
-    assert cfg.impairments.shot and cfg.impairments.adc_quantization
+    assert cfg.link.shot and cfg.dac.clip and cfg.link.tia_sat_dbm == -13.0
     assert cfg.bandwidth == 10e9
 
 
@@ -68,14 +68,17 @@ def test_unit_suffixes_and_comments():
 def test_bool_and_off_values():
     cfg = load_config(
         """
-        impairments.adc_quantization = off
+        adc.bits = off
+        dac.bits = 9
+        link.shot = no
         sweep.snap = false
         dac.lpf_cutoff = off
         adc.full_scale = auto
         scm.active_channels = 1,5,10
         """
     )
-    assert cfg.impairments.adc_quantization is False
+    assert cfg.adc.bits is None and cfg.dac.bits == 9
+    assert cfg.link.shot is False
     assert cfg.sweep.snap is False
     assert cfg.dac.lpf_cutoff is None
     assert cfg.adc.full_scale == "auto"
@@ -91,6 +94,10 @@ def test_bool_and_off_values():
         ("adc.bits = 14\nadc.bits = 12", "duplicate key", 2),
         ("sweep.start = 5gz", "unknown unit suffix", 1),
         ("scm.n_channels = 2.5", "expected an integer", 1),
+        ("dac.bits = 6.5", "expected an integer", 1),
+        ("adc.bits = inf", "unknown unit suffix", 1),
+        ("link.tia_sat_dbm = -inf", "unknown unit suffix", 1),
+        ("link.tia_sat_dbm = nan", "unknown unit suffix", 1),
         ("sweep.snap = maybe", "expected on/off", 1),
         ("combs.source = laser", "expected one of flat/cascade", 1),
         ("scm.active_channels = 1,x", "comma list", 1),
@@ -164,6 +171,7 @@ def test_syntax_errors_carry_line_numbers(text, fragment, lineno):
         ("demod.training_fraction = 0.95", "training-length"),
         ("adc.ac_couple = -1mhz", "adc-invariants"),
         ("link.tia_sat_dbm = 1e300", "link-invariants"),
+        ("link.tia_sat_dbm = -1e300", "link-invariants"),
         ("link.sig_power_per_ch_dbm = 1e300", "link-invariants"),
         ("link.lo_power_per_tone_dbm = 1e300", "link-invariants"),
         ("link.osnr_db = -1e300", "link-invariants"),
@@ -219,6 +227,24 @@ def test_terms_with_a_physical_off_value_have_no_flag(line):
 @pytest.mark.parametrize(
     "line",
     [
+        "impairments.shot = off",  # link.shot = off
+        "impairments.dac_clip = off",  # dac.clip = off
+        "impairments.dac_quantization = off",  # dac.bits = off
+        "impairments.adc_quantization = off",  # adc.bits = off
+        "impairments.tia_saturation = off",  # link.tia_sat_dbm = inf
+    ],
+    ids=lambda line: line.split(" = ")[0],
+)
+def test_impairments_section_is_gone(line):
+    # each term is switched off through a key of its own stage
+    key = line.split(" = ")[0]
+    with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+        load_config(line)
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
         # no figure depends on the DAC's full scale, so it is fixed at +-1
         "dac.full_scale = 1.0",
         # only delta_f, not the absolute line spacing, reaches a sub-band
@@ -245,7 +271,8 @@ def test_dump_round_trips_byte_identically():
         """
         run.master_seed = 99
         scm.active_channels = 2,7
-        impairments.tia_saturation = off
+        link.tia_sat_dbm = inf
+        dac.bits = off
         dac.lpf_cutoff = off
         combs.source = cascade
         sweep.snap = false
@@ -254,7 +281,8 @@ def test_dump_round_trips_byte_identically():
     text = dump_config(tweaked)
     assert dump_config(load_config(text)) == text
     assert "scm.active_channels = 2,7" in text
-    assert "impairments.tia_saturation = off" in text
+    assert "link.tia_sat_dbm = inf" in text
+    assert "dac.bits = off" in text
     assert "dac.lpf_cutoff = off" in text
     assert "adc.full_scale = auto" in text
 
@@ -321,8 +349,8 @@ def test_build_demod_copies_channel_geometry():
 
 
 def test_link_terms_switch_off_with_inf_or_off():
-    cfg = load_config("link.osnr_db = inf\nlink.cmrr_db = off\n")
-    assert cfg.link.osnr_db == np.inf and cfg.link.cmrr_db == np.inf
+    cfg = load_config("link.osnr_db = inf\nlink.cmrr_db = off\nlink.tia_sat_dbm = inf\n")
+    assert cfg.link.osnr_db == cfg.link.cmrr_db == cfg.link.tia_sat_dbm == np.inf
     text = dump_config(cfg)
     assert "link.osnr_db = inf" in text and "link.cmrr_db = inf" in text
     assert load_config(text) == cfg
@@ -353,6 +381,8 @@ def _configs(draw):
     )
     dac = dataclasses.replace(
         base.dac,
+        bits=draw(st.one_of(st.none(), st.integers(1, 16))),
+        clip=draw(st.booleans()),
         lpf_cutoff=draw(st.one_of(st.none(), st.floats(10.5e9, 15e9, **_FINITE))),
         residual_noise_db=draw(
             st.one_of(st.none(), st.floats(-60.0, -20.0, **_FINITE))
@@ -363,9 +393,12 @@ def _configs(draw):
         osnr_db=draw(st.one_of(st.just(np.inf), st.floats(20.0, 80.0, **_FINITE))),
         cmrr_db=draw(st.one_of(st.just(np.inf), st.floats(10.0, 60.0, **_FINITE))),
         sine_backoff_db=draw(st.floats(0.0, 30.0, **_FINITE)),
+        tia_sat_dbm=draw(st.one_of(st.just(np.inf), st.floats(-40.0, 0.0, **_FINITE))),
+        shot=draw(st.booleans()),
     )
     adc = dataclasses.replace(
         base.adc,
+        bits=draw(st.one_of(st.none(), st.integers(1, 24))),
         full_scale=draw(
             st.one_of(st.just("auto"), st.floats(1e-6, 1.0, **_FINITE))
         ),
@@ -373,7 +406,6 @@ def _configs(draw):
         aa_cutoff=draw(st.one_of(st.none(), st.floats(0.5e9, 1.2e9, **_FINITE))),
         ac_couple=draw(st.one_of(st.none(), st.floats(1e3, 50e6, **_FINITE))),
     )
-    flags = {f.name: draw(st.booleans()) for f in dataclasses.fields(ImpairmentFlags)}
     metrics = dataclasses.replace(
         base.metrics,
         window=draw(st.sampled_from(["auto", "rectangular", "blackman-harris-4term"])),
@@ -387,7 +419,6 @@ def _configs(draw):
         dac=dac,
         link=link,
         adc=adc,
-        impairments=ImpairmentFlags(**flags),
         metrics=metrics,
     )
 
@@ -402,6 +433,26 @@ def test_dump_then_load_is_identity(cfg):
 _DEFAULT_TEXT = dict(
     line.split(" = ") for line in dump_config(load_config("")).splitlines() if line
 )
+# every float field of every section, however its key spells it
+_FLOAT_KEYS = [
+    f"{section.name}.{f.name}"
+    for section in dataclasses.fields(ScenarioConfig)
+    for f in dataclasses.fields(section.default_factory())
+    if "float" in str(f.type) and f"{section.name}.{f.name}" in _DEFAULT_TEXT
+]
+
+
+@pytest.mark.parametrize("key", _FLOAT_KEYS)
+def test_nan_fails_a_named_rule(key):
+    # the API can set what the parser refuses; a NaN slipped past checks
+    # for a bad value (x < 0), and its manifest did not load again
+    cfg = load_config("")
+    section, attr = key.split(".")
+    setattr(getattr(cfg, section), attr, float("nan"))
+    with pytest.raises(ConfigError, match=f"^not-a-number: {key} is NaN$"):
+        validate_scenario(cfg)
+
+
 # spellings a key's default does not show (README "Configs")
 _CHOICES = {
     "combs.source": ["flat", "cascade"],
@@ -409,6 +460,9 @@ _CHOICES = {
     "metrics.window": ["auto", "rectangular", "blackman-harris-4term"],
 }
 _WORDS = {
+    "dac.bits": ["off"],
+    "adc.bits": ["off"],
+    "link.tia_sat_dbm": ["inf", "off"],
     "dac.lpf_cutoff": ["off"],
     "dac.residual_noise_db": ["off"],
     "adc.aa_cutoff": ["off"],
@@ -418,6 +472,7 @@ _WORDS = {
     "link.cmrr_db": ["inf", "off"],
 }
 _RULES = {
+    "not-a-number",
     "seed-range",
     "bits-range",
     "scm-invariants",

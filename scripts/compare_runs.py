@@ -5,7 +5,9 @@
 
 Each directory holds the `manifest.txt` of one `sweep-sine`, `run-scm` or
 `spectrum` run and the artifacts it names. The report says, per artifact,
-whether its sha256 matches; lists every `# task` line that differs once
+whether each run's file still hashes to the sha256 its manifest records
+(`file does not match its manifest` when not) and whether the two
+recorded sha256s match; lists every `# task` line that differs once
 `elapsed_s` is set aside, and each config line found in only one
 payload, as `- key = value` (only in DIR_A) or `+ key = value` (only in
 DIR_B); and prints, for every numeric column of every CSV artifact present in both
@@ -18,6 +20,7 @@ matches and 1 when anything differs.
 """
 
 import argparse
+import hashlib
 import math
 import os
 import re
@@ -39,6 +42,11 @@ def read_manifest(run_dir: str) -> tuple[dict[str, str], list[str], list[str]]:
             elif line and not line.startswith("#"):
                 payload.append(line)
     return artifacts, tasks, payload
+
+
+def file_sha256(path: str) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def read_csv(path: str) -> tuple[list[str], list[list[str]]]:
@@ -102,6 +110,12 @@ def compare(dir_a: str, dir_b: str) -> tuple[list[str], bool]:
             lines.append(f"artifact {name}: only in {dir_a if name in art_a else dir_b}")
             differs = True
             continue
+        for run_dir, art in ((dir_a, art_a), (dir_b, art_b)):
+            if file_sha256(os.path.join(run_dir, name)) != art[name]:
+                lines.append(
+                    f"artifact {name}: file does not match its manifest in {run_dir}"
+                )
+                differs = True
         same = art_a[name] == art_b[name]
         differs |= not same
         lines.append(f"artifact {name}: sha256 {'matches' if same else 'differs'}")

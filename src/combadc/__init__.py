@@ -10,7 +10,7 @@ subcarrier-multiplexed PAM4 burst scored by per-channel demodulation SNR.
 
 Most work goes through :func:`load_config` plus one of the runners
 (:func:`run_sweep`, :func:`run_scm`, :func:`run_spectrum`); the lower-level
-blocks are exported for scripting and tests.
+blocks are exported for scripting.
 """
 
 from .adc import AdcConfig, SubbandCapture, adc_capture
@@ -24,7 +24,7 @@ from .comb import (
     mzm_field,
     subband_beat,
 )
-from .demod import DemodConfig, DemodReport, demod_pam4, ffe_lms, wiener_ffe
+from .demod import DemodConfig, demod_pam4, ffe_lms, wiener_ffe
 from .errors import (
     CombAdcError,
     ConfigError,
@@ -40,7 +40,7 @@ from .frontend import (
     scm_waveform,
     sine_waveform,
 )
-from .metrics import MetricsReport, sine_metrics
+from .metrics import MetricsConfig, MetricsReport, sine_metrics
 from .runner import (
     RunManifest,
     run_scm,
@@ -67,7 +67,6 @@ __all__ = [
     "mzm_field",
     "subband_beat",
     "DemodConfig",
-    "DemodReport",
     "demod_pam4",
     "ffe_lms",
     "wiener_ffe",
@@ -82,6 +81,7 @@ __all__ = [
     "gen_pam4_symbols",
     "scm_waveform",
     "sine_waveform",
+    "MetricsConfig",
     "MetricsReport",
     "sine_metrics",
     "RunManifest",

@@ -31,7 +31,6 @@ from .waveform import (
 
 __all__ = [
     "DemodConfig",
-    "DemodReport",
     "capture_filters",
     "demod_pam4",
     "ffe_lms",
@@ -68,11 +67,6 @@ class DemodConfig:
             raise SignalError("training fraction must be in (0, 1)")
         if self.equalizer not in ("lms", "wiener", "none"):
             raise SignalError("equalizer must be lms, wiener or none")
-
-
-@dataclass
-class DemodReport:
-    snr_db: float
 
 
 def _symbol_windows(y: np.ndarray, n_sym: int, taps: int, sps: int) -> np.ndarray:
@@ -247,9 +241,9 @@ def _analytic(x: np.ndarray) -> np.ndarray:
 
 def demod_pam4(
     wave: SampledWaveform, cfg: DemodConfig, tx_symbols: np.ndarray
-) -> DemodReport:
+) -> float:
     """Recover one channel's PAM4 symbols from its captured waveform and
-    score them data-aided.
+    score them data-aided: the channel's SNR in dB.
 
     Raises EqualizerError when the adapted filter ends up worse than no
     equalizer at all (non-convergence); callers doing batch runs catch it
@@ -306,4 +300,4 @@ def demod_pam4(
                 "training did not converge"
             )
 
-    return DemodReport(snr_db=float(snr))
+    return float(snr)

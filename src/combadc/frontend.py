@@ -141,6 +141,9 @@ class DacConfig:
     # Calibration knob standing in for every converter imperfection the
     # bit count alone does not capture.
     residual_noise_db: float | None = -34.0
+    # spectral tilt of the cabling and connectors past the DAC, linear in
+    # dB across 0.1-10 GHz; 0 drops it
+    electrical_rolloff_db: float = 0.0
 
     def __post_init__(self):
         if self.bits is not None and self.bits < 1:
@@ -149,6 +152,7 @@ class DacConfig:
             lowpass_band(self.lpf_cutoff, self.rate, _LPF_TRANSITION * self.lpf_cutoff)
         if self.residual_noise_db is not None and abs(self.residual_noise_db) > 300.0:
             raise SignalError("residual noise must lie within -300..300 dB")
+        spectral_tilt_taps(self.rate, self.electrical_rolloff_db)
 
 
 def gen_pam4_symbols(count: int, seed, levels: int = 4) -> np.ndarray:
@@ -337,23 +341,17 @@ def dequantize_midrise(codes: np.ndarray, bits: int, full_scale: float) -> np.nd
     return y
 
 
-def dac_model(
-    x: SampledWaveform,
-    cfg: DacConfig,
-    seed,
-    *,
-    electrical_rolloff_db: float = 0.0,
-) -> SampledWaveform:
+def dac_model(x: SampledWaveform, cfg: DacConfig, seed) -> SampledWaveform:
     """Convert an ideal waveform into what the coarse DAC actually emits,
     as seen past the analog cabling.
 
     Stage order: clip, quantize, add the residual-noise calibration term,
     then one FIR that is the reconstruction low-pass convolved with the
-    ``electrical_rolloff_db`` spectral tilt of the cabling and connectors.
-    ``cfg.clip = False``, ``cfg.bits = None``, ``cfg.residual_noise_db =
-    None``, ``cfg.lpf_cutoff = None`` and a zero roll-off drop one stage
-    each. With all of them off this is the identity. The output has the
-    dtype of ``x.samples``.
+    ``cfg.electrical_rolloff_db`` spectral tilt of the cabling and
+    connectors. ``cfg.clip = False``, ``cfg.bits = None``,
+    ``cfg.residual_noise_db = None``, ``cfg.lpf_cutoff = None`` and a zero
+    roll-off drop one stage each. With all of them off this is the
+    identity. The output has the dtype of ``x.samples``.
     """
     if abs(x.rate - cfg.rate) > 1e-6 * cfg.rate:
         raise SignalError(
@@ -378,9 +376,10 @@ def dac_model(
     taps = np.ones(1)  # identity
     if cfg.lpf_cutoff is not None:
         taps = fir_lowpass(cfg.lpf_cutoff, cfg.rate, _LPF_TRANSITION * cfg.lpf_cutoff)
-    if electrical_rolloff_db != 0.0:
+    if cfg.electrical_rolloff_db != 0.0:
         # both filters are linear and adjacent: one pass at the DAC rate
-        taps = np.convolve(taps, spectral_tilt_taps(cfg.rate, electrical_rolloff_db))
+        tilt = spectral_tilt_taps(cfg.rate, cfg.electrical_rolloff_db)
+        taps = np.convolve(taps, tilt)
     if taps.size > 1:
         y = apply_fir(y, taps)
     return SampledWaveform(y, cfg.rate)

@@ -15,7 +15,13 @@ import numpy as np
 from .errors import MeasurementError, SignalError
 from .waveform import SampledWaveform, periodogram, resample_waveform
 
-__all__ = ["MetricsReport", "check_analysis_grid", "fold_bins", "sine_metrics"]
+__all__ = [
+    "MetricsConfig",
+    "MetricsReport",
+    "check_analysis_grid",
+    "fold_bins",
+    "sine_metrics",
+]
 
 ANALYSIS_RATE = 1e9
 
@@ -28,6 +34,27 @@ _NOTCH_HZ = 10e6
 
 # bins on each side of the fundamental's peak counted as its power
 GUARD_BINS = 3
+
+
+@dataclass
+class MetricsConfig:
+    """The sine test's set-up: an ``n_avg``-fold averaged ``n_fft``-point
+    periodogram of the analysis stream, and the tone grid with its window."""
+
+    n_fft: int = 16384
+    n_avg: int = 4
+    # snap tones onto the analysis FFT grid (coherent test) and score them
+    # through a rectangular window; off means off-grid frequencies scored
+    # through a 4-term Blackman-Harris window
+    snap: bool = True
+    # widen the analysis band down to DC, over the AC-coupling notch
+    include_notch_band: bool = False
+
+    def __post_init__(self):
+        if self.n_fft < 2 or self.n_fft & (self.n_fft - 1):
+            raise SignalError(f"n_fft must be a power of two >= 2, got {self.n_fft}")
+        if self.n_avg < 1:
+            raise SignalError(f"n_avg must be at least 1, got {self.n_avg}")
 
 
 @dataclass
@@ -73,25 +100,24 @@ def check_analysis_grid(n_fft: int) -> None:
 def sine_metrics(
     wave: SampledWaveform,
     expected_baseband_hz: float,
+    cfg: MetricsConfig,
     *,
     analysis_rate: float = ANALYSIS_RATE,
-    n_fft: int = 16384,
-    n_avg: int = 4,
-    window: str = "rectangular",
-    include_notch: bool = False,
 ) -> MetricsReport:
     """Tone quality figures from one sub-band capture's waveform.
 
     The waveform is resampled to ``analysis_rate``, the fundamental is
     located within +-2 bins of the expected baseband frequency, and its
     power is summed over ``GUARD_BINS`` neighbors on each side. SINAD
-    integrates everything else across the analysis band (default 10 to
-    500 MHz, widened to 0 to 500 MHz by ``include_notch``); SFDR compares
-    against the single largest non-fundamental bin in the same band.
+    integrates everything else across the analysis band (10 to 500 MHz,
+    widened to 0 to 500 MHz by ``cfg.include_notch_band``); SFDR compares
+    against the single largest non-fundamental bin in the same band. A
+    snapped tone (``cfg.snap``) sits on the grid and is scored through a
+    rectangular window, any other through a 4-term Blackman-Harris one.
     """
     stream = resample_waveform(wave, analysis_rate)
 
-    need = n_fft * n_avg
+    need = cfg.n_fft * cfg.n_avg
     if stream.n < need:
         raise MeasurementError(
             f"capture too short: {stream.n} samples at {analysis_rate:g} Sa/s, "
@@ -101,10 +127,11 @@ def sine_metrics(
     skip = min(1024, (stream.n - need) // 2)
     x = SampledWaveform(stream.samples[skip : skip + need], analysis_rate)
 
-    spec = periodogram(x, n_fft=n_fft, n_avg=n_avg, window=window)
+    window = "rectangular" if cfg.snap else "blackman-harris-4term"
+    spec = periodogram(x, n_fft=cfg.n_fft, n_avg=cfg.n_avg, window=window)
     p = spec.power_linear
 
-    f_lo = 0.0 if include_notch else _NOTCH_HZ
+    f_lo = 0.0 if cfg.include_notch_band else _NOTCH_HZ
     f_hi = analysis_rate / 2.0
     band = spec.band_mask(f_lo, f_hi)
 

@@ -38,7 +38,7 @@ from .comb import BeatSpectrum, ScenarioCombs, beat_spectrum, mzm_field, subband
 from .demod import demod_pam4
 from .errors import CombAdcError, ConfigError
 from .frontend import dac_model, gen_pam4_symbols, scm_waveform, sine_waveform
-from .metrics import ANALYSIS_RATE, FOLD_WINDOW_HZ, fold_bins, sine_metrics
+from .metrics import FOLD_WINDOW_HZ, fold_bins, sine_metrics
 from .scenario import ScenarioConfig, build_demod, dump_config, validate_scenario
 from .seeding import derive_seed_sequence
 from .units import db_to_amplitude_ratio
@@ -106,12 +106,6 @@ def _task_seeds(master_seed: int, kind: str, index: int, count: int) -> list[int
     return [int(word) for word in state]
 
 
-def _window_name(cfg: ScenarioConfig) -> str:
-    if cfg.metrics.window != "auto":
-        return cfg.metrics.window
-    return "rectangular" if cfg.sweep.snap else "blackman-harris-4term"
-
-
 def snap_sweep_frequency(
     f_request: float, cfg: ScenarioConfig, combs: ScenarioCombs
 ) -> tuple[float, int, float]:
@@ -128,7 +122,7 @@ def snap_sweep_frequency(
     side = 1.0 if offset >= 0 else -1.0
     fold_lo, fold_hi = FOLD_WINDOW_HZ
     folded = float(np.clip(abs(offset), fold_lo, fold_hi))
-    if cfg.sweep.snap:
+    if cfg.metrics.snap:
         # clamp on the grid-aligned window so rounding cannot push the
         # tone back past either edge
         grid, bin_lo, bin_hi = fold_bins(cfg.metrics.n_fft)
@@ -148,10 +142,7 @@ def _front_end(
     to float64 at the sub-band rate.
     """
     y = dac_model(
-        SampledWaveform(x.samples.astype(np.float32), x.rate),
-        cfg.dac,
-        dac_seed,
-        electrical_rolloff_db=cfg.run.electrical_rolloff_db,
+        SampledWaveform(x.samples.astype(np.float32), x.rate), cfg.dac, dac_seed
     )
     # drive conditioner: filters may overshoot a little past full scale
     v = np.clip(y.samples * post_gain, -1.0, 1.0)
@@ -268,15 +259,7 @@ def _sweep_point(
     spectrum = beat_spectrum(mu)
     del mu  # the beat reads only the spectrum
     cap = _capture_subband(spectrum, n, cfg, combs, seeds[1], seeds[2])
-    report = sine_metrics(
-        cap.to_waveform(),
-        f_folded,
-        analysis_rate=ANALYSIS_RATE,
-        n_fft=cfg.metrics.n_fft,
-        n_avg=cfg.metrics.n_avg,
-        window=_window_name(cfg),
-        include_notch=cfg.metrics.include_notch_band,
-    )
+    report = sine_metrics(cap.to_waveform(), f_folded, cfg.metrics)
     return (
         f"{f_request / 1e9:.4f},{report.sfdr_db:.6f},"
         f"{report.sinad_db:.6f},{report.enob_bits:.6f}\n"
@@ -362,10 +345,9 @@ def _scm_channel(
     wave = cap.to_waveform()
     snr_db = None
     if tx is not None:
-        snr_db = demod_pam4(wave, build_demod(cfg), tx).snr_db
+        snr_db = demod_pam4(wave, build_demod(cfg), tx)
 
-    n_fft = 1 << int(np.log2(wave.n))
-    spec = periodogram(wave, n_fft=n_fft, n_avg=wave.n // n_fft)
+    spec = periodogram(wave, n_fft=1 << int(np.log2(wave.n)))
     spectrum_to_csv(spec, os.path.join(out_dir, _spectrum_name(channel)))
     return snr_db
 

@@ -4,7 +4,7 @@ A scenario file is plain text, one `section.key = value` per line, with
 `#` comments and unit suffixes (`1ghz`, `70us`, `-15dbm`). An empty file
 is a complete, runnable description of the reference system: ten 1 GHz
 channels, 6-bit 32 GSa/s DAC, flat 24-tone comb pair offset by 1 GHz,
-14-bit 2.4 GSa/s converter, every impairment enabled. Files written by
+14-bit 2.4 GSa/s converter, every noise term on. Files written by
 ``dump_config`` parse back to an identical config, which is what makes
 run manifests re-runnable.
 """
@@ -28,12 +28,11 @@ from .comb import (
 from .demod import DemodConfig, capture_filters, symbol_budget
 from .errors import CombAdcError, ConfigError
 from .frontend import DacConfig, ScmConfig, burst_sps, check_carrier_grid
-from .metrics import ANALYSIS_RATE, check_analysis_grid
-from .waveform import lowpass_band, resample_plan, spectral_tilt_taps
+from .metrics import ANALYSIS_RATE, MetricsConfig, check_analysis_grid
+from .waveform import lowpass_band, resample_plan
 
 __all__ = [
     "CombsSection",
-    "MetricsSection",
     "RunSection",
     "ScenarioConfig",
     "SweepSection",
@@ -48,8 +47,6 @@ __all__ = [
 @dataclass
 class RunSection:
     master_seed: int = 12345
-    # analog-chain tilt, linear in dB across 0.1-10 GHz
-    electrical_rolloff_db: float = 3.0
 
 
 @dataclass
@@ -57,9 +54,6 @@ class SweepSection:
     start: float = 0.5e9
     stop: float = 10.5e9
     step: float = 0.25e9
-    # snap tones onto the analysis FFT grid (coherent test); off means
-    # off-grid frequencies measured through a 4-term window
-    snap: bool = True
     duration: float = 70e-6
 
     @property
@@ -91,30 +85,18 @@ class CombsSection:
 
 
 @dataclass
-class MetricsSection:
-    n_fft: int = 16384
-    n_avg: int = 4
-    window: str = "auto"  # auto | rectangular | blackman-harris-4term
-    include_notch_band: bool = False
-
-    def __post_init__(self):
-        if self.n_fft < 2 or self.n_fft & (self.n_fft - 1):
-            raise ConfigError(f"n_fft must be a power of two >= 2, got {self.n_fft}")
-        if self.n_avg < 1:
-            raise ConfigError(f"n_avg must be at least 1, got {self.n_avg}")
-
-
-@dataclass
 class ScenarioConfig:
     run: RunSection = field(default_factory=RunSection)
     sweep: SweepSection = field(default_factory=SweepSection)
     scm: ScmConfig = field(default_factory=ScmConfig)
-    dac: DacConfig = field(default_factory=DacConfig)
+    dac: DacConfig = field(
+        default_factory=lambda: DacConfig(electrical_rolloff_db=3.0)
+    )
     combs: CombsSection = field(default_factory=CombsSection)
     link: LinkConfig = field(default_factory=LinkConfig)
     adc: AdcConfig = field(default_factory=lambda: AdcConfig(jitter_rms=50e-15))
     demod: DemodConfig = field(default_factory=DemodConfig)
-    metrics: MetricsSection = field(default_factory=MetricsSection)
+    metrics: MetricsConfig = field(default_factory=MetricsConfig)
 
     @property
     def bandwidth(self) -> float:
@@ -236,7 +218,6 @@ def _fmt(value) -> str:
 _SPELLINGS = {
     "combs.source": _p_choice("flat", "cascade"),
     "demod.equalizer": _p_choice("lms", "wiener", "none"),
-    "metrics.window": _p_choice("auto", "rectangular", "blackman-harris-4term"),
     "dac.bits": _p_or_off(_p_int),
     "dac.lpf_cutoff": _p_or_off(_number),
     "dac.residual_noise_db": _p_or_off(_number),
@@ -425,9 +406,6 @@ def validate_scenario(cfg: ScenarioConfig) -> ScenarioCombs:
     )
 
     _stage_rule("rate-consistency", burst_sps, cfg.scm, cfg.dac.rate)
-    # the electrical tilt is part of the DAC's one FIR
-    tilt_db = cfg.run.electrical_rolloff_db
-    _stage_rule("dac-invariants", spectral_tilt_taps, cfg.dac.rate, tilt_db)
     _stage_rule("carrier-grid", check_carrier_grid, cfg.scm, cfg.dac.rate)
     # the beat hands the converter its input at least this fast
     beat_rate = MIN_OVERSAMPLING * cfg.adc.rate

@@ -3,7 +3,7 @@ import pytest
 
 from combadc.adc import AdcConfig, _lagrange_sample, adc_capture
 from combadc.errors import SignalError
-from combadc.metrics import sine_metrics
+from combadc.metrics import MetricsConfig, sine_metrics
 from combadc.waveform import SampledWaveform, time_vector
 
 RATE_IN = 8e9
@@ -52,7 +52,7 @@ def test_quantization_law_14bit():
     # and the quantization error is properly averaged
     f = _bin_freq(2561)
     cap = adc_capture(_tone_input(f), _law_cfg(), seed=1)
-    rep = sine_metrics(cap.to_waveform(), f)
+    rep = sine_metrics(cap.to_waveform(), f, MetricsConfig())
     assert rep.sinad_db == pytest.approx(6.02 * 14 + 1.76, abs=1.0)
     assert rep.enob_bits == pytest.approx((rep.sinad_db - 1.76) / 6.02)
 
@@ -62,6 +62,7 @@ def test_quantization_noise_frequency_independent():
         sine_metrics(
             adc_capture(_tone_input(_bin_freq(k)), _law_cfg(), 1).to_waveform(),
             _bin_freq(k),
+            MetricsConfig(),
         )
         for k in (1639, 7373)  # ~100 MHz and ~450 MHz, both odd bins
     ]
@@ -74,7 +75,7 @@ def test_jitter_law_400mhz():
     sigma = 10 ** (-40.0 / 20.0) / (2.0 * np.pi * 400e6)
     cfg = _law_cfg(bits=None, jitter_rms=sigma)
     cap = adc_capture(_tone_input(f, amp=0.99), cfg, seed=3)
-    rep = sine_metrics(cap.to_waveform(), f)
+    rep = sine_metrics(cap.to_waveform(), f, MetricsConfig())
     assert rep.sinad_db == pytest.approx(40.0, abs=1.0)
 
 

@@ -1,5 +1,6 @@
 """scripts/compare_runs.py tells identical runs from different ones."""
 
+import hashlib
 import math
 import re
 import shutil
@@ -55,6 +56,20 @@ def test_same_seed_matches_and_other_seed_differs(tmp_path):
     assert "artifact sweep.csv: sha256 differs" in alone.stdout
     assert "task line" not in alone.stdout
 
+    # an artifact edited after its run, under its unchanged manifest: a
+    # trailing blank line, which no column difference shows
+    tampered = tmp_path / "e"
+    shutil.copytree(tmp_path / "a", tampered)
+    csv = tampered / "sweep.csv"
+    csv.write_text(csv.read_text() + "\n")
+    edited_csv = _compare(tmp_path / "a", tampered)
+    assert edited_csv.returncode == 1, edited_csv.stdout
+    assert (
+        f"artifact sweep.csv: file does not match its manifest in {tampered}\n"
+        "artifact sweep.csv: sha256 matches\n"
+    ) in edited_csv.stdout
+    assert "sinad_db: max |diff| 0\n" in edited_csv.stdout
+
 
 # bins of a synthetic spectrum: three in band (0-500 MHz), two above
 FREQS = [0.0, 250e6, 500e6, 750e6, 1000e6]
@@ -64,10 +79,11 @@ def _spectrum_run(path, powers):
     """A run directory holding one spectrum artifact with these bin powers."""
     path.mkdir()
     rows = "".join(f"{f:.6f},{p:.6f}\n" for f, p in zip(FREQS, powers))
-    (path / "spectrum_ch1.csv").write_text("# n_fft = 8\nfreq_hz,power_db\n" + rows)
-    # a stand-in digest, distinct per run
+    text = "# n_fft = 8\nfreq_hz,power_db\n" + rows
+    (path / "spectrum_ch1.csv").write_text(text)
+    sha = hashlib.sha256(text.encode()).hexdigest()
     (path / "manifest.txt").write_text(
-        f"# combadc run manifest\n# artifact spectrum_ch1.csv sha256={path.name}\n#\n"
+        f"# combadc run manifest\n# artifact spectrum_ch1.csv sha256={sha}\n#\n"
     )
     return path
 
@@ -96,8 +112,8 @@ def test_spectrum_band_power_and_strongest_bin(tmp_path):
 def test_config_lines_in_one_payload_are_named(tmp_path):
     # the manifest of a run from before a key was removed, against one after
     payloads = {
-        "old": "run.master_seed = 1\n\ndac.full_scale = 1.0\nsweep.snap = on\n",
-        "new": "run.master_seed = 1\n\nsweep.snap = off\n",
+        "old": "run.master_seed = 1\n\ndac.full_scale = 1.0\nmetrics.snap = on\n",
+        "new": "run.master_seed = 1\n\nmetrics.snap = off\n",
     }
     for name, payload in payloads.items():
         (tmp_path / name).mkdir()
@@ -109,7 +125,7 @@ def test_config_lines_in_one_payload_are_named(tmp_path):
     assert (
         "config payload differs\n"
         "  - dac.full_scale = 1.0\n"
-        "  - sweep.snap = on\n"
-        "  + sweep.snap = off\n"
+        "  - metrics.snap = on\n"
+        "  + metrics.snap = off\n"
     ) in out.stdout
     assert "master_seed" not in out.stdout

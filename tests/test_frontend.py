@@ -15,7 +15,7 @@ from combadc.frontend import (
     scm_waveform,
     sine_waveform,
 )
-from combadc.metrics import sine_metrics
+from combadc.metrics import MetricsConfig, sine_metrics
 from combadc.waveform import (
     SampledWaveform,
     _rfft_bins,
@@ -346,7 +346,7 @@ def test_dac_quantization_law_6bit():
     rbw = cfg.rate / 16384
     tone = sine_waveform(2561 * rbw, 0.999, 16384 * 4 / cfg.rate, cfg.rate)
     out = dac_model(tone, cfg, 1)
-    rep = sine_metrics(out, 2561 * rbw, analysis_rate=cfg.rate)
+    rep = sine_metrics(out, 2561 * rbw, MetricsConfig(), analysis_rate=cfg.rate)
     assert rep.sinad_db == pytest.approx(6.02 * 6 + 1.76, abs=1.0)
 
 
@@ -389,7 +389,8 @@ def test_dac_one_fir_matches_reconstruction_then_tilt(lpf_cutoff, rng):
     # so the two may differ only within half the merged length of an edge
     cfg = DacConfig(lpf_cutoff=lpf_cutoff)
     x = SampledWaveform(rng.uniform(-1.2, 1.2, 20001), cfg.rate)
-    got = dac_model(x, cfg, 5, electrical_rolloff_db=3.0).samples
+    tilted = DacConfig(lpf_cutoff=lpf_cutoff, electrical_rolloff_db=3.0)
+    got = dac_model(x, tilted, 5).samples
     h2 = spectral_tilt_taps(cfg.rate, 3.0)
     want = apply_fir(dac_model(x, cfg, 5).samples, h2)
     h1 = np.ones(1)

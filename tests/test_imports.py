@@ -15,7 +15,9 @@ from pathlib import Path
 
 from combadc.adc import adc_capture
 from combadc.comb import subband_beat
+from combadc.demod import demod_pam4
 from combadc.frontend import dac_model
+from combadc.metrics import sine_metrics
 
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted((ROOT / "src" / "combadc").glob("*.py")) + sorted(
@@ -128,8 +130,12 @@ def test_metrics_and_demod_read_a_waveform_not_a_capture():
 
 def test_stages_take_no_switch_keywords():
     """Each stage reads every on/off switch from its own config, so the
-    runner passes it no flag of its own: no stage takes a bool."""
-    for stage in (dac_model, subband_beat, adc_capture):
+    runner passes it no flag of its own: no stage takes a bool, and the
+    DAC takes no setting beside its config."""
+    stages = (dac_model, subband_beat, adc_capture, sine_metrics, demod_pam4)
+    for stage in stages:
         for p in inspect.signature(stage).parameters.values():
             is_bool = p.annotation in (bool, "bool") or isinstance(p.default, bool)
             assert not is_bool, f"{stage.__name__}({p.name})"
+    params = inspect.signature(dac_model).parameters.values()
+    assert [p.name for p in params if p.kind is p.KEYWORD_ONLY] == []

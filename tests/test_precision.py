@@ -42,11 +42,11 @@ def test_apply_fir_filters_float32_in_float32(rng):
 @pytest.mark.parametrize("quantize", [True, False])
 def test_dac_model_keeps_float32(quantize):
     x = _f32(sine_waveform(5.25e9, 0.9, 65536 / RATE, RATE).samples)
-    cfg = DacConfig(bits=6 if quantize else None)
-    y32 = dac_model(SampledWaveform(x, RATE), cfg, 5, electrical_rolloff_db=3.0)
+    cfg = DacConfig(bits=6 if quantize else None, electrical_rolloff_db=3.0)
+    y32 = dac_model(SampledWaveform(x, RATE), cfg, 5)
     assert y32.samples.dtype == np.float32
     x64 = SampledWaveform(x.astype(np.float64), RATE)
-    y64 = dac_model(x64, cfg, 5, electrical_rolloff_db=3.0)
+    y64 = dac_model(x64, cfg, 5)
     assert y64.samples.dtype == np.float64
     # same codes and the same noise draw; only the rounding differs
     np.testing.assert_allclose(y32.samples, y64.samples, atol=1e-5)

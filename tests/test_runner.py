@@ -71,7 +71,7 @@ def test_snap_clamps_into_the_clean_window():
 
 
 def test_snap_off_keeps_exact_offsets():
-    cfg = load_config("sweep.snap = off")
+    cfg = load_config("metrics.snap = off")
     combs = build_combs(cfg)
     f, n, folded = snap_sweep_frequency(5.23e9, cfg, combs)
     assert (f, n) == (5.23e9, 5)
@@ -86,7 +86,7 @@ def test_coarsest_admitted_analysis_grid_scores(tmp_path, snap):
         sweep.start = 5.5ghz
         sweep.stop = 5.5ghz
         sweep.duration = 20us
-        sweep.snap = {snap}
+        metrics.snap = {snap}
         metrics.n_fft = 16
         metrics.n_avg = 1
         """
@@ -233,10 +233,10 @@ def test_unexpected_sweep_error_is_recorded_not_fatal(tmp_path, monkeypatch):
     real = runner_mod.sine_metrics
     subbands = _beat_subbands(monkeypatch)
 
-    def singular(wave, f_folded, **kwargs):
+    def singular(wave, f_folded, cfg):
         if subbands[-1] == 4:
             raise np.linalg.LinAlgError("Singular matrix")
-        return real(wave, f_folded, **kwargs)
+        return real(wave, f_folded, cfg)
 
     monkeypatch.setattr(runner_mod, "sine_metrics", singular)
     man = run_sweep(load_config(FAST_SWEEP), str(tmp_path), jobs=1)

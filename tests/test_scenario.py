@@ -42,7 +42,7 @@ def test_empty_config_is_the_reference_system():
     assert cfg.adc.bits == 14
     assert cfg.adc.rate == 2.4e9
     assert cfg.adc.jitter_rms == 50e-15
-    assert cfg.run.electrical_rolloff_db == 3.0
+    assert cfg.dac.electrical_rolloff_db == 3.0
     assert cfg.link.shot and cfg.dac.clip and cfg.link.tia_sat_dbm == -13.0
     assert cfg.bandwidth == 10e9
 
@@ -71,7 +71,7 @@ def test_bool_and_off_values():
         adc.bits = off
         dac.bits = 9
         link.shot = no
-        sweep.snap = false
+        metrics.snap = false
         dac.lpf_cutoff = off
         adc.full_scale = auto
         scm.active_channels = 1,5,10
@@ -79,7 +79,7 @@ def test_bool_and_off_values():
     )
     assert cfg.adc.bits is None and cfg.dac.bits == 9
     assert cfg.link.shot is False
-    assert cfg.sweep.snap is False
+    assert cfg.metrics.snap is False
     assert cfg.dac.lpf_cutoff is None
     assert cfg.adc.full_scale == "auto"
     assert cfg.scm.active_channels == (1, 5, 10)
@@ -98,7 +98,7 @@ def test_bool_and_off_values():
         ("adc.bits = inf", "unknown unit suffix", 1),
         ("link.tia_sat_dbm = -inf", "unknown unit suffix", 1),
         ("link.tia_sat_dbm = nan", "unknown unit suffix", 1),
-        ("sweep.snap = maybe", "expected on/off", 1),
+        ("metrics.snap = maybe", "expected on/off", 1),
         ("combs.source = laser", "expected one of flat/cascade", 1),
         ("scm.active_channels = 1,x", "comma list", 1),
     ],
@@ -183,8 +183,8 @@ def test_syntax_errors_carry_line_numbers(text, fragment, lineno):
         ("sweep.duration = 1", "capture-length"),
         ("scm.duration = 1", "capture-length"),
         # these loaded before: a -1e300 dB tilt overflowed its gains
-        ("run.electrical_rolloff_db = -1e300", "dac-invariants"),
-        ("run.electrical_rolloff_db = 301", "dac-invariants"),
+        ("dac.electrical_rolloff_db = -1e300", "dac-invariants"),
+        ("dac.electrical_rolloff_db = 301", "dac-invariants"),
         # loaded before; the float32 cast of the burst overflowed and
         # every channel failed on non-finite samples
         ("scm.drive_rms = 1.0e38", "scm-invariants"),
@@ -245,6 +245,22 @@ def test_impairments_section_is_gone(line):
 @pytest.mark.parametrize(
     "line",
     [
+        "metrics.window = auto",  # metrics.snap picks the window
+        "sweep.snap = on",  # metrics.snap = on
+        "run.electrical_rolloff_db = 3.0",  # dac.electrical_rolloff_db = 3.0
+    ],
+    ids=lambda line: line.split(" = ")[0],
+)
+def test_sine_test_and_tilt_keys_belong_to_their_stage(line):
+    # the metrics stage reads its tone grid and window, the DAC its tilt
+    key = line.split(" = ")[0]
+    with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+        load_config(line)
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
         # no figure depends on the DAC's full scale, so it is fixed at +-1
         "dac.full_scale = 1.0",
         # only delta_f, not the absolute line spacing, reaches a sub-band
@@ -275,7 +291,7 @@ def test_dump_round_trips_byte_identically():
         dac.bits = off
         dac.lpf_cutoff = off
         combs.source = cascade
-        sweep.snap = false
+        metrics.snap = false
         """
     )
     text = dump_config(tweaked)
@@ -363,15 +379,10 @@ _FINITE = dict(allow_nan=False, allow_infinity=False)
 def _configs(draw):
     """Valid configs over the defaults, reaching every None/auto/inf spelling."""
     base = load_config("")
-    run = dataclasses.replace(
-        base.run,
-        master_seed=draw(st.integers(0, 2**32 - 1)),
-        electrical_rolloff_db=draw(st.floats(0.0, 6.0, **_FINITE)),
-    )
+    run = dataclasses.replace(base.run, master_seed=draw(st.integers(0, 2**32 - 1)))
     sweep = dataclasses.replace(
         base.sweep,
         step=draw(st.floats(0.05e9, 2.5e9, **_FINITE)),
-        snap=draw(st.booleans()),
     )
     scm = dataclasses.replace(
         base.scm,
@@ -387,6 +398,7 @@ def _configs(draw):
         residual_noise_db=draw(
             st.one_of(st.none(), st.floats(-60.0, -20.0, **_FINITE))
         ),
+        electrical_rolloff_db=draw(st.floats(0.0, 6.0, **_FINITE)),
     )
     link = dataclasses.replace(
         base.link,
@@ -408,7 +420,7 @@ def _configs(draw):
     )
     metrics = dataclasses.replace(
         base.metrics,
-        window=draw(st.sampled_from(["auto", "rectangular", "blackman-harris-4term"])),
+        snap=draw(st.booleans()),
         include_notch_band=draw(st.booleans()),
     )
     return dataclasses.replace(
@@ -457,7 +469,6 @@ def test_nan_fails_a_named_rule(key):
 _CHOICES = {
     "combs.source": ["flat", "cascade"],
     "demod.equalizer": ["lms", "wiener", "none"],
-    "metrics.window": ["auto", "rectangular", "blackman-harris-4term"],
 }
 _WORDS = {
     "dac.bits": ["off"],

@@ -15,8 +15,10 @@ runs, the largest absolute difference between the two. For a spectrum
 (`freq_hz,power_db`) it also prints the difference of the 0-500 MHz
 in-band power and of the strongest bin, and whether the strongest bin is
 the same bin in both: a single bin deep in a notch can move by tenths of
-a dB while the band and the peak hold. Exit status is 0 when everything
-matches and 1 when anything differs.
+a dB while the band and the peak hold. A directory without a
+`manifest.txt`, or an artifact its manifest names but the directory
+lacks, is reported as `file missing in DIR`. Exit status is 0 when
+everything matches and 1 when anything differs.
 """
 
 import argparse
@@ -29,10 +31,14 @@ import sys
 _ELAPSED = re.compile(r" elapsed_s=\S+")
 
 
+def manifest_path(run_dir: str) -> str:
+    return os.path.join(run_dir, "manifest.txt")
+
+
 def read_manifest(run_dir: str) -> tuple[dict[str, str], list[str], list[str]]:
     """(artifact name -> sha256, task lines without elapsed_s, config lines)."""
     artifacts, tasks, payload = {}, [], []
-    with open(os.path.join(run_dir, "manifest.txt")) as fh:
+    with open(manifest_path(run_dir)) as fh:
         for line in fh.read().splitlines():
             if line.startswith("# artifact "):
                 name, sha = line[len("# artifact ") :].rsplit(" sha256=", 1)
@@ -102,6 +108,10 @@ def spectrum_diffs(rows_a: list[list[str]], rows_b: list[list[str]]) -> list[str
 
 def compare(dir_a: str, dir_b: str) -> tuple[list[str], bool]:
     """Report lines and whether anything differs."""
+    missing = [d for d in (dir_a, dir_b) if not os.path.isfile(manifest_path(d))]
+    if missing:
+        lines = [f"manifest.txt: file missing in {d}" for d in missing]
+        return lines + [f"differ: {dir_a} vs {dir_b}"], True
     art_a, tasks_a, cfg_a = read_manifest(dir_a)
     art_b, tasks_b, cfg_b = read_manifest(dir_b)
     lines, differs = [], False
@@ -110,8 +120,13 @@ def compare(dir_a: str, dir_b: str) -> tuple[list[str], bool]:
             lines.append(f"artifact {name}: only in {dir_a if name in art_a else dir_b}")
             differs = True
             continue
+        present = True
         for run_dir, art in ((dir_a, art_a), (dir_b, art_b)):
-            if file_sha256(os.path.join(run_dir, name)) != art[name]:
+            path = os.path.join(run_dir, name)
+            if not os.path.isfile(path):
+                lines.append(f"artifact {name}: file missing in {run_dir}")
+                differs, present = True, False
+            elif file_sha256(path) != art[name]:
                 lines.append(
                     f"artifact {name}: file does not match its manifest in {run_dir}"
                 )
@@ -119,7 +134,7 @@ def compare(dir_a: str, dir_b: str) -> tuple[list[str], bool]:
         same = art_a[name] == art_b[name]
         differs |= not same
         lines.append(f"artifact {name}: sha256 {'matches' if same else 'differs'}")
-        if name.endswith(".csv"):
+        if name.endswith(".csv") and present:
             lines += column_diffs(os.path.join(dir_a, name), os.path.join(dir_b, name))
     for i in range(max(len(tasks_a), len(tasks_b))):
         a = tasks_a[i] if i < len(tasks_a) else "(none)"

@@ -73,7 +73,6 @@ __all__ = [
     "cascade_harmonics",
     "comb_from_cascade",
     "flat_comb",
-    "check_comb_scaling",
     "downshift_hz",
     "beat_spectrum",
     "mzm_field",
@@ -217,23 +216,6 @@ def flat_comb(n_tones: int, tilt_db: float = 0.0) -> np.ndarray:
         return np.ones(n_tones)
     ramp = np.arange(n_tones) / (n_tones - 1)
     return db_to_amplitude_ratio(-tilt_db * ramp)
-
-
-def check_comb_scaling(bandwidth: float, combs: ScenarioCombs, n_subbands: int) -> None:
-    """Raise SignalError, naming every reason, when the comb pair cannot
-    slice ``bandwidth`` into ``n_subbands`` sub-bands.
-
-    The sub-band grid must tile the band (delta_f at least B/N), and every
-    sub-band needs a tone pair of its own.
-    """
-    faults = []
-    need = bandwidth / n_subbands
-    if combs.delta_f < need:
-        faults.append(f"subband-tiling: delta_f {combs.delta_f:g} Hz vs B/N {need:g} Hz")
-    if n_subbands > combs.n_pairs:
-        faults.append(f"{n_subbands} channels exceed {combs.n_pairs} usable tone pairs")
-    if faults:
-        raise SignalError("; ".join(faults))
 
 
 def downshift_hz(n: int, delta_f: float, rate: float) -> float:

@@ -10,19 +10,21 @@ tilt).
 Channel construction note: each channel's PAM4 baseband is shaped with a
 root-raised-cosine, converted to its analytic form, shifted up by
 ``baseband_offset`` and the real part taken, and only then multiplied
-onto the ``k * channel_spacing`` subcarrier. The resulting double-sideband
-spectrum occupies the channel slot symmetrically with a small spectral
-hole at the subcarrier itself. After sub-band downconversion the two
-sidebands fold onto each other coherently, so the recovered baseband is
-an ordinary offset-carrier PAM signal instead of an irrecoverable
-self-overlapped one; the hole is what keeps the content clear of the
-receiver's AC-coupling notch. ``scm_waveform`` builds all channels as
-one spectrum, with every subcarrier on an FFT bin of the record. The
-channels' shaped records go two to a complex FFT, one as its real and
-one as its imaginary part, and each channel's spectrum is read back as
-the Hermitian or anti-Hermitian half of the result by
-``waveform._rfft_bins``, the same split the beat uses for mu and mu^2:
-one full-length forward transform per pair of channels, not per channel.
+onto the ``k * grid`` subcarrier, ``grid`` being the comb pair's
+sub-band grid ``combs.delta_f``: channel k rides sub-band k. The
+resulting double-sideband spectrum occupies the channel slot
+symmetrically with a small spectral hole at the subcarrier itself. After
+sub-band downconversion the two sidebands fold onto each other
+coherently, so the recovered baseband is an ordinary offset-carrier PAM
+signal instead of an irrecoverable self-overlapped one; the hole is what
+keeps the content clear of the receiver's AC-coupling notch.
+``scm_waveform`` builds all channels as one spectrum, with every
+subcarrier on an FFT bin of the record. The channels' shaped records go
+two to a complex FFT, one as its real and one as its imaginary part, and
+each channel's spectrum is read back as the Hermitian or anti-Hermitian
+half of the result by ``waveform._rfft_bins``, the same split the beat
+uses for mu and mu^2: one full-length forward transform per pair of
+channels, not per channel.
 
 The DAC's full scale is +-1: the testbench's figures are ratios, so
 every level (tone amplitude, burst drive, residual noise) is one of it.
@@ -59,6 +61,7 @@ __all__ = [
     "DacConfig",
     "burst_sps",
     "check_carrier_grid",
+    "check_slot",
     "gen_pam4_symbols",
     "scm_waveform",
     "sine_waveform",
@@ -73,7 +76,6 @@ class ScmConfig:
     """Shape of the subcarrier-multiplexed PAM4 burst."""
 
     n_channels: int = 10
-    channel_spacing: float = 1e9
     baud: float = 800e6
     baseband_offset: float = 40e6
     rolloff: float = 0.1
@@ -98,12 +100,6 @@ class ScmConfig:
             self.active_channels = tuple(sorted(set(self.active_channels)))
             if not self.active_channels:
                 raise SignalError("active channel list is empty")
-        if self.baud * (1.0 + self.rolloff) > self.channel_spacing:
-            raise SignalError(
-                "channel grid too dense: baud*(1+rolloff) exceeds channel spacing"
-            )
-        if not 0.0 < self.baseband_offset < self.channel_spacing / 2.0:
-            raise SignalError("baseband offset must lie inside half a channel slot")
         # a drive far past full scale only clips harder; 1e6 (120 dB past
         # it) keeps the burst, unclipped and through a +300 dB tilt, far
         # inside float32's 3.4e38, where 1e38 overflows the runner's cast
@@ -172,30 +168,41 @@ def gen_pam4_symbols(count: int, seed, levels: int = 4) -> np.ndarray:
     return sym * np.sqrt(3.0 / (levels**2 - 1))
 
 
-def burst_sps(cfg: ScmConfig, rate: float) -> int:
-    """Samples per symbol of the burst at ``rate``; raises SignalError when
-    the rate cannot carry the channel plan or a whole count per symbol."""
-    if rate < 2.2 * cfg.n_channels * cfg.channel_spacing:
+def check_slot(cfg: ScmConfig, grid: float) -> None:
+    """Raise SignalError when a channel does not fit its ``grid``-wide
+    sub-band: the shaped band must fit the slot, and the offset carrier
+    must lie inside half of it."""
+    if cfg.baud * (1.0 + cfg.rolloff) > grid:
+        raise SignalError("channel grid too dense: baud*(1+rolloff) exceeds the grid")
+    if not 0.0 < cfg.baseband_offset < grid / 2.0:
+        raise SignalError("baseband offset must lie inside half a channel slot")
+
+
+def burst_sps(cfg: ScmConfig, rate: float, grid: float) -> int:
+    """Samples per symbol of the burst at ``rate``, channel k on the
+    ``k * grid`` subcarrier; raises SignalError when the rate cannot carry
+    the channel plan or a whole count per symbol."""
+    if rate < 2.2 * cfg.n_channels * grid:
         raise SignalError(
             f"simulation rate {rate:g} too low for "
-            f"{cfg.n_channels} channels on a {cfg.channel_spacing:g} Hz grid"
+            f"{cfg.n_channels} channels on a {grid:g} Hz grid"
         )
     return samples_per_symbol(rate, cfg.baud)
 
 
-def check_carrier_grid(cfg: ScmConfig, rate: float) -> None:
+def check_carrier_grid(cfg: ScmConfig, rate: float, grid: float) -> None:
     """Raise SignalError when the ``round(duration * rate)``-sample burst
     cannot put every subcarrier on an FFT bin (a fractional count of
-    ``channel_spacing`` cycles)."""
+    ``grid`` cycles)."""
     n = cfg.duration * rate
-    if not np.isfinite(cfg.channel_spacing * n / rate):
+    if not np.isfinite(grid * n / rate):
         raise SignalError(f"{cfg.duration:g} s at {rate:g} Sa/s is too long to count")
     n = int(round(n))
-    cycles = cfg.channel_spacing * n / rate
+    cycles = grid * n / rate
     if abs(cycles - round(cycles)) > 1e-6:
         raise SignalError(
             f"the {n}-sample ({cfg.duration:g} s) burst holds {cycles:.6g} cycles "
-            f"of the {cfg.channel_spacing:g} Hz channel spacing, not a whole number"
+            f"of the {grid:g} Hz sub-band grid, not a whole number"
         )
 
 
@@ -204,9 +211,10 @@ _SPLIT_BLOCK = 1 << 14
 
 
 def scm_waveform(
-    cfg: ScmConfig, per_channel_symbols: dict[int, np.ndarray], rate: float
+    cfg: ScmConfig, per_channel_symbols: dict[int, np.ndarray], rate: float, grid: float
 ) -> SampledWaveform:
-    """Assemble the composite multi-channel burst at the simulation rate.
+    """Assemble the composite multi-channel burst at the simulation rate,
+    channel k on the ``k * grid`` subcarrier.
 
     ``per_channel_symbols`` maps 1-based channel index to its unit-power
     symbol sequence. The output is the plain sum of channels (no level
@@ -228,10 +236,11 @@ def scm_waveform(
     (zeros outside the record), so edge symbols come out as from the
     time-domain construction; only the Hilbert step is circular.
     """
-    sps = burst_sps(cfg, rate)
-    check_carrier_grid(cfg, rate)
+    check_slot(cfg, grid)
+    sps = burst_sps(cfg, rate, grid)
+    check_carrier_grid(cfg, rate, grid)
     n = int(round(cfg.duration * rate))
-    s1 = int(round(cfg.channel_spacing * n / rate))  # subcarrier spacing in bins
+    s1 = int(round(grid * n / rate))  # subcarrier spacing in bins
     n_sym = cfg.symbols_per_burst
     active = cfg.active_set()
     symbols = []

@@ -310,12 +310,12 @@ def _scm_burst(cfg: ScenarioConfig) -> tuple[dict[int, np.ndarray], BeatSpectrum
         for ch in range(1, cfg.scm.n_channels + 1)
     }
     full_plan = dataclasses.replace(cfg.scm, active_channels=None)
-    reference = scm_waveform(full_plan, symbols, cfg.dac.rate)
+    reference = scm_waveform(full_plan, symbols, cfg.dac.rate, cfg.combs.delta_f)
     level = cfg.scm.drive_rms / rms(reference.samples)
     if cfg.scm.active_set() == full_plan.active_set():
         burst = reference
     else:
-        burst = scm_waveform(cfg.scm, symbols, cfg.dac.rate)
+        burst = scm_waveform(cfg.scm, symbols, cfg.dac.rate, cfg.combs.delta_f)
     x = SampledWaveform(burst.samples * level, burst.rate)
     dac_seed = _task_seeds(cfg.run.master_seed, "scm-dac", 0, 1)[0]
     return symbols, beat_spectrum(_front_end(x, cfg, dac_seed))

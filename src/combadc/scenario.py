@@ -20,14 +20,13 @@ from .adc import MIN_OVERSAMPLING, AdcConfig
 from .comb import (
     LinkConfig,
     ScenarioCombs,
-    check_comb_scaling,
     comb_from_cascade,
     downshift_hz,
     flat_comb,
 )
 from .demod import DemodConfig, capture_filters, symbol_budget
 from .errors import CombAdcError, ConfigError
-from .frontend import DacConfig, ScmConfig, burst_sps, check_carrier_grid
+from .frontend import DacConfig, ScmConfig, burst_sps, check_carrier_grid, check_slot
 from .metrics import ANALYSIS_RATE, MetricsConfig, check_analysis_grid
 from .waveform import lowpass_band, resample_plan
 
@@ -70,7 +69,7 @@ class SweepSection:
 @dataclass
 class CombsSection:
     # LO-comb line spacing minus signal-comb line spacing: sub-band n is
-    # centred at n * delta_f
+    # centred at n * delta_f, and SCM channel k rides sub-band k
     delta_f: float = 1e9
     n_tones: int = 24
     # Hz, the RF-synthesizer linewidth of each comb: pair 1's differential
@@ -97,11 +96,6 @@ class ScenarioConfig:
     adc: AdcConfig = field(default_factory=lambda: AdcConfig(jitter_rms=50e-15))
     demod: DemodConfig = field(default_factory=DemodConfig)
     metrics: MetricsConfig = field(default_factory=MetricsConfig)
-
-    @property
-    def bandwidth(self) -> float:
-        """Instantaneous bandwidth covered by the channel plan."""
-        return self.scm.n_channels * self.scm.channel_spacing
 
 
 # ---------------------------------------------------------------------------
@@ -401,12 +395,17 @@ def validate_scenario(cfg: ScenarioConfig) -> ScenarioCombs:
         f"combs.n_tones = {cfg.combs.n_tones:.3g} not in 1..{_MAX_COMB_TONES}",
     )
     combs = _stage_rule("comb-scaling", build_combs, cfg)
-    _stage_rule(
-        "comb-scaling", check_comb_scaling, cfg.bandwidth, combs, cfg.scm.n_channels
+    _rule(
+        "comb-scaling",
+        cfg.scm.n_channels <= combs.n_pairs,
+        f"{cfg.scm.n_channels} channels exceed {combs.n_pairs} usable tone pairs",
     )
 
-    _stage_rule("rate-consistency", burst_sps, cfg.scm, cfg.dac.rate)
-    _stage_rule("carrier-grid", check_carrier_grid, cfg.scm, cfg.dac.rate)
+    # channel k rides sub-band k, on the comb pair's grid
+    grid = combs.delta_f
+    _stage_rule("scm-invariants", check_slot, cfg.scm, grid)
+    _stage_rule("rate-consistency", burst_sps, cfg.scm, cfg.dac.rate, grid)
+    _stage_rule("carrier-grid", check_carrier_grid, cfg.scm, cfg.dac.rate, grid)
     # the beat hands the converter its input at least this fast
     beat_rate = MIN_OVERSAMPLING * cfg.adc.rate
     _rule(

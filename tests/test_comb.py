@@ -8,7 +8,6 @@ from combadc.comb import (
     LinkConfig,
     ScenarioCombs,
     cascade_harmonics,
-    check_comb_scaling,
     comb_from_cascade,
     flat_comb,
     _differential_phase,
@@ -123,27 +122,6 @@ def test_scenario_combs_geometry():
     combs = make_combs()
     assert combs.delta_f == pytest.approx(1e9)
     assert combs.n_pairs == 24
-
-
-# ----------------------------------------------------------------- coverage
-
-
-def test_validate_scaling_default_geometry():
-    # 10 GHz in 24 sub-bands of the 1 GHz grid
-    check_comb_scaling(10e9, make_combs(), n_subbands=24)
-
-
-def test_validate_scaling_band_too_wide_for_grid():
-    combs = make_combs()
-    with pytest.raises(SignalError, match="subband-tiling"):
-        check_comb_scaling(30e9, combs, n_subbands=24)
-    assert combs.delta_f < 30e9 / 24
-
-
-def test_comb_scaling_counts_tone_pairs():
-    with pytest.raises(SignalError) as fault:
-        check_comb_scaling(10e9, make_combs(n_tones=8), n_subbands=10)
-    assert str(fault.value) == "10 channels exceed 8 usable tone pairs"
 
 
 # ---------------------------------------------------------------- modulator

@@ -129,3 +129,23 @@ def test_config_lines_in_one_payload_are_named(tmp_path):
         "  + metrics.snap = off\n"
     ) in out.stdout
     assert "master_seed" not in out.stdout
+
+
+def test_missing_artifact_file_is_a_difference(tmp_path):
+    a = _spectrum_run(tmp_path / "a", [-195.0, -10.0, -20.0, -3.0, -50.0])
+    gone = tmp_path / "gone"
+    shutil.copytree(a, gone)
+    (gone / "spectrum_ch1.csv").unlink()  # the manifest still names it
+    out = _compare(a, gone)
+    assert out.returncode == 1, out.stderr
+    assert f"artifact spectrum_ch1.csv: file missing in {gone}\n" in out.stdout
+    assert "power_db" not in out.stdout  # no columns to compare
+
+
+def test_missing_manifest_is_a_difference(tmp_path):
+    a = _spectrum_run(tmp_path / "a", [-195.0, -10.0, -20.0, -3.0, -50.0])
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    out = _compare(a, empty)
+    assert out.returncode == 1, out.stderr
+    assert f"manifest.txt: file missing in {empty}\n" in out.stdout

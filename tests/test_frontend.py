@@ -8,6 +8,7 @@ from combadc.frontend import (
     _SPLIT_BLOCK,
     DacConfig,
     ScmConfig,
+    check_slot,
     dac_model,
     dequantize_midrise,
     gen_pam4_symbols,
@@ -25,6 +26,10 @@ from combadc.waveform import (
     rrc_taps,
     spectral_tilt_taps,
 )
+
+
+# the reference comb pair's sub-band grid: channel k rides k * GRID
+GRID = 1e9
 
 
 # ------------------------------------------------------------------ symbols
@@ -63,9 +68,9 @@ def test_burst_symbol_budget():
 
 def test_scm_config_validation():
     with pytest.raises(SignalError):
-        ScmConfig(baud=950e6, rolloff=0.1)  # 1.045 GHz > 1 GHz grid
+        check_slot(ScmConfig(baud=950e6, rolloff=0.1), GRID)  # 1.045 GHz > 1 GHz grid
     with pytest.raises(SignalError):
-        ScmConfig(baseband_offset=0.6e9)
+        check_slot(ScmConfig(baseband_offset=0.6e9), GRID)
     with pytest.raises(SignalError):
         ScmConfig(n_channels=0)
 
@@ -73,7 +78,7 @@ def test_scm_config_validation():
 def _one_channel_burst(k, rate=32e9, seed=11, cfg=None):
     cfg = cfg or ScmConfig(active_channels=(k,))
     sym = gen_pam4_symbols(cfg.symbols_per_burst, seed)
-    return cfg, sym, scm_waveform(cfg, {k: sym}, rate)
+    return cfg, sym, scm_waveform(cfg, {k: sym}, rate, GRID)
 
 
 def test_scm_slot_confinement():
@@ -92,9 +97,9 @@ def test_scm_linearity_in_symbols():
     cfg = ScmConfig(active_channels=(4,))
     a = gen_pam4_symbols(cfg.symbols_per_burst, 1)
     b = gen_pam4_symbols(cfg.symbols_per_burst, 2)
-    w_a = scm_waveform(cfg, {4: a}, 32e9).samples
-    w_b = scm_waveform(cfg, {4: b}, 32e9).samples
-    w_ab = scm_waveform(cfg, {4: a + b}, 32e9).samples
+    w_a = scm_waveform(cfg, {4: a}, 32e9, GRID).samples
+    w_b = scm_waveform(cfg, {4: b}, 32e9, GRID).samples
+    w_ab = scm_waveform(cfg, {4: a + b}, 32e9, GRID).samples
     assert np.allclose(w_ab, w_a + w_b, atol=1e-12)
 
 
@@ -103,7 +108,7 @@ def test_scm_constant_symbols_are_two_lines():
     # subcarrier +- baseband offset (4.96 and 5.04 GHz for channel 5)
     cfg = ScmConfig(active_channels=(5,))
     sym = np.ones(cfg.symbols_per_burst)
-    wave = scm_waveform(cfg, {5: sym}, 32e9)
+    wave = scm_waveform(cfg, {5: sym}, 32e9, GRID)
     # the lines are not bin-centered at any power-of-two FFT length, so use
     # the leakage-contained window
     spec = periodogram(wave, n_fft=16384, n_avg=4, window="blackman-harris-4term")
@@ -134,7 +139,7 @@ def _scm_reference(cfg, symbols, rate):
         train[np.arange(cfg.symbols_per_burst) * sps] = symbols[k]
         shaped = np.convolve(train, taps, mode="same")
         offset_bb = np.real(hilbert(shaped) * offset_lo)
-        total += offset_bb * np.cos(2.0 * np.pi * k * cfg.channel_spacing * t)
+        total += offset_bb * np.cos(2.0 * np.pi * k * GRID * t)
     return total
 
 
@@ -143,7 +148,7 @@ def _assert_matches_reference(cfg, rate):
         k: gen_pam4_symbols(cfg.symbols_per_burst, 100 + k)
         for k in range(1, cfg.n_channels + 1)
     }
-    got = scm_waveform(cfg, symbols, rate).samples
+    got = scm_waveform(cfg, symbols, rate, GRID).samples
     want = _scm_reference(cfg, symbols, rate)
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) < 1e-9
@@ -184,9 +189,9 @@ def test_scm_pair_is_the_sum_of_its_channels():
     symbols = {
         k: gen_pam4_symbols(ScmConfig().symbols_per_burst, 40 + k) for k in (3, 8)
     }
-    pair = scm_waveform(ScmConfig(active_channels=(3, 8)), symbols, 32e9).samples
+    pair = scm_waveform(ScmConfig(active_channels=(3, 8)), symbols, 32e9, GRID).samples
     alone = [
-        scm_waveform(ScmConfig(active_channels=(k,)), symbols, 32e9).samples
+        scm_waveform(ScmConfig(active_channels=(k,)), symbols, 32e9, GRID).samples
         for k in (3, 8)
     ]
     assert np.max(np.abs(pair - (alone[0] + alone[1]))) < 1e-12
@@ -223,20 +228,20 @@ def test_scm_off_carrier_grid_is_rejected():
     cfg = ScmConfig(duration=2.0001e-6, active_channels=(1,))
     sym = gen_pam4_symbols(cfg.symbols_per_burst, 1)
     with pytest.raises(SignalError, match="whole number"):
-        scm_waveform(cfg, {1: sym}, 32e9)
+        scm_waveform(cfg, {1: sym}, 32e9, GRID)
 
 
 def test_scm_missing_or_wrong_symbols():
     cfg = ScmConfig(active_channels=(1, 2))
     sym = gen_pam4_symbols(cfg.symbols_per_burst, 1)
     with pytest.raises(SignalError):
-        scm_waveform(cfg, {1: sym}, 32e9)
+        scm_waveform(cfg, {1: sym}, 32e9, GRID)
     with pytest.raises(SignalError):
-        scm_waveform(cfg, {1: sym, 2: sym[:-1]}, 32e9)
+        scm_waveform(cfg, {1: sym, 2: sym[:-1]}, 32e9, GRID)
     with pytest.raises(SignalError):
-        scm_waveform(cfg, {1: sym, 2: sym}, 8e9)  # rate too low for 10 ch
+        scm_waveform(cfg, {1: sym, 2: sym}, 8e9, GRID)  # rate too low for 10 ch
     with pytest.raises(SignalError):
-        scm_waveform(ScmConfig(active_channels=(1,)), {1: sym}, 32.1e9)
+        scm_waveform(ScmConfig(active_channels=(1,)), {1: sym}, 32.1e9, GRID)
 
 
 def test_sine_waveform():

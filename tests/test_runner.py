@@ -147,6 +147,19 @@ def test_scm_run_artifacts_and_determinism(tmp_path):
     assert set(a.artifacts) == {"scm_snr.csv", "spectrum_ch1.csv", "spectrum_ch3.csv"}
 
 
+def test_burst_rides_a_wider_comb_grid(tmp_path):
+    # channel k rides sub-band k at k * delta_f; a burst on a 1 GHz grid
+    # of its own put every channel between sub-bands and read near 0 dB
+    cfg = load_config(
+        "combs.delta_f = 1.25ghz\nscm.duration = 1.024us\nscm.active_channels = 1,2,3\n"
+    )
+    man = run_scm(cfg, str(tmp_path), jobs=1)
+    assert [t.status for t in man.tasks] == ["ok"] * 3
+    rows = _read(tmp_path / "scm_snr.csv").splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["1", "2", "3"]
+    assert all(float(row.split(",")[1]) > 15.0 for row in rows), rows
+
+
 def test_spectrum_artifact(tmp_path):
     cfg = load_config("")
     man = run_spectrum(cfg, str(tmp_path), channel=5)

@@ -28,7 +28,6 @@ def test_empty_config_is_the_reference_system():
     cfg = load_config("")
     assert cfg.run.master_seed == 12345
     assert cfg.scm.n_channels == 10
-    assert cfg.scm.channel_spacing == 1e9
     assert cfg.scm.baud == 800e6
     assert cfg.scm.drive_rms == 0.48
     assert cfg.dac.bits == 6
@@ -44,7 +43,8 @@ def test_empty_config_is_the_reference_system():
     assert cfg.adc.jitter_rms == 50e-15
     assert cfg.dac.electrical_rolloff_db == 3.0
     assert cfg.link.shot and cfg.dac.clip and cfg.link.tia_sat_dbm == -13.0
-    assert cfg.bandwidth == 10e9
+    # channel k rides sub-band k: ten channels span 10 GHz of the grid
+    assert cfg.scm.n_channels * cfg.combs.delta_f == 10e9
 
 
 def test_unit_suffixes_and_comments():
@@ -277,6 +277,26 @@ def test_keys_that_changed_no_output_are_retired(line):
     key = line.split(" = ")[0]
     with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
         load_config(line)
+
+
+@pytest.mark.parametrize(
+    "line",
+    # the burst rides the comb pair's sub-band grid, combs.delta_f; a
+    # spacing of its own loaded off that grid and read garbage as ok
+    ["scm.channel_spacing = 1000000000.0"],
+    ids=lambda line: line.split(" = ")[0],
+)
+def test_subcarrier_grid_is_the_comb_grid(line):
+    # manifests written while this was a key hold this line
+    key = line.split(" = ")[0]
+    with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+        load_config(line)
+
+
+def test_comb_scaling_counts_tone_pairs():
+    with pytest.raises(ConfigError) as fault:
+        load_config("combs.n_tones = 8")
+    assert str(fault.value) == "comb-scaling: 10 channels exceed 8 usable tone pairs"
 
 
 def test_dump_round_trips_byte_identically():

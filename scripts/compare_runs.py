@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
-"""Compare two run directories artifact by artifact.
+"""Compare two run directories artifact by artifact, or a revision's
+runs against the working tree's over a fixed matrix of small configs.
 
     python3 scripts/compare_runs.py DIR_A DIR_B
+    python3 scripts/compare_runs.py --matrix REV [--work DIR]
 
 Each directory holds the `manifest.txt` of one `sweep-sine`, `run-scm` or
 `spectrum` run and the artifacts it names. The report says, per artifact,
@@ -19,6 +21,16 @@ a dB while the band and the peak hold. A directory without a
 `manifest.txt`, or an artifact its manifest names but the directory
 lacks, is reported as `file missing in DIR`. Exit status is 0 when
 everything matches and 1 when anything differs.
+
+With `--matrix REV` the script unpacks the committed tree of git revision
+REV with `git archive` (local, no network), runs every config of `MATRIX`
+through `python -m combadc.cli` at REV and at the working tree, and
+prints one table: per run, the artifacts matched, the task lines matched,
+the largest figure drift (the largest column difference above, with its
+column) and whether the pair matches in full, config payload included.
+`--work DIR` keeps the unpacked tree and the run directories under DIR
+(a temporary directory, removed at the end, otherwise); the pairwise mode
+then explains any row. Exit status is 0 when every run matches.
 """
 
 import argparse
@@ -26,9 +38,16 @@ import hashlib
 import math
 import os
 import re
+import shutil
+import subprocess
 import sys
+import tempfile
+import time
+from typing import NamedTuple
 
 _ELAPSED = re.compile(r" elapsed_s=\S+")
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def manifest_path(run_dir: str) -> str:
@@ -61,13 +80,15 @@ def read_csv(path: str) -> tuple[list[str], list[list[str]]]:
     return lines[0].split(","), [line.split(",") for line in lines[1:]]
 
 
-def column_diffs(path_a: str, path_b: str) -> list[str]:
-    """One report line per numeric column: max |a - b| over shared rows."""
+def column_diffs(path_a: str, path_b: str) -> tuple[list[str], dict[str, float]]:
+    """One report line per numeric column, and per numeric column its max
+    |a - b| over shared rows (a header that differs reads inf)."""
     head_a, rows_a = read_csv(path_a)
     head_b, rows_b = read_csv(path_b)
     if head_a != head_b:
-        return [f"  header differs: {','.join(head_a)} vs {','.join(head_b)}"]
-    out = []
+        line = f"  header differs: {','.join(head_a)} vs {','.join(head_b)}"
+        return [line], {"header": math.inf}
+    out, diffs = [], {}
     if len(rows_a) != len(rows_b):
         out.append(f"  rows differ: {len(rows_a)} vs {len(rows_b)}")
     for col, name in enumerate(head_a):
@@ -79,9 +100,10 @@ def column_diffs(path_a: str, path_b: str) -> list[str]:
         except ValueError:
             continue  # not a numeric column
         out.append(f"  {name}: max |diff| {diff:.6g}")
+        diffs[name] = diff
     if head_a == ["freq_hz", "power_db"] and rows_a and rows_b:
         out += spectrum_diffs(rows_a, rows_b)
-    return out
+    return out, diffs
 
 
 _IN_BAND_HZ = 500e6
@@ -106,57 +128,193 @@ def spectrum_diffs(rows_a: list[list[str]], rows_b: list[list[str]]) -> list[str
     ]
 
 
-def compare(dir_a: str, dir_b: str) -> tuple[list[str], bool]:
-    """Report lines and whether anything differs."""
+class Comparison(NamedTuple):
+    """What ``compare`` found about two run directories."""
+
+    lines: list[str]  # the report
+    differs: bool
+    artifacts: tuple[int, int]  # (matched, named by either manifest)
+    tasks: tuple[int, int]  # (task lines matched, lines in the longer list)
+    drift: tuple[float, str]  # largest column difference, and its column
+
+
+def compare(dir_a: str, dir_b: str) -> Comparison:
+    """Compare two run directories: the report lines and the counts."""
     missing = [d for d in (dir_a, dir_b) if not os.path.isfile(manifest_path(d))]
     if missing:
         lines = [f"manifest.txt: file missing in {d}" for d in missing]
-        return lines + [f"differ: {dir_a} vs {dir_b}"], True
+        lines.append(f"differ: {dir_a} vs {dir_b}")
+        return Comparison(lines, True, (0, 0), (0, 0), (math.inf, "manifest"))
     art_a, tasks_a, cfg_a = read_manifest(dir_a)
     art_b, tasks_b, cfg_b = read_manifest(dir_b)
     lines, differs = [], False
+    art_matched, drift = 0, (0.0, "-")
     for name in sorted(set(art_a) | set(art_b)):
         if name not in art_a or name not in art_b:
             lines.append(f"artifact {name}: only in {dir_a if name in art_a else dir_b}")
             differs = True
             continue
-        present = True
+        present = intact = True
         for run_dir, art in ((dir_a, art_a), (dir_b, art_b)):
             path = os.path.join(run_dir, name)
             if not os.path.isfile(path):
                 lines.append(f"artifact {name}: file missing in {run_dir}")
-                differs, present = True, False
+                present = intact = False
             elif file_sha256(path) != art[name]:
                 lines.append(
                     f"artifact {name}: file does not match its manifest in {run_dir}"
                 )
-                differs = True
+                intact = False
         same = art_a[name] == art_b[name]
-        differs |= not same
+        differs |= not (same and intact)
+        art_matched += same and intact
         lines.append(f"artifact {name}: sha256 {'matches' if same else 'differs'}")
         if name.endswith(".csv") and present:
-            lines += column_diffs(os.path.join(dir_a, name), os.path.join(dir_b, name))
-    for i in range(max(len(tasks_a), len(tasks_b))):
+            report, diffs = column_diffs(
+                os.path.join(dir_a, name), os.path.join(dir_b, name)
+            )
+            lines += report
+            for column, diff in diffs.items():
+                if diff > drift[0]:
+                    drift = (diff, column)
+    n_tasks = max(len(tasks_a), len(tasks_b))
+    task_matched = 0
+    for i in range(n_tasks):
         a = tasks_a[i] if i < len(tasks_a) else "(none)"
         b = tasks_b[i] if i < len(tasks_b) else "(none)"
         if a != b:
             lines += [f"task line {i} differs:", f"  A {a}", f"  B {b}"]
             differs = True
+        else:
+            task_matched += 1
     if cfg_a != cfg_b:
         lines.append("config payload differs")
         lines += [f"  - {line}" for line in cfg_a if line not in cfg_b]
         lines += [f"  + {line}" for line in cfg_b if line not in cfg_a]
         differs = True
     lines.append(f"{'differ' if differs else 'match'}: {dir_a} vs {dir_b}")
+    n_art = len(set(art_a) | set(art_b))
+    return Comparison(
+        lines, differs, (art_matched, n_art), (task_matched, n_tasks), drift
+    )
+
+
+# ---------------------------------------------------------------------------
+# the revision matrix
+
+# three sweep points, on sub-bands 1, 6 and 10, at the full 70 us record
+_SWEEP = "sweep.start = 0.5ghz\nsweep.stop = 10.5ghz\nsweep.step = 5ghz\n"
+
+# (name, subcommand and its flags, config lines): small runs that between
+# them take every stage's switched-off and alternative paths. The 2.048 us
+# bursts are the default; the all-odd burst's DAC codes flip at exact
+# zeros on any change of FFT arithmetic, so its drift shows, not hides.
+MATRIX = [
+    ("sweep", ["sweep-sine"], _SWEEP),
+    ("sweep-cmrr-inf", ["sweep-sine"], _SWEEP + "link.cmrr_db = inf\n"),
+    ("sweep-tia-inf", ["sweep-sine"], _SWEEP + "link.tia_sat_dbm = inf\n"),
+    ("sweep-dac-bits-off", ["sweep-sine"], _SWEEP + "dac.bits = off\n"),
+    ("sweep-dac-clip-off", ["sweep-sine"], _SWEEP + "dac.clip = off\n"),
+    # a walking phase track takes the beat's off-grid path
+    ("sweep-linewidth", ["sweep-sine"], _SWEEP + "combs.drive_linewidth = 1khz\n"),
+    ("sweep-delta-f-1.25", ["sweep-sine"], _SWEEP + "combs.delta_f = 1.25ghz\n"),
+    ("scm", ["run-scm"], ""),
+    ("scm-jobs-2", ["run-scm", "--jobs", "2"], ""),
+    ("scm-odd", ["run-scm"], "scm.active_channels = 1,3,5\n"),
+    ("scm-muted", ["run-scm"], "scm.active_channels = 1\n"),
+    ("scm-lms", ["run-scm"], "demod.equalizer = lms\n"),
+    ("scm-cascade", ["run-scm"], "combs.source = cascade\n"),
+    ("scm-delta-f-1.25", ["run-scm"], "combs.delta_f = 1.25ghz\n"),
+    (
+        "scm-switches-off",
+        ["run-scm"],
+        "link.cmrr_db = inf\nlink.tia_sat_dbm = inf\ndac.bits = off\ndac.clip = off\n",
+    ),
+    ("spectrum-long", ["spectrum", "--channel", "5"], "scm.duration = 16.384us\n"),
+]
+
+
+def export_tree(rev: str, dest: str) -> None:
+    """Unpack the committed tree of git revision ``rev`` of this repository
+    into ``dest``, with ``git archive``: local, no network, no worktree."""
+    tar = subprocess.run(
+        ["git", "-C", ROOT, "archive", "--format=tar", rev],
+        capture_output=True,
+        check=True,
+    ).stdout
+    os.makedirs(dest)
+    subprocess.run(["tar", "-x", "-C", dest], input=tar, check=True)
+
+
+def run_config(tree: str, argv: list[str], text: str, out_dir: str) -> float:
+    """Run ``combadc.cli`` from ``tree``'s sources on config ``text`` into
+    ``out_dir``, one BLAS thread; the wall time in s. A failing run leaves
+    what it wrote, which ``compare`` reports."""
+    os.makedirs(out_dir)
+    config = os.path.join(out_dir, "matrix.cfg")
+    with open(config, "w") as fh:
+        fh.write(text)
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+    env.update(OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    cmd = [sys.executable, "-m", "combadc.cli", *argv, "--config", config]
+    t0 = time.perf_counter()
+    subprocess.run(cmd + ["--out", out_dir], env=env, capture_output=True)
+    return time.perf_counter() - t0
+
+
+def run_matrix(
+    tree_a: str, tree_b: str, runs: list[tuple], work: str, labels=("A", "B")
+) -> tuple[list[str], bool]:
+    """Each run of ``runs`` at source trees ``tree_a`` and ``tree_b``, under
+    ``work``: the table and whether any run differs."""
+    head = f"{'run':<20} {'artifacts':>9} {'tasks':>7}  {'largest drift':<26} result"
+    lines, differs, wall = [head], False, [0.0, 0.0]
+    for name, argv, text in runs:
+        dirs = [os.path.join(work, side, name) for side in ("a", "b")]
+        for i, tree in enumerate((tree_a, tree_b)):
+            wall[i] += run_config(tree, argv, text, dirs[i])
+        c = compare(*dirs)
+        differs |= c.differs
+        drift = f"{c.drift[0]:.6g} ({c.drift[1]})" if c.drift[0] else "0"
+        lines.append(
+            f"{name:<20} {'%d/%d' % c.artifacts:>9} {'%d/%d' % c.tasks:>7}  "
+            f"{drift:<26} {'differ' if c.differs else 'match'}"
+        )
+    lines.append(
+        f"wall time: {labels[0]} {wall[0]:.1f} s, {labels[1]} {wall[1]:.1f} s"
+    )
     return lines, differs
 
 
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("dir_a")
-    ap.add_argument("dir_b")
+    ap.add_argument("dir_a", nargs="?")
+    ap.add_argument("dir_b", nargs="?")
+    ap.add_argument(
+        "--matrix", metavar="REV", help="run MATRIX at git revision REV and here"
+    )
+    ap.add_argument(
+        "--work", metavar="DIR", help="keep the matrix's tree and runs under DIR"
+    )
     args = ap.parse_args(argv)
-    lines, differs = compare(args.dir_a, args.dir_b)
+    if args.matrix is None:
+        if args.dir_b is None:
+            ap.error("give two run directories, or --matrix REV")
+        c = compare(args.dir_a, args.dir_b)
+        print("\n".join(c.lines))
+        return 1 if c.differs else 0
+    if args.dir_a is not None:
+        ap.error("--matrix takes no run directories")
+    work = args.work or tempfile.mkdtemp(prefix="compare-runs-")
+    try:
+        tree = os.path.join(work, "rev")
+        export_tree(args.matrix, tree)
+        labels = (args.matrix, "working tree")
+        lines, differs = run_matrix(tree, ROOT, MATRIX, work, labels)
+    finally:
+        if args.work is None:
+            shutil.rmtree(work)
+    print(f"A = {args.matrix}, B = working tree")
     print("\n".join(lines))
     return 1 if differs else 0
 

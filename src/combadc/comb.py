@@ -237,14 +237,16 @@ def mzm_field(v: SampledWaveform, drive_scale: float) -> SampledWaveform:
     At the null the carrier is suppressed and the field is an odd,
     nearly linear function of the drive. The output keeps the drive's dtype.
     """
-    peak = np.max(np.abs(v.samples))
+    peak = max(v.samples.max(), -v.samples.min())
     if peak > 1.0 + 1e-9:
         raise SignalError(
             f"modulator drive must be normalized to unit peak (got {peak:g})"
         )
     if not 0.0 < drive_scale <= 1.0:
         raise SignalError("drive_scale must be in (0, 1]")
-    mu = np.sin(0.5 * np.pi * drive_scale * v.samples)
+    # one fresh record, taken through the sine in place; v is not written
+    mu = 0.5 * np.pi * drive_scale * v.samples
+    np.sin(mu, out=mu)
     return SampledWaveform(mu, v.rate)
 
 
@@ -269,25 +271,47 @@ def _differential_phase(
     return theta
 
 
-def _analytic_band(src: np.ndarray, n_in: int, first: int, n_out: int) -> np.ndarray:
-    """``n_out`` bins of an analytic signal's spectrum from source bin
-    ``first`` on, FFT-ordered (source bin ``first + n_out // 2`` lands on DC).
+def _analytic_band(z: np.ndarray, first: int, n_out: int) -> np.ndarray:
+    """``n_out`` bins of the analytic spectrum of the real part of the
+    record whose FFT is ``z``, from source bin ``first`` on, in source
+    order: ``np.fft.ifftshift`` of the result is FFT-ordered, with source
+    bin ``first + n_out // 2`` on DC.
 
-    ``src`` holds the ``rfft`` bins ``max(first, 0)`` up to at most
-    ``first + n_out`` of an ``n_in``-sample real record. Only these get the
-    analytic weights: DC and Nyquist once, every other positive bin twice.
-    Output bins whose source lies below DC or past the end of the ``rfft``
-    stay zero, which is what drops the negative frequencies.
+    The ``rfft`` bins that exist (from ``max(first, 0)``, up to at most the
+    record's Nyquist bin) are split out of ``z`` straight into the band and
+    get the analytic weights there: DC and Nyquist once, every other
+    positive bin twice. Output bins whose source lies below DC or past the
+    end of the ``rfft`` stay zero, which is what drops the negative
+    frequencies.
     """
+    n_in = z.size
+    lo, hi = max(first, 0), min(first + n_out, n_in // 2 + 1)
     centred = np.zeros(n_out, dtype=np.complex128)
-    lo = max(first, 0)
-    kept = centred[lo - first : lo - first + src.size]
-    np.multiply(src, 2.0, out=kept)
-    if lo == 0:
-        kept[0] = src[0]
-    if n_in % 2 == 0 and lo + src.size == n_in // 2 + 1:
-        kept[-1] = src[-1]
-    return np.fft.ifftshift(centred)
+    kept = _rfft_bins(z, lo, hi, out=centred[lo - first : hi - first])
+    start = 1 if lo == 0 else 0
+    stop = kept.size - 1 if n_in % 2 == 0 and hi == n_in // 2 + 1 else kept.size
+    kept[start:stop] *= 2.0
+    return centred
+
+
+def _centred_half(centred: np.ndarray) -> np.ndarray:
+    """The Hermitian half ``(band[k] + conj band[-k]) / 2``, ``k <= n // 2``,
+    of the FFT-ordered ``band = np.fft.ifftshift(centred)``: the ``rfft``
+    of ``Re(ifft(band))``, read from ``centred`` without the shifted copy.
+
+    ``band[k]`` is ``centred[(k + n // 2) % n]``, so ``band[-k]`` is
+    ``centred[n // 2 - k]``; for an even ``n`` the last ``band[k]`` wraps
+    to ``centred[0]``. The sums and the halving are ``_rfft_bins``'s, in
+    its order, so the bins are its bins bit for bit.
+    """
+    n = centred.size
+    h = n // 2
+    half = np.conjugate(centred[h::-1])
+    half[: n - h] += centred[h:]
+    if n % 2 == 0:
+        half[-1] += centred[0]
+    half *= 0.5
+    return half
 
 
 @dataclass(frozen=True)
@@ -390,39 +414,46 @@ def subband_beat(
         theta = theta - 2.0 * np.pi * residual * time_vector(n_out, rate_out)
 
     first = k0 - n_out // 2  # source bin of the band's first output bin
-    lo, hi = max(first, 0), min(first + n_out, n_in // 2 + 1)
     n_half = n_out // 2 + 1  # rfft length at the output rate
     z = mu.samples
-    band = _analytic_band(_rfft_bins(z, lo, hi), n_in, first, n_out)
+    centred = _analytic_band(z, first, n_out)
     # an infinite cmrr_db gives kappa = 0: no leak
     kappa = db_to_amplitude_ratio(-link.cmrr_db)
-    leak = _rfft_bins(z, 0, n_half, imag=True) * (kappa * r * p_ch)
+    leak = _rfft_bins(z, 0, n_half, imag=True)
+    leak *= kappa * r * p_ch
 
     # the default track is zero on a band that sits on the bin grid
     if np.any(theta):
+        band = np.fft.ifftshift(centred)
         i = gain * scale * (ifft(band) * np.exp(1j * theta)).real
         i += irfft(leak, n_out) * scale
     else:
         # Re(ifft(band)) is the real inverse of band's Hermitian half
-        half = _rfft_bins(band, 0, n_half) * gain
+        half = _centred_half(centred)
+        del centred  # not held through the inverse, the noise and the filter
+        half *= gain
         half += leak
-        i = irfft(half, n_out) * scale
+        i = irfft(half, n_out)
+        i *= scale
 
+    # every noise current is added, and the TIA applied, in place
     if link.thermal_noise_density > 0:
-        i = i + white_noise(
+        i += white_noise(
             n_out, rate_out, link.thermal_noise_density, derive_rng(seed, "thermal")
         )
     if link.shot:
         dens = np.sqrt(4.0 * _ELEMENTARY_CHARGE * r * (p_lo + p_ch))
-        i = i + white_noise(n_out, rate_out, dens, derive_rng(seed, "shot"))
+        i += white_noise(n_out, rate_out, dens, derive_rng(seed, "shot"))
     if np.isfinite(link.osnr_db):
         s_ase = p_ch * 10.0 ** (-link.osnr_db / 10.0) / _OSNR_REF_BW
         dens = 2.0 * r * np.sqrt(p_lo * s_ase)
-        i = i + white_noise(n_out, rate_out, dens, derive_rng(seed, "osnr"))
+        i += white_noise(n_out, rate_out, dens, derive_rng(seed, "osnr"))
 
     i = apply_fir(i, fir_lowpass(link.pd_bandwidth, rate_out))
 
     if np.isfinite(link.tia_sat_dbm):
         sat = 2.0 * r * np.sqrt(p_lo * dbm_to_watts(link.tia_sat_dbm))
-        i = sat * np.tanh(i / sat)
+        i /= sat
+        np.tanh(i, out=i)
+        i *= sat
     return SampledWaveform(i, rate_out)

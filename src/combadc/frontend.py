@@ -29,10 +29,15 @@ channels, not per channel.
 The DAC's full scale is +-1: the testbench's figures are ratios, so
 every level (tone amplitude, burst drive, residual noise) is one of it.
 
-Both sources come out in float64. ``dac_model`` keeps its input's dtype
-(its quantizer works in that dtype, exactly, since the step is a power
-of two; its noise is drawn in float64 and cast back), so the caller
-picks the precision of the DAC-rate chain by the dtype it hands in.
+The tone comes out in float32, the precision of the DAC-rate chain: it
+is formed in float64 and rounded once as it is written. The burst comes
+out in float64, since the runner scales it to its drive level before the
+DAC. ``dac_model`` keeps its input's dtype (its quantizer works in that
+dtype, exactly, since the step is a power of two; its noise is drawn in
+float64 and cast back), so the caller picks the precision of the
+DAC-rate chain by the dtype it hands in. It works in one copy of its
+input that it owns, clipped, quantized and noised in place, and never
+writes into the caller's record.
 """
 
 from __future__ import annotations
@@ -288,41 +293,52 @@ def scm_waveform(
     return SampledWaveform(_phasor(w, n, times=burst), rate)
 
 
-def _phasor(w: float, n: int, times: np.ndarray | None = None) -> np.ndarray:
-    """The real part of ``times * exp(1j * w * k)`` for ``k < n``, with
-    ``times`` omitted meaning 1. With k = 1024a + b, the phasor is the
-    outer product of e^{jw 1024a} and e^{jwb}, two short exponentials
-    instead of one per sample. It is taken 256 rows at a time, without a
-    full-length complex array (twice the float64 result, the run's largest
-    transient)."""
+def _phasor(
+    w: float,
+    n: int,
+    times: np.ndarray | None = None,
+    amplitude: float = 1.0,
+    dtype=np.float64,
+) -> np.ndarray:
+    """``amplitude`` times the real part of ``times * exp(1j * w * k)`` for
+    ``k < n``, with ``times`` omitted meaning 1, written into a ``dtype``
+    record: the product is taken in float64 and rounded once, on the
+    write. With k = 1024a + b, the phasor is the outer product of
+    e^{jw 1024a} and e^{jwb}, two short exponentials instead of one per
+    sample. It is taken 256 rows at a time, without a full-length complex
+    array (twice the float64 result, the run's largest transient)."""
     coarse = np.exp(1j * w * 1024 * np.arange(-(-n // 1024)))
     fine = np.exp(1j * w * np.arange(1024))
-    out = np.empty(n)
+    out = np.empty(n, dtype)
     for a in range(0, n, 256 * 1024):
         b = min(a + 256 * 1024, n)
         block = np.outer(coarse[a // 1024 : -(-b // 1024)], fine).ravel()[: b - a]
         if times is not None:
             block *= times[a:b]
-        out[a:b] = block.real
+        np.multiply(block.real, amplitude, out=out[a:b])
     return out
 
 
 def sine_waveform(
     freq: float, amplitude: float, duration: float, rate: float
 ) -> SampledWaveform:
-    """Pure cosine tone, phase 0 at t=0."""
+    """Pure cosine tone, phase 0 at t=0, in float32: the float64 tone
+    times ``amplitude``, rounded."""
     if not 0.0 <= freq < rate / 2.0:
         raise SignalError(f"tone at {freq:g} Hz does not fit below Nyquist of {rate:g}")
     n = int(round(duration * rate))
     if n < 1:
         raise SignalError("duration shorter than one sample")
-    tone = _phasor(2.0 * np.pi * freq / rate, n)
-    tone *= amplitude
+    tone = _phasor(2.0 * np.pi * freq / rate, n, amplitude=amplitude, dtype=np.float32)
     return SampledWaveform(tone, rate)
 
 
 def quantize_midrise(
-    x: np.ndarray, bits: int, full_scale: float, clip: bool = True
+    x: np.ndarray,
+    bits: int,
+    full_scale: float,
+    clip: bool = True,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Uniform mid-rise quantizer: 2**bits codes across [-full_scale, +full_scale].
 
@@ -330,24 +346,32 @@ def quantize_midrise(
     to code 0. With ``clip`` the codes saturate at the rails; without it
     the transfer stays linear beyond full scale (ideal headroom). The
     codes are whole numbers in the input's float dtype (float32 stays
-    float32, anything else becomes float64). With a full scale that is a
+    float32, anything else becomes float64), written into ``out`` when
+    given (``x`` itself quantizes in place). With a full scale that is a
     power of two, as the DAC's 1.0, the step is one too: float32 then
     gives the float64 codes, and ``dequantize_midrise`` the float64
     values rounded to float32, bit for bit.
     """
-    codes = _as_samples(x) / (full_scale / 2 ** (bits - 1))
+    codes = np.divide(_as_samples(x), full_scale / 2 ** (bits - 1), out=out)
     np.floor(codes, out=codes)
     if clip:
         np.clip(codes, -(2 ** (bits - 1)), 2 ** (bits - 1) - 1, out=codes)
     return codes
 
 
-def dequantize_midrise(codes: np.ndarray, bits: int, full_scale: float) -> np.ndarray:
+def dequantize_midrise(
+    codes: np.ndarray, bits: int, full_scale: float, out: np.ndarray | None = None
+) -> np.ndarray:
     """Interval centres of mid-rise ``codes``, in their float dtype
-    (float32 stays float32, integers and the rest become float64)."""
-    y = _as_samples(codes) + 0.5
+    (float32 stays float32, integers and the rest become float64),
+    written into ``out`` when given."""
+    y = np.add(_as_samples(codes), 0.5, out=out)
     y *= full_scale / 2 ** (bits - 1)
     return y
+
+
+# samples of residual noise ``dac_model`` draws and adds at once
+_NOISE_BLOCK = 1 << 16
 
 
 def dac_model(x: SampledWaveform, cfg: DacConfig, seed) -> SampledWaveform:
@@ -366,22 +390,22 @@ def dac_model(x: SampledWaveform, cfg: DacConfig, seed) -> SampledWaveform:
         raise SignalError(
             f"waveform rate {x.rate:g} does not match DAC rate {cfg.rate:g}"
         )
-    dtype = x.samples.dtype
-    y = x.samples
-    if cfg.clip:
-        y = np.clip(y, -1.0, 1.0)
+    # the one copy the stages below write into: the caller's record is
+    # never written
+    y = np.clip(x.samples, -1.0, 1.0) if cfg.clip else x.samples.copy()
     if cfg.bits is not None:
-        y = dequantize_midrise(
-            quantize_midrise(y, cfg.bits, 1.0, clip=cfg.clip), cfg.bits, 1.0
-        )
+        quantize_midrise(y, cfg.bits, 1.0, clip=cfg.clip, out=y)
+        dequantize_midrise(y, cfg.bits, 1.0, out=y)
     if cfg.residual_noise_db is not None:
         rng = np.random.default_rng(seed)
         # relative to the full-scale sine's power of 1/2
         sigma = np.sqrt(0.5 * 10.0 ** (cfg.residual_noise_db / 10.0))
-        noise = rng.normal(0.0, sigma, y.size)
-        noise += y
-        y = noise.astype(dtype, copy=False)
-        del noise  # a float64 record: not held through the FIR
+        # added in float64 and cast back, a block at a time: the generator
+        # draws the blocks in sequence, so they are one draw of y.size
+        for a in range(0, y.size, _NOISE_BLOCK):
+            noise = rng.normal(0.0, sigma, min(_NOISE_BLOCK, y.size - a))
+            noise += y[a : a + noise.size]
+            y[a : a + noise.size] = noise
     taps = np.ones(1)  # identity
     if cfg.lpf_cutoff is not None:
         taps = fir_lowpass(cfg.lpf_cutoff, cfg.rate, _LPF_TRANSITION * cfg.lpf_cutoff)

@@ -135,17 +135,22 @@ def _front_end(
 ) -> SampledWaveform:
     """Shared transmit chain: DAC with the analog roll-off, drive, modulator.
 
-    The chain runs in float32, the one place a run picks single precision:
-    its rounding sits about 130 dB below full scale, far under the 14-bit
-    converter's 86 dB floor, and at the DAC rate it halves the memory
-    traffic. Every stage keeps its input's dtype, and the beat returns
-    to float64 at the sub-band rate.
+    The chain runs in float32 (the tone arrives in it; the burst is cast
+    here): its rounding sits about 130 dB below full scale, far under the
+    14-bit converter's 86 dB floor, and at the DAC rate it halves the
+    memory traffic. Every stage keeps its input's dtype, and the beat
+    returns to float64 at the sub-band rate.
     """
     y = dac_model(
-        SampledWaveform(x.samples.astype(np.float32), x.rate), cfg.dac, dac_seed
+        SampledWaveform(x.samples.astype(np.float32, copy=False), x.rate),
+        cfg.dac,
+        dac_seed,
     )
-    # drive conditioner: filters may overshoot a little past full scale
-    v = np.clip(y.samples * post_gain, -1.0, 1.0)
+    # drive conditioner, in the DAC's output record: filters may
+    # overshoot a little past full scale
+    v = y.samples
+    v *= post_gain
+    np.clip(v, -1.0, 1.0, out=v)
     return mzm_field(SampledWaveform(v, y.rate), cfg.link.drive_scale)
 
 
@@ -255,7 +260,7 @@ def _sweep_point(
     x = sine_waveform(f_actual, 1.0, cfg.sweep.duration, cfg.dac.rate)
     gain = db_to_amplitude_ratio(-cfg.link.sine_backoff_db)
     mu = _front_end(x, cfg, seeds[0], gain)
-    del x  # free the float64 tone before the beat's full-length FFT
+    del x  # free the tone before the beat's full-length FFT
     spectrum = beat_spectrum(mu)
     del mu  # the beat reads only the spectrum
     cap = _capture_subband(spectrum, n, cfg, combs, seeds[1], seeds[2])

@@ -96,10 +96,12 @@ def _as_samples(x) -> np.ndarray:
     return x if x.dtype == np.float32 else x.astype(np.float64, copy=False)
 
 
-def _rfft_bins(z: np.ndarray, lo: int, hi: int, imag: bool = False) -> np.ndarray:
+def _rfft_bins(
+    z: np.ndarray, lo: int, hi: int, imag: bool = False, out: np.ndarray | None = None
+) -> np.ndarray:
     """Bins ``lo..hi-1`` (``0 <= lo < hi <= z.size``) of the ``rfft`` of
     the real part of the record whose FFT is ``z`` (of its imaginary part
-    with ``imag``), in complex128.
+    with ``imag``), in complex128, written into ``out`` when given.
 
     Both parts are real records, so their spectra are the Hermitian and
     anti-Hermitian halves of ``z``: ``(Z[k] + conj Z[-k]) / 2`` and
@@ -107,7 +109,7 @@ def _rfft_bins(z: np.ndarray, lo: int, hi: int, imag: bool = False) -> np.ndarra
     """
     n = z.size
     # conj Z[-k] for k = lo..hi-1: Z[n - k] read backwards, Z[0] at k = 0
-    bins = np.empty(hi - lo, dtype=np.complex128)
+    bins = np.empty(hi - lo, dtype=np.complex128) if out is None else out
     first = max(lo, 1)
     np.conjugate(z[n - hi + 1 : n - first + 1][::-1], out=bins[first - lo :])
     if lo == 0:

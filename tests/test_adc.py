@@ -105,6 +105,16 @@ def test_fractional_positions_interpolate():
     assert np.max(np.abs(got - x[np.round(positions).astype(int)])) > 0.05
 
 
+def test_sampler_blocks_keep_every_bit():
+    # the outputs are weighed a block at a time: two blocks and a part,
+    # jittered, clamped at both ends, give the whole-record formula's bits
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal(160_020)
+    positions = np.arange(40_000) * 4.0 + rng.normal(0.0, 0.3, 40_000)
+    positions[[0, -1]] = [-2.5, 160_030.0]
+    assert np.array_equal(_lagrange_sample(x, positions), _lagrange_8(x, positions))
+
+
 def test_capture_determinism():
     f = _bin_freq(2561)
     x = _tone_input(f, n_out=4096)

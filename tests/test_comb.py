@@ -10,6 +10,8 @@ from combadc.comb import (
     cascade_harmonics,
     comb_from_cascade,
     flat_comb,
+    _analytic_band,
+    _centred_half,
     _differential_phase,
     beat_spectrum,
     mzm_field,
@@ -18,7 +20,7 @@ from combadc.comb import (
 from combadc.errors import ConfigError, SignalError
 from combadc.scenario import CombsSection
 from combadc.units import dbm_to_watts
-from combadc.waveform import SampledWaveform, periodogram, time_vector
+from combadc.waveform import SampledWaveform, _rfft_bins, periodogram, time_vector
 
 from conftest import flatness_db, make_combs, quiet_link
 
@@ -474,6 +476,42 @@ def test_beat_leak_matches_direct_detection_oracle(n, n_samples, dtype, rng):
     tol = 1e-10 if dtype == np.float64 else 1e-5
     got = leaky.samples - clean.samples
     assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize(
+    "n_in,first,n_out",
+    [
+        (4096, 700, 512),  # inside the record's band, even and odd output
+        (4096, 700, 511),
+        (4096, -200, 512),  # clipped at DC
+        (4095, -200, 511),
+        (4096, 1800, 512),  # reaching past the record's Nyquist bin
+        (4095, 1800, 511),
+        (64, -1, 2),
+        (64, 5, 1),
+    ],
+)
+def test_on_grid_band_and_half_keep_every_bit(n_in, first, n_out, rng):
+    # the kept rfft bins are split straight into the centred band and
+    # weighted there: bit for bit the split bins copied in, doubled but
+    # for DC and Nyquist
+    z = rng.standard_normal(n_in) + 1j * rng.standard_normal(n_in)
+    lo, hi = max(first, 0), min(first + n_out, n_in // 2 + 1)
+    src = _rfft_bins(z, lo, hi)
+    weights = np.full(src.size, 2.0)
+    if lo == 0:
+        weights[0] = 1.0
+    if n_in % 2 == 0 and hi == n_in // 2 + 1:
+        weights[-1] = 1.0
+    band = np.zeros(n_out, dtype=np.complex128)
+    band[lo - first : hi - first] = src * weights
+    centred = _analytic_band(z, first, n_out)
+    assert np.array_equal(centred.view(np.float64), band.view(np.float64))
+    # and the on-grid beat reads the half fed to its real inverse straight
+    # from the centred band: bit for bit _rfft_bins of the shifted band
+    want = _rfft_bins(np.fft.ifftshift(centred), 0, n_out // 2 + 1)
+    got = _centred_half(centred)
+    assert np.array_equal(got.view(np.float64), want.view(np.float64))
 
 
 @pytest.mark.parametrize("cmrr_db", [np.inf, 35.0])

@@ -1,6 +1,7 @@
 """scripts/compare_runs.py tells identical runs from different ones."""
 
 import hashlib
+import importlib.util
 import math
 import re
 import shutil
@@ -149,3 +150,43 @@ def test_missing_manifest_is_a_difference(tmp_path):
     out = _compare(a, empty)
     assert out.returncode == 1, out.stderr
     assert f"manifest.txt: file missing in {empty}\n" in out.stdout
+
+
+def _script_module():
+    spec = importlib.util.spec_from_file_location("compare_runs", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_matrix_tells_a_moved_tree_from_the_same_tree(tmp_path):
+    # a one-config matrix, run at a revision's tree against itself and
+    # against a copy whose shot noise is twice as strong
+    head = subprocess.run(
+        ["git", "-C", str(SCRIPT.parent), "rev-parse", "HEAD"], capture_output=True
+    )
+    if head.returncode != 0:
+        pytest.skip("not a git checkout: no revision to unpack")
+    script = _script_module()
+    tree = tmp_path / "head"
+    script.export_tree("HEAD", str(tree))
+    moved = tmp_path / "moved"
+    shutil.copytree(tree, moved)
+    comb = moved / "src" / "combadc" / "comb.py"
+    text = comb.read_text()
+    assert "_ELEMENTARY_CHARGE = 1.602176634e-19\n" in text
+    comb.write_text(text.replace("1.602176634e-19\n", "3.204353268e-19\n"))
+    runs = [("tiny-sweep", ["sweep-sine"], TINY_SWEEP)]
+
+    lines, differs = script.run_matrix(str(tree), str(tree), runs, str(tmp_path / "a"))
+    assert not differs, lines
+    assert re.fullmatch(r"tiny-sweep +1/1 +1/1  0 +match", lines[1]), lines
+
+    lines, differs = script.run_matrix(str(tree), str(moved), runs, str(tmp_path / "b"))
+    assert differs, lines
+    # the figures move, the task lines (labels and seeds) hold
+    row = re.fullmatch(
+        r"tiny-sweep +0/1 +1/1  (\S+) \((sfdr_db|sinad_db|enob_bits)\) +differ", lines[1]
+    )
+    assert row and float(row.group(1)) > 0.0, lines
+    assert lines[-1].startswith("wall time: A ")

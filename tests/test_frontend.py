@@ -5,8 +5,10 @@ from scipy.signal import hilbert
 
 from combadc.errors import SignalError
 from combadc.frontend import (
+    _NOISE_BLOCK,
     _SPLIT_BLOCK,
     DacConfig,
+    _phasor,
     ScmConfig,
     check_slot,
     dac_model,
@@ -256,11 +258,12 @@ def test_sine_waveform():
 @pytest.mark.parametrize("freq,n", [(5.5e9, 3000), (3.3e9, 5000), (0.0, 1500)])
 def test_sine_waveform_matches_cosine(freq, n):
     # the tone is built from two short exponentials, not one cos per
-    # sample; over a few 1024-sample blocks it is the cosine to 1e-12
+    # sample; over a few 1024-sample blocks it is the cosine to 1e-12,
+    # and then rounded once to float32 (a relative 2**-24 at most)
     w = sine_waveform(freq, 0.8, n / 32e9, 32e9)
     want = 0.8 * np.cos(2.0 * np.pi * freq * np.arange(n) / 32e9)
-    assert w.samples.dtype == np.float64
-    np.testing.assert_allclose(w.samples, want, rtol=0.0, atol=1e-12)
+    assert w.samples.dtype == np.float32
+    np.testing.assert_allclose(w.samples, want, rtol=2.0**-24, atol=2e-12)
 
 
 # both sides round a phase w*k of up to 6.6e5 rad (10.37 GHz, 300,001
@@ -275,18 +278,26 @@ def test_tone_taken_in_row_blocks_keeps_every_bit(freq, n):
     # the tone is formed 256 rows of 1024 samples at a time; 300,001
     # samples span two blocks and a partial row, and no row strays from
     # the cosine by more than the rounding of its phase
-    from combadc.frontend import _phasor
-
     w = 2.0 * np.pi * freq / 32e9
     k = np.arange(n)
     np.testing.assert_allclose(_phasor(w, n), np.cos(w * k), rtol=0.0, atol=_PHASE_ATOL)
 
 
+@pytest.mark.parametrize("amplitude", [1.0, 0.8])
+@pytest.mark.parametrize("n", [1, 1024, 300_001])
+@pytest.mark.parametrize("freq", [0.5e9, 5.5e9, 10.37e9])
+def test_float32_tone_is_the_float64_tone_rounded(freq, n, amplitude):
+    # the tone is written straight into float32, scaled in float64 first:
+    # bit for bit the float64 tone times the amplitude, then cast
+    want = (_phasor(2.0 * np.pi * freq / 32e9, n) * amplitude).astype(np.float32)
+    got = sine_waveform(freq, amplitude, n / 32e9, 32e9).samples
+    assert got.dtype == np.float32
+    assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+
+
 @pytest.mark.parametrize("n", [1024, 300_001])
 def test_offset_mix_in_row_blocks_keeps_every_bit(n):
     # the burst's offset mix Re(x e^{jwk}) is formed in the same row blocks
-    from combadc.frontend import _phasor
-
     rng = np.random.default_rng(n)
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     w = 2.0 * np.pi * 40e6 / 32e9
@@ -334,6 +345,26 @@ def test_dac_all_switches_off_is_identity(rng):
     x = SampledWaveform(rng.uniform(-2, 2, 4096), cfg.rate)
     y = dac_model(x, cfg, 1)
     assert np.array_equal(y.samples, x.samples)
+
+
+@pytest.mark.parametrize("clip", [True, False])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n", [2 * _NOISE_BLOCK, 2 * _NOISE_BLOCK + 777, 1000])
+def test_dac_model_is_the_plain_composition(n, dtype, clip, rng):
+    # in place, its noise added a block at a time, the DAC gives the bytes
+    # of the plain composition: clip, quantize and dequantize, one float64
+    # draw of the whole record added and cast back, then the one FIR
+    cfg = DacConfig(clip=clip, electrical_rolloff_db=3.0)
+    x = rng.uniform(-1.3, 1.3, n).astype(dtype)
+    y = np.clip(x, -1.0, 1.0) if clip else x
+    y = dequantize_midrise(quantize_midrise(y, cfg.bits, 1.0, clip=clip), cfg.bits, 1.0)
+    sigma = np.sqrt(0.5 * 10.0 ** (cfg.residual_noise_db / 10.0))
+    y = (np.random.default_rng(9).normal(0.0, sigma, n) + y).astype(dtype)
+    reconstruction = fir_lowpass(cfg.lpf_cutoff, cfg.rate, 0.08 * cfg.lpf_cutoff)
+    want = apply_fir(y, np.convolve(reconstruction, spectral_tilt_taps(cfg.rate, 3.0)))
+    got = dac_model(SampledWaveform(x, cfg.rate), cfg, 9).samples
+    assert got.dtype == dtype
+    assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
 
 
 def test_dac_rate_mismatch():

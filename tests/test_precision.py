@@ -1,5 +1,6 @@
 """Each stage keeps its input's dtype: float32 in gives float32 out at the
-DAC rate, and the sub-band beat hands float64 on to the receiver.
+DAC rate, and the sub-band beat hands float64 on to the receiver. In
+either precision, no stage writes into its caller's array.
 
 The float64 oracles in the module tests pin float64-in, float64-out; these
 cases pin the float32 side and how far single precision moves a result.
@@ -8,8 +9,10 @@ cases pin the float32 side and how far single precision moves a result.
 import numpy as np
 import pytest
 
+from combadc.adc import AdcConfig, adc_capture
 from combadc.comb import LinkConfig, beat_spectrum, mzm_field, subband_beat
 from combadc.frontend import DacConfig, dac_model, sine_waveform
+from combadc.metrics import MetricsConfig, sine_metrics
 from combadc.waveform import SampledWaveform, apply_fir, fir_lowpass
 
 from conftest import make_combs
@@ -90,3 +93,41 @@ def test_beat_of_float32_field_is_float64_and_matches(out_rate):
     assert i32.dtype == np.float64
     # the float32 transforms' rounding stays 120 dB under the current's peak
     np.testing.assert_allclose(i32, i64, atol=1e-6 * np.max(np.abs(i64)))
+
+
+def _read_only(x: np.ndarray) -> np.ndarray:
+    """A copy of ``x`` that raises on any write into it."""
+    x = x.copy()
+    x.setflags(write=False)
+    return x
+
+
+@pytest.mark.parametrize("bits", [6, None])
+@pytest.mark.parametrize("clip", [True, False])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_stages_never_write_into_their_input(dtype, clip, bits, rng):
+    # the DAC, the modulator, the ADC and the metrics work in place in
+    # arrays of their own; a read-only input raises if one writes into it
+    x = _read_only(rng.uniform(-1.2, 1.2, 20000).astype(dtype))
+    for dac in (
+        DacConfig(bits=bits, clip=clip, electrical_rolloff_db=3.0),
+        # no noise and no filter: the quantizer's or the clip's own copy
+        DacConfig(bits=bits, clip=clip, residual_noise_db=None, lpf_cutoff=None),
+    ):
+        assert dac_model(SampledWaveform(x, RATE), dac, 3).samples.dtype == dtype
+    v = _read_only(np.clip(x, -1.0, 1.0))
+    assert mzm_field(SampledWaveform(v, RATE), 0.3).samples.dtype == dtype
+
+    def tone(rate: float) -> SampledWaveform:
+        t = np.arange(int(20e-6 * rate)) / rate
+        x = (0.5 * np.cos(2.0 * np.pi * 250e6 * t)).astype(dtype)
+        return SampledWaveform(_read_only(x), rate)
+
+    for adc in (
+        AdcConfig(bits=14 if bits else None),
+        # no coupling and no filter: the sampler reads the input itself
+        AdcConfig(bits=14 if bits else None, ac_couple=None, aa_cutoff=None),
+    ):
+        adc_capture(tone(9.6e9), adc, 5)
+    report = sine_metrics(tone(2.4e9), 250e6, MetricsConfig(n_avg=1))
+    assert report.fundamental_hz == pytest.approx(250e6, abs=1e9 / 16384)

@@ -14,12 +14,13 @@ recorded sha256s match; lists every `# task` line that differs once
 payload, as `- key = value` (only in DIR_A) or `+ key = value` (only in
 DIR_B); and prints, for every numeric column of every CSV artifact present in both
 runs, the largest absolute difference between the two. For a spectrum
-(`freq_hz,power_db`) it also prints the difference of the 0-500 MHz
-in-band power and of the strongest bin, and whether the strongest bin is
-the same bin in both: a single bin deep in a notch can move by tenths of
-a dB while the band and the peak hold. A directory without a
-`manifest.txt`, or an artifact its manifest names but the directory
-lacks, is reported as `file missing in DIR`. Exit status is 0 when
+(`freq_hz,power_db`) it also prints the difference of the in-band power,
+0 to half the run's slice width `combs.delta_f` as its manifest gives it
+(1 GHz when the manifest does not name it), and of the strongest bin, and
+whether the strongest bin is the same bin in both: a single bin deep in a
+notch can move by tenths of a dB while the band and the peak hold. A
+directory without a `manifest.txt`, or an artifact its manifest names but
+the directory lacks, is reported as `file missing in DIR`. Exit status is 0 when
 everything matches and 1 when anything differs.
 
 With `--matrix REV` the script unpacks the committed tree of git revision
@@ -30,7 +31,8 @@ the largest figure drift (the largest column difference above, with its
 column) and whether the pair matches in full, config payload included.
 `--work DIR` keeps the unpacked tree and the run directories under DIR
 (a temporary directory, removed at the end, otherwise); the pairwise mode
-then explains any row. Exit status is 0 when every run matches.
+then explains any row. Exit status is 0 when every run matches. The
+matrix takes about 17 s per revision on two CPU cores.
 """
 
 import argparse
@@ -80,9 +82,23 @@ def read_csv(path: str) -> tuple[list[str], list[list[str]]]:
     return lines[0].split(","), [line.split(",") for line in lines[1:]]
 
 
-def column_diffs(path_a: str, path_b: str) -> tuple[list[str], dict[str, float]]:
+def slice_width(payload: list[str]) -> float:
+    """The run's `combs.delta_f` in Hz from its config lines, or the
+    key's 1 GHz default when they do not name it."""
+    for line in payload:
+        key, _, value = line.partition(" = ")
+        if key == "combs.delta_f":
+            return float(value)
+    return 1e9
+
+
+def column_diffs(
+    path_a: str, path_b: str, edges: tuple[float, float]
+) -> tuple[list[str], dict[str, float]]:
     """One report line per numeric column, and per numeric column its max
-    |a - b| over shared rows (a header that differs reads inf)."""
+    |a - b| over shared rows (a header that differs reads inf); a
+    spectrum's in-band power reads each run's bins up to its edge in
+    ``edges``."""
     head_a, rows_a = read_csv(path_a)
     head_b, rows_b = read_csv(path_b)
     if head_a != head_b:
@@ -102,28 +118,31 @@ def column_diffs(path_a: str, path_b: str) -> tuple[list[str], dict[str, float]]
         out.append(f"  {name}: max |diff| {diff:.6g}")
         diffs[name] = diff
     if head_a == ["freq_hz", "power_db"] and rows_a and rows_b:
-        out += spectrum_diffs(rows_a, rows_b)
+        out += spectrum_diffs(rows_a, rows_b, edges)
     return out, diffs
 
 
-_IN_BAND_HZ = 500e6
-
-
-def spectrum_figures(rows: list[list[str]]) -> tuple[float, float, float]:
-    """(0-500 MHz in-band power in dB, strongest bin in dB, its frequency)."""
+def spectrum_figures(
+    rows: list[list[str]], edge_hz: float
+) -> tuple[float, float, float]:
+    """(in-band power from 0 to ``edge_hz`` in dB, strongest bin in dB, its
+    frequency)."""
     freqs = [float(f) for f, _ in rows]
     powers = [float(p) for _, p in rows]
-    in_band = sum(10.0 ** (p / 10.0) for f, p in zip(freqs, powers) if f <= _IN_BAND_HZ)
+    in_band = sum(10.0 ** (p / 10.0) for f, p in zip(freqs, powers) if f <= edge_hz)
     peak = max(range(len(powers)), key=powers.__getitem__)
     return 10.0 * math.log10(in_band), powers[peak], freqs[peak]
 
 
-def spectrum_diffs(rows_a: list[list[str]], rows_b: list[list[str]]) -> list[str]:
-    band_a, peak_a, f_a = spectrum_figures(rows_a)
-    band_b, peak_b, f_b = spectrum_figures(rows_b)
+def spectrum_diffs(
+    rows_a: list[list[str]], rows_b: list[list[str]], edges: tuple[float, float]
+) -> list[str]:
+    band_a, peak_a, f_a = spectrum_figures(rows_a, edges[0])
+    band_b, peak_b, f_b = spectrum_figures(rows_b, edges[1])
     where = f"same bin {f_a:g} Hz" if f_a == f_b else f"bins {f_a:g} vs {f_b:g} Hz"
+    band = " vs ".join(dict.fromkeys(f"0-{edge / 1e6:g}" for edge in edges))
     return [
-        f"  in-band power (0-500 MHz): |diff| {abs(band_a - band_b):.6g} dB",
+        f"  in-band power ({band} MHz): |diff| {abs(band_a - band_b):.6g} dB",
         f"  strongest bin: |diff| {abs(peak_a - peak_b):.6g} dB, {where}",
     ]
 
@@ -171,7 +190,9 @@ def compare(dir_a: str, dir_b: str) -> Comparison:
         lines.append(f"artifact {name}: sha256 {'matches' if same else 'differs'}")
         if name.endswith(".csv") and present:
             report, diffs = column_diffs(
-                os.path.join(dir_a, name), os.path.join(dir_b, name)
+                os.path.join(dir_a, name),
+                os.path.join(dir_b, name),
+                (slice_width(cfg_a) / 2.0, slice_width(cfg_b) / 2.0),
             )
             lines += report
             for column, diff in diffs.items():
@@ -205,10 +226,20 @@ def compare(dir_a: str, dir_b: str) -> Comparison:
 # three sweep points, on sub-bands 1, 6 and 10, at the full 70 us record
 _SWEEP = "sweep.start = 0.5ghz\nsweep.stop = 10.5ghz\nsweep.step = 5ghz\n"
 
+# eight channels keep a 1.25 GHz grid's burst below the DAC's 11 GHz filter
+_WIDE_SLICE = "combs.delta_f = 1.25ghz\nscm.active_channels = 1,2,3,4,5,6,7,8\n"
+# a channel plan that fits the 0.5 GHz slice, and an FFT that its 70 us
+# capture holds four times at 0.5 GSa/s
+_NARROW_SLICE = (
+    "combs.delta_f = 0.5ghz\nscm.baud = 400mhz\nscm.baseband_offset = 20mhz\n"
+    "metrics.n_fft = 8192\n"
+)
+
 # (name, subcommand and its flags, config lines): small runs that between
 # them take every stage's switched-off and alternative paths. The 2.048 us
 # bursts are the default; the all-odd burst's DAC codes flip at exact
 # zeros on any change of FFT arithmetic, so its drift shows, not hides.
+# Every config loads at the working tree (tests/test_compare_runs.py).
 MATRIX = [
     ("sweep", ["sweep-sine"], _SWEEP),
     ("sweep-cmrr-inf", ["sweep-sine"], _SWEEP + "link.cmrr_db = inf\n"),
@@ -217,14 +248,18 @@ MATRIX = [
     ("sweep-dac-clip-off", ["sweep-sine"], _SWEEP + "dac.clip = off\n"),
     # a walking phase track takes the beat's off-grid path
     ("sweep-linewidth", ["sweep-sine"], _SWEEP + "combs.drive_linewidth = 1khz\n"),
-    ("sweep-delta-f-1.25", ["sweep-sine"], _SWEEP + "combs.delta_f = 1.25ghz\n"),
+    ("sweep-delta-f-1.25", ["sweep-sine"], _SWEEP + _WIDE_SLICE),
+    ("sweep-delta-f-0.5", ["sweep-sine"], _SWEEP + _NARROW_SLICE),
+    # a constant path drift turns the beat's phase track on
+    ("sweep-drift", ["sweep-sine"], _SWEEP + "combs.differential_drift = 1000\n"),
     ("scm", ["run-scm"], ""),
     ("scm-jobs-2", ["run-scm", "--jobs", "2"], ""),
     ("scm-odd", ["run-scm"], "scm.active_channels = 1,3,5\n"),
     ("scm-muted", ["run-scm"], "scm.active_channels = 1\n"),
     ("scm-lms", ["run-scm"], "demod.equalizer = lms\n"),
     ("scm-cascade", ["run-scm"], "combs.source = cascade\n"),
-    ("scm-delta-f-1.25", ["run-scm"], "combs.delta_f = 1.25ghz\n"),
+    ("scm-delta-f-1.25", ["run-scm"], _WIDE_SLICE),
+    ("scm-eq-none", ["run-scm"], "demod.equalizer = none\n"),
     (
         "scm-switches-off",
         ["run-scm"],

@@ -2,11 +2,11 @@
 
 A broadband electrical signal modulates one optical frequency comb; beating
 it against a second comb with a slightly offset line spacing slices the band
-into 1 GHz sub-bands, each folded to baseband where a slow high-resolution
-ADC digitizes it.  The package models that chain end to end (DAC playback,
-modulator, comb pair, balanced detection, TIA, sub-band ADC) and measures it
-the way a bench would: sine sweeps scored by SFDR/SINAD/ENOB and a
-subcarrier-multiplexed PAM4 burst scored by per-channel demodulation SNR.
+into sub-bands as wide as that offset, each folded to baseband where a slow
+high-resolution ADC digitizes it.  The package models that chain end to end
+(DAC playback, modulator, comb pair, balanced detection, TIA, sub-band ADC)
+and measures it the way a bench would: sine sweeps scored by SFDR/SINAD/ENOB
+and a subcarrier-multiplexed PAM4 burst scored by per-channel demodulation SNR.
 
 Most work goes through :func:`load_config` plus one of the runners
 (:func:`run_sweep`, :func:`run_scm`, :func:`run_spectrum`); the lower-level

@@ -1,9 +1,9 @@
 """Sine-test metrics: SFDR, SINAD, ENOB over the folded sub-band.
 
-The analysis stream is the capture resampled to 1 GSa/s, so one sub-band
-occupies the 0-500 MHz half-band. Metrics integrate bin powers from an
-averaged periodogram; because the windows are power-normalized, every
-figure here is a pure ratio and indifferent to absolute capture gain.
+The analysis stream is the capture resampled to the slice width δf, so
+one sub-band occupies the 0 to δf/2 half-band. Metrics integrate bin
+powers from an averaged periodogram; the windows are power-normalized, so
+every figure is a pure ratio and indifferent to absolute capture gain.
 """
 
 from __future__ import annotations
@@ -23,11 +23,10 @@ __all__ = [
     "sine_metrics",
 ]
 
-ANALYSIS_RATE = 1e9
-
-# folded test tones are kept inside this window: above the converter's
-# AC-coupling notch with margin, below the detector filter edge
-FOLD_WINDOW_HZ = (170e6, 455e6)
+# folded test tones are kept inside this window, in thousandths of δf:
+# above the converter's AC-coupling notch with margin, below the
+# detector filter edge
+FOLD_PER_MILLE = (170, 455)
 
 # AC-coupled region excluded from the default analysis band
 _NOTCH_HZ = 10e6
@@ -65,28 +64,27 @@ class MetricsReport:
     fundamental_hz: float
 
 
-def fold_bins(n_fft: int) -> tuple[float, int, int]:
-    """The ``n_fft``-point analysis grid's bin spacing in Hz, and its first
-    and last bin inside ``FOLD_WINDOW_HZ`` (the last below the first when
-    no bin falls inside)."""
-    grid = ANALYSIS_RATE / n_fft
-    lo, hi = FOLD_WINDOW_HZ
-    return grid, int(np.ceil(lo / grid)), int(np.floor(hi / grid))
+def fold_bins(n_fft: int, delta_f: float) -> tuple[float, int, int]:
+    """The bin spacing of ``n_fft`` bins across a ``delta_f``-wide slice, and
+    the first and last bin inside the fold window, the same at any ``delta_f``
+    (the last below the first when no bin falls inside)."""
+    lo, hi = FOLD_PER_MILLE
+    return delta_f / n_fft, -(-lo * n_fft // 1000), hi * n_fft // 1000
 
 
-def check_analysis_grid(n_fft: int) -> None:
+def check_analysis_grid(n_fft: int, delta_f: float) -> None:
     """Raise SignalError when ``n_fft`` analysis bins cannot score a folded tone.
 
-    A snapped tone needs a grid bin inside ``FOLD_WINDOW_HZ``, and SINAD
+    A snapped tone needs a grid bin inside the fold window, and SINAD
     needs analysis-band bins left once the fundamental's peak and
     ``GUARD_BINS`` on each side of it are taken out.
     """
-    grid, bin_lo, bin_hi = fold_bins(n_fft)
+    grid, bin_lo, bin_hi = fold_bins(n_fft, delta_f)
     if bin_lo > bin_hi:
-        lo, hi = FOLD_WINDOW_HZ
+        lo, hi = FOLD_PER_MILLE
         raise SignalError(
             f"the {n_fft}-point, {grid / 1e6:g} MHz analysis grid has no bin "
-            f"inside the {lo / 1e6:g}-{hi / 1e6:g} MHz fold window"
+            f"inside the fold window, {lo / 10:g}-{hi / 10:g} % of delta_f"
         )
     band = n_fft // 2 - int(_NOTCH_HZ // grid)
     span = 2 * GUARD_BINS + 1
@@ -101,16 +99,15 @@ def sine_metrics(
     wave: SampledWaveform,
     expected_baseband_hz: float,
     cfg: MetricsConfig,
-    *,
-    analysis_rate: float = ANALYSIS_RATE,
+    analysis_rate: float,
 ) -> MetricsReport:
     """Tone quality figures from one sub-band capture's waveform.
 
     The waveform is resampled to ``analysis_rate``, the fundamental is
     located within +-2 bins of the expected baseband frequency, and its
     power is summed over ``GUARD_BINS`` neighbors on each side. SINAD
-    integrates everything else across the analysis band (10 to 500 MHz,
-    widened to 0 to 500 MHz by ``cfg.include_notch_band``); SFDR compares
+    integrates everything else across the analysis band (10 MHz to half
+    ``analysis_rate``, from 0 with ``cfg.include_notch_band``); SFDR compares
     against the single largest non-fundamental bin in the same band. A
     snapped tone (``cfg.snap``) sits on the grid and is scored through a
     rectangular window, any other through a 4-term Blackman-Harris one.

@@ -38,7 +38,7 @@ from .comb import BeatSpectrum, ScenarioCombs, beat_spectrum, mzm_field, subband
 from .demod import demod_pam4
 from .errors import CombAdcError, ConfigError
 from .frontend import dac_model, gen_pam4_symbols, scm_waveform, sine_waveform
-from .metrics import FOLD_WINDOW_HZ, fold_bins, sine_metrics
+from .metrics import FOLD_PER_MILLE, fold_bins, sine_metrics
 from .scenario import ScenarioConfig, build_demod, dump_config, validate_scenario
 from .seeding import derive_seed_sequence
 from .units import db_to_amplitude_ratio
@@ -120,12 +120,12 @@ def snap_sweep_frequency(
     n = int(np.clip(round(f_request / delta_f), 1, combs.n_pairs))
     offset = f_request - n * delta_f
     side = 1.0 if offset >= 0 else -1.0
-    fold_lo, fold_hi = FOLD_WINDOW_HZ
+    fold_lo, fold_hi = (k * delta_f / 1000 for k in FOLD_PER_MILLE)
     folded = float(np.clip(abs(offset), fold_lo, fold_hi))
     if cfg.metrics.snap:
         # clamp on the grid-aligned window so rounding cannot push the
         # tone back past either edge
-        grid, bin_lo, bin_hi = fold_bins(cfg.metrics.n_fft)
+        grid, bin_lo, bin_hi = fold_bins(cfg.metrics.n_fft, delta_f)
         folded = int(np.clip(round(folded / grid), bin_lo, bin_hi)) * grid
     return n * delta_f + side * folded, n, folded
 
@@ -264,7 +264,7 @@ def _sweep_point(
     spectrum = beat_spectrum(mu)
     del mu  # the beat reads only the spectrum
     cap = _capture_subband(spectrum, n, cfg, combs, seeds[1], seeds[2])
-    report = sine_metrics(cap.to_waveform(), f_folded, cfg.metrics)
+    report = sine_metrics(cap.to_waveform(), f_folded, cfg.metrics, combs.delta_f)
     return (
         f"{f_request / 1e9:.4f},{report.sfdr_db:.6f},"
         f"{report.sinad_db:.6f},{report.enob_bits:.6f}\n"

@@ -27,7 +27,7 @@ from .comb import (
 from .demod import DemodConfig, capture_filters, symbol_budget
 from .errors import CombAdcError, ConfigError
 from .frontend import DacConfig, ScmConfig, burst_sps, check_carrier_grid, check_slot
-from .metrics import ANALYSIS_RATE, MetricsConfig, check_analysis_grid
+from .metrics import MetricsConfig, check_analysis_grid
 from .waveform import lowpass_band, resample_plan
 
 __all__ = [
@@ -421,7 +421,15 @@ def validate_scenario(cfg: ScenarioConfig) -> ScenarioCombs:
     _stage_rule("rate-consistency", lowpass_band, cfg.link.pd_bandwidth, beat_rate)
     demod = build_demod(cfg)
     _stage_rule("rate-consistency", capture_filters, cfg.adc.rate, demod)
-    _stage_rule("rate-consistency", resample_plan, cfg.adc.rate, ANALYSIS_RATE)
+    # the sine test scores the capture resampled to the slice width
+    _stage_rule("rate-consistency", resample_plan, cfg.adc.rate, grid)
+    # its folded slice spans 0 to delta_f/2, inside the converter's Nyquist band
+    _rule(
+        "rate-consistency",
+        grid <= cfg.adc.rate,
+        f"combs.delta_f {grid:.4g} Hz exceeds adc.rate {cfg.adc.rate:.4g} Sa/s: "
+        "its folded slice would reach past the converter's Nyquist band",
+    )
     _rule(
         "sweep-grid",
         0 < cfg.sweep.start <= cfg.sweep.stop and cfg.sweep.step > 0,
@@ -448,7 +456,7 @@ def validate_scenario(cfg: ScenarioConfig) -> ScenarioCombs:
     )
     _rule(
         "capture-length",
-        cfg.sweep.duration * ANALYSIS_RATE >= cfg.metrics.n_fft * cfg.metrics.n_avg,
+        cfg.sweep.duration * grid >= cfg.metrics.n_fft * cfg.metrics.n_avg,
         f"sweep.duration {cfg.sweep.duration:.3g} s too short for "
         f"{cfg.metrics.n_fft} x {cfg.metrics.n_avg} spectral averaging",
     )
@@ -459,7 +467,7 @@ def validate_scenario(cfg: ScenarioConfig) -> ScenarioCombs:
         f"a {longest:.3g} s record at {cfg.dac.rate:.3g} Sa/s holds more than "
         f"{_MAX_RECORD_SAMPLES} samples",
     )
-    _stage_rule("analysis-grid", check_analysis_grid, cfg.metrics.n_fft)
+    _stage_rule("analysis-grid", check_analysis_grid, cfg.metrics.n_fft, grid)
     _stage_rule("training-length", symbol_budget, cfg.scm.symbols_per_burst, demod)
     active = cfg.scm.active_set()
     _rule(
@@ -470,4 +478,11 @@ def validate_scenario(cfg: ScenarioConfig) -> ScenarioCombs:
     # the highest sub-band a sweep point or an active channel reaches
     top = max(round(last / combs.delta_f), *active)
     _stage_rule("rate-consistency", downshift_hz, top, combs.delta_f, cfg.dac.rate)
+    # the top active channel's shaped band, on its subcarrier, must pass
+    # the DAC's reconstruction filter
+    cutoff, scm = cfg.dac.lpf_cutoff, cfg.scm
+    edge = max(active) * grid + scm.baseband_offset + scm.baud * (1 + scm.rolloff) / 2
+    if cutoff is not None:
+        detail = f"channel {max(active)} reaches {edge:.4g} Hz, past {cutoff:.4g} Hz"
+        _rule("band-edge", edge < cutoff, f"{detail} (dac.lpf_cutoff)")
     return combs

@@ -91,7 +91,7 @@ def test_tone_mapping_into_subband_five():
             beat_spectrum(mu), n, combs, cfg.link, seed=2, out_rate=mu.rate
         )
         cap = adc_capture(current, cfg.adc, seed=3)
-        rep = sine_metrics(cap.to_waveform(), folded, cfg.metrics)
+        rep = sine_metrics(cap.to_waveform(), folded, cfg.metrics, ANALYSIS_RATE)
         assert time.perf_counter() - t0 < 10.0
         assert rep.fundamental_hz == pytest.approx(250e6, abs=RBW)
         peaks.append(rep.fundamental_hz)
@@ -110,12 +110,16 @@ def test_metric_readout_on_constructed_capture():
     sigma2 = (amp**2 / 2.0) * 1e-4 * 8192 / n_band
     noise = np.random.default_rng(8).normal(0.0, np.sqrt(sigma2), n)
     metrics = MetricsConfig()
-    clean = sine_metrics(SampledWaveform(tone + noise, ANALYSIS_RATE), 2561 * RBW, metrics)
+    wave = SampledWaveform(tone + noise, ANALYSIS_RATE)
+    clean = sine_metrics(wave, 2561 * RBW, metrics, ANALYSIS_RATE)
     assert clean.sinad_db == pytest.approx(40.0, abs=0.5)
 
     spur = amp * 10 ** (-45.0 / 20.0) * np.cos(2.0 * np.pi * (3413 * RBW) * t)
     spurred = sine_metrics(
-        SampledWaveform(tone + noise + spur, ANALYSIS_RATE), 2561 * RBW, metrics
+        SampledWaveform(tone + noise + spur, ANALYSIS_RATE),
+        2561 * RBW,
+        metrics,
+        ANALYSIS_RATE,
     )
     assert spurred.sfdr_db == pytest.approx(45.0, abs=0.5)
     assert spurred.enob_bits == (spurred.sinad_db - 1.76) / 6.02
@@ -133,7 +137,7 @@ def test_quantization_law_end_to_end():
     cap = adc_capture(
         SampledWaveform(0.9999 * np.cos(2 * np.pi * f * t), 8e9), adc_cfg, seed=1
     )
-    rep = sine_metrics(cap.to_waveform(), f, MetricsConfig())
+    rep = sine_metrics(cap.to_waveform(), f, MetricsConfig(), ANALYSIS_RATE)
     assert rep.sinad_db == pytest.approx(86.0, abs=1.0)
 
     dac_cfg = DacConfig(bits=6, residual_noise_db=None, lpf_cutoff=None)
@@ -142,7 +146,7 @@ def test_quantization_law_end_to_end():
         2561 * dac_rbw, 0.999 * 1.0, N_FFT * 4 / dac_cfg.rate, dac_cfg.rate
     )
     out = dac_model(tone, dac_cfg, 1)
-    rep = sine_metrics(out, 2561 * dac_rbw, MetricsConfig(), analysis_rate=dac_cfg.rate)
+    rep = sine_metrics(out, 2561 * dac_rbw, MetricsConfig(), dac_cfg.rate)
     assert rep.sinad_db == pytest.approx(37.9, abs=1.0)
 
 
@@ -213,13 +217,57 @@ def test_jitter_sensitivity_law():
         x = SampledWaveform(0.99 * np.cos(2 * np.pi * f * t), 8e9)
         cfg = AdcConfig(bits=bits, jitter_rms=jitter_rms, **base)
         cap = adc_capture(x, cfg, seed=3)
-        return sine_metrics(cap.to_waveform(), f, MetricsConfig())
+        return sine_metrics(cap.to_waveform(), f, MetricsConfig(), ANALYSIS_RATE)
 
     assert capture(6554, sigma, None).sinad_db == pytest.approx(40.0, abs=1.0)
 
     lo = capture(1639, 0.0, 14).sinad_db
     hi = capture(7373, 0.0, 14).sinad_db
     assert abs(lo - hi) < 0.2
+
+
+# a thermal-only link, with a flat comb, flat cabling and the notch band
+# scored, so the slice's noise floor is white from 0 to delta_f/2
+THERMAL_SWEEP = """
+sweep.start = 3ghz
+sweep.stop = 5ghz
+sweep.step = 2ghz
+link.shot = off
+link.osnr_db = inf
+dac.bits = off
+dac.residual_noise_db = off
+adc.bits = off
+combs.tone_tilt_db = 0
+dac.electrical_rolloff_db = 0
+metrics.include_notch_band = on
+metrics.n_fft = 8192
+"""
+# each slice width with the channel plan that fits it
+SLICES = {
+    0.5e9: "combs.delta_f = 0.5ghz\nscm.baud = 400mhz\nscm.baseband_offset = 20mhz\n",
+    1e9: "",
+    1.25e9: "combs.delta_f = 1.25ghz\nscm.active_channels = 1,2,3,4,5,6,7,8\n",
+}
+
+
+def test_slice_width_law(tmp_path):
+    # the SNR-for-rate trade slicing gets round: a slice of width delta_f
+    # holds delta_f/2 of white noise, so mean SINAD over the 3 and 5 GHz
+    # points and seeds 1-3 sits -10 log10(delta_f / 1 GHz) from the 1 GHz
+    # slice's, +3.01 dB at 0.5 GHz and -0.97 dB at 1.25 GHz, within 0.3 dB
+    mean = {}
+    for delta_f, text in SLICES.items():
+        sinad = []
+        for seed in (1, 2, 3):
+            out = tmp_path / f"{delta_f:g}-{seed}"
+            cfg = load_config(THERMAL_SWEEP + text + f"run.master_seed = {seed}\n")
+            run_sweep(cfg, str(out))
+            sinad += [row[2] for row in _read_rows(out / "sweep.csv")]
+        assert len(sinad) == 6
+        mean[delta_f] = np.mean(sinad)
+    for delta_f in (0.5e9, 1.25e9):
+        law = -10.0 * np.log10(delta_f / 1e9)
+        assert mean[delta_f] - mean[1e9] == pytest.approx(law, abs=0.3)
 
 
 def test_deterministic_artifacts_across_jobs(scm_run, tmp_path):

@@ -8,6 +8,7 @@ from combadc.waveform import SampledWaveform, time_vector
 
 RATE_IN = 8e9
 N_OUT = 16384 * 4 + 2048  # analysis length plus transient skip
+ANALYSIS_RATE = 1e9
 
 
 def _law_cfg(**kw):
@@ -29,8 +30,8 @@ def _tone_input(freq, amp=0.9999, n_out=N_OUT):
     return SampledWaveform(amp * np.cos(2.0 * np.pi * freq * t), RATE_IN)
 
 
-def _bin_freq(k, n_fft=16384, analysis_rate=1e9):
-    return k * analysis_rate / n_fft
+def _bin_freq(k, n_fft=16384):
+    return k * ANALYSIS_RATE / n_fft
 
 
 def test_zero_input_zero_codes():
@@ -52,7 +53,7 @@ def test_quantization_law_14bit():
     # and the quantization error is properly averaged
     f = _bin_freq(2561)
     cap = adc_capture(_tone_input(f), _law_cfg(), seed=1)
-    rep = sine_metrics(cap.to_waveform(), f, MetricsConfig())
+    rep = sine_metrics(cap.to_waveform(), f, MetricsConfig(), ANALYSIS_RATE)
     assert rep.sinad_db == pytest.approx(6.02 * 14 + 1.76, abs=1.0)
     assert rep.enob_bits == pytest.approx((rep.sinad_db - 1.76) / 6.02)
 
@@ -63,6 +64,7 @@ def test_quantization_noise_frequency_independent():
             adc_capture(_tone_input(_bin_freq(k)), _law_cfg(), 1).to_waveform(),
             _bin_freq(k),
             MetricsConfig(),
+            ANALYSIS_RATE,
         )
         for k in (1639, 7373)  # ~100 MHz and ~450 MHz, both odd bins
     ]
@@ -75,7 +77,7 @@ def test_jitter_law_400mhz():
     sigma = 10 ** (-40.0 / 20.0) / (2.0 * np.pi * 400e6)
     cfg = _law_cfg(bits=None, jitter_rms=sigma)
     cap = adc_capture(_tone_input(f, amp=0.99), cfg, seed=3)
-    rep = sine_metrics(cap.to_waveform(), f, MetricsConfig())
+    rep = sine_metrics(cap.to_waveform(), f, MetricsConfig(), ANALYSIS_RATE)
     assert rep.sinad_db == pytest.approx(40.0, abs=1.0)
 
 

@@ -25,6 +25,25 @@ metrics.n_avg = 1
 """
 
 
+def _script_module():
+    spec = importlib.util.spec_from_file_location("compare_runs", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+MATRIX = _script_module().MATRIX
+
+
+@pytest.mark.parametrize(
+    "text", [text for _, _, text in MATRIX], ids=[name for name, _, _ in MATRIX]
+)
+def test_matrix_configs_load(text):
+    # a config a validate rule rejects showed only as a `differ` row,
+    # after a whole matrix run
+    load_config(text)
+
+
 def _compare(a, b) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, str(SCRIPT), str(a), str(b)], capture_output=True, text=True
@@ -76,8 +95,9 @@ def test_same_seed_matches_and_other_seed_differs(tmp_path):
 FREQS = [0.0, 250e6, 500e6, 750e6, 1000e6]
 
 
-def _spectrum_run(path, powers):
-    """A run directory holding one spectrum artifact with these bin powers."""
+def _spectrum_run(path, powers, payload=""):
+    """A run directory holding one spectrum artifact with these bin powers,
+    under a manifest with these config lines."""
     path.mkdir()
     rows = "".join(f"{f:.6f},{p:.6f}\n" for f, p in zip(FREQS, powers))
     text = "# n_fft = 8\nfreq_hz,power_db\n" + rows
@@ -85,6 +105,7 @@ def _spectrum_run(path, powers):
     sha = hashlib.sha256(text.encode()).hexdigest()
     (path / "manifest.txt").write_text(
         f"# combadc run manifest\n# artifact spectrum_ch1.csv sha256={sha}\n#\n"
+        + payload
     )
     return path
 
@@ -108,6 +129,21 @@ def test_spectrum_band_power_and_strongest_bin(tmp_path):
     assert float(band.group(1)) == pytest.approx(10.0 * math.log10(0.15 / 0.11), abs=1e-5)
     assert "strongest bin: |diff| 1 dB, bins 7.5e+08 vs 1e+09 Hz\n" in moved.stdout
     assert moved.returncode == 1
+
+
+def test_spectrum_band_is_half_the_slice_width(tmp_path):
+    # the same bins, the second run on a 2 GHz slice: its band takes the
+    # 750 MHz and 1 GHz bins too
+    base = [-195.0, -10.0, -20.0, -3.0, -50.0]
+    watts = [10.0 ** (p / 10.0) for p in base]
+    a = _spectrum_run(tmp_path / "a", base, "combs.delta_f = 1000000000.0\n")
+    wide = _spectrum_run(tmp_path / "wide", base, "combs.delta_f = 2000000000.0\n")
+    out = _compare(a, wide).stdout
+    band = re.search(r"in-band power \(0-500 vs 0-1000 MHz\): \|diff\| (\S+) dB", out)
+    assert float(band.group(1)) == pytest.approx(
+        10.0 * math.log10(sum(watts) / sum(watts[:3])), abs=1e-5
+    )
+    assert "strongest bin: |diff| 0 dB, same bin 7.5e+08 Hz\n" in out
 
 
 def test_config_lines_in_one_payload_are_named(tmp_path):
@@ -150,13 +186,6 @@ def test_missing_manifest_is_a_difference(tmp_path):
     out = _compare(a, empty)
     assert out.returncode == 1, out.stderr
     assert f"manifest.txt: file missing in {empty}\n" in out.stdout
-
-
-def _script_module():
-    spec = importlib.util.spec_from_file_location("compare_runs", SCRIPT)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def test_matrix_tells_a_moved_tree_from_the_same_tree(tmp_path):

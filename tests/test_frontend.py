@@ -382,7 +382,7 @@ def test_dac_quantization_law_6bit():
     rbw = cfg.rate / 16384
     tone = sine_waveform(2561 * rbw, 0.999, 16384 * 4 / cfg.rate, cfg.rate)
     out = dac_model(tone, cfg, 1)
-    rep = sine_metrics(out, 2561 * rbw, MetricsConfig(), analysis_rate=cfg.rate)
+    rep = sine_metrics(out, 2561 * rbw, MetricsConfig(), cfg.rate)
     assert rep.sinad_db == pytest.approx(6.02 * 6 + 1.76, abs=1.0)
 
 

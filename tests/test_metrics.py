@@ -34,26 +34,28 @@ def _constructed_capture(snr_db=40.0, spur_dbc=None, amp=0.9, k_fund=2561, seed=
 
 
 def test_sinad_matches_constructed_snr():
-    rep = sine_metrics(_constructed_capture(40.0), 2561 * RBW, DEFAULT)
+    rep = sine_metrics(_constructed_capture(40.0), 2561 * RBW, DEFAULT, RATE)
     assert rep.sinad_db == pytest.approx(40.0, abs=0.3)
     assert rep.fundamental_hz == pytest.approx(2561 * RBW)
 
 
 def test_sfdr_reads_injected_spur():
-    rep = sine_metrics(_constructed_capture(40.0, spur_dbc=-45.0), 2561 * RBW, DEFAULT)
+    wave = _constructed_capture(40.0, spur_dbc=-45.0)
+    rep = sine_metrics(wave, 2561 * RBW, DEFAULT, RATE)
     assert rep.sfdr_db == pytest.approx(45.0, abs=0.3)
     assert rep.sinad_db < 40.0  # the spur also counts against SINAD
 
 
 def test_enob_definition():
-    rep = sine_metrics(_constructed_capture(40.0), 2561 * RBW, DEFAULT)
+    rep = sine_metrics(_constructed_capture(40.0), 2561 * RBW, DEFAULT, RATE)
     assert rep.enob_bits == (rep.sinad_db - 1.76) / 6.02
 
 
 def test_metrics_gain_invariant():
     wave = _constructed_capture(35.0)
-    a = sine_metrics(wave, 2561 * RBW, DEFAULT)
-    b = sine_metrics(SampledWaveform(wave.samples * 12.5, RATE), 2561 * RBW, DEFAULT)
+    a = sine_metrics(wave, 2561 * RBW, DEFAULT, RATE)
+    louder = SampledWaveform(wave.samples * 12.5, RATE)
+    b = sine_metrics(louder, 2561 * RBW, DEFAULT, RATE)
     assert b.sinad_db == pytest.approx(a.sinad_db, abs=1e-9)
     assert b.sfdr_db == pytest.approx(a.sfdr_db, abs=1e-9)
 
@@ -61,7 +63,7 @@ def test_metrics_gain_invariant():
 def test_metrics_accepts_quantized_capture():
     f = 2561 * RBW
     cap = tone_capture(f)
-    rep = sine_metrics(cap.to_waveform(), f, DEFAULT)
+    rep = sine_metrics(cap.to_waveform(), f, DEFAULT, RATE)
     assert rep.sinad_db == pytest.approx(6.02 * 14 + 1.76, abs=1.0)
 
 
@@ -72,21 +74,21 @@ def test_notch_flag_widens_band():
     wave = _constructed_capture(60.0)
     low = 0.2 * np.cos(2.0 * np.pi * (82 * RBW) * t)  # ~5 MHz
     x = SampledWaveform(wave.samples + low, RATE)
-    narrow = sine_metrics(x, 2561 * RBW, DEFAULT)
-    wide = sine_metrics(x, 2561 * RBW, WIDE)
+    narrow = sine_metrics(x, 2561 * RBW, DEFAULT, RATE)
+    wide = sine_metrics(x, 2561 * RBW, WIDE, RATE)
     assert narrow.sinad_db - wide.sinad_db > 10.0
 
 
 def test_no_fundamental_raises():
     noise = np.random.default_rng(3).normal(0.0, 1.0, N)
     with pytest.raises(MeasurementError, match="no fundamental"):
-        sine_metrics(SampledWaveform(noise, RATE), 2561 * RBW, DEFAULT)
+        sine_metrics(SampledWaveform(noise, RATE), 2561 * RBW, DEFAULT, RATE)
 
 
 def test_short_capture_raises():
     x = SampledWaveform(np.zeros(1000), RATE)
     with pytest.raises(MeasurementError, match="too short"):
-        sine_metrics(x, 100e6, DEFAULT)
+        sine_metrics(x, 100e6, DEFAULT, RATE)
 
 
 # ------------------------------------------- IEEE Std 1241 sine-fit oracle
@@ -137,7 +139,7 @@ def _fit_figures(y, rate, f_start, full_scale_range):
 def test_sine_fit_oracle_on_quantized_tone():
     f = 2561 * RBW
     cap = tone_capture(f, amplitude=0.999, n=N_FFT * 4, bits=8)
-    rep = sine_metrics(cap.to_waveform(), f, WIDE)
+    rep = sine_metrics(cap.to_waveform(), f, WIDE, RATE)
     freq, sinad, enob = _fit_figures(cap.values(), RATE, f + 0.05 * RBW, 2.0)
     assert freq == pytest.approx(f, abs=1e-6 * RBW)
     assert rep.sinad_db == pytest.approx(sinad, abs=0.02)
@@ -151,7 +153,7 @@ def test_sine_fit_oracle_on_tone_plus_noise():
     t = time_vector(N_FFT * 4, RATE)
     noise = np.random.default_rng(41).normal(0.0, sigma, t.size)
     wave = SampledWaveform(amp * np.cos(2.0 * np.pi * f * t) + noise, RATE)
-    rep = sine_metrics(wave, f, WIDE)
+    rep = sine_metrics(wave, f, WIDE, RATE)
     freq, sinad, enob = _fit_figures(wave.samples, RATE, f - 0.05 * RBW, 2.0 * amp)
     assert freq == pytest.approx(f, abs=1e-4 * RBW)
     assert sinad == pytest.approx(40.0, abs=0.1)  # 65,536 noise samples

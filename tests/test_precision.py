@@ -129,5 +129,5 @@ def test_stages_never_write_into_their_input(dtype, clip, bits, rng):
         AdcConfig(bits=14 if bits else None, ac_couple=None, aa_cutoff=None),
     ):
         adc_capture(tone(9.6e9), adc, 5)
-    report = sine_metrics(tone(2.4e9), 250e6, MetricsConfig(n_avg=1))
+    report = sine_metrics(tone(2.4e9), 250e6, MetricsConfig(n_avg=1), 1e9)
     assert report.fundamental_hz == pytest.approx(250e6, abs=1e9 / 16384)

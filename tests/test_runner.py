@@ -246,10 +246,10 @@ def test_unexpected_sweep_error_is_recorded_not_fatal(tmp_path, monkeypatch):
     real = runner_mod.sine_metrics
     subbands = _beat_subbands(monkeypatch)
 
-    def singular(wave, f_folded, cfg):
+    def singular(wave, f_folded, cfg, analysis_rate):
         if subbands[-1] == 4:
             raise np.linalg.LinAlgError("Singular matrix")
-        return real(wave, f_folded, cfg)
+        return real(wave, f_folded, cfg, analysis_rate)
 
     monkeypatch.setattr(runner_mod, "sine_metrics", singular)
     man = run_sweep(load_config(FAST_SWEEP), str(tmp_path), jobs=1)

@@ -167,6 +167,23 @@ def test_syntax_errors_carry_line_numbers(text, fragment, lineno):
         ("adc.aa_cutoff = -1ghz", "adc-invariants"),
         ("adc.rate = 0.8ghz\nlink.pd_bandwidth = 0.4ghz\nadc.aa_cutoff = 0.4ghz", "rate-consistency"),
         ("combs.delta_f = 2ghz", "rate-consistency"),
+        # a slice wider than the converter's rate: the sine test scored
+        # bins past its Nyquist band under status ok
+        (
+            "combs.delta_f = 2.5ghz\ndac.rate = 64ghz\nscm.n_channels = 4\n"
+            "sweep.stop = 10ghz",
+            "rate-consistency",
+        ),
+        # the sine test resamples to delta_f: 1.0625 GHz / 2.4 GSa/s is 85/192
+        ("combs.delta_f = 1.0625ghz", "rate-consistency"),
+        # 35,000 samples at 0.5 GSa/s, short of the 16384 x 4 average
+        (
+            "combs.delta_f = 0.5ghz\nscm.baud = 400mhz\nscm.baseband_offset = 20mhz",
+            "capture-length",
+        ),
+        # channels 9 and 10 rode above the DAC's filter and read as ok
+        ("combs.delta_f = 1.25ghz", "band-edge"),
+        ("dac.lpf_cutoff = 10.4ghz", "band-edge"),
         ("scm.n_channels = 1\ncombs.delta_f = 8ghz\nsweep.stop = 14ghz", "rate-consistency"),
         ("demod.training_fraction = 0.95", "training-length"),
         ("adc.ac_couple = -1mhz", "adc-invariants"),
@@ -291,6 +308,32 @@ def test_subcarrier_grid_is_the_comb_grid(line):
     key = line.split(" = ")[0]
     with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
         load_config(line)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "combs.delta_f = 1.25ghz\nscm.active_channels = 1,2,3,4,5,6,7,8",
+        "combs.delta_f = 1.25ghz\ndac.lpf_cutoff = off",
+        # the 0.5 GHz slice's capture fits a shorter FFT or a longer record
+        "combs.delta_f = 0.5ghz\nscm.baud = 400mhz\nscm.baseband_offset = 20mhz\n"
+        "metrics.n_fft = 8192",
+        "combs.delta_f = 0.5ghz\nscm.baud = 400mhz\nscm.baseband_offset = 20mhz\n"
+        "sweep.duration = 131.072us",
+    ],
+)
+def test_other_slice_widths_load(text):
+    assert load_config(text).combs.delta_f != 1e9
+
+
+def test_band_edge_reads_the_top_active_slot():
+    # 10 GHz carrier + 40 MHz offset + 440 MHz half shaped band
+    with pytest.raises(ConfigError) as fault:
+        load_config("dac.lpf_cutoff = 10.48ghz")
+    assert str(fault.value) == (
+        "band-edge: channel 10 reaches 1.048e+10 Hz, past 1.048e+10 Hz (dac.lpf_cutoff)"
+    )
+    load_config("dac.lpf_cutoff = 10.481ghz")
 
 
 def test_comb_scaling_counts_tone_pairs():
@@ -521,6 +564,7 @@ _RULES = {
     "analysis-grid",
     "training-length",
     "channel-set",
+    "band-edge",
 }
 _SIGN = st.sampled_from(["", "-"])
 
@@ -649,7 +693,14 @@ _FAST = (
 _SELECTED_BY = {
     "combs.cascade_pm": {"combs.source": "cascade"},
     "combs.cascade_im": {"combs.source": "cascade"},
+    # eight channels keep a 1.25 GHz grid's burst below dac.lpf_cutoff
+    "combs.delta_f": {"scm.active_channels": "1,2,3,4,5,6,7,8"},
 }
+# values that load where every scaled one fails a rule: on the fast base
+# a slice width 1.05 or 0.95 as wide fails carrier-grid, 2 or 17/16 as
+# wide rate-consistency, half as wide scm-invariants and 15/16 as wide
+# capture-length
+_LOADING = {"combs.delta_f": ["1.25ghz"]}
 
 
 def _candidates(key: str, text: str) -> list[str]:
@@ -698,7 +749,7 @@ def test_every_key_changes_an_output(tmp_path):
             runs = runs[::-1]
         settings = {**base, **_SELECTED_BY.get(key, {})}
         loaded = []
-        for value in _candidates(key, text):
+        for value in _candidates(key, text) + _LOADING.get(key, []):
             try:
                 loaded.append(_load({**settings, key: value}))
             except ConfigError as exc:

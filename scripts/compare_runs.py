@@ -32,7 +32,7 @@ column) and whether the pair matches in full, config payload included.
 `--work DIR` keeps the unpacked tree and the run directories under DIR
 (a temporary directory, removed at the end, otherwise); the pairwise mode
 then explains any row. Exit status is 0 when every run matches. The
-matrix takes about 17 s per revision on two CPU cores.
+matrix takes about 21 s per revision on two CPU cores.
 """
 
 import argparse
@@ -252,7 +252,10 @@ MATRIX = [
     ("sweep-delta-f-0.5", ["sweep-sine"], _SWEEP + _NARROW_SLICE),
     # a constant path drift turns the beat's phase track on
     ("sweep-drift", ["sweep-sine"], _SWEEP + "combs.differential_drift = 1000\n"),
+    # a second master seed: five sweep points, 2.5 GHz apart, and the default burst
+    ("sweep-seed-7", ["sweep-sine"], "sweep.step = 2.5ghz\nrun.master_seed = 7\n"),
     ("scm", ["run-scm"], ""),
+    ("scm-seed-7", ["run-scm"], "run.master_seed = 7\n"),
     ("scm-jobs-2", ["run-scm", "--jobs", "2"], ""),
     ("scm-odd", ["run-scm"], "scm.active_channels = 1,3,5\n"),
     ("scm-muted", ["run-scm"], "scm.active_channels = 1\n"),

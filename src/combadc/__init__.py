@@ -28,8 +28,6 @@ from .demod import DemodConfig, demod_pam4, ffe_lms, wiener_ffe
 from .errors import (
     CombAdcError,
     ConfigError,
-    EqualizerError,
-    MeasurementError,
     SignalError,
 )
 from .frontend import (
@@ -72,8 +70,6 @@ __all__ = [
     "wiener_ffe",
     "CombAdcError",
     "ConfigError",
-    "EqualizerError",
-    "MeasurementError",
     "SignalError",
     "DacConfig",
     "ScmConfig",

@@ -17,14 +17,16 @@ sub-band; only the bins around it are kept and transformed back on a
 shorter record. The balanced-detection leak needs the spectrum of mu^2
 as well, and one complex FFT of mu + j mu^2 gives both: mu's spectrum is
 its Hermitian half and mu^2's its anti-Hermitian half, read only at the
-bins that are kept. That split is ``_rfft_bins``, which lives in
-waveform.py because ``frontend.scm_waveform`` splits its channel pairs
-with it too. The complex FFT (``beat_spectrum``) is the record's half of
-the channelizer: every run takes it once, and each sub-band reads its
-own bins from it. Where the differential phase track is zero
-(a band on the bin grid, with no drive noise and no drift) only the real
-part of the band is needed, and one real inverse transform returns it
-together with the leak.
+bins that are kept. ``waveform._add_analytic`` splits mu's kept bins out,
+gives them the analytic weights and places them, shifted down by
+n * delta_f, on the shorter record in FFT order: the one placement that
+also stacks ``frontend.scm_waveform``'s channels up onto their
+subcarriers and forms the demodulator's analytic signal. The complex FFT
+(``beat_spectrum``) is the record's half of the channelizer: every run
+takes it once, and each sub-band reads its own bins from it. Where the
+differential phase track is zero (a band on the bin grid, with no drive
+noise and no drift) only the real part of the band is needed, and one
+real inverse transform returns it together with the leak.
 Detector noise, the photodiode filter and the transimpedance stage then
 run at the reduced rate. The noise sources are specified as densities,
 so the physics does not depend on the rate.
@@ -58,6 +60,7 @@ from .seeding import derive_rng
 from .units import db_to_amplitude_ratio, dbm_to_watts
 from .waveform import (
     SampledWaveform,
+    _add_analytic,
     _rfft_bins,
     apply_fir,
     fir_lowpass,
@@ -271,49 +274,6 @@ def _differential_phase(
     return theta
 
 
-def _analytic_band(z: np.ndarray, first: int, n_out: int) -> np.ndarray:
-    """``n_out`` bins of the analytic spectrum of the real part of the
-    record whose FFT is ``z``, from source bin ``first`` on, in source
-    order: ``np.fft.ifftshift`` of the result is FFT-ordered, with source
-    bin ``first + n_out // 2`` on DC.
-
-    The ``rfft`` bins that exist (from ``max(first, 0)``, up to at most the
-    record's Nyquist bin) are split out of ``z`` straight into the band and
-    get the analytic weights there: DC and Nyquist once, every other
-    positive bin twice. Output bins whose source lies below DC or past the
-    end of the ``rfft`` stay zero, which is what drops the negative
-    frequencies.
-    """
-    n_in = z.size
-    lo, hi = max(first, 0), min(first + n_out, n_in // 2 + 1)
-    centred = np.zeros(n_out, dtype=np.complex128)
-    kept = _rfft_bins(z, lo, hi, out=centred[lo - first : hi - first])
-    start = 1 if lo == 0 else 0
-    stop = kept.size - 1 if n_in % 2 == 0 and hi == n_in // 2 + 1 else kept.size
-    kept[start:stop] *= 2.0
-    return centred
-
-
-def _centred_half(centred: np.ndarray) -> np.ndarray:
-    """The Hermitian half ``(band[k] + conj band[-k]) / 2``, ``k <= n // 2``,
-    of the FFT-ordered ``band = np.fft.ifftshift(centred)``: the ``rfft``
-    of ``Re(ifft(band))``, read from ``centred`` without the shifted copy.
-
-    ``band[k]`` is ``centred[(k + n // 2) % n]``, so ``band[-k]`` is
-    ``centred[n // 2 - k]``; for an even ``n`` the last ``band[k]`` wraps
-    to ``centred[0]``. The sums and the halving are ``_rfft_bins``'s, in
-    its order, so the bins are its bins bit for bit.
-    """
-    n = centred.size
-    h = n // 2
-    half = np.conjugate(centred[h::-1])
-    half[: n - h] += centred[h:]
-    if n % 2 == 0:
-        half[-1] += centred[0]
-    half *= 0.5
-    return half
-
-
 @dataclass(frozen=True)
 class BeatSpectrum:
     """The FFT of mu + j mu^2 of a modulation record mu at ``rate``, one
@@ -413,10 +373,13 @@ def subband_beat(
     if residual != 0.0:
         theta = theta - 2.0 * np.pi * residual * time_vector(n_out, rate_out)
 
-    first = k0 - n_out // 2  # source bin of the band's first output bin
-    n_half = n_out // 2 + 1  # rfft length at the output rate
+    # the analytic band in FFT order, source bin k0 on DC: of the n_out
+    # bins around k0, those that the record's rfft holds
+    first = k0 - n_out // 2
     z = mu.samples
-    centred = _analytic_band(z, first, n_out)
+    band = np.zeros(n_out, dtype=np.complex128)
+    _add_analytic(z, max(first, 0), min(first + n_out, n_in // 2 + 1), band, (-k0,))
+    n_half = n_out // 2 + 1  # rfft length at the output rate
     # an infinite cmrr_db gives kappa = 0: no leak
     kappa = db_to_amplitude_ratio(-link.cmrr_db)
     leak = _rfft_bins(z, 0, n_half, imag=True)
@@ -424,13 +387,12 @@ def subband_beat(
 
     # the default track is zero on a band that sits on the bin grid
     if np.any(theta):
-        band = np.fft.ifftshift(centred)
         i = gain * scale * (ifft(band) * np.exp(1j * theta)).real
         i += irfft(leak, n_out) * scale
     else:
         # Re(ifft(band)) is the real inverse of band's Hermitian half
-        half = _centred_half(centred)
-        del centred  # not held through the inverse, the noise and the filter
+        half = _rfft_bins(band, 0, n_half)
+        del band  # not held through the inverse, the noise and the filter
         half *= gain
         half += leak
         i = irfft(half, n_out)

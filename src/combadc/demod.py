@@ -16,9 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft as sfft
 
-from .errors import EqualizerError, SignalError
+from .errors import SignalError
 from .waveform import (
     SampledWaveform,
+    _add_analytic,
     apply_fir,
     fir_lowpass,
     resample_plan,
@@ -123,8 +124,8 @@ def ffe_lms(
     by seed and burst. Over seeds 1, 2, 3, 7 and 12345 of the 10-channel
     run, 0.5 converged on every channel; on the default burst 1.25 failed
     0-2 channels and 1.5 failed 9-10, and on a 16.384 us burst 1.0 failed
-    one on two seeds and 1.25 failed 1-4. Divergence surfaces as an
-    EqualizerError, not garbage.
+    one on two seeds and 1.25 failed 1-4. Divergence surfaces as a
+    SignalError, not garbage.
 
     Step m, ``w += g_m (t_m - u_m . w)`` with ``g_m = step u_m / denom``,
     is an affine map of ``[w; 1]``, and the windows repeat on every pass.
@@ -174,7 +175,7 @@ def ffe_lms(
             v = h_pass @ v
             norm = float(v[:taps] @ v[:taps])
             if not np.isfinite(norm) or norm > _TAP_NORM_BOUND:
-                raise EqualizerError(
+                raise SignalError(
                     f"LMS diverged (tap energy {norm:.3g}); reduce the step size"
                 )
     w_time = sfft.idct(w_sum / (passes * n_train - burn), type=2, norm="ortho")
@@ -231,11 +232,10 @@ def symbol_budget(n_sym: int, cfg: DemodConfig) -> tuple[int, slice]:
 
 def _analytic(x: np.ndarray) -> np.ndarray:
     """Analytic signal of ``x``, its Hilbert transform as the imaginary part:
-    one FFT round trip with negative frequencies dropped and positive ones
-    doubled (DC and Nyquist kept once)."""
-    spec = sfft.fft(x)
-    spec[1 : (x.size + 1) // 2] *= 2.0
-    spec[x.size // 2 + 1 :] = 0.0
+    one FFT round trip through ``_add_analytic``, which keeps the positive
+    frequencies, doubled but for DC and Nyquist."""
+    spec = np.zeros(x.size, dtype=np.complex128)
+    _add_analytic(sfft.fft(x), 0, x.size // 2 + 1, spec, (0,))
     return sfft.ifft(spec, overwrite_x=True)
 
 
@@ -245,7 +245,7 @@ def demod_pam4(
     """Recover one channel's PAM4 symbols from its captured waveform and
     score them data-aided: the channel's SNR in dB.
 
-    Raises EqualizerError when the adapted filter ends up worse than no
+    Raises SignalError when the adapted filter ends up worse than no
     equalizer at all (non-convergence); callers doing batch runs catch it
     and record the channel as failed.
     """
@@ -295,7 +295,7 @@ def demod_pam4(
         # read as failure; genuine non-convergence lands orders of
         # magnitude above this line
         if not float(err @ err) <= 1.10 * float(raw_err @ raw_err):
-            raise EqualizerError(
+            raise SignalError(
                 "equalized MSE exceeds the pre-equalization MSE; "
                 "training did not converge"
             )

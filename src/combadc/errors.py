@@ -20,17 +20,9 @@ class ConfigError(CombAdcError):
 
 
 class SignalError(CombAdcError):
-    """A waveform does not satisfy a precondition (rate, length, headroom)."""
-
-
-class EqualizerError(CombAdcError):
-    """Adaptive equalization diverged or failed to improve on the raw samples."""
-
-
-class MeasurementError(CombAdcError):
-    """A metric could not be extracted from a capture.
-
-    Raised e.g. when the expected tone is indistinguishable from the noise
-    floor, so the caller can record the failure and move on instead of
+    """A waveform does not satisfy a precondition (rate, length, headroom),
+    or a figure cannot be drawn from it: the equalizer diverged or did not
+    improve on the raw samples, or the expected tone is lost in the noise
+    floor. The runner records such a failure and moves on instead of
     reporting a garbage number.
     """

@@ -21,9 +21,10 @@ keeps the content clear of the receiver's AC-coupling notch.
 ``scm_waveform`` builds all channels as one spectrum, with every
 subcarrier on an FFT bin of the record. The channels' shaped records go
 two to a complex FFT, one as its real and one as its imaginary part, and
-each channel's spectrum is read back as the Hermitian or anti-Hermitian
-half of the result by ``waveform._rfft_bins``, the same split the beat
-uses for mu and mu^2: one full-length forward transform per pair of
+``waveform._add_analytic`` reads each channel's analytic spectrum back as
+the Hermitian or anti-Hermitian half of the result and adds it at the
+channel's two subcarrier shifts, the placement the beat uses to move a
+sub-band down. That is one full-length forward transform per pair of
 channels, not per channel.
 
 The DAC's full scale is +-1: the testbench's figures are ratios, so
@@ -50,8 +51,8 @@ from scipy import fft
 from .errors import SignalError
 from .waveform import (
     SampledWaveform,
+    _add_analytic,
     _as_samples,
-    _rfft_bins,
     apply_fir,
     fir_lowpass,
     lowpass_band,
@@ -211,10 +212,6 @@ def check_carrier_grid(cfg: ScmConfig, rate: float, grid: float) -> None:
         )
 
 
-# bins of a pair's spectrum that ``scm_waveform`` splits and adds at once
-_SPLIT_BLOCK = 1 << 14
-
-
 def scm_waveform(
     cfg: ScmConfig, per_channel_symbols: dict[int, np.ndarray], rate: float, grid: float
 ) -> SampledWaveform:
@@ -234,12 +231,12 @@ def scm_waveform(
     ``baseband_offset`` mix give the burst. The active channels go in
     pairs, one shaped record as the real and one as the imaginary part of
     a single complex FFT (an odd count's last channel with a zero
-    partner); ``_rfft_bins``, the beat's split, reads each channel's
-    ``rfft`` bins back from it as the Hermitian or anti-Hermitian half, a
-    block of ``_SPLIT_BLOCK`` bins at a time, each block weighted and
-    added at both shifts. The RRC shaping stays a linear convolution
-    (zeros outside the record), so edge symbols come out as from the
-    time-domain construction; only the Hilbert step is circular.
+    partner); ``_add_analytic`` reads each channel's analytic bins back
+    from it as the Hermitian or anti-Hermitian half, at weight 1 (the
+    analytic 2 times the cosine's 1/2), and adds them at both shifts. The
+    RRC shaping stays a linear convolution (zeros outside the record), so
+    edge symbols come out as from the time-domain construction; only the
+    Hilbert step is circular.
     """
     check_slot(cfg, grid)
     sps = burst_sps(cfg, rate, grid)
@@ -273,20 +270,9 @@ def scm_waveform(
             z.imag = 0.0  # an odd count's last channel has a zero partner
         z = fft.fft(z, overwrite_x=True)
         for imag, k in enumerate(active[i : i + 2]):
-            for lo in range(0, n_half, _SPLIT_BLOCK):
-                hi = min(lo + _SPLIT_BLOCK, n_half)
-                # analytic-signal weights (DC and Nyquist once, positive
-                # bins twice) times the 1/2 of the cosine's two exponentials
-                a = _rfft_bins(z, lo, hi, imag=bool(imag))
-                if lo == 0:
-                    a[0] *= 0.5
-                if n % 2 == 0 and hi == n_half:
-                    a[-1] *= 0.5
-                for shift in (k * s1, -k * s1):  # circular shift by +-k*s1
-                    start = (shift + lo) % n
-                    head = min(a.size, n - start)
-                    spectrum[start : start + head] += a[:head]
-                    spectrum[: a.size - head] += a[head:]
+            _add_analytic(
+                z, 0, n_half, spectrum, (k * s1, -k * s1), imag=bool(imag), weight=1.0
+            )
     del z  # the pair buffer is not held through the inverse and the mix
     burst = fft.ifft(spectrum, overwrite_x=True)
     w = 2.0 * np.pi * cfg.baseband_offset / rate

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MeasurementError, SignalError
+from .errors import SignalError
 from .waveform import SampledWaveform, periodogram, resample_waveform
 
 __all__ = [
@@ -116,7 +116,7 @@ def sine_metrics(
 
     need = cfg.n_fft * cfg.n_avg
     if stream.n < need:
-        raise MeasurementError(
+        raise SignalError(
             f"capture too short: {stream.n} samples at {analysis_rate:g} Sa/s, "
             f"need {need}"
         )
@@ -139,7 +139,7 @@ def sine_metrics(
 
     in_band_med = np.median(p[band])
     if p[peak] < in_band_med * 100.0:
-        raise MeasurementError(
+        raise SignalError(
             f"no fundamental near {expected_baseband_hz:g} Hz: peak bin only "
             f"{10 * np.log10(p[peak] / in_band_med):.1f} dB above the median floor"
         )
@@ -152,7 +152,7 @@ def sine_metrics(
     rest[g_lo : g_hi + 1] = False
     p_other = float(p[rest].sum())
     if p_other <= 0.0:
-        raise MeasurementError("analysis band holds no power outside the fundamental")
+        raise SignalError("analysis band holds no power outside the fundamental")
 
     sinad = 10.0 * np.log10(p_fund / p_other)
     sfdr = 10.0 * np.log10(p_fund / float(p[rest].max()))

@@ -18,6 +18,10 @@ Conventions the rest of the package depends on:
   delay of 0. Overlap-add transforms blocks about eight times the filter
   length instead of the whole record, which is what keeps long captures
   cheap.
+* Analytic spectra are the ``rfft`` bins weighted 2, DC and Nyquist 1:
+  ``_add_analytic`` alone applies those weights (or half of them, for
+  the burst's cosine carriers), and places the bins, circularly shifted,
+  wherever the SCM burst, the beat or the demodulator needs them.
 * Rate conversion is polyphase: ``polyphase_fir`` computes only the
   outputs it keeps, never the zero-stuffed intermediate record. It only
   accepts ratios that reduce to small integer fractions; anything else is
@@ -96,12 +100,10 @@ def _as_samples(x) -> np.ndarray:
     return x if x.dtype == np.float32 else x.astype(np.float64, copy=False)
 
 
-def _rfft_bins(
-    z: np.ndarray, lo: int, hi: int, imag: bool = False, out: np.ndarray | None = None
-) -> np.ndarray:
+def _rfft_bins(z: np.ndarray, lo: int, hi: int, imag: bool = False) -> np.ndarray:
     """Bins ``lo..hi-1`` (``0 <= lo < hi <= z.size``) of the ``rfft`` of
     the real part of the record whose FFT is ``z`` (of its imaginary part
-    with ``imag``), in complex128, written into ``out`` when given.
+    with ``imag``), in complex128.
 
     Both parts are real records, so their spectra are the Hermitian and
     anti-Hermitian halves of ``z``: ``(Z[k] + conj Z[-k]) / 2`` and
@@ -109,7 +111,7 @@ def _rfft_bins(
     """
     n = z.size
     # conj Z[-k] for k = lo..hi-1: Z[n - k] read backwards, Z[0] at k = 0
-    bins = np.empty(hi - lo, dtype=np.complex128) if out is None else out
+    bins = np.empty(hi - lo, dtype=np.complex128)
     first = max(lo, 1)
     np.conjugate(z[n - hi + 1 : n - first + 1][::-1], out=bins[first - lo :])
     if lo == 0:
@@ -121,6 +123,45 @@ def _rfft_bins(
         bins += z[lo:hi]
         bins *= 0.5
     return bins
+
+
+# bins that ``_add_analytic`` splits, weights and adds at once
+_SPLIT_BLOCK = 1 << 14
+
+
+def _add_analytic(
+    z: np.ndarray,
+    lo: int,
+    hi: int,
+    target: np.ndarray,
+    shifts,
+    imag: bool = False,
+    weight: float = 2.0,
+) -> None:
+    """Add bins ``lo..hi-1`` of the analytic spectrum of the real part of
+    the record whose FFT is ``z`` (of its imaginary part with ``imag``)
+    into ``target``, once per circular shift in ``shifts``: source bin j
+    lands on ``target[(j + shift) % target.size]``.
+
+    The bins are ``_rfft_bins``'s, split ``_SPLIT_BLOCK`` at a time and
+    weighted ``weight`` (``weight / 2`` on DC and on the Nyquist bin of an
+    even ``z.size``), and each block is added at every shift in turn.
+    ``hi - lo`` must not exceed ``target.size``.
+    """
+    n, m = z.size, target.size
+    for b0 in range(lo, hi, _SPLIT_BLOCK):
+        b1 = min(b0 + _SPLIT_BLOCK, hi)
+        a = _rfft_bins(z, b0, b1, imag=imag)
+        a *= weight
+        if b0 == 0:
+            a[0] *= 0.5
+        if n % 2 == 0 and b1 == n // 2 + 1:
+            a[-1] *= 0.5
+        for shift in shifts:
+            start = (shift + b0) % m
+            head = min(a.size, m - start)
+            target[start : start + head] += a[:head]
+            target[: a.size - head] += a[head:]
 
 
 # windows accepted by periodogram, as cosine-sum coefficients

@@ -10,8 +10,6 @@ from combadc.comb import (
     cascade_harmonics,
     comb_from_cascade,
     flat_comb,
-    _analytic_band,
-    _centred_half,
     _differential_phase,
     beat_spectrum,
     mzm_field,
@@ -20,7 +18,13 @@ from combadc.comb import (
 from combadc.errors import ConfigError, SignalError
 from combadc.scenario import CombsSection
 from combadc.units import dbm_to_watts
-from combadc.waveform import SampledWaveform, _rfft_bins, periodogram, time_vector
+from combadc.waveform import (
+    SampledWaveform,
+    _add_analytic,
+    _rfft_bins,
+    periodogram,
+    time_vector,
+)
 
 from conftest import flatness_db, make_combs, quiet_link
 
@@ -492,9 +496,9 @@ def test_beat_leak_matches_direct_detection_oracle(n, n_samples, dtype, rng):
     ],
 )
 def test_on_grid_band_and_half_keep_every_bit(n_in, first, n_out, rng):
-    # the kept rfft bins are split straight into the centred band and
-    # weighted there: bit for bit the split bins copied in, doubled but
-    # for DC and Nyquist
+    # the beat's band, placed by _add_analytic in FFT order with source bin
+    # first + n_out // 2 on DC: bit for bit the split bins copied into a
+    # centred band, doubled but for DC and Nyquist, and ifftshifted
     z = rng.standard_normal(n_in) + 1j * rng.standard_normal(n_in)
     lo, hi = max(first, 0), min(first + n_out, n_in // 2 + 1)
     src = _rfft_bins(z, lo, hi)
@@ -503,15 +507,12 @@ def test_on_grid_band_and_half_keep_every_bit(n_in, first, n_out, rng):
         weights[0] = 1.0
     if n_in % 2 == 0 and hi == n_in // 2 + 1:
         weights[-1] = 1.0
+    centred = np.zeros(n_out, dtype=np.complex128)
+    centred[lo - first : hi - first] = src * weights
+    want = np.fft.ifftshift(centred)
     band = np.zeros(n_out, dtype=np.complex128)
-    band[lo - first : hi - first] = src * weights
-    centred = _analytic_band(z, first, n_out)
-    assert np.array_equal(centred.view(np.float64), band.view(np.float64))
-    # and the on-grid beat reads the half fed to its real inverse straight
-    # from the centred band: bit for bit _rfft_bins of the shifted band
-    want = _rfft_bins(np.fft.ifftshift(centred), 0, n_out // 2 + 1)
-    got = _centred_half(centred)
-    assert np.array_equal(got.view(np.float64), want.view(np.float64))
+    _add_analytic(z, lo, hi, band, (-(first + n_out // 2),))
+    assert np.array_equal(band.view(np.float64), want.view(np.float64))
 
 
 @pytest.mark.parametrize("cmrr_db", [np.inf, 35.0])

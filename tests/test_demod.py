@@ -4,7 +4,7 @@ import scipy.fft as sfft
 from scipy import signal as sps_mod
 
 from combadc.demod import DemodConfig, demod_pam4, ffe_lms, symbol_budget, wiener_ffe
-from combadc.errors import EqualizerError, SignalError
+from combadc.errors import SignalError
 from combadc.frontend import gen_pam4_symbols
 from combadc.waveform import SampledWaveform, apply_fir, rrc_taps, time_vector
 
@@ -71,7 +71,7 @@ def _lms_reference(y, training, taps, step, sps, passes):
                     n_avg += 1
             norm = float(w @ w)
             if not np.isfinite(norm) or norm > 1e6:
-                raise EqualizerError(f"LMS diverged (tap energy {norm:.3g})")
+                raise SignalError(f"LMS diverged (tap energy {norm:.3g})")
     return sfft.idct(w_avg / n_avg, type=2, norm="ortho")
 
 
@@ -156,9 +156,9 @@ def test_lms_divergence_is_loud():
     y = np.zeros(sym.size * 2)
     y[::2] = sym
     y = np.convolve(y, [0.4, 0.0, 1.0, 0.0, -0.4], mode="same")
-    with pytest.raises(EqualizerError, match="diverged"):
+    with pytest.raises(SignalError, match="diverged"):
         ffe_lms(y, sym[:300], taps=17, step=60.0, sps=2, passes=8)
-    with pytest.raises(EqualizerError, match="diverged"):
+    with pytest.raises(SignalError, match="diverged"):
         _lms_reference(y, sym[:300], 17, 60.0, 2, 8)
 
 

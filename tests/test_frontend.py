@@ -6,7 +6,6 @@ from scipy.signal import hilbert
 from combadc.errors import SignalError
 from combadc.frontend import (
     _NOISE_BLOCK,
-    _SPLIT_BLOCK,
     DacConfig,
     _phasor,
     ScmConfig,
@@ -20,6 +19,7 @@ from combadc.frontend import (
 )
 from combadc.metrics import MetricsConfig, sine_metrics
 from combadc.waveform import (
+    _SPLIT_BLOCK,
     SampledWaveform,
     _rfft_bins,
     apply_fir,

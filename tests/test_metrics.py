@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from combadc.errors import MeasurementError
+from combadc.errors import SignalError
 from combadc.metrics import MetricsConfig, sine_metrics
 from combadc.waveform import SampledWaveform, time_vector
 
@@ -81,13 +81,13 @@ def test_notch_flag_widens_band():
 
 def test_no_fundamental_raises():
     noise = np.random.default_rng(3).normal(0.0, 1.0, N)
-    with pytest.raises(MeasurementError, match="no fundamental"):
+    with pytest.raises(SignalError, match="no fundamental"):
         sine_metrics(SampledWaveform(noise, RATE), 2561 * RBW, DEFAULT, RATE)
 
 
 def test_short_capture_raises():
     x = SampledWaveform(np.zeros(1000), RATE)
-    with pytest.raises(MeasurementError, match="too short"):
+    with pytest.raises(SignalError, match="too short"):
         sine_metrics(x, 100e6, DEFAULT, RATE)
 
 

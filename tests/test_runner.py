@@ -4,7 +4,7 @@ from concurrent.futures import Future
 import pytest
 
 from combadc import runner
-from combadc.errors import CombAdcError, ConfigError, EqualizerError, SignalError
+from combadc.errors import CombAdcError, ConfigError, SignalError
 from combadc.runner import run_scm, run_spectrum, run_sweep, snap_sweep_frequency
 from combadc.scenario import build_combs, load_config
 
@@ -195,7 +195,7 @@ def test_failed_task_is_recorded_not_fatal(tmp_path, monkeypatch):
 
     def sabotaged(wave, dcfg, tx):
         if subbands[-1] == 3:
-            raise EqualizerError("forced failure for the test")
+            raise SignalError("forced failure for the test")
         return real(wave, dcfg, tx)
 
     monkeypatch.setattr(runner_mod, "demod_pam4", sabotaged)
@@ -228,7 +228,7 @@ def test_spectrum_run_does_not_demodulate(tmp_path, monkeypatch):
     run_scm(cfg, str(tmp_path / "scm"), channels=[5])
 
     def diverges(wave, dcfg, tx):
-        raise EqualizerError("LMS diverged")
+        raise SignalError("LMS diverged")
 
     monkeypatch.setattr(runner_mod, "demod_pam4", diverges)
     man = run_spectrum(cfg, str(tmp_path / "spectrum"), channel=5)

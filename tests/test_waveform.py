@@ -7,7 +7,9 @@ from scipy import signal as sps
 
 from combadc.errors import SignalError
 from combadc.waveform import (
+    _SPLIT_BLOCK,
     SampledWaveform,
+    _add_analytic,
     apply_fir,
     fir_lowpass,
     periodogram,
@@ -326,6 +328,50 @@ def test_resample_matches_zero_stuff_reference(rate, new_rate, n, rng):
     assert got.rate == new_rate
     assert got.n == want.size
     assert np.max(np.abs(got.samples - want)) <= 1e-12
+
+
+# ------------------------------------------------------- analytic placement
+
+
+def _analytic_reference(part, lo, hi, m, shifts, weight):
+    """Bins lo..hi-1 of ``np.fft.rfft(part)`` times ``weight``, DC and
+    Nyquist at half of it, laid on ``m`` bins from bin lo and rolled by
+    each shift in turn, summed."""
+    bins = np.fft.rfft(part)[lo:hi] * weight
+    k = np.arange(lo, hi)
+    bins[(k == 0) | (2 * k == part.size)] *= 0.5
+    laid = np.zeros(m, dtype=np.complex128)
+    laid[: hi - lo] = bins
+    return sum(np.roll(laid, lo + shift) for shift in shifts)
+
+
+@pytest.mark.parametrize("imag", [False, True])
+@pytest.mark.parametrize("n", [2 * _SPLIT_BLOCK + 8, 2 * _SPLIT_BLOCK + 9])
+@pytest.mark.parametrize(
+    "lo,hi,m,shifts,weight",
+    [
+        # the burst's case: every rfft bin, past a split-block edge, onto a
+        # full-length target at two shifts that wrap past either end
+        (0, None, None, (20_000, -20_000), 1.0),
+        # the beat's case: a band across a split-block edge onto a shorter
+        # target, the middle of its 5000 bins on DC
+        (_SPLIT_BLOCK - 3000, _SPLIT_BLOCK + 4, 5000, (500 - _SPLIT_BLOCK,), 2.0),
+        # a band from DC, and one across a split-block edge to the last bin
+        (0, 100, 256, (-30,), 2.0),
+        (_SPLIT_BLOCK - 4000, None, 4096, (100,), 2.0),
+    ],
+)
+def test_add_analytic_matches_rfft_weights_and_roll(n, imag, lo, hi, m, shifts, weight):
+    rng = np.random.default_rng(n)
+    x, y = rng.standard_normal(n), rng.standard_normal(n)
+    hi = n // 2 + 1 if hi is None else hi
+    m = n if m is None else m
+    # the bins are added to what the target already holds
+    target = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    want = target + _analytic_reference(y if imag else x, lo, hi, m, shifts, weight)
+    z = np.fft.fft(x + 1j * y)
+    _add_analytic(z, lo, hi, target, shifts, imag=imag, weight=weight)
+    np.testing.assert_allclose(target, want, rtol=0.0, atol=1e-9)
 
 
 # -------------------------------------------------------------------- noise

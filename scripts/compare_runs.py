@@ -245,6 +245,8 @@ MATRIX = [
     ("sweep-cmrr-inf", ["sweep-sine"], _SWEEP + "link.cmrr_db = inf\n"),
     ("sweep-tia-inf", ["sweep-sine"], _SWEEP + "link.tia_sat_dbm = inf\n"),
     ("sweep-dac-bits-off", ["sweep-sine"], _SWEEP + "dac.bits = off\n"),
+    # the figures read the receiver chain's rounding unquantized
+    ("sweep-adc-bits-off", ["sweep-sine"], _SWEEP + "adc.bits = off\n"),
     ("sweep-dac-clip-off", ["sweep-sine"], _SWEEP + "dac.clip = off\n"),
     # a walking phase track takes the beat's off-grid path
     ("sweep-linewidth", ["sweep-sine"], _SWEEP + "combs.drive_linewidth = 1khz\n"),

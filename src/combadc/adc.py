@@ -4,6 +4,8 @@ The converter sees an oversampled analog waveform and produces integer
 codes: AC coupling, anti-alias filtering, (optionally jittered) sampling
 by band-limited interpolation, clipping, and uniform mid-rise
 quantization. The capture carries what it needs to dequantize itself.
+The coupling and the filter keep the input's dtype (float32 stays
+float32); the sampler's output, and everything after it, is float64.
 """
 
 from __future__ import annotations
@@ -15,7 +17,13 @@ import numpy as np
 from .errors import SignalError
 from .frontend import dequantize_midrise, quantize_midrise
 from .seeding import derive_rng
-from .waveform import SampledWaveform, apply_fir, fir_lowpass, lowpass_band
+from .waveform import (
+    SampledWaveform,
+    _as_samples,
+    apply_fir,
+    fir_lowpass,
+    lowpass_band,
+)
 
 __all__ = ["AdcConfig", "SubbandCapture", "adc_capture"]
 
@@ -100,7 +108,7 @@ def _dc_block(x: np.ndarray, cutoff: float, rate: float) -> np.ndarray:
     """First-order highpass (DC blocker) with -3 dB near ``cutoff``."""
     a = np.exp(-2.0 * np.pi * cutoff / rate)
     g = (1.0 + a) / 2.0  # unity gain at Nyquist
-    return _first_order(np.asarray(x, dtype=np.float64), g, -g, a)
+    return _first_order(_as_samples(x), g, -g, a)
 
 
 def _first_order(x: np.ndarray, b0: float, b1: float, a: float) -> np.ndarray:
@@ -108,7 +116,8 @@ def _first_order(x: np.ndarray, b0: float, b1: float, a: float) -> np.ndarray:
     time: each block is one row of a matrix product of its inputs, the
     input and the output (the carry) before it with the filter's response
     to each. The carries are the same recursion, with ``a**32``, on the
-    block ends."""
+    block ends. The products run in the precision of ``x`` (float32 stays
+    float32), the response designed in float64 and rounded to it."""
     k = 32
     n = x.size
     n_blocks = -(-n // k)
@@ -120,7 +129,8 @@ def _first_order(x: np.ndarray, b0: float, b1: float, a: float) -> np.ndarray:
     )
     resp[k] = b1 * a**j  # the previous block's last input
     resp[k + 1] = a ** (j + 1)  # the previous block's last output
-    rows = np.zeros((n_blocks, k + 2))
+    resp = resp.astype(x.dtype, copy=False)
+    rows = np.zeros((n_blocks, k + 2), x.dtype)
     whole = (n_blocks - 1) * k
     rows[:-1, :k] = x[:whole].reshape(-1, k)
     rows[-1, : n - whole] = x[whole:]

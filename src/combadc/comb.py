@@ -31,12 +31,15 @@ Detector noise, the photodiode filter and the transimpedance stage then
 run at the reduced rate. The noise sources are specified as densities,
 so the physics does not depend on the rate.
 
-Precision: ``mzm_field`` keeps its drive's dtype, so a float32 drive
-gives a float32 field factor. The beat's one full-length transform, the
-complex FFT of mu + j mu^2, runs in ``scipy.fft``, which transforms
-single precision in single precision (``numpy.fft`` would work in double
-and run slower). The bins it keeps are read into complex128: everything
-at the output rate is float64 whatever the input dtype.
+Precision: every stage keeps its input's dtype. ``mzm_field`` gives a
+float32 field factor for a float32 drive. The beat's one full-length
+transform, the complex FFT of mu + j mu^2, runs in ``scipy.fft``, which
+transforms single precision in single precision (``numpy.fft`` would work
+in double and run slower). The band, the leak and the current at the
+output rate stay in the spectrum's precision, so a float32 field gives a
+float32 current through the noise, the photodiode filter and the TIA;
+the noise is drawn in float64 and rounded as it is added. The ADC's
+sampler returns to float64.
 
 Phase bookkeeping: the seed laser's phase enters both beat terms
 identically and cancels in the difference, so it never appears in the
@@ -377,7 +380,7 @@ def subband_beat(
     # bins around k0, those that the record's rfft holds
     first = k0 - n_out // 2
     z = mu.samples
-    band = np.zeros(n_out, dtype=np.complex128)
+    band = np.zeros(n_out, dtype=z.dtype)
     _add_analytic(z, max(first, 0), min(first + n_out, n_in // 2 + 1), band, (-k0,))
     n_half = n_out // 2 + 1  # rfft length at the output rate
     # an infinite cmrr_db gives kappa = 0: no leak
@@ -387,7 +390,10 @@ def subband_beat(
 
     # the default track is zero on a band that sits on the bin grid
     if np.any(theta):
-        i = gain * scale * (ifft(band) * np.exp(1j * theta)).real
+        i = ifft(band, overwrite_x=True)
+        i *= np.exp(1j * theta)  # in float64, rounded to the band's dtype
+        i = i.real.copy()
+        i *= gain * scale
         i += irfft(leak, n_out) * scale
     else:
         # Re(ifft(band)) is the real inverse of band's Hermitian half

@@ -30,10 +30,11 @@ channels, not per channel.
 The DAC's full scale is +-1: the testbench's figures are ratios, so
 every level (tone amplitude, burst drive, residual noise) is one of it.
 
-The tone comes out in float32, the precision of the DAC-rate chain: it
-is formed in float64 and rounded once as it is written. The burst comes
-out in float64, since the runner scales it to its drive level before the
-DAC. ``dac_model`` keeps its input's dtype (its quantizer works in that
+The tone comes out in float32, the precision of the analog chain: it is
+formed in float64 and rounded once as it is written. The burst comes out
+in the dtype its caller asks for, float64 by default; the runner asks for
+float32, so its analog records are float32 from the burst to the ADC's
+sampler. ``dac_model`` keeps its input's dtype (its quantizer works in that
 dtype, exactly, since the step is a power of two; its noise is drawn in
 float64 and cast back), so the caller picks the precision of the
 DAC-rate chain by the dtype it hands in. It works in one copy of its
@@ -108,7 +109,7 @@ class ScmConfig:
                 raise SignalError("active channel list is empty")
         # a drive far past full scale only clips harder; 1e6 (120 dB past
         # it) keeps the burst, unclipped and through a +300 dB tilt, far
-        # inside float32's 3.4e38, where 1e38 overflows the runner's cast
+        # inside float32's 3.4e38, where 1e38 overflows the runner's scaling
         if not 0.0 < self.drive_rms <= 1e6:
             raise SignalError("drive rms must lie in (0, 1e6]")
 
@@ -213,10 +214,15 @@ def check_carrier_grid(cfg: ScmConfig, rate: float, grid: float) -> None:
 
 
 def scm_waveform(
-    cfg: ScmConfig, per_channel_symbols: dict[int, np.ndarray], rate: float, grid: float
+    cfg: ScmConfig,
+    per_channel_symbols: dict[int, np.ndarray],
+    rate: float,
+    grid: float,
+    dtype=np.float64,
 ) -> SampledWaveform:
     """Assemble the composite multi-channel burst at the simulation rate,
-    channel k on the ``k * grid`` subcarrier.
+    channel k on the ``k * grid`` subcarrier, in ``dtype`` (float32 or
+    float64).
 
     ``per_channel_symbols`` maps 1-based channel index to its unit-power
     symbol sequence. The output is the plain sum of channels (no level
@@ -236,7 +242,9 @@ def scm_waveform(
     analytic 2 times the cosine's 1/2), and adds them at both shifts. The
     RRC shaping stays a linear convolution (zeros outside the record), so
     edge symbols come out as from the time-domain construction; only the
-    Hilbert step is circular.
+    Hilbert step is circular. The pair buffer, the spectrum and the
+    inverse are complex in ``dtype``'s precision; the shaped records and
+    the offset mix are taken in float64 and rounded as they are written.
     """
     check_slot(cfg, grid)
     sps = burst_sps(cfg, rate, grid)
@@ -259,8 +267,9 @@ def scm_waveform(
     taps = rrc_taps(cfg.rolloff, sps, 16)
 
     n_half = n // 2 + 1  # rfft length
-    spectrum = np.zeros(n, dtype=np.complex128)
-    z = np.empty(n, dtype=np.complex128)  # one pair of channels at a time
+    cdtype = np.result_type(dtype, np.complex64)
+    spectrum = np.zeros(n, dtype=cdtype)
+    z = np.empty(n, dtype=cdtype)  # one pair of channels at a time
     for i in range(0, len(active), 2):
         # symbol m at sample m*sps: the filter is applied zero-phase
         z.real = polyphase_fir(symbols[i], taps, sps, 1, n)
@@ -276,7 +285,7 @@ def scm_waveform(
     del z  # the pair buffer is not held through the inverse and the mix
     burst = fft.ifft(spectrum, overwrite_x=True)
     w = 2.0 * np.pi * cfg.baseband_offset / rate
-    return SampledWaveform(_phasor(w, n, times=burst), rate)
+    return SampledWaveform(_phasor(w, n, times=burst, dtype=dtype), rate)
 
 
 def _phasor(

@@ -135,17 +135,13 @@ def _front_end(
 ) -> SampledWaveform:
     """Shared transmit chain: DAC with the analog roll-off, drive, modulator.
 
-    The chain runs in float32 (the tone arrives in it; the burst is cast
-    here): its rounding sits about 130 dB below full scale, far under the
-    14-bit converter's 86 dB floor, and at the DAC rate it halves the
-    memory traffic. Every stage keeps its input's dtype, and the beat
-    returns to float64 at the sub-band rate.
+    The chain runs in the precision of ``x``, float32 for the tone and the
+    burst the runner builds: its rounding sits about 130 dB below full
+    scale, far under the 14-bit converter's 86 dB floor, and at the DAC
+    rate it halves the memory traffic. Every stage keeps its input's
+    dtype as far as the ADC's sampler, which returns to float64.
     """
-    y = dac_model(
-        SampledWaveform(x.samples.astype(np.float32, copy=False), x.rate),
-        cfg.dac,
-        dac_seed,
-    )
+    y = dac_model(x, cfg.dac, dac_seed)
     # drive conditioner, in the DAC's output record: filters may
     # overshoot a little past full scale
     v = y.samples
@@ -315,12 +311,13 @@ def _scm_burst(cfg: ScenarioConfig) -> tuple[dict[int, np.ndarray], BeatSpectrum
         for ch in range(1, cfg.scm.n_channels + 1)
     }
     full_plan = dataclasses.replace(cfg.scm, active_channels=None)
-    reference = scm_waveform(full_plan, symbols, cfg.dac.rate, cfg.combs.delta_f)
+    rate, grid = cfg.dac.rate, cfg.combs.delta_f
+    reference = scm_waveform(full_plan, symbols, rate, grid, dtype=np.float32)
     level = cfg.scm.drive_rms / rms(reference.samples)
     if cfg.scm.active_set() == full_plan.active_set():
         burst = reference
     else:
-        burst = scm_waveform(cfg.scm, symbols, cfg.dac.rate, cfg.combs.delta_f)
+        burst = scm_waveform(cfg.scm, symbols, rate, grid, dtype=np.float32)
     x = SampledWaveform(burst.samples * level, burst.rate)
     dac_seed = _task_seeds(cfg.run.master_seed, "scm-dac", 0, 1)[0]
     return symbols, beat_spectrum(_front_end(x, cfg, dac_seed))

@@ -31,9 +31,11 @@ Conventions the rest of the package depends on:
   ``scipy.signal``, which alone takes about 1 s to load.
 * Samples are float64, or float32 where the caller chose it: a
   ``SampledWaveform`` keeps float32 samples and casts anything else to
-  float64, and ``apply_fir`` filters in its input's precision. The runner
-  hands the DAC-rate chain float32; every stage keeps its input's dtype,
-  so float64 in still gives float64 out.
+  float64; ``apply_fir`` filters, and ``_rfft_bins`` and ``_add_analytic``
+  read and place bins, in their input's precision. The runner's analog
+  records are float32 from the burst (or tone) to the ADC's sampler, and
+  float64 from the codes on; every stage keeps its input's dtype, so
+  float64 in still gives float64 out.
 """
 
 from __future__ import annotations
@@ -103,7 +105,7 @@ def _as_samples(x) -> np.ndarray:
 def _rfft_bins(z: np.ndarray, lo: int, hi: int, imag: bool = False) -> np.ndarray:
     """Bins ``lo..hi-1`` (``0 <= lo < hi <= z.size``) of the ``rfft`` of
     the real part of the record whose FFT is ``z`` (of its imaginary part
-    with ``imag``), in complex128.
+    with ``imag``), in the precision of ``z`` (complex64 stays complex64).
 
     Both parts are real records, so their spectra are the Hermitian and
     anti-Hermitian halves of ``z``: ``(Z[k] + conj Z[-k]) / 2`` and
@@ -111,7 +113,7 @@ def _rfft_bins(z: np.ndarray, lo: int, hi: int, imag: bool = False) -> np.ndarra
     """
     n = z.size
     # conj Z[-k] for k = lo..hi-1: Z[n - k] read backwards, Z[0] at k = 0
-    bins = np.empty(hi - lo, dtype=np.complex128)
+    bins = np.empty(hi - lo, dtype=np.result_type(z, np.complex64))
     first = max(lo, 1)
     np.conjugate(z[n - hi + 1 : n - first + 1][::-1], out=bins[first - lo :])
     if lo == 0:

@@ -32,7 +32,7 @@ column) and whether the pair matches in full, config payload included.
 `--work DIR` keeps the unpacked tree and the run directories under DIR
 (a temporary directory, removed at the end, otherwise); the pairwise mode
 then explains any row. Exit status is 0 when every run matches. The
-matrix takes about 21 s per revision on two CPU cores.
+matrix's 23 runs take about 21-23 s per revision on two CPU cores.
 """
 
 import argparse
@@ -235,6 +235,9 @@ _NARROW_SLICE = (
     "metrics.n_fft = 8192\n"
 )
 
+# shot and ASE beat off: the receiver noise is the thermal current alone
+_THERMAL_ONLY = "link.shot = off\nlink.osnr_db = inf\n"
+
 # (name, subcommand and its flags, config lines): small runs that between
 # them take every stage's switched-off and alternative paths. The 2.048 us
 # bursts are the default; the all-odd burst's DAC codes flip at exact
@@ -248,6 +251,8 @@ MATRIX = [
     # the figures read the receiver chain's rounding unquantized
     ("sweep-adc-bits-off", ["sweep-sine"], _SWEEP + "adc.bits = off\n"),
     ("sweep-dac-clip-off", ["sweep-sine"], _SWEEP + "dac.clip = off\n"),
+    # thermal alone of the receiver's noise currents: its draw keeps its bytes
+    ("sweep-thermal-only", ["sweep-sine"], _SWEEP + _THERMAL_ONLY),
     # a walking phase track takes the beat's off-grid path
     ("sweep-linewidth", ["sweep-sine"], _SWEEP + "combs.drive_linewidth = 1khz\n"),
     ("sweep-delta-f-1.25", ["sweep-sine"], _SWEEP + _WIDE_SLICE),

@@ -316,7 +316,8 @@ def subband_beat(
     The heterodyne term mixes the analytic modulation down by n * delta_f
     with the differential phase track applied; balanced-detection leakage
     adds an attenuated direct-detection |mu|^2 term; shot, thermal and
-    amplified-spontaneous-emission beat noise enter as white currents.
+    amplified-spontaneous-emission beat noise enter as one white current
+    at their summed density, drawn from the thermal stream.
     Everything then passes the photodiode band limit and the soft
     transimpedance saturation.
 
@@ -404,18 +405,16 @@ def subband_beat(
         i = irfft(half, n_out)
         i *= scale
 
-    # every noise current is added, and the TIA applied, in place
-    if link.thermal_noise_density > 0:
-        i += white_noise(
-            n_out, rate_out, link.thermal_noise_density, derive_rng(seed, "thermal")
-        )
+    # thermal, shot and ASE beat are independent white currents, so they
+    # are one draw at the summed variance density, added in place
+    var = link.thermal_noise_density**2
     if link.shot:
-        dens = np.sqrt(4.0 * _ELEMENTARY_CHARGE * r * (p_lo + p_ch))
-        i += white_noise(n_out, rate_out, dens, derive_rng(seed, "shot"))
+        var += 4.0 * _ELEMENTARY_CHARGE * r * (p_lo + p_ch)
     if np.isfinite(link.osnr_db):
         s_ase = p_ch * 10.0 ** (-link.osnr_db / 10.0) / _OSNR_REF_BW
-        dens = 2.0 * r * np.sqrt(p_lo * s_ase)
-        i += white_noise(n_out, rate_out, dens, derive_rng(seed, "osnr"))
+        var += 4.0 * r**2 * p_lo * s_ase
+    if var > 0:
+        i += white_noise(n_out, rate_out, np.sqrt(var), derive_rng(seed, "thermal"))
 
     i = apply_fir(i, fir_lowpass(link.pd_bandwidth, rate_out))
 

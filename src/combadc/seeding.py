@@ -1,10 +1,10 @@
 """Deterministic RNG derivation.
 
-Every stochastic piece of the simulator (thermal noise, phase walks, jitter,
-symbol draws) pulls its generator from here. Generators are derived from a
-single master seed plus a short string tag, so adding a new noise source or
-reordering calls never perturbs the streams of existing ones, and parallel
-sweep tasks stay byte-reproducible regardless of scheduling.
+Every stochastic piece of the simulator (the one receiver noise current,
+phase walks, jitter, symbol draws) pulls its generator from here: a single
+master seed plus a short string tag ("thermal", "drive-phase", "jitter"), so
+adding a new noise source or reordering calls never perturbs the streams of
+existing ones, and parallel sweep tasks stay byte-reproducible in any order.
 """
 
 from __future__ import annotations

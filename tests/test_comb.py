@@ -226,7 +226,7 @@ def test_beat_thermal_noise_variance():
     taps = fir_lowpass(link.pd_bandwidth, 32e9)
     sigma_in = link.thermal_noise_density**2 * 32e9 / 2.0
     want = sigma_in * np.sum(taps**2)
-    assert np.var(out.samples) == pytest.approx(want, rel=0.03)
+    assert np.var(out.samples) == pytest.approx(want, rel=0.03, abs=0.0)
 
 
 def test_beat_cmrr_leak_scales():
@@ -436,7 +436,61 @@ def test_beat_thermal_noise_variance_at_output_rate():
     assert out.rate == 9.6e9 and out.n == 480_000
     taps = fir_lowpass(link.pd_bandwidth, out.rate)
     want = link.thermal_noise_density**2 * out.rate / 2.0 * np.sum(taps**2)
-    assert np.var(out.samples) == pytest.approx(want, rel=0.03)
+    assert np.var(out.samples) == pytest.approx(want, rel=0.03, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        dict(thermal_noise_density=4.4e-11),
+        dict(shot=True),
+        dict(osnr_db=55.0),
+        dict(thermal_noise_density=4.4e-11, shot=True, osnr_db=55.0),
+    ],
+    ids=["thermal", "shot", "ase", "all"],
+)
+def test_beat_receiver_noise_is_the_summed_density(terms):
+    # closed form, from the link's own levels: thermal d^2, shot 4 q R
+    # (P_lo + P_ch), and the ASE beat 4 R^2 P_lo S_ase with S_ase the ASE
+    # density that the OSNR sets in its 12.5 GHz (0.1 nm) reference band.
+    # The three are independent, so their variances add. Filtered by the
+    # 51-tap photodiode response at 9.6 GSa/s, the 480,000-sample variance
+    # estimate has a relative sd of about 0.4 %; 2 % is five of those.
+    from combadc.waveform import fir_lowpass
+
+    link = quiet_link(**terms)
+    p_ch = dbm_to_watts(link.sig_power_per_ch_dbm)
+    p_lo = dbm_to_watts(link.lo_power_per_tone_dbm)
+    r = link.responsivity
+    density = link.thermal_noise_density**2
+    if link.shot:
+        density += 4.0 * 1.602176634e-19 * r * (p_lo + p_ch)
+    if np.isfinite(link.osnr_db):
+        s_ase = p_ch * 10.0 ** (-link.osnr_db / 10.0) / 12.5e9
+        density += 4.0 * r**2 * p_lo * s_ase
+    spectrum = beat_spectrum(SampledWaveform(np.zeros(1_600_000), 32e9))
+    out = subband_beat(spectrum, 1, make_combs(), link, 9, out_rate=9.6e9)
+    taps = fir_lowpass(link.pd_bandwidth, out.rate)
+    want = density * out.rate / 2.0 * np.sum(taps**2)
+    assert np.var(out.samples) == pytest.approx(want, rel=0.02, abs=0.0)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_beat_thermal_current_is_the_thermal_stream(dtype):
+    # with shot and ASE off, the receiver noise is the thermal stream's draw
+    # at the thermal density, bit for bit, before the photodiode filter
+    from combadc.seeding import derive_rng
+    from combadc.waveform import apply_fir, fir_lowpass, white_noise
+
+    link = quiet_link(thermal_noise_density=4.4e-11)
+    spectrum = beat_spectrum(SampledWaveform(np.zeros(160_000, dtype), 32e9))
+    out = subband_beat(spectrum, 1, make_combs(), link, 9, out_rate=9.6e9)
+    noise = white_noise(
+        out.n, out.rate, link.thermal_noise_density, derive_rng(9, "thermal")
+    )
+    want = apply_fir(noise.astype(dtype), fir_lowpass(link.pd_bandwidth, out.rate))
+    assert out.samples.dtype == dtype
+    np.testing.assert_array_equal(out.samples, want)
 
 
 @pytest.mark.parametrize("out_rate", [64e9, 0.0, -9.6e9, np.nan])

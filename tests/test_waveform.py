@@ -380,7 +380,7 @@ def test_add_analytic_matches_rfft_weights_and_roll(n, imag, lo, hi, m, shifts, 
 def test_white_noise_density_law():
     rate, dens = 2.4e9, 4.4e-11
     x = white_noise(400_000, rate, dens, 99)
-    assert np.var(x) == pytest.approx(dens**2 * rate / 2, rel=0.02)
+    assert np.var(x) == pytest.approx(dens**2 * rate / 2, rel=0.02, abs=0.0)
 
 
 def test_wiener_phase_increment_law():

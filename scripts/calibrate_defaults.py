@@ -9,26 +9,34 @@ Two calibrations live in the defaults and this script re-derives both:
    that grid.
 
 2. Noise budget: the PAM4 drive level (DAC clip interference), the
-   receiver thermal density and a small comb amplitude tilt jointly set a
-   3.64 dB sweep SINAD decline from 0.5 to 10.5 GHz, a channel-1 SNR of
-   19.72 dB, a 1.82 dB channel-1..10 decline and a 2.77 dB
-   single-channel-mute improvement.  Those are what the default cell (the
-   shipped one) prints at the default master seed, 12345: one seed, not
-   an average.  Section B measures any requested grid cell.
+   receiver thermal density and a small comb amplitude tilt jointly set
+   the sweep SINAD decline from 0.5 to 10.5 GHz, the channel-1 SNR, the
+   channel-1..10 decline and the single-channel-mute improvement.
+   Section B measures any requested grid cell; the default cell is the
+   shipped operating point, at the default master seed: one seed, not an
+   average.  Each cell's figures come from the run directories through
+   scripts/compare_runs.py's `headline_figures`.
 
-Run time is about 2 s per noise-budget cell at --jobs 2; the comb grid is
-instant.
+Run time is about 1 s per noise-budget cell at --jobs 2 on two CPU cores;
+the comb grid is instant.
 
     python3 scripts/calibrate_defaults.py
     python3 scripts/calibrate_defaults.py --drive 0.46,0.48,0.50 --tilt 0,2
 """
 
 import argparse
+import importlib.util
 import os
 import tempfile
 import time
 
 from combadc import SignalError, comb_from_cascade, load_config, run_scm, run_sweep
+
+# the one headline-figure reader, loaded by path: scripts/ is no package
+_READER = os.path.join(os.path.dirname(os.path.abspath(__file__)), "compare_runs.py")
+_spec = importlib.util.spec_from_file_location("compare_runs", _READER)
+compare_runs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(compare_runs)
 
 
 def comb_flatness_grid(n_tones: int = 24) -> tuple[float, float, float]:
@@ -56,12 +64,6 @@ def comb_flatness_grid(n_tones: int = 24) -> tuple[float, float, float]:
     return best
 
 
-def _rows(path: str) -> list[list[str]]:
-    """Data rows of a CSV artifact, header dropped."""
-    with open(path) as fh:
-        return [line.split(",") for line in fh.read().strip().splitlines()[1:]]
-
-
 def budget_cell(drive: float, thermal: float, tilt: float, jobs: int) -> None:
     base = (
         f"scm.drive_rms = {drive}\n"
@@ -74,16 +76,14 @@ def budget_cell(drive: float, thermal: float, tilt: float, jobs: int) -> None:
         sweep_dir, scm_dir, mute_dir = (os.path.join(out, d) for d in ("sweep", "scm", "mute"))
         cfg = load_config(base + "sweep.start = 0.5ghz\nsweep.stop = 10.5ghz\nsweep.step = 2.5ghz\n")
         run_sweep(cfg, sweep_dir, jobs=jobs)
-        rows = _rows(os.path.join(sweep_dir, "sweep.csv"))
-        sinad = [float(r[2]) for r in rows]
-        sfdr = [float(r[1]) for r in rows]
-
         run_scm(load_config(base), scm_dir, jobs=jobs)
-        snr = dict(_rows(os.path.join(scm_dir, "scm_snr.csv")))
         run_scm(load_config(base + "scm.active_channels = 1\n"), mute_dir, jobs=1)
-        alone = float(_rows(os.path.join(mute_dir, "scm_snr.csv"))[0][1])
+        sweep, snr, mute = map(compare_runs.headline_figures, (sweep_dir, scm_dir, mute_dir))
 
-    ch1, ch10 = float(snr["1"]), float(snr["10"])
+    sinad = [v for (_, _, kind), v in sweep.items() if kind == "sinad_db"]
+    sfdr = [v for (_, _, kind), v in sweep.items() if kind == "sfdr_db"]
+    ch1, ch10 = (snr["scm_snr.csv", ch, "snr_db"] for ch in ("1", "10"))
+    alone = mute["scm_snr.csv", "1", "snr_db"]
     print(
         f"   drive={drive:.3f} thermal={thermal:.2e} tilt={tilt:.1f}: "
         f"sweep SINAD {sinad[0]:.2f}..{sinad[-1]:.2f} (decline {sinad[0] - sinad[-1]:.2f}, "
@@ -104,10 +104,7 @@ def main() -> None:
     if not args.skip_comb:
         comb_flatness_grid()
 
-    print(
-        "B. noise-budget grid (targets, the default cell at seed 12345: "
-        "sweep decline 3.64, ch1 19.72, ch1-ch10 1.82, mute 2.77)"
-    )
+    print("B. noise-budget grid (the default cell is the shipped operating point)")
     for drive in (float(v) for v in args.drive.split(",")):
         for thermal in (float(v) for v in args.thermal.split(",")):
             for tilt in (float(v) for v in args.tilt.split(",")):

@@ -27,12 +27,16 @@ With `--matrix REV` the script unpacks the committed tree of git revision
 REV with `git archive` (local, no network), runs every config of `MATRIX`
 through `python -m combadc.cli` at REV and at the working tree, and
 prints one table: per run, the artifacts matched, the task lines matched,
-the largest figure drift (the largest column difference above, with its
-column) and whether the pair matches in full, config payload included.
+the largest drift of a headline figure (see `headline_figures`: per sweep
+point SFDR, SINAD and ENOB, per channel SNR, per spectrum its in-band
+power and strongest bin), labelled with the figure's kind, and whether
+the pair matches in full, config payload included. A single noise-floor
+bin of a spectrum moves with any new noise realization, so the drift
+column leaves per-bin `power_db` to the pairwise report.
 `--work DIR` keeps the unpacked tree and the run directories under DIR
 (a temporary directory, removed at the end, otherwise); the pairwise mode
 then explains any row. Exit status is 0 when every run matches. The
-matrix's 23 runs take about 21-23 s per revision on two CPU cores.
+matrix's 23 runs take about 19-20 s per revision on two CPU cores.
 """
 
 import argparse
@@ -50,6 +54,9 @@ from typing import NamedTuple
 _ELAPSED = re.compile(r" elapsed_s=\S+")
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+Table = tuple[list[str], list[list[str]]]  # a CSV's header and data rows
+Figures = dict[tuple[str, str, str], float]  # (artifact, row, kind) -> value
 
 
 def manifest_path(run_dir: str) -> str:
@@ -76,7 +83,7 @@ def file_sha256(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def read_csv(path: str) -> tuple[list[str], list[list[str]]]:
+def read_csv(path: str) -> Table:
     with open(path) as fh:
         lines = [l for l in fh.read().splitlines() if l and not l.startswith("#")]
     return lines[0].split(","), [line.split(",") for line in lines[1:]]
@@ -92,19 +99,58 @@ def slice_width(payload: list[str]) -> float:
     return 1e9
 
 
-def column_diffs(
-    path_a: str, path_b: str, edges: tuple[float, float]
-) -> tuple[list[str], dict[str, float]]:
-    """One report line per numeric column, and per numeric column its max
-    |a - b| over shared rows (a header that differs reads inf); a
-    spectrum's in-band power reads each run's bins up to its edge in
-    ``edges``."""
-    head_a, rows_a = read_csv(path_a)
-    head_b, rows_b = read_csv(path_b)
+def headline_figures(run_dir: str) -> Figures:
+    """The figures a run is judged by, read from the CSV artifacts its
+    manifest names, as (artifact, row, kind) -> value. A spectrum
+    (`freq_hz,power_db`) gives its in-band power, 0 to half the run's
+    `combs.delta_f`, as `inband_power_db` and its strongest bin as
+    `peak_power_db`, under row "". Any other CSV is a table keyed by its
+    first column, and each further cell is a figure of its column's kind:
+    `sfdr_db`, `sinad_db` and `enob_bits` per sweep point, `snr_db` per
+    channel. A named artifact the directory lacks gives no figures."""
+    artifacts, _, payload = read_manifest(run_dir)
+    edge_hz = slice_width(payload) / 2.0
+    figures = {}
+    for name in artifacts:
+        path = os.path.join(run_dir, name)
+        if not (name.endswith(".csv") and os.path.isfile(path)):
+            continue
+        head, rows = read_csv(path)
+        if head != ["freq_hz", "power_db"]:
+            for row in rows:
+                for kind, cell in zip(head[1:], row[1:]):
+                    try:
+                        figures[name, row[0], kind] = float(cell)
+                    except ValueError:
+                        continue  # not a figure
+        elif rows:
+            bins = [(float(f), float(p)) for f, p in rows]
+            in_band = sum(10.0 ** (p / 10.0) for f, p in bins if f <= edge_hz)
+            figures[name, "", "inband_power_db"] = 10.0 * math.log10(in_band)
+            figures[name, "", "peak_power_db"] = max(p for _, p in bins)
+    return figures
+
+
+def headline_drift(figures_a: Figures, figures_b: Figures) -> tuple[float, str]:
+    """The largest |a - b| over both runs' headline figures, with its
+    kind; a figure found in only one run reads inf."""
+    drift = (0.0, "-")
+    # sorted, so a tie names the same kind on every run
+    for key in sorted(figures_a.keys() | figures_b.keys()):
+        a, b = figures_a.get(key), figures_b.get(key)
+        diff = math.inf if a is None or b is None else abs(a - b)
+        if diff > drift[0]:
+            drift = (diff, key[2])
+    return drift
+
+
+def column_diffs(table_a: Table, table_b: Table) -> list[str]:
+    """One report line per numeric column: its max |a - b| over shared
+    rows."""
+    (head_a, rows_a), (head_b, rows_b) = table_a, table_b
     if head_a != head_b:
-        line = f"  header differs: {','.join(head_a)} vs {','.join(head_b)}"
-        return [line], {"header": math.inf}
-    out, diffs = [], {}
+        return [f"  header differs: {','.join(head_a)} vs {','.join(head_b)}"]
+    out = []
     if len(rows_a) != len(rows_b):
         out.append(f"  rows differ: {len(rows_a)} vs {len(rows_b)}")
     for col, name in enumerate(head_a):
@@ -116,34 +162,28 @@ def column_diffs(
         except ValueError:
             continue  # not a numeric column
         out.append(f"  {name}: max |diff| {diff:.6g}")
-        diffs[name] = diff
-    if head_a == ["freq_hz", "power_db"] and rows_a and rows_b:
-        out += spectrum_diffs(rows_a, rows_b, edges)
-    return out, diffs
-
-
-def spectrum_figures(
-    rows: list[list[str]], edge_hz: float
-) -> tuple[float, float, float]:
-    """(in-band power from 0 to ``edge_hz`` in dB, strongest bin in dB, its
-    frequency)."""
-    freqs = [float(f) for f, _ in rows]
-    powers = [float(p) for _, p in rows]
-    in_band = sum(10.0 ** (p / 10.0) for f, p in zip(freqs, powers) if f <= edge_hz)
-    peak = max(range(len(powers)), key=powers.__getitem__)
-    return 10.0 * math.log10(in_band), powers[peak], freqs[peak]
+    return out
 
 
 def spectrum_diffs(
-    rows_a: list[list[str]], rows_b: list[list[str]], edges: tuple[float, float]
+    name: str,
+    figures: tuple[Figures, Figures],
+    tables: tuple[Table, Table],
+    edges: tuple[float, float],
 ) -> list[str]:
-    band_a, peak_a, f_a = spectrum_figures(rows_a, edges[0])
-    band_b, peak_b, f_b = spectrum_figures(rows_b, edges[1])
+    """Spectrum ``name``'s in-band power and strongest bin, each as the
+    difference of the two runs' figures, and where each run's strongest
+    bin sits."""
+    band, peak = (
+        abs(figures[0][name, "", kind] - figures[1][name, "", kind])
+        for kind in ("inband_power_db", "peak_power_db")
+    )
+    f_a, f_b = (float(max(rows, key=lambda r: float(r[1]))[0]) for _, rows in tables)
     where = f"same bin {f_a:g} Hz" if f_a == f_b else f"bins {f_a:g} vs {f_b:g} Hz"
-    band = " vs ".join(dict.fromkeys(f"0-{edge / 1e6:g}" for edge in edges))
+    span = " vs ".join(dict.fromkeys(f"0-{edge / 1e6:g}" for edge in edges))
     return [
-        f"  in-band power ({band} MHz): |diff| {abs(band_a - band_b):.6g} dB",
-        f"  strongest bin: |diff| {abs(peak_a - peak_b):.6g} dB, {where}",
+        f"  in-band power ({span} MHz): |diff| {band:.6g} dB",
+        f"  strongest bin: |diff| {peak:.6g} dB, {where}",
     ]
 
 
@@ -154,7 +194,7 @@ class Comparison(NamedTuple):
     differs: bool
     artifacts: tuple[int, int]  # (matched, named by either manifest)
     tasks: tuple[int, int]  # (task lines matched, lines in the longer list)
-    drift: tuple[float, str]  # largest column difference, and its column
+    drift: tuple[float, str]  # largest headline-figure difference, its kind
 
 
 def compare(dir_a: str, dir_b: str) -> Comparison:
@@ -166,8 +206,9 @@ def compare(dir_a: str, dir_b: str) -> Comparison:
         return Comparison(lines, True, (0, 0), (0, 0), (math.inf, "manifest"))
     art_a, tasks_a, cfg_a = read_manifest(dir_a)
     art_b, tasks_b, cfg_b = read_manifest(dir_b)
-    lines, differs = [], False
-    art_matched, drift = 0, (0.0, "-")
+    figures = (headline_figures(dir_a), headline_figures(dir_b))
+    edges = (slice_width(cfg_a) / 2.0, slice_width(cfg_b) / 2.0)
+    lines, differs, art_matched = [], False, 0
     for name in sorted(set(art_a) | set(art_b)):
         if name not in art_a or name not in art_b:
             lines.append(f"artifact {name}: only in {dir_a if name in art_a else dir_b}")
@@ -189,15 +230,10 @@ def compare(dir_a: str, dir_b: str) -> Comparison:
         art_matched += same and intact
         lines.append(f"artifact {name}: sha256 {'matches' if same else 'differs'}")
         if name.endswith(".csv") and present:
-            report, diffs = column_diffs(
-                os.path.join(dir_a, name),
-                os.path.join(dir_b, name),
-                (slice_width(cfg_a) / 2.0, slice_width(cfg_b) / 2.0),
-            )
-            lines += report
-            for column, diff in diffs.items():
-                if diff > drift[0]:
-                    drift = (diff, column)
+            tables = tuple(read_csv(os.path.join(d, name)) for d in (dir_a, dir_b))
+            lines += column_diffs(*tables)
+            if all((name, "", "peak_power_db") in f for f in figures):
+                lines += spectrum_diffs(name, figures, tables, edges)
     n_tasks = max(len(tasks_a), len(tasks_b))
     task_matched = 0
     for i in range(n_tasks):
@@ -215,6 +251,7 @@ def compare(dir_a: str, dir_b: str) -> Comparison:
         differs = True
     lines.append(f"{'differ' if differs else 'match'}: {dir_a} vs {dir_b}")
     n_art = len(set(art_a) | set(art_b))
+    drift = headline_drift(*figures)
     return Comparison(
         lines, differs, (art_matched, n_art), (task_matched, n_tasks), drift
     )

@@ -355,10 +355,11 @@ _MAX_SWEEP_POINTS = 10_000
 # more comb lines than the cascade's 4096-point harmonic grid holds, where
 # the reference comb has 24: a typo, not a comb
 _MAX_COMB_TONES = 4096
-# a run's peak memory grows by about 35 (sweep point) to 82 (burst)
+# a run's peak memory grows by about 29 (sweep point) to 43 (burst)
 # bytes per sample of its record at the DAC rate (peak RSS from 2.24 M
-# to 8.96 M and from 0.52 M to 2.1 M samples); 2**24 samples (0.52 ms at
-# 32 GSa/s, 7.5x the default sweep point) take a burst near 1.4 GB
+# to 16.8 M and from 0.066 M to 16.8 M samples); at 2**24 samples (0.52 ms
+# at 32 GSa/s, 7.5x the default sweep point) one sweep point peaks at
+# 522 MiB and the 10-channel burst at 753 MiB
 _MAX_RECORD_SAMPLES = 2**24
 
 

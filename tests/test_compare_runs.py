@@ -95,19 +95,25 @@ def test_same_seed_matches_and_other_seed_differs(tmp_path):
 FREQS = [0.0, 250e6, 500e6, 750e6, 1000e6]
 
 
+def _run(path, artifacts, payload=""):
+    """A run directory holding these artifacts (name -> text), under a
+    manifest with these config lines."""
+    path.mkdir()
+    manifest = "# combadc run manifest\n"
+    for name, text in artifacts.items():
+        (path / name).write_text(text)
+        sha = hashlib.sha256(text.encode()).hexdigest()
+        manifest += f"# artifact {name} sha256={sha}\n"
+    (path / "manifest.txt").write_text(manifest + "#\n" + payload)
+    return path
+
+
 def _spectrum_run(path, powers, payload=""):
     """A run directory holding one spectrum artifact with these bin powers,
     under a manifest with these config lines."""
-    path.mkdir()
     rows = "".join(f"{f:.6f},{p:.6f}\n" for f, p in zip(FREQS, powers))
     text = "# n_fft = 8\nfreq_hz,power_db\n" + rows
-    (path / "spectrum_ch1.csv").write_text(text)
-    sha = hashlib.sha256(text.encode()).hexdigest()
-    (path / "manifest.txt").write_text(
-        f"# combadc run manifest\n# artifact spectrum_ch1.csv sha256={sha}\n#\n"
-        + payload
-    )
-    return path
+    return _run(path, {"spectrum_ch1.csv": text}, payload)
 
 
 def test_spectrum_band_power_and_strongest_bin(tmp_path):
@@ -144,6 +150,46 @@ def test_spectrum_band_is_half_the_slice_width(tmp_path):
         10.0 * math.log10(sum(watts) / sum(watts[:3])), abs=1e-5
     )
     assert "strongest bin: |diff| 0 dB, same bin 7.5e+08 Hz\n" in out
+
+
+def test_drift_reads_headline_figures_not_bins(tmp_path):
+    script = _script_module()
+    base = [-195.0, -10.0, -20.0, -3.0, -50.0]
+    a = _spectrum_run(tmp_path / "a", base)
+    # the largest bin difference, in a notch: the band and the peak hold
+    notch = _spectrum_run(tmp_path / "notch", [-185.0] + base[1:])
+    c = script.compare(str(a), str(notch))
+    assert c.differs and c.drift == (0.0, "-")
+    assert "  power_db: max |diff| 10" in c.lines
+    # the strongest bin moves up 1 dB
+    peak = _spectrum_run(tmp_path / "peak", base[:3] + [-2.0, -50.0])
+    assert script.compare(str(a), str(peak)).drift == pytest.approx((1.0, "peak_power_db"))
+
+
+def _scm_run(path, snrs):
+    """A run directory holding one `scm_snr.csv` with these channel SNRs."""
+    rows = "".join(f"{ch},{snr:.6f}\n" for ch, snr in snrs.items())
+    return _run(path, {"scm_snr.csv": "channel,snr_db\n" + rows})
+
+
+def test_changed_channel_snr_reads_as_snr_drift(tmp_path):
+    script = _script_module()
+    a = _scm_run(tmp_path / "a", {1: 19.72, 2: 19.5})
+    b = _scm_run(tmp_path / "b", {1: 19.72, 2: 19.25})
+    assert script.headline_figures(str(a)) == {
+        ("scm_snr.csv", "1", "snr_db"): 19.72,
+        ("scm_snr.csv", "2", "snr_db"): 19.5,
+    }
+    assert script.compare(str(a), str(b)).drift == pytest.approx((0.25, "snr_db"))
+    assert script.compare(str(a), str(tmp_path / "a")).drift == (0.0, "-")
+
+
+def test_figure_in_one_run_only_reads_as_infinite_drift(tmp_path):
+    script = _script_module()
+    a = _scm_run(tmp_path / "a", {1: 19.72, 2: 19.5})
+    failed = _scm_run(tmp_path / "failed", {1: 19.72})  # channel 2 failed
+    assert script.compare(str(a), str(failed)).drift == (math.inf, "snr_db")
+    assert script.compare(str(failed), str(a)).drift == (math.inf, "snr_db")
 
 
 def test_config_lines_in_one_payload_are_named(tmp_path):

@@ -56,7 +56,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import fft, ifft, irfft, next_fast_len
+from scipy.fft import fft, fftshift, ifft, irfft, next_fast_len
 
 from .errors import ConfigError, SignalError
 from .seeding import derive_rng
@@ -185,7 +185,7 @@ def cascade_harmonics(
     g = np.exp(1j * pm_index * drive)
     if im_depth != 0.0:
         g = g * np.cos(np.pi / 4.0 + 0.5 * im_depth * drive)
-    return np.fft.fftshift(np.fft.fft(g)) / n_grid
+    return fftshift(fft(g)) / n_grid
 
 
 def comb_from_cascade(pm_index: float, im_depth: float, n_tones: int) -> np.ndarray:

@@ -93,8 +93,14 @@ class ScmConfig:
     # its clipping are exercised)
     drive_rms: float = 0.48
     # None means all channels transmit; otherwise 1-based indices, kept
-    # sorted and free of repeats so equal plans compare and dump equal
+    # sorted and free of repeats however the plan is set, so equal plans
+    # compare, run and dump equal
     active_channels: tuple[int, ...] | None = None
+
+    def __setattr__(self, name, value):
+        if name == "active_channels" and value is not None:
+            value = tuple(sorted(set(value)))
+        super().__setattr__(name, value)
 
     def __post_init__(self):
         if self.n_channels < 1:
@@ -103,10 +109,8 @@ class ScmConfig:
             raise SignalError("baud must be positive")
         if not 0.0 <= self.rolloff <= 1.0:
             raise SignalError("roll-off must lie in [0, 1]")
-        if self.active_channels is not None:
-            self.active_channels = tuple(sorted(set(self.active_channels)))
-            if not self.active_channels:
-                raise SignalError("active channel list is empty")
+        if self.active_channels == ():
+            raise SignalError("active channel list is empty")
         # a drive far past full scale only clips harder; 1e6 (120 dB past
         # it) keeps the burst, unclipped and through a +300 dB tilt, far
         # inside float32's 3.4e38, where 1e38 overflows the runner's scaling

@@ -185,7 +185,7 @@ def _p_channels(tok: str):
         raise ValueError(f"expected 'all' or a comma list of channels, got {tok!r}")
     if not chans:
         raise ValueError("channel list is empty")
-    return tuple(sorted(chans))
+    return tuple(chans)  # ScmConfig keeps a plan sorted
 
 
 def _p_choice(*options: str):

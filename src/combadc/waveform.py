@@ -234,14 +234,14 @@ def periodogram(
     w = w / np.sqrt(np.mean(np.square(w)))
 
     segs = x[: n_avg * n_fft].reshape(n_avg, n_fft) * w
-    p = np.square(np.abs(np.fft.rfft(segs))).sum(axis=0) / (n_avg * n_fft**2)
+    p = np.square(np.abs(sfft.rfft(segs))).sum(axis=0) / (n_avg * n_fft**2)
 
     # fold negative frequencies onto the positive side; DC and Nyquist
     # have no mirror partner
     p[1:-1] *= 2.0
 
     power_db = 10.0 * np.log10(np.maximum(p, 10.0 ** (_DB_FLOOR / 10.0)))
-    freqs = np.fft.rfftfreq(n_fft, d=1.0 / wave.rate)
+    freqs = sfft.rfftfreq(n_fft, d=1.0 / wave.rate)
     return SpectrumEstimate(
         bin_freqs=freqs,
         power_db=power_db,

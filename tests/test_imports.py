@@ -1,6 +1,6 @@
-"""Every imported name in the package and its tests is used, the
-package stays off scipy's slow-loading modules, and the stages keep the
-shape of their inputs.
+"""Every imported name in the package, its tests and its scripts is
+used, the package stays off scipy's slow-loading modules, and the stages
+keep the shape of their inputs.
 
 Walks the syntax tree of each module: a name bound by an import must be
 read somewhere in the file, or listed in its ``__all__`` (a re-export).
@@ -20,9 +20,11 @@ from combadc.frontend import dac_model
 from combadc.metrics import sine_metrics
 
 ROOT = Path(__file__).resolve().parent.parent
-FILES = sorted((ROOT / "src" / "combadc").glob("*.py")) + sorted(
-    (ROOT / "tests").glob("*.py")
-)
+FILES = [
+    path
+    for folder in ("src/combadc", "tests", "scripts")
+    for path in sorted((ROOT / folder).glob("*.py"))
+]
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:

@@ -220,97 +220,6 @@ def test_numbers_must_be_finite(text):
 
 
 @pytest.mark.parametrize(
-    "line",
-    [
-        pytest.param(f"impairments.{name} = off", id=name)
-        for name in (
-            "thermal",
-            "osnr_beat",
-            "cmrr_leak",
-            "drive_phase_noise",
-            "phase_drift",
-            "jitter",
-            "dac_residual_noise",
-        )
-    ],
-)
-def test_terms_with_a_physical_off_value_have_no_flag(line):
-    # each of these terms is switched off through its own physical key
-    key = line.split(" = ")[0]
-    with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
-        load_config(line)
-
-
-@pytest.mark.parametrize(
-    "line",
-    [
-        "impairments.shot = off",  # link.shot = off
-        "impairments.dac_clip = off",  # dac.clip = off
-        "impairments.dac_quantization = off",  # dac.bits = off
-        "impairments.adc_quantization = off",  # adc.bits = off
-        "impairments.tia_saturation = off",  # link.tia_sat_dbm = inf
-    ],
-    ids=lambda line: line.split(" = ")[0],
-)
-def test_impairments_section_is_gone(line):
-    # each term is switched off through a key of its own stage
-    key = line.split(" = ")[0]
-    with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
-        load_config(line)
-
-
-@pytest.mark.parametrize(
-    "line",
-    [
-        "metrics.window = auto",  # metrics.snap picks the window
-        "sweep.snap = on",  # metrics.snap = on
-        "run.electrical_rolloff_db = 3.0",  # dac.electrical_rolloff_db = 3.0
-    ],
-    ids=lambda line: line.split(" = ")[0],
-)
-def test_sine_test_and_tilt_keys_belong_to_their_stage(line):
-    # the metrics stage reads its tone grid and window, the DAC its tilt
-    key = line.split(" = ")[0]
-    with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
-        load_config(line)
-
-
-@pytest.mark.parametrize(
-    "line",
-    [
-        # no figure depends on the DAC's full scale, so it is fixed at +-1
-        "dac.full_scale = 1.0",
-        # only delta_f, not the absolute line spacing, reaches a sub-band
-        "combs.f_sig = 26000000000.0",
-        # only the LMS read these; it runs at its one measured operating
-        # point now that the direct solve is the default equalizer
-        "demod.ffe_step = 0.5",
-        "demod.ffe_passes = 12",
-    ],
-    ids=lambda line: line.split(" = ")[0],
-)
-def test_keys_that_changed_no_output_are_retired(line):
-    # manifests written while these were keys hold these lines
-    key = line.split(" = ")[0]
-    with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
-        load_config(line)
-
-
-@pytest.mark.parametrize(
-    "line",
-    # the burst rides the comb pair's sub-band grid, combs.delta_f; a
-    # spacing of its own loaded off that grid and read garbage as ok
-    ["scm.channel_spacing = 1000000000.0"],
-    ids=lambda line: line.split(" = ")[0],
-)
-def test_subcarrier_grid_is_the_comb_grid(line):
-    # manifests written while this was a key hold this line
-    key = line.split(" = ")[0]
-    with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
-        load_config(line)
-
-
-@pytest.mark.parametrize(
     "text",
     [
         "combs.delta_f = 1.25ghz\nscm.active_channels = 1,2,3,4,5,6,7,8",
@@ -680,6 +589,20 @@ def test_every_loaded_config_runs_and_reruns_identically(text):
             # a task may fail on its physics (no tone above the floor, an
             # equalizer that does not converge), never on a foreign error
             assert not any(_FOREIGN_ERROR.search(detail) for _, detail in outcomes), text
+
+
+@pytest.mark.parametrize("plan", [(5, 2, 9), (5, 5, 2)], ids=str)
+def test_a_plan_set_through_the_api_reruns_identically(plan, tmp_path):
+    # a plan set after construction is kept as a parsed one is, sorted and
+    # free of repeats, so the run, its manifest and the re-run agree
+    cfg = load_config(_SHORT_RUNS)
+    cfg.scm.active_channels = plan
+    assert cfg.scm.active_channels == tuple(sorted(set(plan)))
+    first = run_scm(cfg, str(tmp_path / "first"))
+    rerun = load_config((tmp_path / "first" / "manifest.txt").read_text())
+    again = run_scm(rerun, str(tmp_path / "again"))
+    assert again.config_text == first.config_text
+    assert again.artifacts == first.artifacts
 
 
 # ------------------------------------------------- every key changes an output

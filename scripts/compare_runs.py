@@ -4,6 +4,7 @@ runs against the working tree's over a fixed matrix of small configs.
 
     python3 scripts/compare_runs.py DIR_A DIR_B
     python3 scripts/compare_runs.py --matrix REV [--work DIR]
+    python3 scripts/compare_runs.py --matrix REV --seeds A-B [--work DIR]
 
 Each directory holds the `manifest.txt` of one `sweep-sine`, `run-scm` or
 `spectrum` run and the artifacts it names. The report says, per artifact,
@@ -37,14 +38,32 @@ column leaves per-bin `power_db` to the pairwise report.
 (a temporary directory, removed at the end, otherwise); the pairwise mode
 then explains any row. Exit status is 0 when every run matches. The
 matrix's 23 runs take about 19-20 s per revision on two CPU cores.
+
+With `--seeds A-B` beside `--matrix REV`, the script runs instead the
+benchmark's three workloads (bench/spec.json: the 5-point sweep, the
+default burst and channel 5's spectrum of a 16.384 us burst) at
+every master seed from A to B, at REV and at the working tree, and
+prints one line per headline figure: its mean over the seeds at REV and
+at the working tree, its sd over the seeds at REV, the difference of the
+means with its standard error (from the per-seed differences), the
+largest per-seed drift, and the figure's tolerance in
+bench/reference.json. A new noise realization moves every figure at
+every seed; the table says whether the means moved beyond what the
+seeds' spread explains. (bench/run.py sums a spectrum's in-band power
+over (0, 480 MHz] and this script over [0, delta_f/2], so the
+`inband_power_db` tolerance is quoted for a slightly different sum.)
+Exit status is 0 when every figure is equal at every seed. Each seed
+takes about 2.5 s per revision on two CPU cores.
 """
 
 import argparse
 import hashlib
+import json
 import math
 import os
 import re
 import shutil
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -368,6 +387,155 @@ def run_matrix(
     return lines, differs
 
 
+# ---------------------------------------------------------------------------
+# the headline figures over master seeds
+
+SPEC = os.path.join(ROOT, "bench", "spec.json")
+REFERENCE = os.path.join(ROOT, "bench", "reference.json")
+
+# the command line of each run function bench/spec.json's workloads call
+_CLI = {"run_sweep": ["sweep-sine"], "run_scm": ["run-scm"], "run_spectrum": ["spectrum"]}
+
+
+def headline_runs() -> list[tuple[str, list[str], str]]:
+    """The benchmark's workloads (bench/spec.json), named as in
+    bench/reference.json, as matrix runs: the 5-point sweep, the default
+    burst and channel 5's spectrum of a 16.384 us burst."""
+    with open(SPEC) as fh:
+        spec = json.load(fh)
+    return [
+        (
+            name,
+            _CLI[w["call"]] + [a for ch in w["channels"] or [] for a in ("--channel", str(ch))],
+            "".join(line + "\n" for line in w["config"]),
+        )
+        for name, w in spec["workloads"].items()
+    ]
+
+
+class SeedDrift(NamedTuple):
+    """One headline figure over the master seeds, at revisions A and B."""
+
+    seeds: int  # seeds that gave the figure at both revisions
+    mean_a: float
+    mean_b: float
+    sd_a: float  # sample sd over seeds at A
+    diff: float  # mean B - mean A
+    se: float  # the diff's standard error, from the per-seed differences
+    largest: float  # largest per-seed |B - A|; inf when a seed lacks it
+
+
+def seed_range(text: str) -> list[int]:
+    """``A-B`` as the master seeds A to B, or ``A`` as seed A alone."""
+    first, _, last = text.partition("-")
+    seeds = list(range(int(first), int(last or first) + 1))
+    if not seeds:
+        raise ValueError(f"empty seed range {text!r}")
+    return seeds
+
+
+def _mean(values: list[float]) -> float:
+    return statistics.fmean(values) if values else math.nan
+
+
+def _sd(values: list[float]) -> float:
+    return statistics.stdev(values) if len(values) > 1 else math.nan
+
+
+def seed_drift(pairs: list[tuple[Figures, Figures]]) -> dict[tuple, SeedDrift]:
+    """Each headline figure's drift over ``pairs``, one (figures at A,
+    figures at B) per master seed. The differences are paired by seed, so
+    the standard error of the means' difference is their sd over the
+    square root of their count. A figure that a seed gives at one revision
+    only leaves that seed out of the means and reads an infinite largest
+    drift."""
+    out = {}
+    # in the artifacts' row order, as the first seed to give each wrote it
+    for key in dict.fromkeys(k for pair in pairs for figures in pair for k in figures):
+        both = [(a[key], b[key]) for a, b in pairs if key in a and key in b]
+        at_a = [a for a, _ in both]
+        diffs = [b - a for a, b in both]
+        out[key] = SeedDrift(
+            len(both),
+            _mean(at_a),
+            _mean([b for _, b in both]),
+            _sd(at_a),
+            _mean(diffs),
+            _sd(diffs) / math.sqrt(len(both)) if both else math.nan,
+            max(map(abs, diffs)) if len(both) == len(pairs) else math.inf,
+        )
+    return out
+
+
+def reference_name(key: tuple[str, str, str]) -> str:
+    """bench/reference.json's name of the headline figure ``key``."""
+    artifact, row, kind = key
+    if artifact == "sweep.csv":
+        return f"{row}GHz.{kind}"
+    if artifact == "scm_snr.csv":
+        return f"ch{row}.{kind}"
+    return f"{artifact.removeprefix('spectrum_').removesuffix('.csv')}.{kind}"
+
+
+def seed_table(name: str, drifts: dict[tuple, SeedDrift], reference: dict) -> list[str]:
+    """One line per figure of run ``name``: its means at A and B, its sd
+    over seeds at A, B - A with its standard error, the largest per-seed
+    drift, and bench/reference.json's tolerance for it ("-" for a figure
+    it does not name, such as a burst channel's spectrum)."""
+    figures = reference.get(name, {}).get("figures", {})
+    lines = []
+    for key, d in drifts.items():
+        ref = reference_name(key)
+        tol = f"{figures[ref]['tol']:.3f}" if ref in figures else "-"
+        lines.append(
+            f"{name:<14} {ref:<24} {d.seeds:>5} {d.mean_a:>11.4f} {d.mean_b:>11.4f} "
+            f"{d.sd_a:>8.4f} {d.diff:>+9.4f} {d.se:>8.4f} {d.largest:>8.4f} {tol:>7}"
+        )
+    return lines
+
+
+def run_seeds(
+    tree_a: str,
+    tree_b: str,
+    runs: list[tuple],
+    seeds: list[int],
+    work: str,
+    reference: dict,
+    labels=("A", "B"),
+) -> tuple[list[str], bool]:
+    """Each run of ``runs`` at every master seed of ``seeds``, at source
+    trees ``tree_a`` and ``tree_b``, under ``work``: the table of headline
+    drifts and whether any figure differs at any seed."""
+    lines = [
+        f"{'run':<14} {'figure':<24} {'seeds':>5} {'mean A':>11} {'mean B':>11} "
+        f"{'sd A':>8} {'B - A':>9} {'se':>8} {'largest':>8} {'tol':>7}"
+    ]
+    differs, wall = False, [0.0, 0.0]
+    for name, argv, text in runs:
+        pairs = []
+        for seed in seeds:
+            dirs = [os.path.join(work, side, f"{name}-seed-{seed}") for side in ("a", "b")]
+            seeded = text + f"run.master_seed = {seed}\n"
+            for i, tree in enumerate((tree_a, tree_b)):
+                wall[i] += run_config(tree, argv, seeded, dirs[i])
+            pair = tuple(
+                headline_figures(d) if os.path.isfile(manifest_path(d)) else {}
+                for d in dirs
+            )
+            for label, figures in zip(labels, pair):
+                if not figures:
+                    lines.append(f"{name} seed {seed}: no figures at {label}")
+                    differs = True
+            pairs.append(pair)
+        drifts = seed_drift(pairs)
+        differs |= any(d.largest != 0.0 for d in drifts.values())
+        lines += seed_table(name, drifts, reference)
+    lines.append(
+        f"wall time: {labels[0]} {wall[0]:.1f} s, {labels[1]} {wall[1]:.1f} s"
+    )
+    return lines, differs
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("dir_a", nargs="?")
@@ -376,12 +544,18 @@ def main(argv: list[str] | None = None) -> int:
         "--matrix", metavar="REV", help="run MATRIX at git revision REV and here"
     )
     ap.add_argument(
+        "--seeds",
+        metavar="A-B",
+        type=seed_range,
+        help="with --matrix: the headline runs over master seeds A to B instead",
+    )
+    ap.add_argument(
         "--work", metavar="DIR", help="keep the matrix's tree and runs under DIR"
     )
     args = ap.parse_args(argv)
     if args.matrix is None:
-        if args.dir_b is None:
-            ap.error("give two run directories, or --matrix REV")
+        if args.dir_b is None or args.seeds is not None:
+            ap.error("give two run directories, or --matrix REV [--seeds A-B]")
         c = compare(args.dir_a, args.dir_b)
         print("\n".join(c.lines))
         return 1 if c.differs else 0
@@ -392,7 +566,14 @@ def main(argv: list[str] | None = None) -> int:
         tree = os.path.join(work, "rev")
         export_tree(args.matrix, tree)
         labels = (args.matrix, "working tree")
-        lines, differs = run_matrix(tree, ROOT, MATRIX, work, labels)
+        if args.seeds is None:
+            lines, differs = run_matrix(tree, ROOT, MATRIX, work, labels)
+        else:
+            with open(REFERENCE) as fh:
+                reference = json.load(fh)
+            lines, differs = run_seeds(
+                tree, ROOT, headline_runs(), args.seeds, work, reference, labels
+            )
     finally:
         if args.work is None:
             shutil.rmtree(work)

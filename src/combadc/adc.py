@@ -19,6 +19,7 @@ from .frontend import dequantize_midrise, quantize_midrise
 from .seeding import derive_rng
 from .waveform import (
     SampledWaveform,
+    _add_gaussian,
     _as_samples,
     apply_fir,
     fir_lowpass,
@@ -185,7 +186,9 @@ def adc_capture(
     interpolate at the jittered sampling instants, clip, quantize (unless
     ``cfg.bits`` is None). The capture holds one sample per converter
     period of the record, so its length does not depend on how far above
-    4x the input is oversampled.
+    4x the input is oversampled. The jitter, ``cfg.jitter_rms`` rms, is
+    the "jitter" stream's float32 Gaussian samples (``_add_gaussian``),
+    added in place onto the float64 instants in input samples.
     """
     if x.rate < MIN_OVERSAMPLING * cfg.rate:
         raise SignalError(
@@ -205,8 +208,7 @@ def adc_capture(
 
     positions = np.arange(n_out) * ratio
     if cfg.jitter_rms > 0.0:
-        rng = derive_rng(seed, "jitter")
-        positions = positions + rng.normal(0.0, cfg.jitter_rms * x.rate, n_out)
+        _add_gaussian(positions, cfg.jitter_rms * x.rate, derive_rng(seed, "jitter"))
     sampled = _lagrange_sample(y, positions)
 
     if cfg.full_scale == "auto":

@@ -38,8 +38,8 @@ transforms single precision in single precision (``numpy.fft`` would work
 in double and run slower). The band, the leak and the current at the
 output rate stay in the spectrum's precision, so a float32 field gives a
 float32 current through the noise, the photodiode filter and the TIA;
-the noise is drawn in float64 and rounded as it is added. The ADC's
-sampler returns to float64.
+the noise is ``white_noise``'s float32 samples, added in place. The
+ADC's sampler returns to float64.
 
 Phase bookkeeping: the seed laser's phase enters both beat terms
 identically and cancels in the difference, so it never appears in the
@@ -414,7 +414,7 @@ def subband_beat(
         s_ase = p_ch * 10.0 ** (-link.osnr_db / 10.0) / _OSNR_REF_BW
         var += 4.0 * r**2 * p_lo * s_ase
     if var > 0:
-        i += white_noise(n_out, rate_out, np.sqrt(var), derive_rng(seed, "thermal"))
+        white_noise(n_out, rate_out, np.sqrt(var), derive_rng(seed, "thermal"), out=i)
 
     i = apply_fir(i, fir_lowpass(link.pd_bandwidth, rate_out))
 

@@ -35,11 +35,11 @@ formed in float64 and rounded once as it is written. The burst comes out
 in the dtype its caller asks for, float64 by default; the runner asks for
 float32, so its analog records are float32 from the burst to the ADC's
 sampler. ``dac_model`` keeps its input's dtype (its quantizer works in that
-dtype, exactly, since the step is a power of two; its noise is drawn in
-float64 and cast back), so the caller picks the precision of the
-DAC-rate chain by the dtype it hands in. It works in one copy of its
-input that it owns, clipped, quantized and noised in place, and never
-writes into the caller's record.
+dtype, exactly, since the step is a power of two; its noise is
+``waveform._add_gaussian``'s float32 samples, added in place), so the
+caller picks the precision of the DAC-rate chain by the dtype it hands
+in. It works in one copy of its input that it owns, clipped, quantized
+and noised in place, and never writes into the caller's record.
 """
 
 from __future__ import annotations
@@ -53,6 +53,7 @@ from .errors import SignalError
 from .waveform import (
     SampledWaveform,
     _add_analytic,
+    _add_gaussian,
     _as_samples,
     apply_fir,
     fir_lowpass,
@@ -369,10 +370,6 @@ def dequantize_midrise(
     return y
 
 
-# samples of residual noise ``dac_model`` draws and adds at once
-_NOISE_BLOCK = 1 << 16
-
-
 def dac_model(x: SampledWaveform, cfg: DacConfig, seed) -> SampledWaveform:
     """Convert an ideal waveform into what the coarse DAC actually emits,
     as seen past the analog cabling.
@@ -396,15 +393,9 @@ def dac_model(x: SampledWaveform, cfg: DacConfig, seed) -> SampledWaveform:
         quantize_midrise(y, cfg.bits, 1.0, clip=cfg.clip, out=y)
         dequantize_midrise(y, cfg.bits, 1.0, out=y)
     if cfg.residual_noise_db is not None:
-        rng = np.random.default_rng(seed)
         # relative to the full-scale sine's power of 1/2
         sigma = np.sqrt(0.5 * 10.0 ** (cfg.residual_noise_db / 10.0))
-        # added in float64 and cast back, a block at a time: the generator
-        # draws the blocks in sequence, so they are one draw of y.size
-        for a in range(0, y.size, _NOISE_BLOCK):
-            noise = rng.normal(0.0, sigma, min(_NOISE_BLOCK, y.size - a))
-            noise += y[a : a + noise.size]
-            y[a : a + noise.size] = noise
+        _add_gaussian(y, sigma, np.random.default_rng(seed))
     taps = np.ones(1)  # identity
     if cfg.lpf_cutoff is not None:
         taps = fir_lowpass(cfg.lpf_cutoff, cfg.rate, _LPF_TRANSITION * cfg.lpf_cutoff)

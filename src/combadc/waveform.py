@@ -36,6 +36,11 @@ Conventions the rest of the package depends on:
   records are float32 from the burst (or tone) to the ADC's sampler, and
   float64 from the codes on; every stage keeps its input's dtype, so
   float64 in still gives float64 out.
+* Every Gaussian draw of the package, the DAC's residual noise, the
+  receiver current, the phase walk's steps and the ADC's jitter, is
+  ``_add_gaussian``'s: a blocked Box-Muller transform over the stage's
+  own generator's uniforms, float32 samples added in place into the
+  caller's record, so no full-length noise record is allocated.
 """
 
 from __future__ import annotations
@@ -531,28 +536,74 @@ def resample_waveform(wave: SampledWaveform, new_rate: float) -> SampledWaveform
     return SampledWaveform(y + mean, new_rate)
 
 
-def white_noise(n: int, rate: float, density: float, seed) -> np.ndarray:
-    """Gaussian noise with one-sided spectral density ``density`` X/sqrt(Hz).
+# samples ``_add_gaussian`` draws and adds at once: its uniforms and
+# temporaries, about 1.5 MB, stay in cache
+_GAUSS_BLOCK = 1 << 16
+
+
+def _add_gaussian(out: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
+    """Add ``out.size`` independent N(0, sigma**2) samples, each a float32,
+    into ``out`` (float32 or float64) in place, and return it.
+
+    The Gaussian kernel of every noise draw: a Box-Muller transform over
+    pairs of consecutive float64 uniforms (u, v) from ``rng``. Pair i gives
+    samples 2i and 2i + 1, ``r cos(2 pi v)`` and ``r sin(2 pi v)`` with
+    ``r = sigma sqrt(-2 log1p(-u))``. The radius and the angle ``2 pi v``
+    are taken in float64 and rounded to float32, so the 53-bit u reaches
+    8.57 sigma; the cosine, the sine and the products are float32
+    (numpy's SIMD loops). An odd count drops the last pair's sine.
+    The samples are drawn and added ``_GAUSS_BLOCK`` at a time, and a pair
+    is its own arithmetic, so a record drawn in even-sized parts, from one
+    generator in sequence, gets the samples of one draw of the whole.
+    """
+    for a in range(0, out.size, _GAUSS_BLOCK):
+        m = min(_GAUSS_BLOCK, out.size - a)
+        u = rng.random(m + m % 2).reshape(-1, 2)
+        half = u.shape[0]
+        r = np.negative(u[:, 0])
+        np.log1p(r, out=r)
+        r *= -2.0
+        np.sqrt(r, out=r)
+        radius = np.multiply(r, sigma, out=np.empty(half, np.float32))
+        angle = np.multiply(u[:, 1], 2.0 * np.pi, out=np.empty(half, np.float32))
+        pairs = np.empty((half, 2), np.float32)
+        np.multiply(np.cos(angle), radius, out=pairs[:, 0])
+        np.multiply(np.sin(angle), radius, out=pairs[:, 1])
+        out[a : a + m] += pairs.reshape(-1)[:m]
+    return out
+
+
+def white_noise(
+    n: int, rate: float, density: float, seed, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Gaussian noise with one-sided spectral density ``density`` X/sqrt(Hz):
+    ``n`` float32 samples, or, given ``out`` (``n`` samples, float32 or
+    float64), the same samples added into it in place.
 
     Variance is density**2 * rate / 2, the density integrated over the
     Nyquist band.
     """
-    rng = np.random.default_rng(seed)
+    if out is None:
+        out = np.zeros(n, np.float32)
+    elif out.size != n:
+        raise SignalError(f"noise of {n} samples cannot add into {out.size}")
     sigma = density * np.sqrt(rate / 2.0)
-    return rng.normal(0.0, sigma, n)
+    return _add_gaussian(out, sigma, np.random.default_rng(seed))
 
 
 def wiener_phase(linewidth: float, n: int, rate: float, seed) -> np.ndarray:
     """Random-walk phase track for a Lorentzian line of the given FWHM.
 
     Increment variance per sample is 2 * pi * linewidth / rate; the walk
-    starts at zero. linewidth == 0 returns all zeros.
+    starts at zero. linewidth == 0 returns all zeros. The steps are
+    float32 samples, summed in float64: a float32 sum of hundreds of
+    thousands of steps drifts.
     """
     if linewidth < 0:
         raise SignalError("linewidth must be non-negative")
+    theta = np.zeros(n)
     if linewidth == 0.0:
-        return np.zeros(n)
-    rng = np.random.default_rng(seed)
+        return theta
     var = 2.0 * np.pi * linewidth / rate
-    steps = rng.normal(0.0, np.sqrt(var), n - 1)
-    return np.concatenate(([0.0], np.cumsum(steps)))
+    _add_gaussian(theta[1:], np.sqrt(var), np.random.default_rng(seed))
+    return np.cumsum(theta, out=theta)

@@ -2,6 +2,7 @@
 
 import hashlib
 import importlib.util
+import json
 import math
 import re
 import shutil
@@ -33,6 +34,7 @@ def _script_module():
 
 
 MATRIX = _script_module().MATRIX
+HEADLINE_RUNS = _script_module().headline_runs()
 
 
 @pytest.mark.parametrize(
@@ -264,4 +266,89 @@ def test_matrix_tells_a_moved_tree_from_the_same_tree(tmp_path):
         r"tiny-sweep +0/1 +1/1  (\S+) \((sfdr_db|sinad_db|enob_bits)\) +differ", lines[1]
     )
     assert row and float(row.group(1)) > 0.0, lines
+    assert lines[-1].startswith("wall time: A ")
+
+
+# ------------------------------------------------------------ seeded mode
+
+
+def test_seed_range():
+    script = _script_module()
+    assert script.seed_range("1-20") == list(range(1, 21))
+    assert script.seed_range("7") == [7]
+    with pytest.raises(ValueError):
+        script.seed_range("5-4")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [text for _, _, text in HEADLINE_RUNS],
+    ids=[name for name, _, _ in HEADLINE_RUNS],
+)
+def test_headline_configs_load(text):
+    load_config(text + "run.master_seed = 1\n")
+
+
+def test_headline_runs_are_the_benchmarks_workloads():
+    # bench/spec.json's three workloads, each as the command line of the
+    # run function it calls
+    assert [(name, argv) for name, argv, _ in HEADLINE_RUNS] == [
+        ("sweep", ["sweep-sine"]),
+        ("scm", ["run-scm"]),
+        ("spectrum-long", ["spectrum", "--channel", "5"]),
+    ]
+
+
+def test_reference_names_are_the_benchmarks():
+    # every figure the headline runs give is named as bench/reference.json
+    # names it, so the table can quote its tolerance
+    script = _script_module()
+    with open(script.REFERENCE) as fh:
+        reference = json.load(fh)
+    keys = {
+        "sweep": ("sweep.csv", "0.5000", "sfdr_db"),
+        "scm": ("scm_snr.csv", "10", "snr_db"),
+        "spectrum-long": ("spectrum_ch5.csv", "", "inband_power_db"),
+    }
+    for workload, key in keys.items():
+        assert script.reference_name(key) in reference[workload]["figures"]
+
+
+def test_seed_drift_is_the_paired_reduction():
+    # three seeds: figure x reads 1, 2, 3 at A and 1.5, 2, 3.4 at B, so the
+    # per-seed differences are 0.5, 0, 0.4: mean 0.3, sd sqrt(0.07), se
+    # sqrt(0.07 / 3); figure y is missing at B on seed 2
+    script = _script_module()
+    x, y = ("t.csv", "1", "x"), ("t.csv", "1", "y")
+    pairs = [
+        ({x: 1.0, y: 5.0}, {x: 1.5, y: 5.0}),
+        ({x: 2.0, y: 6.0}, {x: 2.0}),
+        ({x: 3.0, y: 7.0}, {x: 3.4, y: 7.5}),
+    ]
+    drift = script.seed_drift(pairs)
+    assert list(drift) == [x, y]
+    d = drift[x]
+    assert d.seeds == 3
+    assert (d.mean_a, d.mean_b, d.sd_a) == pytest.approx((2.0, 2.3, 1.0))
+    assert (d.diff, d.se, d.largest) == pytest.approx((0.3, math.sqrt(0.07 / 3), 0.5))
+    d = drift[y]
+    assert d.seeds == 2 and d.largest == math.inf
+    assert (d.mean_a, d.mean_b, d.diff) == pytest.approx((6.0, 6.25, 0.25))
+
+
+def test_seeded_runs_of_one_tree_do_not_drift(tmp_path):
+    # the tiny sweep at two master seeds, from this tree on both sides:
+    # every figure equal seed by seed, and the seeds themselves differ
+    script = _script_module()
+    root = str(SCRIPT.parent.parent)
+    runs = [("tiny-sweep", ["sweep-sine"], TINY_SWEEP)]
+    lines, differs = script.run_seeds(root, root, runs, [1, 2], str(tmp_path), {})
+    assert not differs, lines
+    rows = [line.split() for line in lines[1:-1]]
+    assert [row[1] for row in rows] == [
+        "5.0000GHz.sfdr_db", "5.0000GHz.sinad_db", "5.0000GHz.enob_bits"
+    ]
+    for _, _, seeds, mean_a, mean_b, sd_a, diff, se, largest, tol in rows:
+        assert seeds == "2" and mean_a == mean_b and float(sd_a) > 0.0
+        assert float(diff) == float(se) == float(largest) == 0.0 and tol == "-"
     assert lines[-1].startswith("wall time: A ")

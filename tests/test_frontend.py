@@ -5,7 +5,6 @@ from scipy.signal import hilbert
 
 from combadc.errors import SignalError
 from combadc.frontend import (
-    _NOISE_BLOCK,
     DacConfig,
     _phasor,
     ScmConfig,
@@ -19,8 +18,10 @@ from combadc.frontend import (
 )
 from combadc.metrics import MetricsConfig, sine_metrics
 from combadc.waveform import (
+    _GAUSS_BLOCK,
     _SPLIT_BLOCK,
     SampledWaveform,
+    _add_gaussian,
     _rfft_bins,
     apply_fir,
     fir_lowpass,
@@ -350,17 +351,18 @@ def test_dac_all_switches_off_is_identity(rng):
 
 @pytest.mark.parametrize("clip", [True, False])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("n", [2 * _NOISE_BLOCK, 2 * _NOISE_BLOCK + 777, 1000])
+@pytest.mark.parametrize("n", [2 * _GAUSS_BLOCK, 2 * _GAUSS_BLOCK + 777, 1000])
 def test_dac_model_is_the_plain_composition(n, dtype, clip, rng):
     # in place, its noise added a block at a time, the DAC gives the bytes
-    # of the plain composition: clip, quantize and dequantize, one float64
-    # draw of the whole record added and cast back, then the one FIR
+    # of the plain composition: clip, quantize and dequantize, one float32
+    # Gaussian draw of the whole record added, then the one FIR
     cfg = DacConfig(clip=clip, electrical_rolloff_db=3.0)
     x = rng.uniform(-1.3, 1.3, n).astype(dtype)
     y = np.clip(x, -1.0, 1.0) if clip else x
     y = dequantize_midrise(quantize_midrise(y, cfg.bits, 1.0, clip=clip), cfg.bits, 1.0)
     sigma = np.sqrt(0.5 * 10.0 ** (cfg.residual_noise_db / 10.0))
-    y = (np.random.default_rng(9).normal(0.0, sigma, n) + y).astype(dtype)
+    noise = _add_gaussian(np.zeros(n, np.float32), sigma, np.random.default_rng(9))
+    y = (noise + y).astype(dtype)
     reconstruction = fir_lowpass(cfg.lpf_cutoff, cfg.rate, 0.08 * cfg.lpf_cutoff)
     want = apply_fir(y, np.convolve(reconstruction, spectral_tilt_taps(cfg.rate, 3.0)))
     got = dac_model(SampledWaveform(x, cfg.rate), cfg, 9).samples

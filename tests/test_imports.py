@@ -1,6 +1,6 @@
 """Every imported name in the package, its tests and its scripts is
-used, the package stays off scipy's slow-loading modules, and the stages
-keep the shape of their inputs.
+used, the package stays off scipy's slow-loading modules, every Gaussian
+draw is the one kernel's, and the stages keep the shape of their inputs.
 
 Walks the syntax tree of each module: a name bound by an import must be
 read somewhere in the file, or listed in its ``__all__`` (a re-export).
@@ -87,6 +87,27 @@ def test_package_imports_no_heavy_scipy_module():
         and (names := _heavy_imports(ast.parse(path.read_text())))
     }
     assert heavy == {}
+
+
+def test_every_gaussian_draw_is_the_kernel():
+    """No module of the package calls a generator's own Gaussian sampler:
+    every draw is ``waveform._add_gaussian``'s."""
+    samplers = {"normal", "standard_normal"}
+    calls = {
+        path.name: names
+        for path in FILES
+        if path.parent.name == "combadc"
+        and (
+            names := [
+                n.func.attr
+                for n in ast.walk(ast.parse(path.read_text()))
+                if isinstance(n, ast.Call)
+                and isinstance(n.func, ast.Attribute)
+                and n.func.attr in samplers
+            ]
+        )
+    }
+    assert calls == {}
 
 
 _RUNS = """

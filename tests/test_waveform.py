@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -7,9 +8,11 @@ from scipy import signal as sps
 
 from combadc.errors import SignalError
 from combadc.waveform import (
+    _GAUSS_BLOCK,
     _SPLIT_BLOCK,
     SampledWaveform,
     _add_analytic,
+    _add_gaussian,
     apply_fir,
     fir_lowpass,
     periodogram,
@@ -394,9 +397,149 @@ def test_wiener_phase_increment_law():
         wiener_phase(-1.0, 64, rate, 17)
 
 
+def test_wiener_phase_sums_its_steps_in_float64():
+    # the walk is the float64 running sum of the kernel's float32 steps; a
+    # float32 sum of them wanders off it, by about 4e-5 rad here
+    lw, rate, n = 5e3, 1e9, 672_000
+    theta = wiener_phase(lw, n, rate, 17)
+    steps = _gaussian(n - 1, 17, math.sqrt(2 * np.pi * lw / rate))
+    assert theta.dtype == np.float64
+    assert np.array_equal(theta, np.cumsum(np.concatenate(([0.0], steps))))
+    assert np.max(np.abs(np.cumsum(steps) - theta[1:])) > 1e-6
+
+
 def test_noise_determinism():
     a = white_noise(1000, 1e9, 1e-10, 42)
     b = white_noise(1000, 1e9, 1e-10, 42)
     c = white_noise(1000, 1e9, 1e-10, 43)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def test_white_noise_adds_its_samples_in_place():
+    # float32 samples, or the same samples added into a caller's record
+    a = white_noise(1001, 1e9, 1e-10, 42)
+    assert a.dtype == np.float32
+    base = np.linspace(-1.0, 1.0, 1001)
+    got = white_noise(1001, 1e9, 1e-10, 42, out=base.copy())
+    assert np.array_equal(got, base + a)
+    with pytest.raises(SignalError):
+        white_noise(1000, 1e9, 1e-10, 42, out=base)
+
+
+# ----------------------------------------------------------- Gaussian kernel
+
+# samples for the distribution checks: each bound below is a stated number
+# of standard errors at this size
+_N = 1 << 20
+
+
+def _gaussian(n: int, seed: int, sigma: float = 1.0) -> np.ndarray:
+    return _add_gaussian(np.zeros(n, np.float32), sigma, np.random.default_rng(seed))
+
+
+class _Uniforms:
+    """A generator stand-in that hands out the given uniforms in turn."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=np.float64)
+        self.at = 0
+
+    def random(self, n):
+        self.at += n
+        return self.u[self.at - n : self.at].copy()
+
+
+def test_gaussian_kernel_is_box_muller_of_consecutive_uniforms():
+    # pair (u, v) gives r cos(2 pi v) and r sin(2 pi v) with
+    # r = sigma sqrt(-2 ln(1 - u)), within 1e-6 of r (float32 angle,
+    # sine and products, about 16 ulp); u = 1 - 2**-53, the largest
+    # float64 uniform, reaches sigma sqrt(106 ln 2) = 8.57 sigma
+    sigma = 1.5
+    u = [0.0, 0.3, 0.5, 0.125, 0.9, 0.7, 1.0 - 2.0**-53, 0.0, 0.25, 0.6]
+    got = _add_gaussian(np.zeros(9, np.float32), sigma, _Uniforms(u))
+    want, radius = [], []
+    for a, b in zip(u[::2], u[1::2]):
+        r = sigma * math.sqrt(-2.0 * math.log(1.0 - a))
+        want += [r * math.cos(2.0 * math.pi * b), r * math.sin(2.0 * math.pi * b)]
+        radius += [r, r]
+    assert got.dtype == np.float32
+    assert np.all(np.abs(got - want[:9]) <= 1e-6 * np.array(radius[:9]))
+    assert got[6] == pytest.approx(sigma * math.sqrt(106.0 * math.log(2.0)), rel=1e-6)
+    assert got[6] > 8.5 * sigma
+
+
+def test_gaussian_kernel_moments():
+    # mean, variance and fourth moment of N(0, s^2), each within 5 standard
+    # errors: s / sqrt(N), s^2 sqrt(2 / N) and s^4 sqrt(96 / N), since
+    # var(x^2) = 2 s^4 and var(x^4) = (105 - 9) s^8
+    s = 0.7
+    x = _gaussian(_N, 1, s).astype(np.float64)
+    assert abs(np.mean(x)) < 5.0 * s / math.sqrt(_N)
+    assert abs(np.mean(x**2) - s**2) < 5.0 * s**2 * math.sqrt(2.0 / _N)
+    assert abs(np.mean(x**4) - 3.0 * s**4) < 5.0 * s**4 * math.sqrt(96.0 / _N)
+
+
+def test_gaussian_kernel_ks_distance_to_phi():
+    # Kolmogorov-Smirnov distance to Phi(x) = (1 + erf(x / sqrt 2)) / 2:
+    # sqrt(n) D exceeds 1.95 with probability 0.001 for a true N(0, 1)
+    n = 1 << 18
+    x = np.sort(_gaussian(n, 2).astype(np.float64))
+    phi = np.array([0.5 * (1.0 + math.erf(v / math.sqrt(2.0))) for v in x.tolist()])
+    i = np.arange(1, n + 1)
+    d = max(np.max(i / n - phi), np.max(phi - (i - 1) / n))
+    assert math.sqrt(n) * d < 1.95
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_gaussian_kernel_tail_fractions(k):
+    # P(|x| > k sigma) = erfc(k / sqrt 2); the count beyond is binomial,
+    # within 5 of its standard deviations sqrt(n p (1 - p))
+    n, sigma = 1 << 22, 2.0
+    p = math.erfc(k / math.sqrt(2.0))
+    count = np.count_nonzero(np.abs(_gaussian(n, 3 + k, sigma)) > k * sigma)
+    assert abs(count - n * p) < 5.0 * math.sqrt(n * p * (1.0 - p))
+
+
+def test_gaussian_kernel_samples_are_uncorrelated():
+    # lag-1 to lag-3 autocorrelation, and within each pair the correlation
+    # of its two samples and of their squares: each within 4 / sqrt(M) of
+    # 0, M the number of products averaged
+    x = _gaussian(_N, 5).astype(np.float64)
+    for lag in (1, 2, 3):
+        assert abs(np.corrcoef(x[:-lag], x[lag:])[0, 1]) < 4.0 / math.sqrt(_N - lag)
+    first, second = x[0::2], x[1::2]
+    bound = 4.0 / math.sqrt(_N // 2)
+    assert abs(np.corrcoef(first, second)[0, 1]) < bound
+    assert abs(np.corrcoef(first**2, second**2)[0, 1]) < bound
+
+
+def test_gaussian_kernel_is_block_invariant():
+    # a record drawn in even-sized parts, from one generator in sequence,
+    # is the record drawn at once; the parts straddle the kernel's block
+    n = 2 * _GAUSS_BLOCK + 778
+    parts = np.zeros(n, np.float32)
+    rng = np.random.default_rng(6)
+    for a, b in ((0, 1000), (1000, _GAUSS_BLOCK + 2), (_GAUSS_BLOCK + 2, n)):
+        _add_gaussian(parts[a:b], 1.0, rng)
+    assert np.array_equal(parts, _gaussian(n, 6))
+
+
+def test_gaussian_kernel_samples_are_float32_in_any_record():
+    # added into float64, the samples are the float32 draw's, exactly
+    x = _add_gaussian(np.zeros(5000), 1.0, np.random.default_rng(4))
+    assert x.dtype == np.float64
+    assert np.array_equal(x, _gaussian(5000, 4))
+
+
+@pytest.mark.parametrize("n", [1, 7, _GAUSS_BLOCK + 1])
+def test_gaussian_kernel_odd_count_is_the_even_draw_less_one(n):
+    x = _gaussian(n, 8)
+    assert x.size == n and np.all(np.isfinite(x)) and np.any(x != 0.0)
+    assert np.array_equal(x, _gaussian(n + 1, 8)[:n])
+
+
+def test_gaussian_kernel_streams_differ_by_seed():
+    # distinct seeds share no sample
+    a, b = _gaussian(4096, 1), _gaussian(4096, 2)
+    assert not np.any(a == b)

@@ -37,7 +37,7 @@ column leaves per-bin `power_db` to the pairwise report.
 `--work DIR` keeps the unpacked tree and the run directories under DIR
 (a temporary directory, removed at the end, otherwise); the pairwise mode
 then explains any row. Exit status is 0 when every run matches. The
-matrix's 23 runs take about 19-20 s per revision on two CPU cores.
+matrix's 24 runs take about 18-20 s per revision on two CPU cores.
 
 With `--seeds A-B` beside `--matrix REV`, the script runs instead the
 benchmark's three workloads (bench/spec.json: the 5-point sweep, the
@@ -315,6 +315,9 @@ MATRIX = [
     ("sweep-delta-f-0.5", ["sweep-sine"], _SWEEP + _NARROW_SLICE),
     # a constant path drift turns the beat's phase track on
     ("sweep-drift", ["sweep-sine"], _SWEEP + "combs.differential_drift = 1000\n"),
+    # no jitter: the sampling instants fall on the beat's grid (4x the ADC
+    # rate), where the ADC's sampler returns its input samples themselves
+    ("sweep-jitter-off", ["sweep-sine"], _SWEEP + "adc.jitter_rms = 0\n"),
     # a second master seed: five sweep points, 2.5 GHz apart, and the default burst
     ("sweep-seed-7", ["sweep-sine"], "sweep.step = 2.5ghz\nrun.master_seed = 7\n"),
     ("scm", ["run-scm"], ""),

@@ -24,9 +24,9 @@ also stacks ``frontend.scm_waveform``'s channels up onto their
 subcarriers and forms the demodulator's analytic signal. The complex FFT
 (``beat_spectrum``) is the record's half of the channelizer: every run
 takes it once, and each sub-band reads its own bins from it. Where the
-differential phase track is zero (a band on the bin grid, with no drive
-noise and no drift) only the real part of the band is needed, and one
-real inverse transform returns it together with the leak.
+differential phase track is zero (a band on the bin grid, no drive noise,
+no drift) only the band's Hermitian half is needed: it is read straight
+from the spectrum, and one real inverse transform returns it and the leak.
 Detector noise, the photodiode filter and the transimpedance stage then
 run at the reduced rate. The noise sources are specified as densities,
 so the physics does not depend on the rate.
@@ -302,6 +302,23 @@ def beat_spectrum(mu: SampledWaveform) -> BeatSpectrum:
     return BeatSpectrum(z, mu.rate)
 
 
+def _band_half(z: np.ndarray, k0: int, n_out: int) -> np.ndarray:
+    """``_rfft_bins(band, 0, n_out // 2 + 1)`` bit for bit, for ``band`` the
+    n_out analytic bins ``A`` that ``subband_beat`` centres on source bin k0:
+    ``(conj A[k0 - k] + A[k0 + k]) / 2``, read from ``z`` without the band."""
+    first = k0 - n_out // 2
+    lo, hi = max(first, 0), min(first + n_out, z.size // 2 + 1)
+    half = np.zeros(n_out // 2 + 1, z.dtype)
+    # bins up to k0 land on k0 - j, conjugated as 0 - im (no negative zero)
+    _add_analytic(z, lo, min(k0 + 1, hi), half[::-1], (half.size - 1 - k0,))
+    np.subtract(0.0, half.imag, out=half.imag)
+    _add_analytic(z, max(k0, lo), hi, half, (-k0,))
+    if n_out % 2 == 0 and lo == first < hi:  # bin n_out / 2 holds A[first]
+        _add_analytic(z, first, first + 1, half, (n_out // 2 - first,))
+    half *= 0.5
+    return half
+
+
 def subband_beat(
     mu: BeatSpectrum,
     n: int,
@@ -337,9 +354,9 @@ def subband_beat(
     output rate.
 
     ``mu`` is the record's ``beat_spectrum``, read by every sub-band. A
-    band whose phase track is zero returns through one real inverse FFT
-    that carries the leak as well; any other band takes a complex inverse
-    and the factor exp(j theta), and the leak its own real inverse.
+    band with a zero phase track (by config) reads its Hermitian half from
+    ``mu`` into one real inverse FFT that carries the leak as well; any
+    other band takes a complex inverse and the factor exp(j theta).
     """
     if not 1 <= n <= combs.n_pairs:
         raise SignalError(
@@ -372,38 +389,34 @@ def subband_beat(
 
     shift = shift_hz * n_in / rate  # downshift in bins
     k0 = int(round(shift))
-    theta = _differential_phase(n, combs, n_out, rate_out, seed)
     residual = (shift - k0) * rate / n_in  # Hz, under half a bin
-    if residual != 0.0:
-        theta = theta - 2.0 * np.pi * residual * time_vector(n_out, rate_out)
-
-    # the analytic band in FFT order, source bin k0 on DC: of the n_out
-    # bins around k0, those that the record's rfft holds
-    first = k0 - n_out // 2
     z = mu.samples
-    band = np.zeros(n_out, dtype=z.dtype)
-    _add_analytic(z, max(first, 0), min(first + n_out, n_in // 2 + 1), band, (-k0,))
-    n_half = n_out // 2 + 1  # rfft length at the output rate
     # an infinite cmrr_db gives kappa = 0: no leak
     kappa = db_to_amplitude_ratio(-link.cmrr_db)
-    leak = _rfft_bins(z, 0, n_half, imag=True)
+    leak = _rfft_bins(z, 0, n_out // 2 + 1, imag=True)
     leak *= kappa * r * p_ch
 
-    # the default track is zero on a band that sits on the bin grid
-    if np.any(theta):
+    # an ideal pair on the bin grid: Re(ifft(band)) = irfft(band's half)
+    if combs.linewidth == 0 and combs.differential_phase_drift == 0 and residual == 0:
+        half = _band_half(z, k0, n_out)
+        half *= gain
+        half += leak
+        i = irfft(half, n_out)
+        i *= scale
+    else:
+        theta = _differential_phase(n, combs, n_out, rate_out, seed)
+        if residual != 0.0:
+            theta = theta - 2.0 * np.pi * residual * time_vector(n_out, rate_out)
+        # the analytic band in FFT order, source bin k0 on DC: the n_out bins
+        # around k0 that the record's rfft holds
+        first = k0 - n_out // 2
+        band = np.zeros(n_out, dtype=z.dtype)
+        _add_analytic(z, max(first, 0), min(first + n_out, n_in // 2 + 1), band, (-k0,))
         i = ifft(band, overwrite_x=True)
         i *= np.exp(1j * theta)  # in float64, rounded to the band's dtype
         i = i.real.copy()
         i *= gain * scale
         i += irfft(leak, n_out) * scale
-    else:
-        # Re(ifft(band)) is the real inverse of band's Hermitian half
-        half = _rfft_bins(band, 0, n_half)
-        del band  # not held through the inverse, the noise and the filter
-        half *= gain
-        half += leak
-        i = irfft(half, n_out)
-        i *= scale
 
     # thermal, shot and ASE beat are independent white currents, so they
     # are one draw at the summed variance density, added in place

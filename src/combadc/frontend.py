@@ -305,13 +305,13 @@ def _phasor(
     record: the product is taken in float64 and rounded once, on the
     write. With k = 1024a + b, the phasor is the outer product of
     e^{jw 1024a} and e^{jwb}, two short exponentials instead of one per
-    sample. It is taken 256 rows at a time, without a full-length complex
-    array (twice the float64 result, the run's largest transient)."""
+    sample. It is taken 16 rows (256 kB of complex128) at a time, in cache
+    and without a full-length complex array (twice the float64 result)."""
     coarse = np.exp(1j * w * 1024 * np.arange(-(-n // 1024)))
     fine = np.exp(1j * w * np.arange(1024))
     out = np.empty(n, dtype)
-    for a in range(0, n, 256 * 1024):
-        b = min(a + 256 * 1024, n)
+    for a in range(0, n, 16 * 1024):
+        b = min(a + 16 * 1024, n)
         block = np.outer(coarse[a // 1024 : -(-b // 1024)], fine).ravel()[: b - a]
         if times is not None:
             block *= times[a:b]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from combadc import adc
 from combadc.adc import AdcConfig, _lagrange_sample, adc_capture
 from combadc.errors import SignalError
 from combadc.metrics import MetricsConfig, sine_metrics
@@ -95,26 +96,68 @@ def _lagrange_8(x, positions):
     return out
 
 
+# The Farrow form rounds differently from the product form: 1e-14 of the
+# peak was measured on these records (its t**7 term reaches 4**7 at the
+# clamped ends), so 1e-13 of the peak bounds the difference.
+_FARROW_TOL = 1e-13
+
+
 def test_fractional_positions_interpolate():
     n = 4000
     t = np.arange(n)
     x = np.cos(2 * np.pi * 0.05 * t)
     positions = np.arange(1, 999) * 4.0 + 0.37
     got = _lagrange_sample(x, positions)
-    assert np.array_equal(got, _lagrange_8(x, positions))
+    assert np.max(np.abs(got - _lagrange_8(x, positions))) <= _FARROW_TOL * np.max(x)
     # an eight-point fit of a tone at a tenth of the Nyquist rate
     assert np.max(np.abs(got - np.cos(2 * np.pi * 0.05 * positions))) < 1e-6
     assert np.max(np.abs(got - x[np.round(positions).astype(int)])) > 0.05
 
 
-def test_sampler_blocks_keep_every_bit():
-    # the outputs are weighed a block at a time: two blocks and a part,
-    # jittered, clamped at both ends, give the whole-record formula's bits
+def test_sampler_blocks_keep_every_bit(monkeypatch):
+    # the outputs are taken a block at a time: two blocks and a part,
+    # jittered, clamped at both ends, give a one-block evaluation's bits,
+    # and the product form's values within its rounding
     rng = np.random.default_rng(11)
     x = rng.standard_normal(160_020)
     positions = np.arange(40_000) * 4.0 + rng.normal(0.0, 0.3, 40_000)
     positions[[0, -1]] = [-2.5, 160_030.0]
-    assert np.array_equal(_lagrange_sample(x, positions), _lagrange_8(x, positions))
+    blocked = _lagrange_sample(x, positions)
+    monkeypatch.setattr(adc, "_SAMPLE_BLOCK", positions.size)
+    assert blocked.tobytes() == _lagrange_sample(x, positions).tobytes()
+    peak = np.max(np.abs(x))
+    assert np.max(np.abs(blocked - _lagrange_8(x, positions))) <= _FARROW_TOL * peak
+
+
+@pytest.mark.parametrize("degree", range(8))
+def test_sampler_reproduces_polynomials(degree):
+    # an 8-point Lagrange polynomial reproduces every polynomial of degree
+    # 7 or less, between the taps and at the clamped ends alike; the bound
+    # is the Farrow form's rounding, measured at 1.7e-14 of the peak
+    rng = np.random.default_rng(degree)
+    coef = rng.standard_normal(degree + 1)
+    n = 64
+
+    def poly(k):
+        return np.polynomial.polynomial.polyval(2.0 * k / (n - 1) - 1.0, coef)
+
+    x = poly(np.arange(n))
+    positions = np.concatenate(
+        [rng.uniform(0.0, n - 1.0, 500), [-3.0, 0.0, 0.5, n - 1.5, n - 1.0, n + 5.0]]
+    )
+    want = poly(np.clip(positions, 0.0, n - 1.0))
+    got = _lagrange_sample(x, positions)
+    assert np.max(np.abs(got - want)) <= _FARROW_TOL * np.max(np.abs(x))
+
+
+def test_on_grid_instants_return_their_samples():
+    # t is the position less the fourth tap's: 0 on the input grid, where
+    # Horner's pass leaves the constant coefficient, that tap times 1
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal(1000)
+    positions = rng.integers(3, x.size - 4, 3000).astype(np.float64)
+    got = _lagrange_sample(x, positions)
+    assert got.tobytes() == x[positions.astype(np.int64)].tobytes()
 
 
 def test_capture_determinism():

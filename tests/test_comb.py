@@ -4,12 +4,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from combadc import comb
 from combadc.comb import (
     LinkConfig,
     ScenarioCombs,
     cascade_harmonics,
     comb_from_cascade,
     flat_comb,
+    _band_half,
     _differential_phase,
     beat_spectrum,
     mzm_field,
@@ -536,19 +538,21 @@ def test_beat_leak_matches_direct_detection_oracle(n, n_samples, dtype, rng):
     assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize(
-    "n_in,first,n_out",
-    [
-        (4096, 700, 512),  # inside the record's band, even and odd output
-        (4096, 700, 511),
-        (4096, -200, 512),  # clipped at DC
-        (4095, -200, 511),
-        (4096, 1800, 512),  # reaching past the record's Nyquist bin
-        (4095, 1800, 511),
-        (64, -1, 2),
-        (64, 5, 1),
-    ],
-)
+# the beat's band against the record: inside it, clipped at DC, past
+# its Nyquist bin; even and odd outputs, down to one and two bins
+_BAND_CASES = [
+    (4096, 700, 512),  # inside the record's band, even and odd output
+    (4096, 700, 511),
+    (4096, -200, 512),  # clipped at DC
+    (4095, -200, 511),
+    (4096, 1800, 512),  # reaching past the record's Nyquist bin
+    (4095, 1800, 511),
+    (64, -1, 2),
+    (64, 5, 1),
+]
+
+
+@pytest.mark.parametrize("n_in,first,n_out", _BAND_CASES)
 def test_on_grid_band_and_half_keep_every_bit(n_in, first, n_out, rng):
     # the beat's band, placed by _add_analytic in FFT order with source bin
     # first + n_out // 2 on DC: bit for bit the split bins copied into a
@@ -567,6 +571,48 @@ def test_on_grid_band_and_half_keep_every_bit(n_in, first, n_out, rng):
     band = np.zeros(n_out, dtype=np.complex128)
     _add_analytic(z, lo, hi, band, (-(first + n_out // 2),))
     assert np.array_equal(band.view(np.float64), want.view(np.float64))
+
+
+@pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+@pytest.mark.parametrize("n_in,first,n_out", _BAND_CASES)
+def test_band_half_read_from_the_spectrum_keeps_every_bit(n_in, first, n_out, dtype, rng):
+    # the on-grid beat reads its band's Hermitian half straight from the
+    # record's spectrum: bit for bit, signed zeros included, the half of
+    # the band that _add_analytic places. DC and Nyquist bins are real, so
+    # z and -z give each of them both signs.
+    z = (rng.standard_normal(n_in) + 1j * rng.standard_normal(n_in)).astype(dtype)
+    k0 = first + n_out // 2
+    for z in (z, -z):
+        band = np.zeros(n_out, dtype=dtype)
+        _add_analytic(z, max(first, 0), min(first + n_out, n_in // 2 + 1), band, (-k0,))
+        want = _rfft_bins(band, 0, n_out // 2 + 1)
+        got = _band_half(z, k0, n_out)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "n_samples, combs_kw, calls",
+    [
+        (65536, {}, 0),  # an ideal pair, its band on the bin grid
+        (65537, {}, 1),  # a residual shift: the band off the bin grid
+        (65536, {"drift": 2e5}, 1),
+        (65536, {"linewidth": 1e3}, 1),
+    ],
+)
+def test_only_a_phased_band_builds_the_phase_track(n_samples, combs_kw, calls, monkeypatch):
+    # whether the differential phase track is zero is read from the pair's
+    # config and the downshift, never from a record of zeros
+    seen = []
+
+    def track(*args):
+        seen.append(args)
+        return _differential_phase(*args)
+
+    monkeypatch.setattr(comb, "_differential_phase", track)
+    spectrum = beat_spectrum(_mu_tone(5.25e9, amp=0.1, n=n_samples))
+    subband_beat(spectrum, 5, make_combs(**combs_kw), quiet_link(), 3, out_rate=9.6e9)
+    assert len(seen) == calls
 
 
 @pytest.mark.parametrize("cmrr_db", [np.inf, 35.0])

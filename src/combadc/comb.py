@@ -269,11 +269,11 @@ def _differential_phase(
     """
     theta = np.zeros(n_samples)
     if combs.linewidth > 0:
-        theta = theta + n * wiener_phase(
+        theta += n * wiener_phase(
             combs.linewidth, n_samples, rate, derive_rng(seed, "drive-phase")
         )
     if combs.differential_phase_drift != 0.0:
-        theta = theta + combs.differential_phase_drift * time_vector(n_samples, rate)
+        theta += combs.differential_phase_drift * time_vector(n_samples, rate)
     return theta
 
 
@@ -406,7 +406,7 @@ def subband_beat(
     else:
         theta = _differential_phase(n, combs, n_out, rate_out, seed)
         if residual != 0.0:
-            theta = theta - 2.0 * np.pi * residual * time_vector(n_out, rate_out)
+            theta -= 2.0 * np.pi * residual * time_vector(n_out, rate_out)
         # the analytic band in FFT order, source bin k0 on DC: the n_out bins
         # around k0 that the record's rfft holds
         first = k0 - n_out // 2

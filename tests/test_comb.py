@@ -1,8 +1,12 @@
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from combadc import comb
 from combadc.comb import (
@@ -661,3 +665,78 @@ def test_beat_from_shared_spectrum_is_bit_identical(n, cmrr_db, drift, dtype, rn
         got = subband_beat(spectrum, n, combs, link, 3, out_rate=out_rate)
         assert got.rate == want.rate
         assert np.array_equal(got.samples, want.samples)
+
+
+# ------------------------------------------------- the beat's split transform
+
+# 2 x 32,771 has prime rows, 3^9 is odd, 2^16 square, and 2,240,000 is the
+# sweep's record (1400 x 1600)
+_SPLIT_LENGTHS = [2 * 32771, 3**9, 65536, 2_240_000]
+
+
+def _field(n, dtype, rng):
+    """The beat's kind of record: a modulator field of a tone over noise."""
+    t = time_vector(n, 32e9)
+    v = 0.9 * np.cos(2 * np.pi * 5.3e9 * t + 0.3) + rng.uniform(-0.1, 0.1, n)
+    return mzm_field(SampledWaveform(v.astype(dtype), 32e9), 0.3)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_prime_record_takes_the_plain_transform(dtype, rng):
+    # a prime n splits into one row: the plain transform, bit for bit
+    mu = _field(65537, dtype, rng).samples
+    want = scipy.fft.fft(mu + 1j * mu**2)
+    got = beat_spectrum(SampledWaveform(mu, 32e9)).samples
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", _SPLIT_LENGTHS)
+def test_split_transform_is_as_accurate_as_one_transform(n, rng):
+    # in single precision the split's error against a double-precision
+    # reference is within 10 % of scipy.fft's own for the same input
+    mu = _field(n, np.float32, rng).samples
+    x = mu.astype(np.float64)
+    want = np.fft.fft(x + 1j * x * x)
+
+    def rms_error(z):
+        return np.sqrt(np.mean(np.abs(z - want) ** 2))
+
+    own = rms_error(scipy.fft.fft(mu + 1j * mu**2))
+    assert rms_error(beat_spectrum(SampledWaveform(mu, 32e9)).samples) <= 1.1 * own
+
+
+@pytest.mark.parametrize("n", _SPLIT_LENGTHS)
+def test_split_transform_in_double_precision(n, rng):
+    mu = _field(n, np.float64, rng).samples
+    want = np.fft.fft(mu + 1j * mu**2)
+    got = beat_spectrum(SampledWaveform(mu, 32e9)).samples
+    assert got.dtype == np.complex128
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+_PEAK_RSS = """
+import resource
+import numpy as np
+from combadc.comb import beat_spectrum
+from combadc.waveform import SampledWaveform
+rng = np.random.default_rng(1)
+beat_spectrum(SampledWaveform(rng.random(4096, dtype=np.float32), 32e9))
+mu = SampledWaveform(rng.random(2_240_000, dtype=np.float32), 32e9)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+spectrum = beat_spectrum(mu)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before, spectrum.samples.nbytes)
+"""
+
+
+def test_split_transform_takes_no_full_length_scratch():
+    # the sweep's 2.24 M-sample float32 record: peak memory grows by the
+    # spectrum and a few rows and columns of scratch, where one long
+    # transform also faulted in two n-point buffers inside scipy.fft
+    # (about 34 MiB). ru_maxrss counts KiB on Linux.
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS], env=env, capture_output=True, text=True, check=True
+    )
+    rise_kib, spectrum_bytes = map(int, done.stdout.split())
+    assert rise_kib * 1024 < spectrum_bytes + 8 * 2**20

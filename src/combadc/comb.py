@@ -320,7 +320,7 @@ def beat_spectrum(mu: SampledWaveform) -> BeatSpectrum:
     for r in range(0, n1, _TWIDDLE_ROWS):
         rows, m = z[r : r + _TWIDDLE_ROWS], min(_TWIDDLE_ROWS, n1 - r) - 1
         rows.real = x[r : r + _TWIDDLE_ROWS]
-        np.square(x[r : r + _TWIDDLE_ROWS], out=rows.imag)
+        np.square(rows.real, out=rows.imag)
         fft(rows, axis=1, overwrite_x=True)  # in place: a complex input
         base = np.exp(r * k2 % n * w) if r else 1.0
         rows[1:] *= np.multiply(step[:m], base, out=tw[:m], casting="same_kind")

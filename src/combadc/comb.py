@@ -29,19 +29,19 @@ it. Where the differential phase track is zero (a band on the bin grid,
 no drive noise, no drift) only the band's Hermitian half is needed: it
 is read straight from the spectrum, and one real inverse transform
 returns it and the leak. Detector noise, the photodiode filter and the
-transimpedance stage then run at the reduced rate. The noise sources are specified as densities,
-so the physics does not depend on the rate.
+transimpedance stage then run at the reduced rate. The noise sources
+are specified as densities, so the physics does not depend on the rate.
 
 Precision: every stage keeps its input's dtype. ``mzm_field`` gives a
 float32 field factor for a float32 drive. The beat's one full-length
-transform, the complex FFT of mu + j mu^2, runs its two batched passes
-in ``scipy.fft``, which transforms single precision in single precision
-(``numpy.fft`` would work in double and run slower); between them, each
-twiddle is rounded once from double. The band, the leak and the current
-at the output rate stay in the spectrum's precision, so a float32 field gives a
-float32 current through the noise, the photodiode filter and the TIA;
-the noise is ``white_noise``'s float32 samples, added in place. The
-ADC's sampler returns to float64.
+transform, the complex FFT of mu + j mu^2, runs in ``scipy.fft``, which
+transforms single precision in single precision (``numpy.fft`` would work
+in double and run slower); each twiddle between its two passes is rounded
+once from double. The band, the leak and the current at the output rate
+stay in the spectrum's precision, so a float32 field gives a float32
+current through the noise, the photodiode filter and the TIA; the noise
+is ``white_noise``'s float32 samples, added in place. The ADC's sampler
+returns to float64.
 
 Phase bookkeeping: the seed laser's phase enters both beat terms
 identically and cancels in the difference, so it never appears in the
@@ -299,14 +299,12 @@ class BeatSpectrum:
 
 def beat_spectrum(mu: SampledWaveform) -> BeatSpectrum:
     """The one full-length transform of the beat: the FFT of mu + j mu^2,
-    read-only, since one spectrum serves every sub-band of a burst.
-
-    Two batched passes over an n1 x n2 split, n1 the largest divisor of n
-    not above sqrt(n) (Bailey's four-step FFT): sample j1 + n1 j2 goes to
-    row j1, column j2; the rows are transformed and twiddled by W_n^(j1 k2),
-    then the columns, leaving bin n2 k1 + k2 at row k1, column k2. No pass
-    takes an n-point scratch; a prime n is one row, the plain transform.
-    """
+    read-only, since one spectrum serves every sub-band of a burst. It is
+    Bailey's four-step FFT over an n1 x n2 split, n1 the largest divisor of
+    n not above sqrt(n): sample j1 + n1 j2 goes to row j1, column j2; the
+    rows are transformed and twiddled by W_n^(j1 k2), then the columns,
+    leaving bin n2 k1 + k2 at row k1, column k2. No pass takes an n-point
+    scratch; a prime n is one row, the plain transform."""
     n = mu.n
     n1 = max(d for d in range(1, math.isqrt(n) + 1) if n % d == 0)
     n2, w = n // n1, -2j * np.pi / n
@@ -318,11 +316,12 @@ def beat_spectrum(mu: SampledWaveform) -> BeatSpectrum:
     step = np.exp(np.arange(1, min(_TWIDDLE_ROWS, n1))[:, None] * k2 * w)
     tw = np.empty(step.shape, z.dtype)
     for r in range(0, n1, _TWIDDLE_ROWS):
-        rows, m = z[r : r + _TWIDDLE_ROWS], min(_TWIDDLE_ROWS, n1 - r) - 1
+        rows = z[r : r + _TWIDDLE_ROWS]
         rows.real = x[r : r + _TWIDDLE_ROWS]
         np.square(rows.real, out=rows.imag)
         fft(rows, axis=1, overwrite_x=True)  # in place: a complex input
         base = np.exp(r * k2 % n * w) if r else 1.0
+        m = len(rows) - 1
         rows[1:] *= np.multiply(step[:m], base, out=tw[:m], casting="same_kind")
         if r:
             rows[0] *= base

@@ -730,10 +730,10 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before, spectrum.samp
 
 
 def test_split_transform_takes_no_full_length_scratch():
-    # the sweep's 2.24 M-sample float32 record: peak memory grows by the
-    # spectrum and a few rows and columns of scratch, where one long
-    # transform also faulted in two n-point buffers inside scipy.fft
-    # (about 34 MiB). ru_maxrss counts KiB on Linux.
+    # the sweep's 2.24 M-sample float32 record: peak memory may grow by the
+    # spectrum and a few rows and columns of scratch; one n-point transform
+    # would add two n-point buffers inside scipy.fft (about 34 MiB).
+    # ru_maxrss counts KiB on Linux.
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     done = subprocess.run(
         [sys.executable, "-c", _PEAK_RSS], env=env, capture_output=True, text=True, check=True

@@ -19,13 +19,10 @@ as well, and one complex FFT of mu + j mu^2 gives both: mu's spectrum is
 its Hermitian half and mu^2's its anti-Hermitian half, read only at the
 bins that are kept. ``waveform._add_analytic`` splits mu's kept bins out,
 gives them the analytic weights and places them, shifted down by
-n * delta_f, on the shorter record in FFT order: the one placement that
-also stacks ``frontend.scm_waveform``'s channels up onto their
-subcarriers and forms the demodulator's analytic signal. The complex FFT
+n * delta_f, on the shorter record in FFT order. The complex FFT
 (``beat_spectrum``) is the record's half of the channelizer: every run
-takes it once, as two batched passes over an n1 x n2 split of the record
-with no full-length scratch, and each sub-band reads its own bins from
-it. Where the differential phase track is zero (a band on the bin grid,
+takes it once, as a four-step split, and each sub-band reads its own
+bins from it. Where the differential phase track is zero (a band on the bin grid,
 no drive noise, no drift) only the band's Hermitian half is needed: it
 is read straight from the spectrum, and one real inverse transform
 returns it and the leak. Detector noise, the photodiode filter and the
@@ -55,7 +52,6 @@ path drift.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,6 +64,8 @@ from .waveform import (
     SampledWaveform,
     _add_analytic,
     _rfft_bins,
+    _split_fft,
+    _split_zeros,
     apply_fir,
     fir_lowpass,
     time_vector,
@@ -93,9 +91,6 @@ _ELEMENTARY_CHARGE = 1.602176634e-19
 
 # reference bandwidth for optical SNR figures
 _OSNR_REF_BW = 12.5e9
-
-# rows of the beat's split FFT taken, and twiddled, at a time
-_TWIDDLE_ROWS = 32
 
 
 @dataclass
@@ -299,33 +294,12 @@ class BeatSpectrum:
 
 def beat_spectrum(mu: SampledWaveform) -> BeatSpectrum:
     """The one full-length transform of the beat: the FFT of mu + j mu^2,
-    read-only, since one spectrum serves every sub-band of a burst. It is
-    Bailey's four-step FFT over an n1 x n2 split, n1 the largest divisor of
-    n not above sqrt(n): sample j1 + n1 j2 goes to row j1, column j2; the
-    rows are transformed and twiddled by W_n^(j1 k2), then the columns,
-    leaving bin n2 k1 + k2 at row k1, column k2. No pass takes an n-point
-    scratch; a prime n is one row, the plain transform."""
-    n = mu.n
-    n1 = max(d for d in range(1, math.isqrt(n) + 1) if n % d == 0)
-    n2, w = n // n1, -2j * np.pi / n
-    z = np.empty((n1, n2), dtype=np.result_type(mu.samples, np.complex64))
-    x = mu.samples.reshape(n2, n1).T
-    k2 = np.arange(n2)
-    # row r + i of a block takes W_n^(r k2) W_n^(i k2), formed in double and
-    # rounded once; row 0's twiddles are all 1
-    step = np.exp(np.arange(1, min(_TWIDDLE_ROWS, n1))[:, None] * k2 * w)
-    tw = np.empty(step.shape, z.dtype)
-    for r in range(0, n1, _TWIDDLE_ROWS):
-        rows = z[r : r + _TWIDDLE_ROWS]
-        rows.real = x[r : r + _TWIDDLE_ROWS]
-        np.square(rows.real, out=rows.imag)
-        fft(rows, axis=1, overwrite_x=True)  # in place: a complex input
-        base = np.exp(r * k2 % n * w) if r else 1.0
-        m = len(rows) - 1
-        rows[1:] *= np.multiply(step[:m], base, out=tw[:m], casting="same_kind")
-        if r:
-            rows[0] *= base
-    z = fft(z, axis=0, overwrite_x=True).reshape(n)
+    read-only, since one spectrum serves every sub-band of a burst, taken
+    by ``waveform._split_fft`` with no n-point scratch."""
+    z = _split_zeros(mu.n, np.result_type(mu.samples, np.complex64))
+    z.real = mu.samples.reshape(z.shape[::-1]).T  # sample j1 + n1 j2 at [j1, j2]
+    np.square(z.real, out=z.imag)
+    z = _split_fft(z).reshape(mu.n)
     z.setflags(write=False)
     return BeatSpectrum(z, mu.rate)
 

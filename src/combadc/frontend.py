@@ -18,14 +18,10 @@ sub-band downconversion the two sidebands fold onto each other
 coherently, so the recovered baseband is an ordinary offset-carrier PAM
 signal instead of an irrecoverable self-overlapped one; the hole is what
 keeps the content clear of the receiver's AC-coupling notch.
-``scm_waveform`` builds all channels as one spectrum, with every
-subcarrier on an FFT bin of the record. The channels' shaped records go
-two to a complex FFT, one as its real and one as its imaginary part, and
-``waveform._add_analytic`` reads each channel's analytic spectrum back as
-the Hermitian or anti-Hermitian half of the result and adds it at the
-channel's two subcarrier shifts, the placement the beat uses to move a
-sub-band down. That is one full-length forward transform per pair of
-channels, not per channel.
+``scm_waveform`` builds all channels as one spectrum, every subcarrier
+on an FFT bin. Its RRC shaping is circular, as a generator replaying the
+record in a loop emits it and as the beat's band selection is, so a
+channel's spectrum is its symbols' short spectrum times the taps' response.
 
 The DAC's full scale is +-1: the testbench's figures are ratios, so
 every level (tone amplitude, burst drive, residual noise) is one of it.
@@ -52,13 +48,14 @@ from scipy import fft
 from .errors import SignalError
 from .waveform import (
     SampledWaveform,
-    _add_analytic,
     _add_gaussian,
+    _add_shifted,
     _as_samples,
+    _split_fft,
+    _split_zeros,
     apply_fir,
     fir_lowpass,
     lowpass_band,
-    polyphase_fir,
     rrc_taps,
     samples_per_symbol,
     spectral_tilt_taps,
@@ -237,60 +234,51 @@ def scm_waveform(
 
     Built in the frequency domain: ``Re(a) cos(w_k t)`` is
     ``Re(a (e^{j w_k t} + e^{-j w_k t}) / 2)`` and ``w_k`` sits on bin
-    ``k * s1``, so each channel's analytic spectrum is added circularly
-    shifted by ``+-k * s1`` bins, and one inverse FFT and the common
-    ``baseband_offset`` mix give the burst. The active channels go in
-    pairs, one shaped record as the real and one as the imaginary part of
-    a single complex FFT (an odd count's last channel with a zero
-    partner); ``_add_analytic`` reads each channel's analytic bins back
-    from it as the Hermitian or anti-Hermitian half, at weight 1 (the
-    analytic 2 times the cosine's 1/2), and adds them at both shifts. The
-    RRC shaping stays a linear convolution (zeros outside the record), so
-    edge symbols come out as from the time-domain construction; only the
-    Hilbert step is circular. The pair buffer, the spectrum and the
-    inverse are complex in ``dtype``'s precision; the shaped records and
-    the offset mix are taken in float64 and rounded as they are written.
+    ``k * s1``, so each channel's analytic spectrum goes in at both shifts
+    ``+-k * s1`` at weight 1 (the analytic 2 times the cosine's 1/2), and
+    one inverse and the common ``baseband_offset`` mix give the burst. The
+    shaping is circular: a shaped record's bin j is its symbol train's bin
+    j times the zero-phase taps' response R[j]. With g = gcd(sps, n) the
+    train's spectrum repeats every m = n / g bins: one m-point FFT of the
+    train decimated by g. R is the taps' ``waveform._split_fft``, taken in
+    the spectrum's buffer; each m-bin block of a channel's half goes
+    through one buffer to both shifts, and the spectrum is inverted in
+    place and mixed in its transposed time order, all in ``dtype``'s
+    precision but the mix (float64, rounded once).
     """
     check_slot(cfg, grid)
     sps = burst_sps(cfg, rate, grid)
     check_carrier_grid(cfg, rate, grid)
     n = int(round(cfg.duration * rate))
     s1 = int(round(grid * n / rate))  # subcarrier spacing in bins
-    n_sym = cfg.symbols_per_burst
-    active = cfg.active_set()
-    symbols = []
+    active, n_sym = cfg.active_set(), cfg.symbols_per_burst
     for k in active:
-        if k not in per_channel_symbols:
-            raise SignalError(f"missing symbols for channel {k}")
-        sym = np.asarray(per_channel_symbols[k], dtype=np.float64)
-        if sym.size != n_sym:
-            raise SignalError(
-                f"channel {k}: expected {n_sym} symbols, got {sym.size}"
-            )
-        symbols.append(sym)
+        if (got := np.size(per_channel_symbols.get(k, ()))) != n_sym:
+            raise SignalError(f"channel {k}: expected {n_sym} symbols, got {got}")
     # scaled so the matched receive filter sees unit symbol amplitude
     taps = rrc_taps(cfg.rolloff, sps, 16)
-
-    n_half = n // 2 + 1  # rfft length
-    cdtype = np.result_type(dtype, np.complex64)
-    spectrum = np.zeros(n, dtype=cdtype)
-    z = np.empty(n, dtype=cdtype)  # one pair of channels at a time
-    for i in range(0, len(active), 2):
-        # symbol m at sample m*sps: the filter is applied zero-phase
-        z.real = polyphase_fir(symbols[i], taps, sps, 1, n)
-        if i + 1 < len(active):
-            z.imag = polyphase_fir(symbols[i + 1], taps, sps, 1, n)
-        else:
-            z.imag = 0.0  # an odd count's last channel has a zero partner
-        z = fft.fft(z, overwrite_x=True)
-        for imag, k in enumerate(active[i : i + 2]):
-            _add_analytic(
-                z, 0, n_half, spectrum, (k * s1, -k * s1), imag=bool(imag), weight=1.0
-            )
-    del z  # the pair buffer is not held through the inverse and the mix
-    burst = fft.ifft(spectrum, overwrite_x=True)
+    n_pos, g = n // 2 + 1, np.gcd(sps, n)
+    m = n // g  # the symbol train's spectrum repeats every m bins
+    spectrum = _split_zeros(n, np.result_type(dtype, np.complex64))
+    # R: the taps wrapped (or folded) onto the record, transformed; real, as
+    # they are even; DC and Nyquist halved
+    t = np.arange(-(taps.size // 2), taps.size // 2 + 1) % n
+    np.add.at(spectrum.real, (t % len(spectrum), t // len(spectrum)), taps)
+    response = _split_fft(spectrum).real.reshape(n)[:n_pos].copy()
+    response[[0, -1] if n % 2 == 0 else 0] *= 0.5
+    spectrum[...] = 0.0
+    train, buf = np.zeros(m, dtype), np.empty(min(m, n_pos), spectrum.dtype)
+    for k in active:
+        train[:: sps // g][:n_sym] = per_channel_symbols[k]
+        u = fft.fft(train)
+        for b0 in range(0, n_pos, m):
+            part = buf[: min(m, n_pos - b0)]
+            np.multiply(u[: part.size], response[b0 : b0 + part.size], out=part)
+            _add_shifted(part, b0, spectrum.reshape(n), (k * s1, -k * s1))
+    del response, train, buf, u  # not held through the inverse and the mix
     w = 2.0 * np.pi * cfg.baseband_offset / rate
-    return SampledWaveform(_phasor(w, n, times=burst, dtype=dtype), rate)
+    burst = _phasor(w, n, times=_split_fft(spectrum, inverse=True), dtype=dtype)
+    return SampledWaveform(burst, rate)
 
 
 def _phasor(
@@ -303,19 +291,22 @@ def _phasor(
     """``amplitude`` times the real part of ``times * exp(1j * w * k)`` for
     ``k < n``, with ``times`` omitted meaning 1, written into a ``dtype``
     record: the product is taken in float64 and rounded once, on the
-    write. With k = 1024a + b, the phasor is the outer product of
-    e^{jw 1024a} and e^{jwb}, two short exponentials instead of one per
-    sample. It is taken 16 rows (256 kB of complex128) at a time, in cache
-    and without a full-length complex array (twice the float64 result)."""
-    coarse = np.exp(1j * w * 1024 * np.arange(-(-n // 1024)))
-    fine = np.exp(1j * w * np.arange(1024))
+    write. ``times`` is 1-D, or (n1, n2) with sample j1 + n1 j2 at [j1, j2]
+    as ``waveform._split_fft``'s inverse leaves it, read in place. With
+    k = step a + b, step = n1 (1024 with no ``times``), the phasor is the
+    outer product of e^{jw step a} and e^{jwb}, about 16 kSa at a time."""
+    cols = None if times is None else np.atleast_2d(times).T
+    step = 1024 if cols is None else cols.shape[1]
+    coarse = np.exp(1j * w * step * np.arange(-(-n // step)))
+    fine = np.exp(1j * w * np.arange(step))
     out = np.empty(n, dtype)
-    for a in range(0, n, 16 * 1024):
-        b = min(a + 16 * 1024, n)
-        block = np.outer(coarse[a // 1024 : -(-b // 1024)], fine).ravel()[: b - a]
-        if times is not None:
-            block *= times[a:b]
-        np.multiply(block.real, amplitude, out=out[a:b])
+    per = max(16 * 1024 // step, 1)  # rows of the outer product at a time
+    for a in range(0, coarse.size, per):
+        block = np.outer(coarse[a : a + per], fine)
+        if cols is not None:
+            block *= cols[a : a + per]
+        k = a * step
+        np.multiply(block.ravel().real[: n - k], amplitude, out=out[k : k + block.size])
     return out
 
 

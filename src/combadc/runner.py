@@ -314,9 +314,8 @@ def _scm_burst(cfg: ScenarioConfig) -> tuple[dict[int, np.ndarray], BeatSpectrum
     rate, grid = cfg.dac.rate, cfg.combs.delta_f
     reference = scm_waveform(full_plan, symbols, rate, grid, dtype=np.float32)
     level = cfg.scm.drive_rms / rms(reference.samples)
-    if cfg.scm.active_set() == full_plan.active_set():
-        burst = reference
-    else:
+    burst = reference
+    if cfg.scm.active_set() != full_plan.active_set():
         burst = scm_waveform(cfg.scm, symbols, rate, grid, dtype=np.float32)
     x = SampledWaveform(burst.samples * level, burst.rate)
     dac_seed = _task_seeds(cfg.run.master_seed, "scm-dac", 0, 1)[0]

@@ -18,10 +18,9 @@ Conventions the rest of the package depends on:
   delay of 0. Overlap-add transforms blocks about eight times the filter
   length instead of the whole record, which is what keeps long captures
   cheap.
-* Analytic spectra are the ``rfft`` bins weighted 2, DC and Nyquist 1:
-  ``_add_analytic`` alone applies those weights (or half of them, for
-  the burst's cosine carriers), and places the bins, circularly shifted,
-  wherever the SCM burst, the beat or the demodulator needs them.
+* Analytic spectra are the ``rfft`` bins weighted 2, DC and Nyquist 1,
+  placed circularly shifted by ``_add_analytic`` (beat, demodulator) or
+  ``_add_shifted`` (burst). Full-length transforms are ``_split_fft``'s.
 * Rate conversion is polyphase: ``polyphase_fir`` computes only the
   outputs it keeps, never the zero-stuffed intermediate record. It only
   accepts ratios that reduce to small integer fractions; anything else is
@@ -46,6 +45,7 @@ Conventions the rest of the package depends on:
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -152,10 +152,9 @@ def _add_analytic(
 
     The bins are ``_rfft_bins``'s, split ``_SPLIT_BLOCK`` at a time and
     weighted ``weight`` (``weight / 2`` on DC and on the Nyquist bin of an
-    even ``z.size``), and each block is added at every shift in turn.
-    ``hi - lo`` must not exceed ``target.size``.
+    even ``z.size``); ``hi - lo`` must not exceed ``target.size``.
     """
-    n, m = z.size, target.size
+    n = z.size
     for b0 in range(lo, hi, _SPLIT_BLOCK):
         b1 = min(b0 + _SPLIT_BLOCK, hi)
         a = _rfft_bins(z, b0, b1, imag=imag)
@@ -164,11 +163,48 @@ def _add_analytic(
             a[0] *= 0.5
         if n % 2 == 0 and b1 == n // 2 + 1:
             a[-1] *= 0.5
-        for shift in shifts:
-            start = (shift + b0) % m
-            head = min(a.size, m - start)
-            target[start : start + head] += a[:head]
-            target[: a.size - head] += a[head:]
+        _add_shifted(a, b0, target, shifts)
+
+
+def _add_shifted(a: np.ndarray, b0: int, target: np.ndarray, shifts) -> None:
+    """Add ``a``, source bins b0.., into ``target`` at each circular shift."""
+    for shift in shifts:
+        start = (shift + b0) % target.size
+        head = min(a.size, target.size - start)
+        target[start : start + head] += a[:head]
+        target[: a.size - head] += a[head:]
+
+
+# rows of a split transform taken, and twiddled, at a time
+_SPLIT_ROWS = 32
+
+
+def _split_zeros(n: int, dtype) -> np.ndarray:
+    """Zeros (n1, n2) for ``_split_fft``, n1 the largest divisor of n <= sqrt(n)."""
+    n1 = max(d for d in range(1, math.isqrt(n) + 1) if n % d == 0)
+    return np.zeros((n1, n // n1), dtype)
+
+
+def _split_fft(z: np.ndarray, inverse: bool = False) -> np.ndarray:
+    """Bailey's four-step FFT of the complex (n1, n2) ``z``, in place: sample
+    j1 + n1 j2 at [j1, j2] goes to bin n2 k1 + k2 at [k1, k2] by the rows,
+    the twiddles W_n^(j1 k2) and the columns; the inverse runs back. Row
+    r + i of a block takes W_n^(r k2) W_n^(i k2), formed in double, rounded once."""
+    transform = sfft.ifft if inverse else sfft.fft
+    w = (2j if inverse else -2j) * np.pi / z.size
+    k2 = np.arange(z.shape[1])
+    step = np.exp(np.arange(1, min(_SPLIT_ROWS, len(z)))[:, None] * k2 * w)
+    tw = np.empty(step.shape, z.dtype)
+    transform(z, axis=0 if inverse else 1, overwrite_x=True)  # in place
+    for r in range(0, len(z), _SPLIT_ROWS):
+        rows = z[r : r + _SPLIT_ROWS]
+        base = np.exp(r * k2 % z.size * w) if r else 1.0
+        m = len(rows) - 1
+        rows[1:] *= np.multiply(step[:m], base, out=tw[:m], casting="same_kind")
+        if r:
+            rows[0] *= base
+    transform(z, axis=1 if inverse else 0, overwrite_x=True)
+    return z
 
 
 # windows accepted by periodogram, as cosine-sum coefficients

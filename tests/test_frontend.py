@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -129,8 +134,9 @@ def test_scm_constant_symbols_are_two_lines():
 
 def _scm_reference(cfg, symbols, rate):
     # the burst built channel by channel in time: symbol train, RRC by
-    # direct convolution, full-rate Hilbert transform, offset mix, then
-    # the subcarrier multiply
+    # direct circular convolution (the train wrapped by half the taps on
+    # each side, as a generator replaying the record in a loop emits it),
+    # full-rate Hilbert transform, offset mix, then the subcarrier multiply
     sps = int(round(rate / cfg.baud))
     n = int(round(cfg.duration * rate))
     t = np.arange(n) / rate
@@ -140,7 +146,8 @@ def _scm_reference(cfg, symbols, rate):
     for k in cfg.active_set():
         train = np.zeros(n)
         train[np.arange(cfg.symbols_per_burst) * sps] = symbols[k]
-        shaped = np.convolve(train, taps, mode="same")
+        wrapped = np.pad(train, taps.size // 2, mode="wrap")
+        shaped = np.convolve(wrapped, taps, mode="valid")
         offset_bb = np.real(hilbert(shaped) * offset_lo)
         total += offset_bb * np.cos(2.0 * np.pi * k * GRID * t)
     return total
@@ -187,8 +194,8 @@ def test_scm_odd_record_past_one_split_block_matches_reference():
 
 
 def test_scm_pair_is_the_sum_of_its_channels():
-    # channels 3 and 8 share one complex FFT; each alone rides with a zero
-    # partner, and the pair's burst is the sum of the two
+    # the burst is linear in its channel set: channels 3 and 8 together
+    # give the sum of the bursts of each alone
     symbols = {
         k: gen_pam4_symbols(ScmConfig().symbols_per_burst, 40 + k) for k in (3, 8)
     }
@@ -198,6 +205,38 @@ def test_scm_pair_is_the_sum_of_its_channels():
         for k in (3, 8)
     ]
     assert np.max(np.abs(pair - (alone[0] + alone[1]))) < 1e-12
+
+
+_PEAK_RSS = """
+import numpy as np
+from combadc.frontend import ScmConfig, gen_pam4_symbols, scm_waveform
+def peak_kib():
+    return int(open("/proc/self/status").read().split("VmHWM:")[1].split()[0])
+short, cfg = ScmConfig(duration=0.512e-6), ScmConfig(duration=16.384e-6)
+symbols = {k: gen_pam4_symbols(cfg.symbols_per_burst, k) for k in range(1, 11)}
+warm = {k: s[: short.symbols_per_burst] for k, s in symbols.items()}
+scm_waveform(short, warm, 32e9, 1e9, np.float32)
+before = peak_kib()
+burst = scm_waveform(cfg, symbols, 32e9, 1e9, np.float32).samples
+print(peak_kib() - before, burst.nbytes)
+"""
+
+
+def test_scm_burst_takes_no_full_length_scratch():
+    # the 16.384 us burst, 2^19 float32 samples: peak memory may grow by the
+    # output, the complex64 spectrum (twice the output) and 3 MiB, as long
+    # as what the spectrum's fill holds fits in it: the taps' response (half
+    # the output, 1 MiB) and one channel's train, symbol spectrum and block
+    # buffer (n / 8 samples each at the default gcd of 8, 1.25 MiB), with
+    # the short transforms' plans. Shaped records, a pair buffer and
+    # full-length transforms would add about 14 MiB. The peak is the
+    # child's own VmHWM (KiB): its ru_maxrss would start at this process's.
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS], env=env, capture_output=True, text=True, check=True
+    )
+    rise_kib, out_bytes = map(int, done.stdout.split())
+    assert rise_kib * 1024 < out_bytes + 2 * out_bytes + 3 * 2**20
 
 
 @pytest.mark.parametrize("n", [2 * _SPLIT_BLOCK + 8, 2 * _SPLIT_BLOCK + 9])

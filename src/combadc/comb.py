@@ -21,12 +21,12 @@ bins that are kept. ``waveform._add_analytic`` splits mu's kept bins out,
 gives them the analytic weights and places them, shifted down by
 n * delta_f, on the shorter record in FFT order. The complex FFT
 (``beat_spectrum``) is the record's half of the channelizer: every run
-takes it once, as a four-step split, and each sub-band reads its own
-bins from it. Where the differential phase track is zero (a band on the bin grid,
-no drive noise, no drift) only the band's Hermitian half is needed: it
-is read straight from the spectrum, and one real inverse transform
-returns it and the leak. Detector noise, the photodiode filter and the
-transimpedance stage then run at the reduced rate. The noise sources
+takes it once, as a four-step split; each sub-band reads its own bins
+from it. Where the differential phase track is zero (a band on the bin
+grid, no drive noise, no drift) only the band's Hermitian half is
+needed: it is read straight from the spectrum, and one real inverse
+transform returns it and the leak. Detector noise, the photodiode filter
+and the transimpedance stage run at the reduced rate. The noise sources
 are specified as densities, so the physics does not depend on the rate.
 
 Precision: every stage keeps its input's dtype. ``mzm_field`` gives a

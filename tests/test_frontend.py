@@ -167,8 +167,8 @@ def _assert_matches_reference(cfg, rate):
 @pytest.mark.parametrize("duration", [0.512e-6, 2.048e-6])
 @pytest.mark.parametrize(
     "active",
-    # a lone channel, one pair, a pair and a channel with a zero partner,
-    # and nine of ten (four pairs and an odd one out)
+    # all ten, three spread, a lone channel, two and three adjacent, and
+    # nine of ten
     [None, (1, 4, 9), (5,), (1, 2), (1, 2, 3), (1, 2, 3, 5, 6, 7, 8, 9, 10)],
 )
 def test_scm_matches_time_domain_reference(duration, active):

@@ -92,6 +92,9 @@ _ELEMENTARY_CHARGE = 1.602176634e-19
 # reference bandwidth for optical SNR figures
 _OSNR_REF_BW = 12.5e9
 
+# points per RF period on which the modulator cascade's harmonics are taken
+HARMONIC_GRID = 4096
+
 
 @dataclass
 class ScenarioCombs:
@@ -168,25 +171,24 @@ class LinkConfig:
             )
 
 
-def cascade_harmonics(
-    pm_index: float, im_depth: float, n_grid: int = 4096
-) -> np.ndarray:
+def cascade_harmonics(pm_index: float, im_depth: float) -> np.ndarray:
     """Complex line amplitudes of the phase+intensity modulator cascade.
 
     Both modulators are driven by the same RF sine. The phase modulator
     contributes exp(j * pm_index * sin), the intensity modulator (biased
     at quadrature) a field factor cos(pi/4 + im_depth/2 * sin); im_depth 0
-    means the intensity stage is absent. Returned array is fftshift
-    ordered: index n_grid//2 is the carrier (0th harmonic).
+    means the intensity stage is absent. Returned array holds the
+    ``HARMONIC_GRID`` harmonics in fftshift order: index HARMONIC_GRID//2
+    is the carrier (0th harmonic).
     """
     if pm_index <= 0:
         raise SignalError("phase-modulation index must be positive")
-    theta = 2.0 * np.pi * np.arange(n_grid) / n_grid
+    theta = 2.0 * np.pi * np.arange(HARMONIC_GRID) / HARMONIC_GRID
     drive = np.sin(theta)
     g = np.exp(1j * pm_index * drive)
     if im_depth != 0.0:
         g = g * np.cos(np.pi / 4.0 + 0.5 * im_depth * drive)
-    return fftshift(fft(g)) / n_grid
+    return fftshift(fft(g)) / HARMONIC_GRID
 
 
 def comb_from_cascade(pm_index: float, im_depth: float, n_tones: int) -> np.ndarray:
@@ -429,7 +431,7 @@ def subband_beat(
         s_ase = p_ch * 10.0 ** (-link.osnr_db / 10.0) / _OSNR_REF_BW
         var += 4.0 * r**2 * p_lo * s_ase
     if var > 0:
-        white_noise(n_out, rate_out, np.sqrt(var), derive_rng(seed, "thermal"), out=i)
+        white_noise(i, rate_out, np.sqrt(var), derive_rng(seed, "thermal"))
 
     i = apply_fir(i, fir_lowpass(link.pd_bandwidth, rate_out))
 

@@ -18,6 +18,7 @@ import numpy as np
 
 from .adc import MIN_OVERSAMPLING, AdcConfig
 from .comb import (
+    HARMONIC_GRID,
     LinkConfig,
     ScenarioCombs,
     comb_from_cascade,
@@ -352,14 +353,12 @@ def build_demod(cfg: ScenarioConfig) -> DemodConfig:
 
 # a sweep beyond this many points is a typo in sweep.step, not a plan
 _MAX_SWEEP_POINTS = 10_000
-# more comb lines than the cascade's 4096-point harmonic grid holds, where
-# the reference comb has 24: a typo, not a comb
-_MAX_COMB_TONES = 4096
-# a run's peak memory grows by about 29 (sweep point) to 43 (burst)
-# bytes per sample of its record at the DAC rate (peak RSS from 2.24 M
-# to 16.8 M and from 0.066 M to 16.8 M samples); at 2**24 samples (0.52 ms
-# at 32 GSa/s, 7.5x the default sweep point) one sweep point peaks at
-# 522 MiB and the 10-channel burst at 753 MiB
+# a run's peak memory grows by about 14.5 (sweep point), 23 (one burst
+# channel's spectrum) and 38 (10-channel burst) bytes per sample of its
+# record at the DAC rate (in-process peak RSS from 2.24 M and from 0.066 M
+# to 16.8 M samples); at 2**24 samples (0.52 ms at 32 GSa/s, 7.5x the
+# default sweep point) one sweep point peaks at 298 MiB, the spectrum at
+# 434 MiB and the 10-channel burst at 661 MiB
 _MAX_RECORD_SAMPLES = 2**24
 
 
@@ -390,10 +389,12 @@ def validate_scenario(cfg: ScenarioConfig) -> ScenarioCombs:
         f"scm.levels = {cfg.scm.levels}, supported orders are 2/4/8",
     )
 
+    # more comb lines than the cascade's harmonic grid holds, where the
+    # reference comb has 24: a typo, not a comb
     _rule(
         "comb-scaling",
-        1 <= cfg.combs.n_tones <= _MAX_COMB_TONES,
-        f"combs.n_tones = {cfg.combs.n_tones:.3g} not in 1..{_MAX_COMB_TONES}",
+        1 <= cfg.combs.n_tones <= HARMONIC_GRID,
+        f"combs.n_tones = {cfg.combs.n_tones:.3g} not in 1..{HARMONIC_GRID}",
     )
     combs = _stage_rule("comb-scaling", build_combs, cfg)
     _rule(

@@ -44,7 +44,6 @@ Conventions the rest of the package depends on:
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -136,29 +135,20 @@ def _rfft_bins(z: np.ndarray, lo: int, hi: int, imag: bool = False) -> np.ndarra
 _SPLIT_BLOCK = 1 << 14
 
 
-def _add_analytic(
-    z: np.ndarray,
-    lo: int,
-    hi: int,
-    target: np.ndarray,
-    shifts,
-    imag: bool = False,
-    weight: float = 2.0,
-) -> None:
+def _add_analytic(z: np.ndarray, lo: int, hi: int, target: np.ndarray, shifts) -> None:
     """Add bins ``lo..hi-1`` of the analytic spectrum of the real part of
-    the record whose FFT is ``z`` (of its imaginary part with ``imag``)
-    into ``target``, once per circular shift in ``shifts``: source bin j
-    lands on ``target[(j + shift) % target.size]``.
+    the record whose FFT is ``z`` into ``target``, once per circular shift
+    in ``shifts``: source bin j lands on ``target[(j + shift) % target.size]``.
 
     The bins are ``_rfft_bins``'s, split ``_SPLIT_BLOCK`` at a time and
-    weighted ``weight`` (``weight / 2`` on DC and on the Nyquist bin of an
-    even ``z.size``); ``hi - lo`` must not exceed ``target.size``.
+    weighted 2 (1 on DC and on the Nyquist bin of an even ``z.size``);
+    ``hi - lo`` must not exceed ``target.size``.
     """
     n = z.size
     for b0 in range(lo, hi, _SPLIT_BLOCK):
         b1 = min(b0 + _SPLIT_BLOCK, hi)
-        a = _rfft_bins(z, b0, b1, imag=imag)
-        a *= weight
+        a = _rfft_bins(z, b0, b1)
+        a *= 2.0
         if b0 == 0:
             a[0] *= 0.5
         if n % 2 == 0 and b1 == n // 2 + 1:
@@ -307,16 +297,6 @@ def spectrum_to_csv(spec: SpectrumEstimate, path) -> None:
         fh.write(("%.6f,%.6f\n" * spec.bin_freqs.size) % tuple(rows))
 
 
-# root-raised-cosine designs kept per process (a run uses at most two).
-# A kept design is read-only, so no caller can change it in place.
-# Low-pass designs are not kept: one costs about 0.1 ms, and keeping them
-# changed where the sweep's large arrays land in the malloc heap, so a
-# 5-point sweep process peaked at 209 MiB every time, against 200.5 MiB
-# in most runs without them.
-_DESIGNS_KEPT = 8
-
-
-@functools.lru_cache(maxsize=_DESIGNS_KEPT)
 def rrc_taps(rolloff: float, sps_per_sym: int, span: int) -> np.ndarray:
     """Root-raised-cosine taps, ``span * sps_per_sym + 1`` long, unit energy.
 
@@ -326,7 +306,9 @@ def rrc_taps(rolloff: float, sps_per_sym: int, span: int) -> np.ndarray:
         such filters satisfies the Nyquist ISI criterion to ~1e-3.
 
     Unit tap energy means the matched cascade has unit gain at the symbol
-    instants. Designs are made once per process and returned read-only.
+    instants. The closed form is taken over every tap, and its two
+    removable singularities, t = 0 and |t| = 1 / (4 rolloff) in symbols,
+    are then filled by their limits.
     """
     if not 0.0 <= rolloff <= 1.0:
         raise SignalError("roll-off must lie in [0, 1]")
@@ -336,23 +318,18 @@ def rrc_taps(rolloff: float, sps_per_sym: int, span: int) -> np.ndarray:
         raise SignalError("span must be even and >= 8 symbols")
     n = span * sps_per_sym + 1
     t = (np.arange(n) - (n - 1) / 2) / sps_per_sym
-    h = np.empty(n)
-    for i, ti in enumerate(t):
-        if abs(ti) < 1e-12:
-            h[i] = 1.0 + rolloff * (4.0 / np.pi - 1.0)
-        elif rolloff > 0 and abs(abs(ti) - 1.0 / (4.0 * rolloff)) < 1e-9:
-            h[i] = (rolloff / np.sqrt(2.0)) * (
-                (1.0 + 2.0 / np.pi) * np.sin(np.pi / (4.0 * rolloff))
-                + (1.0 - 2.0 / np.pi) * np.cos(np.pi / (4.0 * rolloff))
-            )
-        else:
-            num = np.sin(np.pi * ti * (1.0 - rolloff)) + 4.0 * rolloff * ti * np.cos(
-                np.pi * ti * (1.0 + rolloff)
-            )
-            den = np.pi * ti * (1.0 - (4.0 * rolloff * ti) ** 2)
-            h[i] = num / den
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = np.sin(np.pi * t * (1.0 - rolloff))
+        h += 4.0 * rolloff * t * np.cos(np.pi * t * (1.0 + rolloff))
+        h /= np.pi * t * (1.0 - (4.0 * rolloff * t) ** 2)
+    h[np.abs(t) < 1e-12] = 1.0 + rolloff * (4.0 / np.pi - 1.0)
+    if rolloff > 0:
+        edge = np.pi / (4.0 * rolloff)
+        at_edge = np.abs(np.abs(t) - 1.0 / (4.0 * rolloff)) < 1e-9
+        h[at_edge] = (rolloff / np.sqrt(2.0)) * (
+            (1.0 + 2.0 / np.pi) * np.sin(edge) + (1.0 - 2.0 / np.pi) * np.cos(edge)
+        )
     h /= np.sqrt(np.sum(np.square(h)))
-    h.setflags(write=False)
     return h
 
 
@@ -609,20 +586,14 @@ def _add_gaussian(out: np.ndarray, sigma: float, rng: np.random.Generator) -> np
     return out
 
 
-def white_noise(
-    n: int, rate: float, density: float, seed, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Gaussian noise with one-sided spectral density ``density`` X/sqrt(Hz):
-    ``n`` float32 samples, or, given ``out`` (``n`` samples, float32 or
-    float64), the same samples added into it in place.
+def white_noise(out: np.ndarray, rate: float, density: float, seed) -> np.ndarray:
+    """Add Gaussian noise of one-sided spectral density ``density``
+    X/sqrt(Hz), float32 samples, into ``out`` (float32 or float64) in
+    place, and return it.
 
     Variance is density**2 * rate / 2, the density integrated over the
     Nyquist band.
     """
-    if out is None:
-        out = np.zeros(n, np.float32)
-    elif out.size != n:
-        raise SignalError(f"noise of {n} samples cannot add into {out.size}")
     sigma = density * np.sqrt(rate / 2.0)
     return _add_gaussian(out, sigma, np.random.default_rng(seed))
 

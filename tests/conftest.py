@@ -4,6 +4,11 @@ Most tests need a small comb pair or a synthetic capture; building them
 here keeps the individual files focused on the property under test.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -70,6 +75,33 @@ def tone_capture(
         cfg=cfg,
         full_scale_used=full_scale,
     )
+
+
+_PEAK_KIB = """
+def peak_kib():
+    with open("/proc/self/status") as status:
+        return int(status.read().split("VmHWM:")[1].split()[0])
+"""
+
+
+def child_peak(script: str) -> list[int]:
+    """Run ``script`` in a fresh Python child that imports the package from
+    this checkout and defines ``peak_kib()``, the child's own peak resident
+    set (its VmHWM, in KiB); return the integers the script prints.
+
+    The child's ``ru_maxrss`` would not do: on Linux it starts at the
+    spawning process's peak, so under a test process larger than the child
+    a rise reads 0.
+    """
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", _PEAK_KIB + script],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return [int(v) for v in done.stdout.split()]
 
 
 @pytest.fixture

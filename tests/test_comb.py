@@ -1,7 +1,4 @@
 import importlib.util
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +29,7 @@ from combadc.waveform import (
     time_vector,
 )
 
-from conftest import flatness_db, make_combs, quiet_link
+from conftest import child_peak, flatness_db, make_combs, quiet_link
 
 
 # ----------------------------------------------------------------- comb gen
@@ -491,10 +488,9 @@ def test_beat_thermal_current_is_the_thermal_stream(dtype):
     link = quiet_link(thermal_noise_density=4.4e-11)
     spectrum = beat_spectrum(SampledWaveform(np.zeros(160_000, dtype), 32e9))
     out = subband_beat(spectrum, 1, make_combs(), link, 9, out_rate=9.6e9)
-    noise = white_noise(
-        out.n, out.rate, link.thermal_noise_density, derive_rng(9, "thermal")
-    )
-    want = apply_fir(noise.astype(dtype), fir_lowpass(link.pd_bandwidth, out.rate))
+    noise = np.zeros(out.n, dtype)
+    white_noise(noise, out.rate, link.thermal_noise_density, derive_rng(9, "thermal"))
+    want = apply_fir(noise, fir_lowpass(link.pd_bandwidth, out.rate))
     assert out.samples.dtype == dtype
     np.testing.assert_array_equal(out.samples, want)
 
@@ -716,27 +712,21 @@ def test_split_transform_in_double_precision(n, rng):
 
 
 _PEAK_RSS = """
-import resource
 import numpy as np
 from combadc.comb import beat_spectrum
 from combadc.waveform import SampledWaveform
 rng = np.random.default_rng(1)
 beat_spectrum(SampledWaveform(rng.random(4096, dtype=np.float32), 32e9))
 mu = SampledWaveform(rng.random(2_240_000, dtype=np.float32), 32e9)
-before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+before = peak_kib()
 spectrum = beat_spectrum(mu)
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before, spectrum.samples.nbytes)
+print(peak_kib() - before, spectrum.samples.nbytes)
 """
 
 
 def test_split_transform_takes_no_full_length_scratch():
     # the sweep's 2.24 M-sample float32 record: peak memory may grow by the
     # spectrum and a few rows and columns of scratch; one n-point transform
-    # would add two n-point buffers inside scipy.fft (about 34 MiB).
-    # ru_maxrss counts KiB on Linux.
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
-    done = subprocess.run(
-        [sys.executable, "-c", _PEAK_RSS], env=env, capture_output=True, text=True, check=True
-    )
-    rise_kib, spectrum_bytes = map(int, done.stdout.split())
+    # would add two n-point buffers inside scipy.fft (about 34 MiB)
+    rise_kib, spectrum_bytes = child_peak(_PEAK_RSS)
     assert rise_kib * 1024 < spectrum_bytes + 8 * 2**20

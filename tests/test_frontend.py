@@ -1,8 +1,3 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,6 +29,8 @@ from combadc.waveform import (
     rrc_taps,
     spectral_tilt_taps,
 )
+
+from conftest import child_peak
 
 
 # the reference comb pair's sub-band grid: channel k rides k * GRID
@@ -210,8 +207,6 @@ def test_scm_pair_is_the_sum_of_its_channels():
 _PEAK_RSS = """
 import numpy as np
 from combadc.frontend import ScmConfig, gen_pam4_symbols, scm_waveform
-def peak_kib():
-    return int(open("/proc/self/status").read().split("VmHWM:")[1].split()[0])
 short, cfg = ScmConfig(duration=0.512e-6), ScmConfig(duration=16.384e-6)
 symbols = {k: gen_pam4_symbols(cfg.symbols_per_burst, k) for k in range(1, 11)}
 warm = {k: s[: short.symbols_per_burst] for k, s in symbols.items()}
@@ -229,13 +224,8 @@ def test_scm_burst_takes_no_full_length_scratch():
     # the output, 1 MiB) and one channel's train, symbol spectrum and block
     # buffer (n / 8 samples each at the default gcd of 8, 1.25 MiB), with
     # the short transforms' plans. Shaped records, a pair buffer and
-    # full-length transforms would add about 14 MiB. The peak is the
-    # child's own VmHWM (KiB): its ru_maxrss would start at this process's.
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
-    done = subprocess.run(
-        [sys.executable, "-c", _PEAK_RSS], env=env, capture_output=True, text=True, check=True
-    )
-    rise_kib, out_bytes = map(int, done.stdout.split())
+    # full-length transforms would add about 14 MiB.
+    rise_kib, out_bytes = child_peak(_PEAK_RSS)
     assert rise_kib * 1024 < out_bytes + 2 * out_bytes + 3 * 2**20
 
 

@@ -1,6 +1,7 @@
 """Every imported name in the package, its tests and its scripts is
-used, the package stays off scipy's slow-loading modules, every Gaussian
-draw is the one kernel's, and the stages keep the shape of their inputs.
+used, every default of a private helper is overridden by the package,
+the package stays off scipy's slow-loading modules, every Gaussian draw
+is the one kernel's, and the stages keep the shape of their inputs.
 
 Walks the syntax tree of each module: a name bound by an import must be
 read somewhere in the file, or listed in its ``__all__`` (a re-export).
@@ -51,6 +52,40 @@ def test_no_unused_imports():
         if (names := _unused_imports(ast.parse(path.read_text())))
     }
     assert unused == {}
+
+
+def _defaults_never_passed(trees: list[ast.Module]) -> list[str]:
+    """``name(param)`` for each defaulted parameter of a ``_``-prefixed
+    function (special methods aside, which run by other names) that no call
+    in ``trees`` passes, by position or keyword."""
+    defaults, passed = {}, {}
+    for node in (n for tree in trees for n in ast.walk(tree)):
+        private = isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+        if private and not node.name.endswith("__"):
+            a = node.args
+            names = [p.arg for p in a.posonlyargs + a.args]
+            kw = [k.arg for k, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+            defaults[node.name] = (names, names[len(names) - len(a.defaults) :] + kw)
+        elif isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            keys = {k.arg for k in node.keywords}
+            passed.setdefault(name, []).append((len(node.args), keys))
+    return [
+        f"{name}({param})"
+        for name, (names, defaulted) in defaults.items()
+        for param in defaulted
+        if not any(
+            param in keys or param in names[:n_args]
+            for n_args, keys in passed.get(name, [])
+        )
+    ]
+
+
+def test_private_defaults_are_passed_by_the_package():
+    """A default of a private helper that the package never overrides is a
+    path only the tests take: each one is passed by some package call."""
+    trees = [ast.parse(p.read_text()) for p in FILES if p.parent.name == "combadc"]
+    assert _defaults_never_passed(trees) == []
 
 
 # modules the package keeps off its load path: scipy.signal alone costs

@@ -162,6 +162,54 @@ def test_rrc_symmetry_and_sinc_limit():
     assert np.allclose(h0, ref, atol=1e-12)
 
 
+def _rrc_reference(rolloff, sps_per_sym, span):
+    """The RRC taps one at a time: the closed form, or its limit at t = 0
+    and at |t| = 1 / (4 rolloff), normalized to unit energy."""
+    n = span * sps_per_sym + 1
+    t = (np.arange(n) - (n - 1) / 2) / sps_per_sym
+    h = np.empty(n)
+    for i, ti in enumerate(t):
+        if abs(ti) < 1e-12:
+            h[i] = 1.0 + rolloff * (4.0 / np.pi - 1.0)
+        elif rolloff > 0 and abs(abs(ti) - 1.0 / (4.0 * rolloff)) < 1e-9:
+            h[i] = (rolloff / np.sqrt(2.0)) * (
+                (1.0 + 2.0 / np.pi) * np.sin(np.pi / (4.0 * rolloff))
+                + (1.0 - 2.0 / np.pi) * np.cos(np.pi / (4.0 * rolloff))
+            )
+        else:
+            num = np.sin(np.pi * ti * (1.0 - rolloff)) + 4.0 * rolloff * ti * np.cos(
+                np.pi * ti * (1.0 + rolloff)
+            )
+            den = np.pi * ti * (1.0 - (4.0 * rolloff * ti) ** 2)
+            h[i] = num / den
+    return h / np.sqrt(np.sum(np.square(h)))
+
+
+@pytest.mark.parametrize(
+    "rolloff,sps_per_sym,span,singular",
+    [
+        # the burst's taps at 32 GSa/s and 0.8 GBd, whose |t| = 2.5 symbols
+        # falls on the tap grid, and an odd sps, where it does not
+        (0.1, 40, 16, 2),
+        (0.1, 3, 16, 0),
+        # a sinc, and |t| = 1 / (4 rolloff) on the tap grid: at 1/4 symbol
+        # for rolloff 1 (sps divisible by 4), 2, 1 and 1/2 symbol below
+        (0.0, 4, 16, 0),
+        (1.0, 8, 10, 2),
+        (0.125, 4, 16, 2),
+        (0.25, 4, 16, 2),
+        (0.5, 4, 16, 2),
+    ],
+)
+def test_rrc_taps_are_the_per_tap_formula(rolloff, sps_per_sym, span, singular):
+    t = (np.arange(span * sps_per_sym + 1) - span * sps_per_sym / 2) / sps_per_sym
+    if rolloff > 0:
+        assert np.count_nonzero(np.abs(t) == 1.0 / (4.0 * rolloff)) == singular
+    h = rrc_taps(rolloff, sps_per_sym, span)
+    assert np.all(np.isfinite(h))
+    assert h.tobytes() == _rrc_reference(rolloff, sps_per_sym, span).tobytes()
+
+
 def test_rrc_validation():
     with pytest.raises(SignalError):
         rrc_taps(1.2, 4, 16)
@@ -193,15 +241,6 @@ def test_fir_lowpass_default_transition():
     assert np.max(np.abs(gain_db[w <= 0.8 * 1.2e9])) < 0.5
     assert np.max(gain_db[w >= 1.4 * 1.2e9]) < -40.0
     assert taps.size % 2 == 1
-
-
-def test_rrc_designs_are_made_once_and_read_only():
-    taps = rrc_taps(0.1, 4, 16)
-    assert rrc_taps(0.1, 4, 16) is taps
-    with pytest.raises(ValueError, match="read-only"):
-        taps[0] = 0.0
-    with pytest.raises(ValueError, match="read-only"):
-        taps *= 2.0
 
 
 def test_fir_lowpass_rejects_impossible_design():
@@ -336,25 +375,26 @@ def test_resample_matches_zero_stuff_reference(rate, new_rate, n, rng):
 # ------------------------------------------------------- analytic placement
 
 
-def _analytic_reference(part, lo, hi, m, shifts, weight):
-    """Bins lo..hi-1 of ``np.fft.rfft(part)`` times ``weight``, DC and
-    Nyquist at half of it, laid on ``m`` bins from bin lo and rolled by
-    each shift in turn, summed."""
-    bins = np.fft.rfft(part)[lo:hi] * weight
+def _analytic_reference(x, lo, hi, m, shifts):
+    """Bins lo..hi-1 of ``np.fft.rfft(x)`` times 2, DC and Nyquist times 1,
+    laid on ``m`` bins from bin lo and rolled by each shift in turn, summed."""
+    bins = np.fft.rfft(x)[lo:hi] * 2.0
     k = np.arange(lo, hi)
-    bins[(k == 0) | (2 * k == part.size)] *= 0.5
+    bins[(k == 0) | (2 * k == x.size)] *= 0.5
     laid = np.zeros(m, dtype=np.complex128)
     laid[: hi - lo] = bins
     return sum(np.roll(laid, lo + shift) for shift in shifts)
 
 
-@pytest.mark.parametrize("imag", [False, True])
+# with_imag: the record carries an imaginary part that the placement must
+# leave out (the beat's mu + j mu^2), or is real (the demodulator's)
+@pytest.mark.parametrize("with_imag", [False, True])
 @pytest.mark.parametrize("n", [2 * _SPLIT_BLOCK + 8, 2 * _SPLIT_BLOCK + 9])
 @pytest.mark.parametrize(
-    "lo,hi,m,shifts,weight",
+    "lo,hi,m,shifts,held",
     [
-        # the burst's case: every rfft bin, past a split-block edge, onto a
-        # full-length target at two shifts that wrap past either end
+        # every rfft bin, past a split-block edge, onto a full-length
+        # target at two shifts that wrap past either end
         (0, None, None, (20_000, -20_000), 1.0),
         # the beat's case: a band across a split-block edge onto a shorter
         # target, the middle of its 5000 bins on DC
@@ -364,16 +404,18 @@ def _analytic_reference(part, lo, hi, m, shifts, weight):
         (_SPLIT_BLOCK - 4000, None, 4096, (100,), 2.0),
     ],
 )
-def test_add_analytic_matches_rfft_weights_and_roll(n, imag, lo, hi, m, shifts, weight):
+def test_add_analytic_matches_rfft_weights_and_roll(
+    n, with_imag, lo, hi, m, shifts, held
+):
     rng = np.random.default_rng(n)
     x, y = rng.standard_normal(n), rng.standard_normal(n)
     hi = n // 2 + 1 if hi is None else hi
     m = n if m is None else m
-    # the bins are added to what the target already holds
-    target = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-    want = target + _analytic_reference(y if imag else x, lo, hi, m, shifts, weight)
-    z = np.fft.fft(x + 1j * y)
-    _add_analytic(z, lo, hi, target, shifts, imag=imag, weight=weight)
+    # the bins are added to what the target already holds, ``held`` times
+    # a random record
+    target = held * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
+    want = target + _analytic_reference(x, lo, hi, m, shifts)
+    _add_analytic(np.fft.fft(x + 1j * y if with_imag else x), lo, hi, target, shifts)
     np.testing.assert_allclose(target, want, rtol=0.0, atol=1e-9)
 
 
@@ -382,7 +424,7 @@ def test_add_analytic_matches_rfft_weights_and_roll(n, imag, lo, hi, m, shifts, 
 
 def test_white_noise_density_law():
     rate, dens = 2.4e9, 4.4e-11
-    x = white_noise(400_000, rate, dens, 99)
+    x = white_noise(np.zeros(400_000, np.float32), rate, dens, 99)
     assert np.var(x) == pytest.approx(dens**2 * rate / 2, rel=0.02, abs=0.0)
 
 
@@ -409,22 +451,18 @@ def test_wiener_phase_sums_its_steps_in_float64():
 
 
 def test_noise_determinism():
-    a = white_noise(1000, 1e9, 1e-10, 42)
-    b = white_noise(1000, 1e9, 1e-10, 42)
-    c = white_noise(1000, 1e9, 1e-10, 43)
+    a, b, c = (white_noise(np.zeros(1000), 1e9, 1e-10, seed) for seed in (42, 42, 43))
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
 
 def test_white_noise_adds_its_samples_in_place():
-    # float32 samples, or the same samples added into a caller's record
-    a = white_noise(1001, 1e9, 1e-10, 42)
-    assert a.dtype == np.float32
+    # the kernel's float32 samples, added into the caller's record
     base = np.linspace(-1.0, 1.0, 1001)
-    got = white_noise(1001, 1e9, 1e-10, 42, out=base.copy())
-    assert np.array_equal(got, base + a)
-    with pytest.raises(SignalError):
-        white_noise(1000, 1e9, 1e-10, 42, out=base)
+    out = base.copy()
+    assert white_noise(out, 1e9, 1e-10, 42) is out
+    sigma = 1e-10 * math.sqrt(1e9 / 2.0)
+    assert np.array_equal(out, base + _gaussian(1001, 42, sigma))
 
 
 # ----------------------------------------------------------- Gaussian kernel
